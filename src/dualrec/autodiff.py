@@ -5,6 +5,13 @@ float64 array plus a lazily allocated gradient slot and a backward
 closure. Graphs are built dynamically (one per training batch) and swept
 once by :func:`backward`; gradients accumulate by summation over fan-out.
 
+A graph is consumed by its sweep: each node drops its closure and its
+parent links once its own backward has run, so the tape is freed by
+reference counting as the sweep goes, and only the nodes the caller still
+holds survive it (with their ``.grad``). For that to work no backward
+closure may refer to its own output Value; a closure that did would make
+the node a reference cycle that only the cyclic garbage collector frees.
+
 Sparse adjacency matrices, labels, mixing coefficients and sampled noise
 enter ops as plain constants and never receive gradients.
 """
@@ -31,10 +38,6 @@ class ContractError(RuntimeError):
 # Diagnostics: number of rows whose norm was clamped inside row_cosine.
 _clamp_events = 0
 
-# Test hook: when set, the matmul weight-gradient rule is deliberately
-# wrong so that the selfcheck gradient suite must fail.
-_gradient_fault = False
-
 
 def cosine_clamp_events() -> int:
     return _clamp_events
@@ -43,11 +46,6 @@ def cosine_clamp_events() -> int:
 def reset_cosine_clamp_events() -> None:
     global _clamp_events
     _clamp_events = 0
-
-
-def set_gradient_fault(enabled: bool) -> None:
-    global _gradient_fault
-    _gradient_fault = bool(enabled)
 
 
 def _as_matrix(data) -> np.ndarray:
@@ -86,8 +84,9 @@ class Value:
 
 def _accum(node: Value, grad: np.ndarray) -> None:
     if node.grad is None:
-        node.grad = np.zeros_like(node.data)
-    node.grad += grad
+        node.grad = grad.copy()
+    else:
+        node.grad += grad
 
 
 def zero_grads(values) -> None:
@@ -115,14 +114,23 @@ def _toposort(root: Value) -> list[Value]:
 
 
 def backward(loss: Value) -> None:
-    """Reverse sweep from a scalar loss; accumulates grads into all ancestors."""
+    """Reverse sweep from a scalar loss; accumulates grads into all ancestors.
+
+    The sweep consumes the graph: after a node's backward has run, its
+    closure and parent links are dropped. A node nobody else holds is then
+    freed, grad included; a node the caller holds keeps its ``.grad`` but
+    no longer reaches its ancestors, so a graph can be swept only once.
+    """
     if loss.shape != (1, 1):
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
     order = _toposort(loss)
     _accum(loss, np.ones((1, 1)))
-    for node in reversed(order):
+    while order:
+        node = order.pop()
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
+        node._backward = None
+        node._parents = ()
 
 
 # ---------------------------------------------------------------------------
@@ -178,10 +186,7 @@ def matmul(a: Value, b: Value) -> Value:
 
     def bw(g):
         _accum(a, g @ b.data.T)
-        gb = a.data.T @ g
-        if _gradient_fault:
-            gb = gb * 1.01
-        _accum(b, gb)
+        _accum(b, a.data.T @ g)
 
     out._backward = bw
     return out
@@ -206,15 +211,45 @@ def affine(x: Value, w: Value, b: Value) -> Value:
     return add_rowvec(matmul(x, w), b)
 
 
+# The matmul bound before set_gradient_fault(True); None while no fault is on.
+_unfaulted_matmul = None
+
+
+def _faulty_matmul(a: Value, b: Value):
+    out = _unfaulted_matmul(a, b)
+
+    def bw(g):
+        _accum(a, g @ b.data.T)
+        _accum(b, (a.data.T @ g) * 1.01)
+
+    out._backward = bw
+    return out
+
+
+def set_gradient_fault(enabled: bool) -> None:
+    """Test hook: while on, ``matmul``'s weight-gradient rule is 1% off.
+
+    The module's ``matmul`` is rebound to a faulty twin, so every gradient
+    check must fail; turning the fault off restores the op bound before.
+    Every caller looks ``matmul`` up in this module at call time.
+    """
+    global matmul, _unfaulted_matmul
+    if enabled and _unfaulted_matmul is None:
+        _unfaulted_matmul = matmul
+        matmul = _faulty_matmul
+    elif not enabled and _unfaulted_matmul is not None:
+        matmul, _unfaulted_matmul = _unfaulted_matmul, None
+
+
 def spmm(a: sp.spmatrix | sp.sparray, x: Value) -> Value:
     """Sparse-dense product a @ x; a is constant and receives no gradient."""
     if a.shape[1] != x.shape[0]:
         raise ShapeError(f"spmm: {a.shape} @ {x.shape}")
-    at = a.T.tocsr()
     out = Value(np.asarray(a @ x.data), "spmm", (x,))
 
     def bw(g):
-        _accum(x, np.asarray(at @ g))
+        # a.T of a CSR matrix is a CSC view of the same arrays, not a copy
+        _accum(x, np.asarray(a.T @ g))
 
     out._backward = bw
     return out
@@ -291,10 +326,11 @@ def leaky_relu(x: Value, slope: float = LEAKY_SLOPE) -> Value:
 
 
 def exp(x: Value) -> Value:
-    out = Value(np.exp(x.data), "exp", (x,))
+    e = np.exp(x.data)
+    out = Value(e, "exp", (x,))
 
     def bw(g):
-        _accum(x, g * out.data)
+        _accum(x, g * e)
 
     out._backward = bw
     return out

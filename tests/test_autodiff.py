@@ -3,9 +3,11 @@
 Expected values come from independent oracles: a triple-loop matmul, a
 densify-then-multiply check for sparse products, scalar hand evaluations
 for the losses, and a five-point central finite-difference stencil for every
-gradient rule.
+gradient rule. A sweep must consume its graph without leaving cyclic
+garbage, which the collector-off tape-release tests check.
 """
 
+import gc
 import math
 
 import numpy as np
@@ -290,6 +292,53 @@ def _random_leaves(rng, shapes):
     return [Value(rng.standard_normal(s)) for s in shapes]
 
 
+# (name, scalar loss over the leaves, leaf shapes): one graph per primitive
+PRIMITIVE_CASES = [
+    ("matmul", lambda ls: ad.mean_all(ad.matmul(*ls)), [(3, 4), (4, 2)]),
+    ("add", lambda ls: ad.mean_all(ad.add(*ls)), [(3, 3), (3, 3)]),
+    ("add_rowvec", lambda ls: ad.mean_all(ad.add_rowvec(*ls)), [(3, 4), (1, 4)]),
+    ("leaky_relu", lambda ls: ad.mean_all(ad.leaky_relu(ls[0])), [(3, 4)]),
+    ("exp", lambda ls: ad.mean_all(ad.exp(ls[0])), [(3, 3)]),
+    ("square", lambda ls: ad.mean_all(ad.square(ls[0])), [(3, 3)]),
+    ("softmax", lambda ls: ad.mean_all(ad.square(ad.softmax_rows(ls[0]))), [(3, 4)]),
+    ("frobenius", lambda ls: ad.frobenius_sq(ls[0]), [(3, 3)]),
+    ("scale_rows", lambda ls: ad.mean_all(ad.scale_rows(*ls)), [(3, 4), (3, 1)]),
+    ("slice_cols", lambda ls: ad.mean_all(ad.slice_cols(ls[0], 1, 3)), [(3, 4)]),
+    ("mse", lambda ls: ad.mse(ls[0], np.full((3, 3), 0.25)), [(3, 3)]),
+    ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),
+    ("affine_const", lambda ls: ad.mean_all(ad.affine_const(ls[0], 0.5, 0.5)), [(3, 3)]),
+]
+
+
+class TestTapeRelease:
+    """A swept graph frees itself by reference counting, with no cycles left."""
+
+    @pytest.mark.parametrize("name,fn,shapes", PRIMITIVE_CASES)
+    def test_sweep_leaves_no_cyclic_garbage(self, name, fn, shapes):
+        leaves = _random_leaves(np.random.default_rng(list(name.encode())), shapes)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            ad.backward(fn(leaves))
+            unreachable = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert unreachable == 0, name
+        assert all(leaf.grad is not None for leaf in leaves), name
+
+    def test_held_interior_node_is_cut_but_keeps_grad(self):
+        x = Value([[0.5, -1.0]])
+        hidden = ad.exp(x)
+        loss = ad.mean_all(ad.square(hidden))
+        ad.backward(loss)
+        np.testing.assert_allclose(hidden.grad, hidden.data)  # d/dh mean(h^2) = 2h/2
+        np.testing.assert_allclose(x.grad, hidden.data * hidden.data)
+        assert hidden._parents == () and hidden._backward is None
+        assert loss._parents == ()
+
+
 class TestFiniteDiffCheck:
     """The finite-difference suite is the oracle for every gradient rule."""
 
@@ -319,21 +368,7 @@ class TestFiniteDiffCheck:
 
         assert ad.finite_diff_check(fn, leaves) == 0.0
 
-    @pytest.mark.parametrize("name,fn,shapes", [
-        ("matmul", lambda ls: ad.mean_all(ad.matmul(*ls)), [(3, 4), (4, 2)]),
-        ("add", lambda ls: ad.mean_all(ad.add(*ls)), [(3, 3), (3, 3)]),
-        ("add_rowvec", lambda ls: ad.mean_all(ad.add_rowvec(*ls)), [(3, 4), (1, 4)]),
-        ("leaky_relu", lambda ls: ad.mean_all(ad.leaky_relu(ls[0])), [(3, 4)]),
-        ("exp", lambda ls: ad.mean_all(ad.exp(ls[0])), [(3, 3)]),
-        ("square", lambda ls: ad.mean_all(ad.square(ls[0])), [(3, 3)]),
-        ("softmax", lambda ls: ad.mean_all(ad.square(ad.softmax_rows(ls[0]))), [(3, 4)]),
-        ("frobenius", lambda ls: ad.frobenius_sq(ls[0]), [(3, 3)]),
-        ("scale_rows", lambda ls: ad.mean_all(ad.scale_rows(*ls)), [(3, 4), (3, 1)]),
-        ("slice_cols", lambda ls: ad.mean_all(ad.slice_cols(ls[0], 1, 3)), [(3, 4)]),
-        ("mse", lambda ls: ad.mse(ls[0], np.full((3, 3), 0.25)), [(3, 3)]),
-        ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),
-        ("affine_const", lambda ls: ad.mean_all(ad.affine_const(ls[0], 0.5, 0.5)), [(3, 3)]),
-    ])
+    @pytest.mark.parametrize("name,fn,shapes", PRIMITIVE_CASES)
     def test_each_primitive(self, name, fn, shapes):
         rng = np.random.default_rng(list(name.encode()))
         for _ in range(3):

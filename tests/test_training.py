@@ -5,6 +5,7 @@ The ELBO terms are re-derived in numpy from the same forward pass so the
 graph-built loss has an independent reference.
 """
 
+import gc
 import io
 import math
 
@@ -14,9 +15,11 @@ import pytest
 from dualrec import autodiff as ad
 from dualrec import model as md
 from dualrec import training as tr
-from dualrec.config import RunConfig
+from dualrec.config import VARIANTS, RunConfig
 from dualrec.data import InteractionSet, freeze_splits
+from dualrec.evaluation import evaluate_model
 from dualrec.graph import build_bipartite_adjacency
+from dualrec.synthetic import SyntheticSpec, generate_synthetic
 
 
 def make_set(num_users, num_items, per_user, seed):
@@ -215,3 +218,40 @@ class TestElboTerms:
         for row in result.history:
             assert math.isfinite(row["cls1"]) and math.isfinite(row["cls2"])
             assert row["cls1"] >= 0.0 and row["cls2"] >= 0.0
+
+
+@pytest.fixture(scope="module")
+def leak_splits():
+    spec = SyntheticSpec(num_users=150, num_items_a=150, num_items_b=120,
+                         rate_a=0.08, rate_b=0.08, seed=3)
+    return freeze_splits(*generate_synthetic(spec), seed=3, n_candidates=20)
+
+
+class TestTapeIsFreed:
+    """Each step's tape must be freed by reference counting, not by the
+    cyclic collector: with the collector off, an epoch of training and an
+    evaluation leave no unreachable objects. A tape that holds a cycle
+    (say, a backward closure that refers to its own output node) leaves
+    thousands of objects per epoch here."""
+
+    @pytest.mark.parametrize("variant,fusion,alternating", [
+        *((v, "attention", alt) for v in VARIANTS for alt in (False, True)),
+        ("full", "concat", False),
+        ("full", "sum", False),
+    ])
+    def test_no_cyclic_garbage(self, leak_splits, variant, fusion, alternating):
+        split_a, split_b = leak_splits
+        cfg = RunConfig(k=8, epochs=1, batch_size=256, neg_ratio=1, eval_negatives=20,
+                        variant=variant, fusion=fusion, alternating=alternating, seed=3)
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            result = tr.train_model(split_a, split_b, cfg)
+            after_fit = gc.collect()
+            evaluate_model(result.model, split_a, split_b)
+            after_eval = gc.collect()
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert (after_fit, after_eval) == (0, 0)
