@@ -262,9 +262,27 @@ def gather_rows(x: Value, idx) -> Value:
     out = Value(x.data[idx], "gather_rows", (x,))
 
     def bw(g):
+        # scatter-add as the product of g with the transposed one-hot
+        # selector; scipy sums each output row in index order, so the result
+        # equals np.add.at into zeros bit for bit
+        n = idx.shape[0]
+        sel = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, x.shape[0]))
+        _accum(x, np.asarray(sel.T @ g))
+
+    out._backward = bw
+    return out
+
+
+def slice_rows(x: Value, start: int, stop: int) -> Value:
+    """Rows start:stop of x as a view; the backward adds into that block."""
+    if not (0 <= start < stop <= x.shape[0]):
+        raise ShapeError(f"slice_rows: [{start}:{stop}] of {x.shape}")
+    out = Value(x.data[start:stop], "slice_rows", (x,))
+
+    def bw(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
-        np.add.at(x.grad, idx, g)
+        x.grad[start:stop] += g
 
     out._backward = bw
     return out

@@ -104,6 +104,7 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
         if "=" not in line:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
         key, _, raw = line.partition("=")
+        raw = raw.partition("#")[0]  # a trailing "# ..." is a comment
         key = key.strip()
         if key not in _FIELD_TYPES:
             raise ConfigError(f"line {line_no}: unknown config key {key!r}")

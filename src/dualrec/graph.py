@@ -99,8 +99,8 @@ def propagate(adjacency: NormalizedAdjacency, weights: GcnWeights) -> list[Value
 def assemble_node_embeddings(layers: list[Value], num_users: int) -> NodeEmbeddings:
     """Concatenate all layers columnwise and split rows into users and items."""
     stacked = ad.concat_cols(layers)
-    users = ad.gather_rows(stacked, np.arange(num_users))
-    items = ad.gather_rows(stacked, np.arange(num_users, stacked.shape[0]))
+    users = ad.slice_rows(stacked, 0, num_users)
+    items = ad.slice_rows(stacked, num_users, stacked.shape[0])
     return NodeEmbeddings(users=users, items=items)
 
 

@@ -261,7 +261,10 @@ def score_pairs(
     if not np.array_equal(fwd.users[positions], pair_users):
         raise ad.ContractError("pair users missing from the forward pass")
     s_rows = ad.gather_rows(s_all, positions)
-    t_rows = fu.tower_forward(ad.gather_rows(emb_items, pair_items), dm.item_tower)
+    # the item tower runs once per distinct item, then fans out to the pairs
+    items, inverse = np.unique(pair_items, return_inverse=True)
+    t_items = fu.tower_forward(ad.gather_rows(emb_items, items), dm.item_tower)
+    t_rows = ad.gather_rows(t_items, inverse)
     return fu.predict(s_rows, t_rows), s_rows, t_rows
 
 

@@ -107,6 +107,11 @@ def _primitive_cases() -> list[tuple[str, float]]:
     w = rng.normal(size=(3, 3))
     check("slice_cols", [x], lambda _: ad.mean_all(_mix(ad.slice_cols(x, 1, 4), w)))
 
+    rng = _rng("selfcheck.slice_rows")
+    x = _leaf(rng, (5, 3))
+    w = rng.normal(size=(3, 3))
+    check("slice_rows", [x], lambda _: ad.mean_all(_mix(ad.slice_rows(x, 1, 4), w)))
+
     rng = _rng("selfcheck.row_cosine")
     s = _leaf(rng, (4, 3))
     t = _leaf(rng, (4, 3))

@@ -287,10 +287,43 @@ class TestGatherConcatSlice:
         assert not a.grad.any()
         np.testing.assert_allclose(b.grad, np.full((2, 3), 1.0 / 6))
 
+    def test_gather_backward_bitwise_equals_add_at(self):
+        rng = np.random.default_rng(40)
+        x = Value(rng.standard_normal((50, 8)))
+        idx = rng.integers(0, 50, size=1024)  # about 20 repeats per row, unsorted
+        readout = rng.standard_normal((1024, 8))
+        ad.backward(ad.mean_all(ad.mul_const(ad.gather_rows(x, idx), readout)))
+        g = np.full((1024, 8), 1.0 / readout.size) * readout  # what reaches the gather
+        expected = np.zeros((50, 8))
+        np.add.at(expected, idx, g)
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_slice_rows_is_a_view_and_scatters_to_its_block(self):
+        x = Value(np.arange(12.0).reshape(4, 3))
+        mid = ad.slice_rows(x, 1, 3)
+        assert np.shares_memory(mid.data, x.data)
+        np.testing.assert_array_equal(mid.data, x.data[1:3])
+        ad.backward(ad.mul_const(ad.mean_all(mid), 6.0))  # grad 1 per output entry
+        np.testing.assert_array_equal(x.grad, [[0, 0, 0], [1, 1, 1], [1, 1, 1], [0, 0, 0]])
+
+    @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 1), (0, 5)])
+    def test_slice_rows_bounds(self, start, stop):
+        with pytest.raises(ad.ShapeError):
+            ad.slice_rows(Value(np.ones((4, 3))), start, stop)
+
 
 def _random_leaves(rng, shapes):
     return [Value(rng.standard_normal(s)) for s in shapes]
 
+
+# a small constant CSR that is not symmetric, so a backward that multiplies
+# by a instead of a.T gives wrong values, not just a shape error
+_SPMM_A = sp.csr_matrix(np.array([
+    [1.0, 0.0, 2.0, 0.0],
+    [0.0, 0.0, 0.0, -1.0],
+    [3.0, 0.0, 0.0, 0.5],
+    [0.0, 1.5, 0.0, 0.0],
+]))
 
 # (name, scalar loss over the leaves, leaf shapes): one graph per primitive
 PRIMITIVE_CASES = [
@@ -304,6 +337,11 @@ PRIMITIVE_CASES = [
     ("frobenius", lambda ls: ad.frobenius_sq(ls[0]), [(3, 3)]),
     ("scale_rows", lambda ls: ad.mean_all(ad.scale_rows(*ls)), [(3, 4), (3, 1)]),
     ("slice_cols", lambda ls: ad.mean_all(ad.slice_cols(ls[0], 1, 3)), [(3, 4)]),
+    ("slice_rows", lambda ls: ad.mean_all(ad.square(ad.slice_rows(ls[0], 1, 3))), [(4, 3)]),
+    ("gather_rows",
+     lambda ls: ad.mean_all(ad.square(ad.gather_rows(ls[0], [2, 0, 2, 1]))), [(3, 4)]),
+    ("concat_cols", lambda ls: ad.mean_all(ad.square(ad.concat_cols(ls))), [(3, 2), (3, 3)]),
+    ("spmm", lambda ls: ad.mean_all(ad.square(ad.spmm(_SPMM_A, ls[0]))), [(4, 3)]),
     ("mse", lambda ls: ad.mse(ls[0], np.full((3, 3), 0.25)), [(3, 3)]),
     ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),
     ("affine_const", lambda ls: ad.mean_all(ad.affine_const(ls[0], 0.5, 0.5)), [(3, 3)]),

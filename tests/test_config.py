@@ -1,0 +1,46 @@
+"""Tests for the key = value config-file parser.
+
+The README's own config example is the oracle for comment handling: it
+lists every default with trailing ``# ...`` notes and must parse to the
+defaults.
+"""
+
+import re
+from pathlib import Path
+
+import pytest
+
+from dualrec.config import ConfigError, RunConfig, config_lines, parse_config_text
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_config_block() -> str:
+    text = README.read_text(encoding="utf-8")
+    match = re.search(r"`--config FILE` uses the same.*?\n```\n(.*?)```", text, re.S)
+    assert match, "README lost its config example"
+    return match.group(1)
+
+
+class TestParseConfigText:
+    def test_readme_example_parses_to_defaults(self):
+        cfg = parse_config_text(readme_config_block())
+        assert cfg.fixed_lambda is None
+        assert cfg.fusion == "attention"
+        assert cfg == RunConfig()
+
+    def test_trailing_comment_is_stripped(self):
+        cfg = parse_config_text("fusion = concat  # attention | concat | sum\nk = 8 # width")
+        assert cfg.fusion == "concat" and cfg.k == 8
+
+    def test_commented_out_value_is_empty(self):
+        with pytest.raises(ConfigError):
+            parse_config_text("k =  # no value")
+
+    def test_unknown_key_rejected(self):
+        with pytest.raises(ConfigError):
+            parse_config_text("depth = 3")
+
+    def test_config_lines_roundtrip(self):
+        cfg = RunConfig(k=8, fusion="sum", fixed_lambda=0.25, alternating=True)
+        assert parse_config_text("\n".join(config_lines(cfg))) == cfg

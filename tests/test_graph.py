@@ -165,6 +165,23 @@ class TestAssemble:
         np.testing.assert_array_equal(emb.users.data, [[0.0, 1.0]])
         np.testing.assert_array_equal(emb.items.data, [[0.0, 1.0]])
 
+    def test_slices_route_each_layer_gradient_to_its_rows(self):
+        rng = np.random.default_rng(8)
+        l0 = Value(rng.standard_normal((5, 2)))
+        l1 = Value(rng.standard_normal((5, 3)))
+        emb = graph.assemble_node_embeddings([l0, l1], num_users=2)
+        r_users = rng.standard_normal((2, 5))
+        r_items = rng.standard_normal((3, 5))
+        loss = ad.add(ad.frobenius_sq(ad.mul_const(emb.users, r_users)),
+                      ad.frobenius_sq(ad.mul_const(emb.items, r_items)))
+        ad.backward(loss)
+        # d/dx sum((r*x)^2) = 2 r^2 x, so every row gets its own readout
+        readout = np.vstack([r_users, r_items])
+        stacked = np.hstack([l0.data, l1.data])
+        expected = 2.0 * readout * readout * stacked
+        np.testing.assert_allclose(l0.grad, expected[:, :2], rtol=1e-14)
+        np.testing.assert_allclose(l1.grad, expected[:, 2:], rtol=1e-14)
+
 
 class TestEquivariance:
     def test_permuting_nodes_permutes_embeddings(self):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from dualrec import autodiff as ad
+from dualrec import fusion as fu
 from dualrec import model as md
 from dualrec.config import ConfigError, RunConfig, VARIANTS
 from dualrec.data import ArtifactError, InteractionSet
@@ -162,6 +163,35 @@ class TestScorePairs:
         tn = t_a / np.linalg.norm(t_a, axis=1, keepdims=True)
         manual = np.einsum("ij,ij->i", sn[users], tn[items]).reshape(-1, 1)
         np.testing.assert_allclose(y.data, manual, atol=1e-12)
+
+    def test_distinct_item_tower_matches_per_pair_tower(self):
+        adj_a, adj_b = adjacencies()
+        m = md.build_model(adj_a, adj_b, config(variant="base"))
+        rng = np.random.default_rng(9)
+        users = rng.integers(0, 4, size=40)
+        items = rng.integers(0, 6, size=40)  # every item about 7 times
+        readout = rng.standard_normal((40, 1))
+        tower = m.domain_a.item_tower
+
+        def run(per_pair):
+            ad.zero_grads(m.params.values())
+            fwd = md.forward(m, np.unique(users), 0.5, stochastic=False)
+            if per_pair:
+                positions = np.searchsorted(fwd.users, users)
+                s = ad.gather_rows(fwd.s_a, positions)
+                t = fu.tower_forward(ad.gather_rows(fwd.emb_items_a, items), tower)
+                y = fu.predict(s, t)
+            else:
+                y, s, t = md.score_pairs(fwd, m, "a", users, items)
+            ad.backward(ad.mean_all(ad.mul_const(y, readout)))
+            return y.data, t.data, [w.grad for w in tower.weights]
+
+        y_ref, t_ref, g_ref = run(per_pair=True)
+        y, t, g = run(per_pair=False)
+        np.testing.assert_allclose(y, y_ref, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(t, t_ref, rtol=0, atol=1e-12)
+        for got, want in zip(g, g_ref):
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_scores_lie_in_cosine_range(self):
         adj_a, adj_b = adjacencies()

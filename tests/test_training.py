@@ -255,3 +255,49 @@ class TestTapeIsFreed:
             if was_enabled:
                 gc.enable()
         assert (after_fit, after_eval) == (0, 0)
+
+
+class TestFirstStepGolden:
+    """First-step loss parts on the 150-user spec, pinned at 1e-12 relative.
+
+    The values were recorded before the training step was rewritten for
+    speed (row selection by sparse product, item tower once per distinct
+    item); an exact rewrite keeps them, an approximation does not.
+    """
+
+    GOLDEN = {
+        "full": {"total": 2.215275002145305, "prd_a": 0.7440850416786101,
+                 "prd_b": 0.7773407653143817, "cls1": 0.6938425111711057,
+                 "cls2": 6.6839812071812955e-06},
+        "base": {"total": 1.6587408353947608, "prd_a": 0.8068666601647672,
+                 "prd_b": 0.8518741752299938},
+        "elbo": {"total": 13.591511504778143, "prd_a": 0.7440850416786101,
+                 "prd_b": 0.7773407653143817, "cls1": 12.069915639748462,
+                 "cls2": 0.00017005803668917872},
+    }
+
+    @pytest.mark.parametrize("variant", sorted(GOLDEN))
+    def test_first_step_parts(self, leak_splits, variant):
+        split_a, split_b = leak_splits
+        cfg = RunConfig(k=8, batch_size=256, neg_ratio=1, eval_negatives=20,
+                        variant=variant, seed=3)
+        model = md.build_model(
+            build_bipartite_adjacency(split_a.train),
+            build_bipartite_adjacency(split_b.train),
+            cfg,
+        )
+        batch_a, batch_b = (
+            tr._BatchStream(*tr._epoch_arrays(split.train, 0, d, cfg), cfg, 0, d).next_batch()
+            for d, split in enumerate((split_a, split_b))
+        )
+        fwd = md.forward(
+            model,
+            np.union1d(batch_a[0], batch_b[0]),
+            tr._step_lambda(cfg, 0, 0),
+            stochastic=variant != "base",
+            noise_rngs=tr._noise_rngs(cfg, 0, 0),
+        )
+        _, parts = tr.step_losses(model, fwd, batch_a, batch_b)
+        assert set(parts) == set(self.GOLDEN[variant])
+        for key, want in self.GOLDEN[variant].items():
+            assert parts[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
