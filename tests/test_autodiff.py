@@ -337,14 +337,14 @@ PRIMITIVE_CASES = [
     ("frobenius", lambda ls: ad.frobenius_sq(ls[0]), [(3, 3)]),
     ("scale_rows", lambda ls: ad.mean_all(ad.scale_rows(*ls)), [(3, 4), (3, 1)]),
     ("slice_cols", lambda ls: ad.mean_all(ad.slice_cols(ls[0], 1, 3)), [(3, 4)]),
+    ("mse", lambda ls: ad.mse(ls[0], np.full((3, 3), 0.25)), [(3, 3)]),
+    ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),
+    ("affine_const", lambda ls: ad.mean_all(ad.affine_const(ls[0], 0.5, 0.5)), [(3, 3)]),
     ("slice_rows", lambda ls: ad.mean_all(ad.square(ad.slice_rows(ls[0], 1, 3))), [(4, 3)]),
     ("gather_rows",
      lambda ls: ad.mean_all(ad.square(ad.gather_rows(ls[0], [2, 0, 2, 1]))), [(3, 4)]),
     ("concat_cols", lambda ls: ad.mean_all(ad.square(ad.concat_cols(ls))), [(3, 2), (3, 3)]),
     ("spmm", lambda ls: ad.mean_all(ad.square(ad.spmm(_SPMM_A, ls[0]))), [(4, 3)]),
-    ("mse", lambda ls: ad.mse(ls[0], np.full((3, 3), 0.25)), [(3, 3)]),
-    ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),
-    ("affine_const", lambda ls: ad.mean_all(ad.affine_const(ls[0], 0.5, 0.5)), [(3, 3)]),
 ]
 
 
