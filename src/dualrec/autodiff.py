@@ -82,9 +82,15 @@ class Value:
         return f"Value(op={self.op!r}, shape={self.shape})"
 
 
-def _accum(node: Value, grad: np.ndarray) -> None:
+def _accum(node: Value, grad: np.ndarray, shared: bool = False) -> None:
+    """Add ``grad`` into ``node.grad``; the first gradient is stored as is.
+
+    A backward passes ``shared=True`` when ``grad`` is also reachable
+    elsewhere (its own upstream gradient, or a view of it), so the stored
+    array is copied and later ``+=`` cannot write through to another node.
+    """
     if node.grad is None:
-        node.grad = grad.copy()
+        node.grad = grad.copy() if shared else grad
     else:
         node.grad += grad
 
@@ -143,8 +149,8 @@ def add(a: Value, b: Value) -> Value:
     out = Value(a.data + b.data, "add", (a, b))
 
     def bw(g):
-        _accum(a, g)
-        _accum(b, g)
+        _accum(a, g, shared=True)
+        _accum(b, g, shared=True)
 
     out._backward = bw
     return out
@@ -199,7 +205,7 @@ def add_rowvec(x: Value, b: Value) -> Value:
     out = Value(x.data + b.data, "add_rowvec", (x, b))
 
     def bw(g):
-        _accum(x, g)
+        _accum(x, g, shared=True)
         _accum(b, g.sum(axis=0, keepdims=True))
 
     out._backward = bw
@@ -300,7 +306,7 @@ def concat_cols(parts: list[Value]) -> Value:
     def bw(g):
         start = 0
         for part, width in zip(parts, widths):
-            _accum(part, g[:, start:start + width])
+            _accum(part, g[:, start:start + width], shared=True)
             start += width
 
     out._backward = bw

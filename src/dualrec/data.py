@@ -5,6 +5,13 @@ filtering, common-user alignment across the two domains, leave-one-out
 splitting, cold-item filtering of the test set, negative sampling for
 training, and frozen candidate sampling for ranking evaluation. All
 operations are deterministic given their inputs and a seed.
+
+Interactions are stored as a set of (user, item) pairs. The samplers work
+on sorted CSR rows of that set (:func:`interaction_csr`) and take each
+user's pool of unseen items from a boolean mask over all items, so the only
+per-draw work left in Python is one ``Generator.choice`` call. Reading an
+artifact parses its numbers in bulk and rejects out-of-range indices and
+unusable candidate lists with :class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -12,7 +19,9 @@ from __future__ import annotations
 import hashlib
 import logging
 import os
+import warnings
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -40,7 +49,7 @@ class ProtocolError(DatasetError):
 
 
 class ArtifactError(DatasetError):
-    """A prepared-dataset artifact is missing or unreadable."""
+    """A prepared-dataset artifact is missing, unreadable or inconsistent."""
 
 
 @dataclass
@@ -260,53 +269,83 @@ def filter_cold_items(split: SplitDataset) -> SplitDataset:
     return SplitDataset(train=split.train, test=kept, eval_candidates=candidates)
 
 
-def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> list[tuple[int, int, int]]:
+def interaction_csr(iset: InteractionSet) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted CSR rows ``(indptr, indices)`` of the interactions.
+
+    User ``u``'s items, in ascending order, are
+    ``indices[indptr[u]:indptr[u + 1]]``; walking the rows in order visits
+    the interactions in ``sorted(iset.interactions)`` order.
+    """
+    n = len(iset.interactions)
+    pairs = np.fromiter(
+        chain.from_iterable(iset.interactions), dtype=np.int64, count=2 * n
+    ).reshape(n, 2)
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    indptr = np.zeros(iset.num_users + 1, dtype=np.int64)
+    np.cumsum(np.bincount(pairs[:, 0], minlength=iset.num_users), out=indptr[1:])
+    return indptr, pairs[:, 1].copy()
+
+
+def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> np.ndarray:
     """Draw ``ratio`` unseen items per observed interaction, label 0.
 
-    Draws are without replacement within one positive's draw. A user whose
-    unseen pool is smaller than ``ratio`` contributes the whole pool, with a
-    warning.
+    Returns an int64 array with one row ``(user, item, 0)`` per draw. The
+    positives are visited by user, then item, with one draw each. Draws are
+    without replacement within one positive's draw. A user whose unseen pool
+    is smaller than ``ratio`` contributes the whole pool per positive, with
+    one warning.
     """
     gen = _normalize_rng(rng)
-    per_user = train.by_user()
+    indptr, indices = interaction_csr(train)
     all_items = np.arange(train.num_items)
-    pools: dict[int, np.ndarray] = {}
-    warned: set[int] = set()
-    out: list[tuple[int, int, int]] = []
-    for u, i in sorted(train.interactions):
-        pool = pools.get(u)
-        if pool is None:
-            pool = np.setdiff1d(all_items, np.fromiter(per_user[u], dtype=int), assume_unique=False)
-            pools[u] = pool
+    unseen = np.ones(train.num_items, dtype=bool)
+    users = np.flatnonzero(np.diff(indptr))
+    per_user = np.zeros(users.size, dtype=np.int64)  # draws per user
+    chunks: list[np.ndarray] = []
+    for k, u in enumerate(users.tolist()):
+        seen = indices[indptr[u] : indptr[u + 1]]
+        unseen[seen] = False
+        pool = all_items[unseen]
+        unseen[seen] = True
         if pool.size < ratio:
-            if u not in warned:
-                logger.warning(
-                    "user %d has only %d unseen items (< ratio %d); taking the whole pool",
-                    u, pool.size, ratio,
-                )
-                warned.add(u)
-            chosen = pool
+            logger.warning(
+                "user %d has only %d unseen items (< ratio %d); taking the whole pool",
+                u, pool.size, ratio,
+            )
+            chunks.append(np.tile(pool, seen.size))
         else:
-            chosen = gen.choice(pool, size=ratio, replace=False)
-        out.extend((u, int(item), 0) for item in chosen)
+            chunks.extend(gen.choice(pool, size=ratio, replace=False) for _ in range(seen.size))
+        per_user[k] = seen.size * min(pool.size, ratio)
+    out = np.zeros((int(per_user.sum()), 3), dtype=np.int64)
+    if chunks:
+        out[:, 0] = np.repeat(users, per_user)
+        out[:, 1] = np.concatenate(chunks)
     return out
 
 
 def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> SplitDataset:
-    """Freeze ``n`` negative candidates per test user for ranking."""
+    """Freeze ``n`` negative candidates per test user for ranking.
+
+    A user's pool is every item outside their train positives and their
+    held-out item, in ascending order.
+    """
     gen = _normalize_rng(rng)
-    per_user = split.train.by_user()
+    indptr, indices = interaction_csr(split.train)
     all_items = np.arange(split.train.num_items)
+    unseen = np.ones(split.train.num_items, dtype=bool)
     candidates: dict[int, list[int]] = {}
     for u, held in split.test:
-        excluded = set(per_user[u])
-        excluded.add(held)
-        pool = np.setdiff1d(all_items, np.fromiter(excluded, dtype=int))
+        seen = indices[indptr[u] : indptr[u + 1]]
+        unseen[seen] = False
+        unseen[held] = False
+        pool = all_items[unseen]
+        unseen[seen] = True
+        unseen[held] = True
         if pool.size < n:
             raise ProtocolError(
                 f"user {u}: only {pool.size} unseen items, need {n} candidates"
             )
-        candidates[u] = [int(x) for x in gen.choice(pool, size=n, replace=False)]
+        candidates[u] = gen.choice(pool, size=n, replace=False).tolist()
     return SplitDataset(train=split.train, test=list(split.test), eval_candidates=candidates)
 
 
@@ -394,7 +433,7 @@ def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, obj
     test_lines = [f"{u}\t{i}" for u, i in split.test]
     _atomic_write(os.path.join(dir_path, "test.tsv"), "\n".join(test_lines) + "\n")
     cand_lines = [
-        f"{u}\t{','.join(str(c) for c in split.eval_candidates[u])}" for u, _ in split.test
+        f"{u}\t{','.join(map(str, split.eval_candidates[u]))}" for u, _ in split.test
     ]
     _atomic_write(os.path.join(dir_path, "candidates.tsv"), "\n".join(cand_lines) + "\n")
     full_meta = dict(meta)
@@ -408,7 +447,12 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     """Load a prepared-dataset directory back into a SplitDataset.
 
     Opaque keys are not stored in artifacts; maps are rebuilt as the identity
-    over string indices.
+    over string indices. Raises ArtifactError when a file is missing or
+    malformed, when a train or test index lies outside the meta's
+    ``num_users`` x ``num_items``, or when a candidate line would corrupt the
+    ranking: a count other than the meta's ``n_candidates``, a repeated or
+    out-of-range item, the user's held-out item or one of their train
+    positives, or a test user without a line.
     """
     paths = {name: os.path.join(dir_path, name) for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta")}
     for name, p in paths.items():
@@ -427,32 +471,106 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     try:
         num_users = int(meta["num_users"])
         num_items = int(meta["num_items"])
+        n_candidates = int(meta["n_candidates"]) if "n_candidates" in meta else None
     except (KeyError, ValueError) as exc:
-        raise ArtifactError(f"meta lacks usable num_users/num_items: {exc}") from exc
+        raise ArtifactError(f"meta lacks usable num_users/num_items/n_candidates: {exc}") from exc
 
-    interactions: set[tuple[int, int]] = set()
-    with open(paths["train.tsv"], encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                u, i = line.split("\t")
-                interactions.add((int(u), int(i)))
-    test: list[tuple[int, int]] = []
-    with open(paths["test.tsv"], encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                u, i = line.split("\t")
-                test.append((int(u), int(i)))
-    candidates: dict[int, list[int]] = {}
-    with open(paths["candidates.tsv"], encoding="utf-8") as fh:
-        for line in fh:
-            if line.strip():
-                u, items = line.split("\t")
-                candidates[int(u)] = [int(x) for x in items.split(",")]
+    train_pairs = _read_pairs(paths["train.tsv"], num_users, num_items)
+    test_pairs = _read_pairs(paths["test.tsv"], num_users, num_items)
+    cand_users, cands = _read_candidates(paths["candidates.tsv"], n_candidates)
+    _check_candidates(paths["candidates.tsv"], cand_users, cands, train_pairs, test_pairs, num_items)
     train = InteractionSet(
         num_users=num_users,
         num_items=num_items,
-        interactions=interactions,
+        interactions=set(zip(*train_pairs.T.tolist())),
         user_map={str(i): i for i in range(num_users)},
         item_map={str(i): i for i in range(num_items)},
     )
+    test = list(zip(*test_pairs.T.tolist()))
+    candidates = dict(zip(cand_users.tolist(), cands.tolist()))
     return SplitDataset(train=train, test=test, eval_candidates=candidates), meta
+
+
+def _read_fields(path: str) -> list[list[str]]:
+    """The tab-separated fields of each non-blank line of ``path``."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+
+
+def _parse_ints(path: str, text: str, count: int) -> np.ndarray:
+    """Exactly ``count`` comma-separated integers from ``text``."""
+    with warnings.catch_warnings():
+        # numpy < 2.3 warns instead of raising on text it cannot read to the end
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=",")
+        except (ValueError, DeprecationWarning) as exc:
+            raise ArtifactError(f"{path}: malformed number: {exc}") from None
+    if values.size != count:
+        raise ArtifactError(f"{path}: expected {count} numbers, read {values.size}")
+    return values
+
+
+def _read_pairs(path: str, num_users: int, num_items: int) -> np.ndarray:
+    """The ``user<TAB>item`` lines of ``path`` as an (n, 2) array, range-checked."""
+    rows = _read_fields(path)
+    if any(len(row) != 2 for row in rows):
+        raise ArtifactError(f"{path}: every line must be user<TAB>item")
+    pairs = _parse_ints(path, ",".join(chain.from_iterable(rows)), 2 * len(rows))
+    pairs = pairs.reshape(len(rows), 2)
+    outside = ((pairs < 0) | (pairs >= (num_users, num_items))).any(axis=1)
+    if outside.any():
+        u, i = pairs[outside.argmax()]
+        raise ArtifactError(
+            f"{path}: pair ({u}, {i}) is outside {num_users} users x {num_items} items"
+        )
+    return pairs
+
+
+def _read_candidates(path: str, n_candidates: int | None) -> tuple[np.ndarray, np.ndarray]:
+    """Users and their (users x n_candidates) candidate rows from ``path``.
+
+    Every line must hold ``n_candidates`` items, or, when the meta does not
+    name that count, as many as the first line.
+    """
+    rows = _read_fields(path)
+    if any(len(row) != 2 for row in rows):
+        raise ArtifactError(f"{path}: every line must be user<TAB>item,item,...")
+    users = _parse_ints(path, ",".join(row[0] for row in rows), len(rows))
+    widths = [row[1].count(",") + 1 for row in rows]
+    width = n_candidates if n_candidates is not None else (widths[0] if widths else 0)
+    for u, n in zip(users.tolist(), widths):
+        if n != width:
+            raise ArtifactError(f"{path}: user {u} has {n} candidates, expected {width}")
+    cands = _parse_ints(path, ",".join(row[1] for row in rows), len(rows) * width)
+    return users, cands.reshape(len(rows), width)
+
+
+def _check_candidates(
+    path: str,
+    users: np.ndarray,
+    cands: np.ndarray,
+    train_pairs: np.ndarray,
+    test_pairs: np.ndarray,
+    num_items: int,
+) -> None:
+    """Reject candidate rows a ranking protocol cannot use.
+
+    There must be one row per test user; its items must be distinct, in
+    range, and neither the user's held-out item nor a train positive.
+    """
+    if not np.array_equal(np.sort(users), np.sort(test_pairs[:, 0])):
+        raise ArtifactError(f"{path}: candidate users differ from the test users")
+    if cands.size == 0:
+        return
+    if cands.min() < 0 or cands.max() >= num_items:
+        raise ArtifactError(f"{path}: candidate item outside 0..{num_items - 1}")
+    ordered = np.sort(cands, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeated.any():
+        raise ArtifactError(f"{path}: user {users[repeated.argmax()]} has a repeated candidate")
+    keys = users[:, None] * num_items + cands
+    for pairs, what in ((test_pairs, "held-out item"), (train_pairs, "train positive")):
+        hit = np.isin(keys, pairs[:, 0] * num_items + pairs[:, 1]).any(axis=1)
+        if hit.any():
+            raise ArtifactError(f"{path}: user {users[hit.argmax()]} has their {what} as a candidate")

@@ -99,10 +99,17 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 
 
 def _calibrate_bias(logits: np.ndarray, rate: float) -> float:
-    """Bisection on b such that mean(sigmoid(logits + b)) == rate."""
+    """Bisection on b such that mean(sigmoid(logits + b)) == rate.
+
+    Once the midpoint rounds to an end of the bracket, lo and hi are
+    adjacent floats and no further step can change the result, so the
+    search stops there with the value the full 80 steps would return.
+    """
     lo, hi = -30.0, 30.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         p = expit(logits + mid)
         if p.mean() < rate:
             lo = mid

@@ -4,6 +4,10 @@ Each step draws one batch per domain, runs a single forward pass over the
 union of the batch users, and optimizes the summed objective (prediction
 losses plus the weighted disentanglement losses). Every random decision is
 keyed to (seed, stream, epoch, step, ...) so reruns are bit-identical.
+
+An epoch's samples are built as arrays: the positives from the train set's
+CSR rows, then the negatives that ``sample_train_negatives`` draws for them
+(looked up on this module at call time, once per domain and epoch).
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from . import fusion as fu
 from . import graph as gr
 from .autodiff import Value
 from .config import RunConfig
-from .data import SplitDataset, sample_train_negatives
+from .data import SplitDataset, interaction_csr, sample_train_negatives
 from .mixup import sample_lambda
 from .model import (
     BRANCHES,
@@ -62,12 +66,11 @@ def _epoch_arrays(
     """Positives plus freshly drawn negatives for one domain's epoch."""
     rng = np.random.default_rng([config.seed, _STREAM_NEGATIVES, epoch, domain_id])
     negatives = sample_train_negatives(train, config.neg_ratio, rng)
-    positives = sorted(train.interactions)
-    users = np.array([u for u, _ in positives] + [u for u, _, _ in negatives], dtype=np.int64)
-    items = np.array([i for _, i in positives] + [i for _, i, _ in negatives], dtype=np.int64)
-    labels = np.concatenate(
-        [np.ones(len(positives)), np.zeros(len(negatives))]
-    )
+    indptr, indices = interaction_csr(train)
+    pos_users = np.repeat(np.arange(train.num_users, dtype=np.int64), np.diff(indptr))
+    users = np.concatenate([pos_users, negatives[:, 0]])
+    items = np.concatenate([indices, negatives[:, 1]])
+    labels = np.concatenate([np.ones(indices.size), np.zeros(len(negatives))])
     return users, items, labels
 
 

@@ -268,6 +268,50 @@ class TestBackward:
             ad.backward(Value(np.ones((2, 2))))
 
 
+class TestAccumOwnership:
+    """A node's first gradient is stored without a copy; ops that hand the
+    same array (or a view of it) to more than one place copy it, so no two
+    live gradients share memory and later sums cannot write through."""
+
+    def test_fresh_gradient_stored_as_is(self):
+        x = Value(np.zeros((2, 2)))
+        g = np.ones((2, 2))
+        ad._accum(x, g)
+        assert x.grad is g
+        ad._accum(x, g)
+        np.testing.assert_array_equal(x.grad, 2.0 * np.ones((2, 2)))
+
+    def test_shared_gradient_copied(self):
+        x = Value(np.zeros((2, 2)))
+        g = np.ones((2, 2))
+        ad._accum(x, g, shared=True)
+        assert not np.shares_memory(x.grad, g)
+
+    def test_fanout_ops_leave_separate_grads(self):
+        rng = np.random.default_rng(0)
+        a = Value(rng.standard_normal((3, 4)))
+        b = Value(rng.standard_normal((3, 4)))
+        r = Value(rng.standard_normal((1, 4)))
+        s = ad.add(a, b)            # same g to a and b
+        t = ad.add_rowvec(s, r)     # g itself to s
+        c = ad.concat_cols([t, a])  # column views of g to t and a
+        u = ad.add(c, c)            # the same parent twice
+        loss = ad.mean_all(ad.square(u))
+        ad.backward(loss)
+        grads = [v.grad for v in (a, b, r, s, t, c, u)]
+        for i, gi in enumerate(grads):
+            for gj in grads[i + 1:]:
+                assert not np.shares_memory(gi, gj)
+        # d loss / d c = 2 * 2u / size, with u = 2c
+        dc = 8.0 * c.data / u.data.size
+        np.testing.assert_allclose(c.grad, dc, rtol=1e-12)
+        np.testing.assert_allclose(t.grad, dc[:, :4], rtol=1e-12)
+        np.testing.assert_allclose(s.grad, dc[:, :4], rtol=1e-12)
+        np.testing.assert_allclose(b.grad, dc[:, :4], rtol=1e-12)
+        np.testing.assert_allclose(a.grad, dc[:, :4] + dc[:, 4:], rtol=1e-12)
+        np.testing.assert_allclose(r.grad, dc[:, :4].sum(axis=0, keepdims=True), rtol=1e-12)
+
+
 class TestGatherConcatSlice:
     def test_gather_duplicates_accumulate(self):
         x = Value(np.arange(6.0).reshape(3, 2))

@@ -117,6 +117,55 @@ class TestSynthAndPrepare:
         assert code == cli.EXIT_DATA
 
 
+class TestBadArtifacts:
+    """A corrupted artifact stops train and eval with exit 3 and one line."""
+
+    def corrupt(self, data_dir, name, edit):
+        path = os.path.join(data_dir, "domain_a", name)
+        with open(path) as fh:
+            lines = fh.read().splitlines()
+        with open(path, "w") as fh:
+            fh.write("\n".join(edit(lines)) + "\n")
+
+    def assert_artifact_error(self, tmp_path, data_dir, capsys, match):
+        capsys.readouterr()
+        assert run_train(data_dir, str(tmp_path / "run")) == cli.EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("artifact error: ")
+        assert match in err
+
+    def test_train_item_out_of_range(self, tmp_path, data_dir, capsys):
+        def edit(lines):
+            u = lines[0].split("\t")[0]
+            return [f"{u}\t100000"] + lines[1:]
+
+        self.corrupt(data_dir, "train.tsv", edit)
+        self.assert_artifact_error(tmp_path, data_dir, capsys, "is outside")
+
+    @pytest.mark.parametrize("items,match", [
+        (lambda old: ["5", "5", "5"], "has 3 candidates, expected 20"),
+        (lambda old: [old[1]] + old[1:], "repeated candidate"),
+    ])
+    def test_candidate_line_rejected(self, tmp_path, data_dir, capsys, items, match):
+        def edit(lines):
+            u, old = lines[0].split("\t")
+            return [f"{u}\t{','.join(items(old.split(',')))}"] + lines[1:]
+
+        self.corrupt(data_dir, "candidates.tsv", edit)
+        self.assert_artifact_error(tmp_path, data_dir, capsys, match)
+
+    def test_eval_rejects_bad_candidates(self, tmp_path, data_dir, capsys):
+        run_dir = str(tmp_path / "run")
+        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+        self.corrupt(data_dir, "candidates.tsv", lambda lines: lines[1:])
+        capsys.readouterr()
+        code = cli.main(["eval", "--data", data_dir,
+                         "--model", os.path.join(run_dir, "model.npz"),
+                         "--out", str(tmp_path / "rep.txt")])
+        assert code == cli.EXIT_ARTIFACT
+        assert capsys.readouterr().err.startswith("artifact error: ")
+
+
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, data_dir):
         run_dir = str(tmp_path / "run")

@@ -1,8 +1,12 @@
 """Tests for ingestion, filtering, alignment, splitting, and sampling.
 
 The filtering and cold-item tests compare against brute-force oracles that
-re-scan the full record list instead of updating incrementally.
+re-scan the full record list instead of updating incrementally. The array
+samplers are checked bit for bit against the per-positive loops over sets
+they replaced, kept here as reference oracles.
 """
+
+import logging
 
 import numpy as np
 import pytest
@@ -394,6 +398,130 @@ class TestSampleEvalCandidates:
         assert cand != held
 
 
+def reference_train_negatives(train, ratio, rng):
+    """The set-based sampler: one setdiff1d pool per user, one draw per positive."""
+    gen = np.random.default_rng(rng)  # a Generator passes through unaltered
+    per_user = train.by_user()
+    all_items = np.arange(train.num_items)
+    pools, warned, out = {}, set(), []
+    for u, i in sorted(train.interactions):
+        pool = pools.get(u)
+        if pool is None:
+            pool = np.setdiff1d(all_items, np.fromiter(per_user[u], dtype=int))
+            pools[u] = pool
+        if pool.size < ratio:
+            warned.add(u)
+            chosen = pool
+        else:
+            chosen = gen.choice(pool, size=ratio, replace=False)
+        out.extend((u, int(item), 0) for item in chosen)
+    return out, warned
+
+
+def reference_eval_candidates(split, n, rng):
+    """The set-based candidate freezer: one setdiff1d pool per test user."""
+    gen = np.random.default_rng(rng)
+    per_user = split.train.by_user()
+    all_items = np.arange(split.train.num_items)
+    candidates = {}
+    for u, held in split.test:
+        excluded = set(per_user[u]) | {held}
+        pool = np.setdiff1d(all_items, np.fromiter(excluded, dtype=int))
+        candidates[u] = [int(x) for x in gen.choice(pool, size=n, replace=False)]
+    return candidates
+
+
+def random_train(num_users, num_items, rng, max_per_user):
+    """Users with 0..max_per_user positives each, some of them empty."""
+    inter = set()
+    for u in range(num_users):
+        k = int(rng.integers(0, max_per_user + 1))
+        inter.update((u, int(i)) for i in rng.choice(num_items, size=k, replace=False))
+    return d.InteractionSet(
+        num_users=num_users, num_items=num_items, interactions=inter,
+        user_map={f"u{u}": u for u in range(num_users)},
+        item_map={f"i{i}": i for i in range(num_items)},
+    )
+
+
+class TestInteractionCsr:
+    def test_rows_are_sorted_interactions(self):
+        train = random_train(30, 40, np.random.default_rng(0), 12)
+        indptr, indices = d.interaction_csr(train)
+        assert indptr.dtype == indices.dtype == np.int64
+        assert indptr.shape == (31,) and indptr[-1] == indices.size
+        rows = [(u, int(i)) for u in range(30) for i in indices[indptr[u]:indptr[u + 1]]]
+        assert rows == sorted(train.interactions)
+
+    def test_empty_set(self):
+        train = random_train(3, 5, np.random.default_rng(0), 0)
+        indptr, indices = d.interaction_csr(train)
+        np.testing.assert_array_equal(indptr, [0, 0, 0, 0])
+        assert indices.shape == (0,)
+
+
+class TestSamplersMatchReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    @pytest.mark.parametrize("ratio", [1, 7])
+    def test_train_negatives_bitwise(self, seed, ratio):
+        rng = np.random.default_rng(seed)
+        train = random_train(40, 60, rng, 25)
+        expected, _ = reference_train_negatives(train, ratio, [seed, 7])
+        got = d.sample_train_negatives(train, ratio, np.random.default_rng([seed, 7]))
+        assert got.dtype == np.int64 and got.shape == (len(expected), 3)
+        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 3))
+
+    def test_exhausted_pools_bitwise_and_warned_once_per_user(self, caplog):
+        # users 0 and 2 leave fewer than 7 unseen items; user 1 does not
+        inter = {(0, i) for i in range(15)} | {(1, i) for i in range(3)}
+        inter |= {(2, i) for i in range(2, 20)}
+        train = d.InteractionSet(
+            num_users=4, num_items=20, interactions=inter,
+            user_map={f"u{u}": u for u in range(4)},
+            item_map={f"i{i}": i for i in range(20)},
+        )
+        expected, warned = reference_train_negatives(train, 7, 5)
+        with caplog.at_level(logging.WARNING, logger="dualrec.data"):
+            got = d.sample_train_negatives(train, 7, 5)
+        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 3))
+        warnings = [r.getMessage() for r in caplog.records if "unseen" in r.getMessage()]
+        assert warned == {0, 2}
+        assert len(warnings) == 2
+        assert warnings[0].startswith("user 0 ") and warnings[1].startswith("user 2 ")
+
+    def test_no_positives_draws_nothing(self):
+        train = random_train(3, 5, np.random.default_rng(0), 0)
+        got = d.sample_train_negatives(train, 7, 0)
+        assert got.shape == (0, 3) and got.dtype == np.int64
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
+    def test_eval_candidates_bitwise(self, seed):
+        rng = np.random.default_rng(seed)
+        train = random_train(30, 80, rng, 20)
+        split = d.SplitDataset(
+            train=train,
+            test=[(u, int(rng.integers(80))) for u in range(30) if u % 4],
+        )
+        # a held-out item may be a train positive here; both are excluded
+        got = d.sample_eval_candidates(split, n=25, rng=seed).eval_candidates
+        expected = reference_eval_candidates(split, 25, seed)
+        assert got == expected
+        assert {type(c) for cands in got.values() for c in cands} == {int}
+
+    def test_default_spec_matches_reference(self):
+        from dualrec.synthetic import SyntheticSpec, generate_synthetic
+
+        set_a, _ = generate_synthetic(SyntheticSpec(seed=1))
+        split = d.filter_cold_items(d.leave_one_out_split(set_a, np.random.default_rng([1, 10])))
+        got = d.sample_eval_candidates(split, 400, np.random.default_rng([1, 12]))
+        assert got.eval_candidates == reference_eval_candidates(split, 400, [1, 12])
+        expected, _ = reference_train_negatives(split.train, 7, [1, 3])
+        np.testing.assert_array_equal(
+            d.sample_train_negatives(split.train, 7, np.random.default_rng([1, 3])),
+            np.array(expected, dtype=np.int64),
+        )
+
+
 class TestArtifacts:
     def complete_split(self):
         # 3 users x 4 items inside a 12-item universe, leaving room for candidates
@@ -434,6 +562,78 @@ class TestArtifacts:
         bare = d.SplitDataset(train=split.train, test=split.test)
         with pytest.raises(ValueError):
             d.write_split_artifact(str(tmp_path / "x"), bare, {})
+
+
+class TestArtifactValidation:
+    """Each bad artifact is rejected on load with ArtifactError."""
+
+    @pytest.fixture()
+    def art(self, tmp_path):
+        split = TestArtifacts().complete_split()
+        out = tmp_path / "domain_a"
+        d.write_split_artifact(str(out), split, {"n_candidates": 3})
+        return out, split
+
+    def rewrite(self, path, edit):
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+    def test_valid_artifact_loads(self, art):
+        out, split = art
+        loaded, _ = d.read_split_artifact(str(out))
+        assert loaded.eval_candidates == split.eval_candidates
+
+    @pytest.mark.parametrize("name,line,match", [
+        ("train.tsv", "0\t12", "outside 3 users x 12 items"),
+        ("train.tsv", "3\t0", "outside"),
+        ("train.tsv", "-1\t0", "outside"),
+        ("test.tsv", "0\t99", "outside"),
+        ("train.tsv", "0\t1\t2", "user<TAB>item"),
+        ("train.tsv", "0\tx", "malformed"),
+    ])
+    def test_bad_pair_line(self, art, name, line, match):
+        out, _ = art
+        self.rewrite(out / name, lambda lines: lines[:-1] + [line])
+        with pytest.raises(d.ArtifactError, match=match):
+            d.read_split_artifact(str(out))
+
+    def candidate_edit(self, art, make):
+        """Replace user 0's candidates with make(held item, train positives)."""
+        out, split = art
+        held = dict(split.test)[0]
+        seen = sorted(i for u, i in split.train.interactions if u == 0)
+        cands = make(held, seen)
+        self.rewrite(out / "candidates.tsv", lambda lines: [
+            f"0\t{','.join(map(str, cands))}" if line.startswith("0\t") else line
+            for line in lines
+        ])
+        return out
+
+    @pytest.mark.parametrize("make,match", [
+        (lambda held, seen: [10, 11], "user 0 has 2 candidates, expected 3"),
+        (lambda held, seen: [10, 11, 9, 8], "user 0 has 4 candidates"),
+        (lambda held, seen: [5, 5, 5], "repeated candidate"),
+        (lambda held, seen: [10, 11, 12], "outside"),
+        (lambda held, seen: [10, 11, held], "held-out item"),
+        (lambda held, seen: [10, 11, seen[0]], "train positive"),
+    ])
+    def test_bad_candidate_line(self, art, make, match):
+        out = self.candidate_edit(art, make)
+        with pytest.raises(d.ArtifactError, match=match):
+            d.read_split_artifact(str(out))
+
+    def test_missing_candidate_line(self, art):
+        out, _ = art
+        self.rewrite(out / "candidates.tsv", lambda lines: lines[1:])
+        with pytest.raises(d.ArtifactError, match="differ from the test users"):
+            d.read_split_artifact(str(out))
+
+    def test_uneven_lines_without_meta_count(self, tmp_path):
+        out = tmp_path / "domain_a"
+        d.write_split_artifact(str(out), TestArtifacts().complete_split(), {})
+        self.rewrite(out / "candidates.tsv", lambda lines: lines[:-1] + [lines[-1] + ",11"])
+        with pytest.raises(d.ArtifactError, match="candidates, expected 3"):
+            d.read_split_artifact(str(out))
 
 
 class TestPrepareDatasets:

@@ -8,6 +8,9 @@ in the other; with all strengths at zero the correlation vanishes.
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
+from dualrec import synthetic
 from dualrec.synthetic import GenerationError, SyntheticSpec, generate_synthetic
 
 
@@ -129,3 +132,38 @@ class TestGenerateSynthetic:
             assert iset.num_items >= 400 + max_degree + 1
         # domain B is the sparser one by construction
         assert b.density < a.density
+
+
+def reference_calibrate_bias(logits, rate):
+    """The bisection run for all of its 80 steps."""
+    lo, hi = -30.0, 30.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if expit(logits + mid).mean() < rate:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+class TestCalibrateBias:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("rate", [0.001, 0.018, 0.025, 0.2, 0.5, 0.97])
+    def test_equals_full_bisection_bitwise(self, seed, rate):
+        rng = np.random.default_rng(seed)
+        logits = rng.standard_normal((60, 40)) * (1.0 + 3.0 * seed)
+        got = synthetic._calibrate_bias(logits, rate)
+        assert got == reference_calibrate_bias(logits, rate)
+
+    def test_stops_once_the_bracket_is_adjacent(self, monkeypatch):
+        sweeps = []
+
+        def counting(x):
+            sweeps.append(1)
+            return expit(x)
+
+        monkeypatch.setattr(synthetic, "expit", counting)
+        logits = np.random.default_rng(0).standard_normal((50, 30))
+        bias = synthetic._calibrate_bias(logits, 0.025)
+        assert bias == reference_calibrate_bias(logits, 0.025)
+        assert len(sweeps) < 80

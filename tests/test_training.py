@@ -20,6 +20,7 @@ from dualrec.data import InteractionSet, freeze_splits
 from dualrec.evaluation import evaluate_model
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
+from test_data import reference_train_negatives
 
 
 def make_set(num_users, num_items, per_user, seed):
@@ -70,6 +71,72 @@ class TestEpochArrays:
         _, items_e0_again, _ = tr._epoch_arrays(split_a.train, 0, 0, cfg)
         np.testing.assert_array_equal(items_e0, items_e0_again)
         assert not np.array_equal(items_e0, items_e1)
+
+
+def reference_epoch_arrays(train, epoch, domain_id, cfg):
+    """The tuple-list construction of an epoch's arrays, on the set-based sampler."""
+    rng = np.random.default_rng([cfg.seed, tr._STREAM_NEGATIVES, epoch, domain_id])
+    negatives, _ = reference_train_negatives(train, cfg.neg_ratio, rng)
+    positives = sorted(train.interactions)
+    users = np.array([u for u, _ in positives] + [u for u, _, _ in negatives], dtype=np.int64)
+    items = np.array([i for _, i in positives] + [i for _, i, _ in negatives], dtype=np.int64)
+    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
+    return users, items, labels
+
+
+class TestEpochArraysMatchReference:
+    def assert_bitwise(self, train, epoch, domain_id, cfg):
+        got = tr._epoch_arrays(train, epoch, domain_id, cfg)
+        expected = reference_epoch_arrays(train, epoch, domain_id, cfg)
+        for g, e in zip(got, expected):
+            assert g.dtype == e.dtype and g.shape == e.shape
+            np.testing.assert_array_equal(g, e)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("neg_ratio", [1, 3, 7])
+    def test_tiny_splits_bitwise(self, seed, neg_ratio):
+        cfg = config(seed=seed, neg_ratio=neg_ratio)
+        for domain_id, split in enumerate(tiny_splits(seed)):
+            for epoch in (0, 4):
+                self.assert_bitwise(split.train, epoch, domain_id, cfg)
+
+    def test_synthetic_bitwise(self, leak_splits):
+        for domain_id, split in enumerate(leak_splits):
+            self.assert_bitwise(split.train, 2, domain_id, RunConfig(seed=3))
+
+
+class TestSamplerLookup:
+    """``_epoch_arrays`` draws through this module's ``sample_train_negatives``
+    attribute, once per domain and epoch, and every row it returns is one
+    negative: a wrapper bound there sees each draw and can count it."""
+
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        seen = []
+        real = tr.sample_train_negatives
+
+        def counting(train, *args, **kwargs):
+            out = real(train, *args, **kwargs)
+            seen.append((train, len(out)))
+            return out
+
+        monkeypatch.setattr(tr, "sample_train_negatives", counting)
+        return seen
+
+    def test_one_call_per_domain_and_len_is_draws(self, calls):
+        splits = tiny_splits()
+        cfg = config(neg_ratio=3)
+        for domain_id, split in enumerate(splits):
+            _, _, labels = tr._epoch_arrays(split.train, 0, domain_id, cfg)
+            assert len(calls) == domain_id + 1
+            train, drawn = calls[-1]
+            assert train is split.train
+            assert drawn == int((labels == 0.0).sum()) == 3 * len(split.train.interactions)
+
+    def test_fit_draws_once_per_domain_per_epoch(self, calls):
+        split_a, split_b = tiny_splits()
+        tr.train_model(split_a, split_b, config(epochs=2))
+        assert [id(train) for train, _ in calls] == [id(split_a.train), id(split_b.train)] * 2
 
 
 class TestBatchStream:
