@@ -13,12 +13,12 @@ import os
 import sys
 from dataclasses import replace
 
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, parse_fields
 from .data import (
     ArtifactError,
     DatasetError,
     SplitDataset,
-    atomic_text_write,
+    atomic_write,
     freeze_splits,
     read_split_artifact,
     write_split_artifact,
@@ -28,7 +28,7 @@ from .experiments import ablate, sweep
 from .graph import build_bipartite_adjacency
 from .model import build_model, load_model, save_model
 from .selfcheck import run_selfcheck
-from .synthetic import SyntheticSpec, generate_synthetic, parse_spec_text
+from .synthetic import SyntheticSpec, generate_synthetic
 from .training import NumericalAbortError, train_model
 
 EXIT_OK = 0
@@ -48,12 +48,20 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _load_fields(cls, path: str | None, what: str):
+    """``cls`` as set by the ``key = value`` file at ``path``, validated; defaults without one."""
+    if not path:
+        return cls()
+    if not os.path.isfile(path):
+        raise ArtifactError(f"{what} file not found: {path}")
+    with open(path, encoding="utf-8") as fh:
+        value = parse_fields(cls, fh.read())
+    value.validate()
+    return value
+
+
 def _load_run_config(args) -> RunConfig:
-    cfg = RunConfig()
-    if getattr(args, "config", None):
-        if not os.path.isfile(args.config):
-            raise ArtifactError(f"config file not found: {args.config}")
-        cfg = load_config(args.config, cfg)
+    cfg = _load_fields(RunConfig, getattr(args, "config", None), "config")
     for flag in ("seed", "epochs", "variant", "fusion", "k", "l", "lr", "batch_size"):
         value = getattr(args, flag, None)
         if value is not None:
@@ -75,13 +83,9 @@ def _load_data_dir(data_dir: str) -> tuple[SplitDataset, SplitDataset]:
 
 
 def _write_prepared(out_dir: str, split_a, split_b, meta: dict) -> None:
-    os.makedirs(out_dir, exist_ok=True)
-    meta_a = dict(meta)
-    meta_a["num_items"] = split_a.train.num_items
-    meta_b = dict(meta)
-    meta_b["num_items"] = split_b.train.num_items
-    write_split_artifact(os.path.join(out_dir, "domain_a"), split_a, meta_a)
-    write_split_artifact(os.path.join(out_dir, "domain_b"), split_b, meta_b)
+    # write_split_artifact adds each domain's own num_items to the meta
+    write_split_artifact(os.path.join(out_dir, "domain_a"), split_a, meta)
+    write_split_artifact(os.path.join(out_dir, "domain_b"), split_b, meta)
 
 
 def _print_summary(split_a, split_b) -> None:
@@ -89,7 +93,7 @@ def _print_summary(split_a, split_b) -> None:
     for tag, split in (("a", split_a), ("b", split_b)):
         print(
             f"domain_{tag}: items = {split.train.num_items}, "
-            f"train = {len(split.train.interactions)}, test = {len(split.test)}"
+            f"train = {split.train.indices.size}, test = {len(split.test)}"
         )
 
 
@@ -113,13 +117,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    if args.spec:
-        if not os.path.isfile(args.spec):
-            raise ArtifactError(f"spec file not found: {args.spec}")
-        with open(args.spec, encoding="utf-8") as fh:
-            spec = parse_spec_text(fh.read())
-    else:
-        spec = SyntheticSpec()
+    spec = _load_fields(SyntheticSpec, args.spec, "spec")
     if args.seed is not None:
         spec.seed = args.seed
     set_a, set_b = generate_synthetic(spec)
@@ -146,7 +144,7 @@ def _cmd_train(args) -> int:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     save_model(os.path.join(args.out, "model.npz"), result.model)
-    atomic_text_write(os.path.join(args.out, "train.log"), "\n".join(result.log_lines) + "\n")
+    atomic_write(os.path.join(args.out, "train.log"), "\n".join(result.log_lines) + "\n")
     print(result.log_lines[0])
     print(result.log_lines[-1])
     print(f"model written to {os.path.join(args.out, 'model.npz')}")
@@ -162,7 +160,7 @@ def _cmd_eval(args) -> int:
         model.config = replace(model.config, eval_threads=args.threads)
         model.config.validate()
     report = evaluate_model(model, split_a, split_b)
-    atomic_text_write(args.out, report.to_text())
+    atomic_write(args.out, report.to_text())
     print(f"hr_a = {report.domain_a.hr:.6f}, ndcg_a = {report.domain_a.ndcg:.6f}")
     print(f"hr_b = {report.domain_b.hr:.6f}, ndcg_b = {report.domain_b.ndcg:.6f}")
     print(f"report written to {args.out}")
@@ -177,7 +175,7 @@ def _cmd_ablate(args) -> int:
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    atomic_text_write(args.out, table)
+    atomic_write(args.out, table)
     print(table, end="")
     return EXIT_OK
 
@@ -191,7 +189,7 @@ def _cmd_sweep(args) -> int:
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
-    atomic_text_write(args.out, table)
+    atomic_write(args.out, table)
     print(table, end="")
     return EXIT_OK
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from typing import get_args, get_type_hints
 
 
 class ConfigError(ValueError):
@@ -68,55 +69,64 @@ class RunConfig:
             raise ConfigError("eval_threads must be >= 1")
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-
-
-def _parse_value(key: str, text: str):
-    text = text.strip()
-    if key in ("fusion", "variant"):
-        return text
-    if key == "alternating":
+def _convert(kind, text: str, where: str):
+    """``text`` as a value of the annotated type ``kind``."""
+    if kind is bool:
         if text.lower() in ("true", "1", "yes"):
             return True
         if text.lower() in ("false", "0", "no"):
             return False
-        raise ConfigError(f"{key}: expected a boolean, got {text!r}")
-    if key == "fixed_lambda" and text.lower() in ("none", ""):
-        return None
-    int_keys = ("k", "l", "batch_size", "epochs", "neg_ratio",
-                "eval_negatives", "top_k", "seed", "eval_threads")
+        raise ConfigError(f"{where}: expected a boolean, got {text!r}")
+    if type(None) in get_args(kind):  # an optional number: "none" or empty is None
+        if text.lower() in ("none", ""):
+            return None
+        (kind,) = set(get_args(kind)) - {type(None)}
     try:
-        if key in int_keys:
-            return int(text)
-        return float(text)
+        return kind(text)
     except ValueError as exc:
-        raise ConfigError(f"{key}: {exc}") from exc
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse ``key = value`` lines; unknown keys are errors."""
-    cfg = base if base is not None else RunConfig()
-    values = {f.name: getattr(cfg, f.name) for f in fields(RunConfig)}
+def parse_key_values(text: str, types: dict[str, object] | None = None) -> dict[str, object]:
+    """Parse ``key = value`` lines: the run config, the synthetic spec and artifact meta.
+
+    Blank lines and lines starting with ``#`` are skipped, and a ``#`` after
+    the ``=`` starts a comment. Without ``types`` every value stays a string.
+    With it, a key outside ``types`` is an error and each value is converted
+    to its type (``bool``, ``int``, ``float``, ``str`` or an optional one).
+    Every error raises ConfigError.
+    """
+    out: dict[str, object] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        if "=" not in line:
+        key, eq, raw = line.partition("=")
+        if not eq:
             raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        raw = raw.partition("#")[0]  # a trailing "# ..." is a comment
-        key = key.strip()
-        if key not in _FIELD_TYPES:
-            raise ConfigError(f"line {line_no}: unknown config key {key!r}")
-        values[key] = _parse_value(key, raw)
-    out = RunConfig(**values)
-    out.validate()
+        key, raw = key.strip(), raw.partition("#")[0].strip()
+        if types is None:
+            out[key] = raw
+        elif key not in types:
+            raise ConfigError(f"line {line_no}: unknown key {key!r}")
+        else:
+            out[key] = _convert(types[key], raw, f"line {line_no}: {key}")
     return out
 
 
-def load_config(path: str, base: RunConfig | None = None) -> RunConfig:
-    with open(path, encoding="utf-8") as fh:
-        return parse_config_text(fh.read(), base)
+def parse_fields(cls, text: str):
+    """An instance of dataclass ``cls`` with the fields ``text`` sets; the rest keep their defaults.
+
+    The field annotations give the value types.
+    """
+    return cls(**parse_key_values(text, get_type_hints(cls)))
+
+
+def parse_config_text(text: str) -> RunConfig:
+    """Parse ``key = value`` lines; unknown keys are errors."""
+    cfg = parse_fields(RunConfig, text)
+    cfg.validate()
+    return cfg
 
 
 def config_lines(cfg: RunConfig) -> list[str]:

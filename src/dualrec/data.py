@@ -6,11 +6,11 @@ splitting, cold-item filtering of the test set, negative sampling for
 training, and frozen candidate sampling for ranking evaluation. All
 operations are deterministic given their inputs and a seed.
 
-Interactions are stored as a set of (user, item) pairs. The samplers work
-on sorted CSR rows of that set (:func:`interaction_csr`) and take each
-user's pool of unseen items from a boolean mask over all items, so the only
-per-draw work left in Python is one ``Generator.choice`` call. Reading an
-artifact parses its numbers in bulk and rejects out-of-range indices and
+Interactions are stored as sorted CSR rows (:class:`InteractionSet`), and
+every stage works on those arrays. The samplers take each user's pool of
+unseen items from a boolean mask over all items, so the only per-draw work
+left in Python is one ``Generator.choice`` call. Reading an artifact parses
+its numbers in bulk and rejects out-of-range indices, repeated lines and
 unusable candidate lists with :class:`ArtifactError`.
 """
 
@@ -18,12 +18,15 @@ from __future__ import annotations
 
 import hashlib
 import logging
+import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import chain
 
 import numpy as np
+
+from .config import ConfigError, parse_key_values
 
 logger = logging.getLogger(__name__)
 
@@ -60,31 +63,66 @@ class RawRating:
     timestamp: float | None = None
 
 
-@dataclass
+@dataclass(eq=False)
 class InteractionSet:
-    """Binary interactions over dense contiguous indices.
+    """Binary interactions over dense contiguous indices, as sorted CSR rows.
 
-    ``timestamps`` is kept only when every source record carried one; it maps
-    (user_index, item_index) to the record's timestamp and exists solely so
-    the splitter can honor recency.
+    User ``u``'s items, in ascending order, are
+    ``indices[indptr[u]:indptr[u + 1]]``; both arrays are int64.
+    ``timestamps`` is kept only when every source record carried one; it is
+    a float array aligned with ``indices`` and exists solely so the splitter
+    can honor recency.
     """
 
     num_users: int
     num_items: int
-    interactions: set[tuple[int, int]]
+    indptr: np.ndarray
+    indices: np.ndarray
     user_map: dict[str, int]
     item_map: dict[str, int]
-    timestamps: dict[tuple[int, int], float] | None = None
+    timestamps: np.ndarray | None = None
 
-    def by_user(self) -> dict[int, set[int]]:
-        out: dict[int, set[int]] = {u: set() for u in range(self.num_users)}
-        for u, i in self.interactions:
-            out[u].add(i)
-        return out
+    @classmethod
+    def from_pairs(
+        cls,
+        num_users: int,
+        num_items: int,
+        pairs,
+        user_map: dict[str, int] | None = None,
+        item_map: dict[str, int] | None = None,
+        timestamps: np.ndarray | None = None,
+    ) -> InteractionSet:
+        """Build from ``(user, item)`` pairs in any order.
+
+        ``timestamps``, if given, holds one per pair. A repeated pair counts
+        once, with its first timestamp. The maps default to the identity
+        over string indices.
+        """
+        pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
+        pairs = pairs.reshape(-1, 2)
+        keys, first = np.unique(pairs[:, 0] * num_items + pairs[:, 1], return_index=True)
+        users, items = np.divmod(keys, max(num_items, 1))
+        indptr = np.zeros(num_users + 1, dtype=np.int64)
+        np.cumsum(np.bincount(users, minlength=num_users), out=indptr[1:])
+        return cls(
+            num_users=num_users,
+            num_items=num_items,
+            indptr=indptr,
+            indices=items,
+            user_map=user_map if user_map is not None else {str(u): u for u in range(num_users)},
+            item_map=item_map if item_map is not None else {str(i): i for i in range(num_items)},
+            timestamps=None if timestamps is None else np.asarray(timestamps, float)[first],
+        )
+
+    @property
+    def interactions(self) -> np.ndarray:
+        """The ``(user, item)`` pairs as a sorted (n, 2) int64 array, derived from the rows."""
+        users = np.repeat(np.arange(self.num_users, dtype=np.int64), np.diff(self.indptr))
+        return np.column_stack([users, self.indices])
 
     @property
     def density(self) -> float:
-        return len(self.interactions) / (self.num_users * self.num_items)
+        return self.indices.size / (self.num_users * self.num_items)
 
 
 @dataclass
@@ -104,7 +142,8 @@ def load_interactions(path: str) -> list[RawRating]:
     """Parse a tab-separated rating file.
 
     Format: ``user_key<TAB>item_key<TAB>rating[<TAB>timestamp]``. Lines
-    starting with ``#`` and blank lines are skipped.
+    starting with ``#`` and blank lines are skipped. Ratings and timestamps
+    must be numbers, and a timestamp must not be NaN.
     """
     records: list[RawRating] = []
     with open(path, encoding="utf-8") as fh:
@@ -123,86 +162,113 @@ def load_interactions(path: str) -> list[RawRating]:
                 timestamp = float(parts[3]) if len(parts) == 4 else None
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from exc
+            # NaN has no place in a recency order
+            if timestamp is not None and math.isnan(timestamp):
+                raise ParseError(f"{path}:{line_no}: timestamp is NaN")
             records.append(RawRating(user_key, item_key, rating, timestamp))
     return records
 
 
-def binarize_and_filter(raw: list[RawRating], min_count: int = 5) -> InteractionSet:
-    """Turn ratings into binary interactions and drop sparse users/items.
+def encode_ratings(
+    raw: list[RawRating],
+) -> tuple[np.ndarray, np.ndarray, list[str], list[str], list[float] | None]:
+    """The records as integer codes, the arguments of :func:`binarize_and_filter`.
 
-    Removal is iterated to a fixed point: deleting a user can push an item
-    below the threshold and vice versa. Surviving keys are re-densified in
-    first-appearance order.
+    Returns ``(users, items, user_keys, item_keys, timestamps)``: record
+    ``r`` is ``user_keys[users[r]]`` with ``item_keys[items[r]]``, keys are
+    numbered in order of first appearance, and ``timestamps`` is ``None``
+    unless every record carries one.
+    """
+    user_codes: dict[str, int] = {}
+    item_codes: dict[str, int] = {}
+    users = np.array([user_codes.setdefault(r.user_key, len(user_codes)) for r in raw], np.int64)
+    items = np.array([item_codes.setdefault(r.item_key, len(item_codes)) for r in raw], np.int64)
+    timestamps = [r.timestamp for r in raw]
+    if not raw or None in timestamps:
+        timestamps = None
+    return users, items, list(user_codes), list(item_codes), timestamps
+
+
+def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct codes in order of first appearance, and each entry's rank in that order."""
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return distinct[order], rank[inverse]
+
+
+def binarize_and_filter(
+    users: np.ndarray,
+    items: np.ndarray,
+    user_keys: list[str],
+    item_keys: list[str],
+    timestamps: list[float] | np.ndarray | None = None,
+    min_count: int = 5,
+) -> InteractionSet:
+    """Turn records into binary interactions and drop sparse users/items.
+
+    Record ``r`` pairs ``user_keys[users[r]]`` with ``item_keys[items[r]]``
+    (see :func:`encode_ratings`); ``timestamps``, when given, holds one per
+    record. A repeated pair is one interaction with the latest of its
+    timestamps. Every record counts, whatever its rating. Removal is
+    iterated to a fixed point: deleting a user can push an item below the
+    threshold and vice versa. Surviving keys are re-densified in the order
+    they first appear in the records.
     """
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    all_have_ts = bool(raw) and all(r.timestamp is not None for r in raw)
-    order: list[tuple[str, str]] = []
-    ts: dict[tuple[str, str], float | None] = {}
-    for r in raw:
-        key = (r.user_key, r.item_key)
-        if key not in ts:
-            order.append(key)
-            ts[key] = r.timestamp
-        elif r.timestamp is not None and (ts[key] is None or ts[key] < r.timestamp):
-            ts[key] = r.timestamp
-
-    active = set(ts)
+    users = np.asarray(users, dtype=np.int64)
+    items = np.asarray(items, dtype=np.int64)
+    keys, first, inverse = np.unique(
+        users * len(item_keys) + items, return_index=True, return_inverse=True
+    )
+    pair_users, pair_items = users[first], items[first]
+    active = np.ones(keys.size, dtype=bool)
     while True:
-        user_deg: dict[str, int] = {}
-        item_deg: dict[str, int] = {}
-        for u, i in active:
-            user_deg[u] = user_deg.get(u, 0) + 1
-            item_deg[i] = item_deg.get(i, 0) + 1
-        bad_users = {u for u, d in user_deg.items() if d < min_count}
-        bad_items = {i for i, d in item_deg.items() if d < min_count}
-        if not bad_users and not bad_items:
+        user_deg = np.bincount(pair_users[active], minlength=len(user_keys))
+        item_deg = np.bincount(pair_items[active], minlength=len(item_keys))
+        kept = active & (user_deg[pair_users] >= min_count) & (item_deg[pair_items] >= min_count)
+        if np.array_equal(kept, active):
             break
-        active = {(u, i) for u, i in active if u not in bad_users and i not in bad_items}
-    if not active:
+        active = kept
+    if not active.any():
         raise EmptyDatasetError("no interactions survive the minimum-count filter")
 
-    user_map: dict[str, int] = {}
-    item_map: dict[str, int] = {}
-    interactions: set[tuple[int, int]] = set()
-    timestamps: dict[tuple[int, int], float] = {}
-    for u, i in order:
-        if (u, i) not in active:
-            continue
-        ui = user_map.setdefault(u, len(user_map))
-        ii = item_map.setdefault(i, len(item_map))
-        interactions.add((ui, ii))
-        if all_have_ts:
-            timestamps[(ui, ii)] = ts[(u, i)]
-    return InteractionSet(
-        num_users=len(user_map),
-        num_items=len(item_map),
-        interactions=interactions,
-        user_map=user_map,
-        item_map=item_map,
-        timestamps=timestamps if all_have_ts else None,
+    survivors = np.flatnonzero(active)
+    survivors = survivors[np.argsort(first[survivors])]  # record order
+    user_codes, new_users = _first_appearance(pair_users[survivors])
+    item_codes, new_items = _first_appearance(pair_items[survivors])
+    latest = None
+    if timestamps is not None:
+        latest = np.full(keys.size, -np.inf)
+        np.maximum.at(latest, inverse, np.asarray(timestamps, dtype=np.float64))
+        latest = latest[survivors]
+    return InteractionSet.from_pairs(
+        user_codes.size,
+        item_codes.size,
+        np.column_stack([new_users, new_items]),
+        user_map={user_keys[c]: u for u, c in enumerate(user_codes.tolist())},
+        item_map={item_keys[c]: i for i, c in enumerate(item_codes.tolist())},
+        timestamps=latest,
     )
 
 
-def _restrict_to_users(iset: InteractionSet, user_map: dict[str, int]) -> InteractionSet:
-    old_to_new = {iset.user_map[k]: idx for k, idx in user_map.items()}
-    kept = [(u, i) for u, i in iset.interactions if u in old_to_new]
-    kept_items = sorted({i for _, i in kept})
-    item_old_to_new = {old: new for new, old in enumerate(kept_items)}
+def _restrict_to_users(iset: InteractionSet, common: list[str]) -> InteractionSet:
+    """The rows of the users ``common`` names, in that order, over the items they keep."""
+    new_users = np.full(iset.num_users, -1, dtype=np.int64)
+    new_users[[iset.user_map[k] for k in common]] = np.arange(len(common))
+    pairs = iset.interactions
+    kept = new_users[pairs[:, 0]] >= 0
+    kept_items = np.unique(pairs[kept, 1])  # new item indices follow the old order
     rev_items = {idx: key for key, idx in iset.item_map.items()}
-    interactions = {(old_to_new[u], item_old_to_new[i]) for u, i in kept}
-    timestamps = None
-    if iset.timestamps is not None:
-        timestamps = {
-            (old_to_new[u], item_old_to_new[i]): iset.timestamps[(u, i)] for u, i in kept
-        }
-    return InteractionSet(
-        num_users=len(user_map),
-        num_items=len(kept_items),
-        interactions=interactions,
-        user_map=dict(user_map),
-        item_map={rev_items[old]: new for old, new in item_old_to_new.items()},
-        timestamps=timestamps,
+    return InteractionSet.from_pairs(
+        len(common),
+        kept_items.size,
+        np.column_stack([new_users[pairs[kept, 0]], np.searchsorted(kept_items, pairs[kept, 1])]),
+        user_map={k: idx for idx, k in enumerate(common)},
+        item_map={rev_items[old]: new for new, old in enumerate(kept_items.tolist())},
+        timestamps=None if iset.timestamps is None else iset.timestamps[kept],
     )
 
 
@@ -212,14 +278,13 @@ def align_common_users(a: InteractionSet, b: InteractionSet) -> tuple[Interactio
     Common users are ordered by their index in domain A; items are
     re-densified per domain in original index order.
     """
-    if not a.interactions or not b.interactions:
+    if not a.indices.size or not b.indices.size:
         raise AlignmentError("cannot align an empty domain")
     common = [k for k in a.user_map if k in b.user_map]
     if not common:
         raise AlignmentError("no common users between the two domains")
     common.sort(key=lambda k: a.user_map[k])
-    user_map = {k: idx for idx, k in enumerate(common)}
-    return _restrict_to_users(a, user_map), _restrict_to_users(b, user_map)
+    return _restrict_to_users(a, common), _restrict_to_users(b, common)
 
 
 def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
@@ -227,63 +292,44 @@ def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
 
     When every record carries a timestamp the most recent one is withheld
     (ties broken by the larger item index); otherwise the withheld record is
-    drawn uniformly from the user's interactions under the given seed.
+    drawn uniformly from the user's interactions under the given seed, with
+    one ``integers`` draw per user in user order.
     """
     gen = _normalize_rng(rng)
-    per_user = iset.by_user()
-    test: list[tuple[int, int]] = []
-    withheld: set[tuple[int, int]] = set()
-    for u in range(iset.num_users):
-        items = sorted(per_user[u])
-        if len(items) < 2:
-            raise DatasetError(f"user {u} has {len(items)} interaction(s); need >= 2 to split")
-        if iset.timestamps is not None:
-            held = max(items, key=lambda i: (iset.timestamps[(u, i)], i))
-        else:
-            held = items[int(gen.integers(len(items)))]
-        test.append((u, held))
-        withheld.add((u, held))
-    train_inter = iset.interactions - withheld
-    timestamps = None
+    counts = np.diff(iset.indptr)
+    if (counts < 2).any():
+        u = int(np.argmax(counts < 2))
+        raise DatasetError(f"user {u} has {counts[u]} interaction(s); need >= 2 to split")
     if iset.timestamps is not None:
-        timestamps = {k: v for k, v in iset.timestamps.items() if k in train_inter}
-    train = InteractionSet(
-        num_users=iset.num_users,
-        num_items=iset.num_items,
-        interactions=train_inter,
+        # within each row, sort by (timestamp, item): the last entry is withheld
+        order = np.lexsort((iset.indices, iset.timestamps, iset.interactions[:, 0]))
+        held = order[iset.indptr[1:] - 1]
+    else:
+        draws = [gen.integers(n) for n in counts.tolist()]
+        held = iset.indptr[:-1] + np.array(draws, dtype=np.int64)
+    kept = np.ones(iset.indices.size, dtype=bool)
+    kept[held] = False
+    train = replace(
+        iset,
+        indptr=iset.indptr - np.arange(iset.num_users + 1),
+        indices=iset.indices[kept],
         user_map=dict(iset.user_map),
         item_map=dict(iset.item_map),
-        timestamps=timestamps,
+        timestamps=None if iset.timestamps is None else iset.timestamps[kept],
     )
+    test = list(zip(range(iset.num_users), iset.indices[held].tolist()))
     return SplitDataset(train=train, test=test)
 
 
 def filter_cold_items(split: SplitDataset) -> SplitDataset:
     """Drop test entries whose held-out item never occurs in train."""
-    trained_items = {i for _, i in split.train.interactions}
-    kept = [(u, i) for u, i in split.test if i in trained_items]
+    warm = np.bincount(split.train.indices, minlength=split.train.num_items) > 0
+    kept = [(u, i) for u, i in split.test if warm[i]]
     candidates = split.eval_candidates
     if candidates is not None:
         kept_users = {u for u, _ in kept}
         candidates = {u: c for u, c in candidates.items() if u in kept_users}
     return SplitDataset(train=split.train, test=kept, eval_candidates=candidates)
-
-
-def interaction_csr(iset: InteractionSet) -> tuple[np.ndarray, np.ndarray]:
-    """Sorted CSR rows ``(indptr, indices)`` of the interactions.
-
-    User ``u``'s items, in ascending order, are
-    ``indices[indptr[u]:indptr[u + 1]]``; walking the rows in order visits
-    the interactions in ``sorted(iset.interactions)`` order.
-    """
-    n = len(iset.interactions)
-    pairs = np.fromiter(
-        chain.from_iterable(iset.interactions), dtype=np.int64, count=2 * n
-    ).reshape(n, 2)
-    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
-    indptr = np.zeros(iset.num_users + 1, dtype=np.int64)
-    np.cumsum(np.bincount(pairs[:, 0], minlength=iset.num_users), out=indptr[1:])
-    return indptr, pairs[:, 1].copy()
 
 
 def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> np.ndarray:
@@ -296,7 +342,7 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     one warning.
     """
     gen = _normalize_rng(rng)
-    indptr, indices = interaction_csr(train)
+    indptr, indices = train.indptr, train.indices
     all_items = np.arange(train.num_items)
     unseen = np.ones(train.num_items, dtype=bool)
     users = np.flatnonzero(np.diff(indptr))
@@ -330,7 +376,7 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
     held-out item, in ascending order.
     """
     gen = _normalize_rng(rng)
-    indptr, indices = interaction_csr(split.train)
+    indptr, indices = split.train.indptr, split.train.indices
     all_items = np.arange(split.train.num_items)
     unseen = np.ones(split.train.num_items, dtype=bool)
     candidates: dict[int, list[int]] = {}
@@ -381,18 +427,16 @@ def prepare_datasets(
     n_candidates: int = 999,
 ) -> tuple[SplitDataset, SplitDataset, dict[str, object]]:
     """Run the full two-domain preprocessing pipeline on two rating files."""
-    raw_a = load_interactions(path_a)
-    raw_b = load_interactions(path_b)
-    set_a = binarize_and_filter(raw_a, min_count)
-    set_b = binarize_and_filter(raw_b, min_count)
+    set_a = binarize_and_filter(*encode_ratings(load_interactions(path_a)), min_count=min_count)
+    set_b = binarize_and_filter(*encode_ratings(load_interactions(path_b)), min_count=min_count)
     set_a, set_b = align_common_users(set_a, set_b)
     split_a, split_b = freeze_splits(set_a, set_b, seed, n_candidates)
     meta: dict[str, object] = {
         "num_users": set_a.num_users,
         "num_items_a": set_a.num_items,
         "num_items_b": set_b.num_items,
-        "interactions_a": len(set_a.interactions),
-        "interactions_b": len(set_b.interactions),
+        "interactions_a": set_a.indices.size,
+        "interactions_b": set_b.indices.size,
         "density_a": set_a.density,
         "density_b": set_b.density,
         "min_count": min_count,
@@ -404,22 +448,11 @@ def prepare_datasets(
     return split_a, split_b, meta
 
 
-def _atomic_write(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
-def atomic_text_write(path: str, text: str) -> None:
-    """Write text so the target path never holds a partial file."""
-    _atomic_write(path, text)
-
-
-def atomic_bytes_write(path: str, payload: bytes) -> None:
+def atomic_write(path: str, payload: str | bytes) -> None:
+    """Write ``payload`` (text as UTF-8) so ``path`` never holds a partial file."""
     tmp = path + ".tmp"
     with open(tmp, "wb") as fh:
-        fh.write(payload)
+        fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
     os.replace(tmp, path)
 
 
@@ -428,19 +461,19 @@ def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, obj
     if split.eval_candidates is None:
         raise ValueError("artifact requires a completed split with eval candidates")
     os.makedirs(dir_path, exist_ok=True)
-    train_lines = [f"{u}\t{i}" for u, i in sorted(split.train.interactions)]
-    _atomic_write(os.path.join(dir_path, "train.tsv"), "\n".join(train_lines) + "\n")
-    test_lines = [f"{u}\t{i}" for u, i in split.test]
-    _atomic_write(os.path.join(dir_path, "test.tsv"), "\n".join(test_lines) + "\n")
-    cand_lines = [
-        f"{u}\t{','.join(map(str, split.eval_candidates[u]))}" for u, _ in split.test
-    ]
-    _atomic_write(os.path.join(dir_path, "candidates.tsv"), "\n".join(cand_lines) + "\n")
     full_meta = dict(meta)
     full_meta.setdefault("num_users", split.train.num_users)
     full_meta.setdefault("num_items", split.train.num_items)
-    meta_lines = [f"{k} = {v}" for k, v in full_meta.items()]
-    _atomic_write(os.path.join(dir_path, "meta"), "\n".join(meta_lines) + "\n")
+    files = {
+        "train.tsv": (f"{u}\t{i}" for u, i in split.train.interactions.tolist()),
+        "test.tsv": (f"{u}\t{i}" for u, i in split.test),
+        "candidates.tsv": (
+            f"{u}\t{','.join(map(str, split.eval_candidates[u]))}" for u, _ in split.test
+        ),
+        "meta": (f"{k} = {v}" for k, v in full_meta.items()),
+    }
+    for name, lines in files.items():
+        atomic_write(os.path.join(dir_path, name), "\n".join(lines) + "\n")
 
 
 def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
@@ -452,22 +485,18 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     ``num_users`` x ``num_items``, or when a candidate line would corrupt the
     ranking: a count other than the meta's ``n_candidates``, a repeated or
     out-of-range item, the user's held-out item or one of their train
-    positives, or a test user without a line.
+    positives, or a test user without a line. A train pair or a test user
+    that appears on two lines is rejected too.
     """
     paths = {name: os.path.join(dir_path, name) for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta")}
     for name, p in paths.items():
         if not os.path.isfile(p):
             raise ArtifactError(f"missing artifact file: {p}")
-    meta: dict[str, str] = {}
     with open(paths["meta"], encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            if " = " not in line:
-                raise ArtifactError(f"malformed meta line: {line!r}")
-            k, v = line.split(" = ", 1)
-            meta[k] = v
+        try:
+            meta = parse_key_values(fh.read())
+        except ConfigError as exc:
+            raise ArtifactError(f"{paths['meta']}: {exc}") from None
     try:
         num_users = int(meta["num_users"])
         num_items = int(meta["num_items"])
@@ -477,15 +506,15 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
 
     train_pairs = _read_pairs(paths["train.tsv"], num_users, num_items)
     test_pairs = _read_pairs(paths["test.tsv"], num_users, num_items)
+    pair = _repeated(train_pairs[:, 0] * num_items + train_pairs[:, 1])
+    if pair is not None:
+        raise ArtifactError(f"{paths['train.tsv']}: pair {divmod(pair, num_items)} is on two lines")
+    user = _repeated(test_pairs[:, 0])
+    if user is not None:
+        raise ArtifactError(f"{paths['test.tsv']}: user {user} is on two lines")
     cand_users, cands = _read_candidates(paths["candidates.tsv"], n_candidates)
     _check_candidates(paths["candidates.tsv"], cand_users, cands, train_pairs, test_pairs, num_items)
-    train = InteractionSet(
-        num_users=num_users,
-        num_items=num_items,
-        interactions=set(zip(*train_pairs.T.tolist())),
-        user_map={str(i): i for i in range(num_users)},
-        item_map={str(i): i for i in range(num_items)},
-    )
+    train = InteractionSet.from_pairs(num_users, num_items, train_pairs)
     test = list(zip(*test_pairs.T.tolist()))
     candidates = dict(zip(cand_users.tolist(), cands.tolist()))
     return SplitDataset(train=train, test=test, eval_candidates=candidates), meta
@@ -495,6 +524,13 @@ def _read_fields(path: str) -> list[list[str]]:
     """The tab-separated fields of each non-blank line of ``path``."""
     with open(path, encoding="utf-8") as fh:
         return [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+
+
+def _repeated(keys: np.ndarray) -> int | None:
+    """The smallest value that occurs more than once in ``keys``, if any."""
+    ordered = np.sort(keys)
+    twice = ordered[1:][ordered[1:] == ordered[:-1]]
+    return int(twice[0]) if twice.size else None
 
 
 def _parse_ints(path: str, text: str, count: int) -> np.ndarray:

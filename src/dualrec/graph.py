@@ -51,22 +51,19 @@ class NodeEmbeddings:
 
 def build_bipartite_adjacency(train: InteractionSet) -> NormalizedAdjacency:
     """Self-looped, symmetrically normalized bipartite adjacency."""
-    if not train.interactions:
+    if not train.indices.size:
         raise ad.ContractError("cannot build adjacency from an empty interaction set")
     m, n = train.num_users, train.num_items
     size = m + n
-    pairs = sorted(train.interactions)
-    users = np.fromiter((u for u, _ in pairs), dtype=np.int64, count=len(pairs))
-    items = np.fromiter((i for _, i in pairs), dtype=np.int64, count=len(pairs))
+    users, items = train.interactions.T
 
     rows = np.concatenate([users, items + m, np.arange(size)])
     cols = np.concatenate([items + m, users, np.arange(size)])
-    data = np.ones(rows.shape[0], dtype=np.float64)
 
     degrees = np.bincount(rows, minlength=size).astype(np.float64)
     # self-loops guarantee degree >= 1 for every node
     dinv = 1.0 / np.sqrt(degrees)
-    scaled = data * (dinv[rows] * dinv[cols])
+    scaled = dinv[rows] * dinv[cols]
     matrix = sp.csr_matrix((scaled, (rows, cols)), shape=(size, size))
     return NormalizedAdjacency(size=size, num_users=m, num_items=n, matrix=matrix)
 

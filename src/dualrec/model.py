@@ -276,14 +276,14 @@ def item_representations(fwd: ForwardPass, model: ModelState, domain: str) -> Va
 
 def save_model(path: str, model: ModelState) -> None:
     from .config import config_lines
-    from .data import atomic_bytes_write
+    from .data import atomic_write
     import io
 
     arrays = {name: value.data for name, value in model.params.items()}
     arrays["__config__"] = np.array(config_lines(model.config))
     buffer = io.BytesIO()
     np.savez(buffer, **arrays)
-    atomic_bytes_write(path, buffer.getvalue())
+    atomic_write(path, buffer.getvalue())
 
 
 def load_model(

@@ -78,14 +78,7 @@ def _primitive_cases() -> list[tuple[str, float]]:
     rng = _rng("selfcheck.spmm")
     interactions = {(u, i) for u in range(3) for i in range(4) if rng.random() < 0.6}
     interactions.add((0, 0))
-    iset = InteractionSet(
-        num_users=3,
-        num_items=4,
-        interactions=interactions,
-        user_map={str(i): i for i in range(3)},
-        item_map={str(i): i for i in range(4)},
-    )
-    adj = build_bipartite_adjacency(iset)
+    adj = build_bipartite_adjacency(InteractionSet.from_pairs(3, 4, interactions))
     x = _leaf(rng, (7, 3))
     w = rng.normal(size=(7, 3))
     check("spmm", [x], lambda _: ad.mean_all(_mix(ad.spmm(adj.matrix, x), w)))
@@ -225,14 +218,7 @@ def check_adjacency(graphs: int = 50) -> tuple[bool, str]:
         n = int(rng.integers(2, 21))
         interactions = {(u, i) for u in range(m) for i in range(n) if rng.random() < 0.3}
         interactions.add((0, 0))
-        iset = InteractionSet(
-            num_users=m,
-            num_items=n,
-            interactions=interactions,
-            user_map={str(i): i for i in range(m)},
-            item_map={str(i): i for i in range(n)},
-        )
-        adj = build_bipartite_adjacency(iset)
+        adj = build_bipartite_adjacency(InteractionSet.from_pairs(m, n, interactions))
         dense = adj.matrix.toarray()
 
         r = np.zeros((m, n))

@@ -6,23 +6,23 @@ specific factor, and an independent factor that reaches both domains only
 through a different random orthogonal projection per domain. Interaction
 probabilities are sigmoids of the summed affinities, with the bias per
 domain calibrated by bisection so the expected interaction rate matches the
-requested one. The generated data then goes through the same binarization,
-filtering, and alignment as real data.
+requested one. The generated hits then go through the same min-count filter
+and alignment as real data, as integer codes with no per-hit string keys.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
+from .config import ConfigError
 from .data import (
     AlignmentError,
     DatasetError,
     EmptyDatasetError,
     InteractionSet,
-    RawRating,
     align_common_users,
     binarize_and_filter,
 )
@@ -48,42 +48,12 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         if min(self.num_users, self.num_items_a, self.num_items_b, self.latent_dim) <= 0:
-            raise ValueError("counts and latent_dim must be positive")
+            raise ConfigError("counts and latent_dim must be positive")
         if min(self.shared_strength, self.specific_strength, self.independent_strength) < 0:
-            raise ValueError("strengths must be >= 0")
+            raise ConfigError("strengths must be >= 0")
         for rate in (self.rate_a, self.rate_b):
             if not 0.0 < rate < 1.0:
-                raise ValueError("interaction rates must lie in (0, 1)")
-
-
-_INT_FIELDS = ("num_users", "num_items_a", "num_items_b", "latent_dim", "min_count", "seed")
-
-
-def parse_spec_text(text: str) -> SyntheticSpec:
-    """Parse ``key = value`` lines into a SyntheticSpec; unknown keys error."""
-    from .config import ConfigError
-
-    values = {f.name: getattr(SyntheticSpec(), f.name) for f in fields(SyntheticSpec)}
-    for line_no, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"line {line_no}: expected 'key = value', got {line!r}")
-        key, _, raw = line.partition("=")
-        key = key.strip()
-        if key not in values:
-            raise ConfigError(f"line {line_no}: unknown spec key {key!r}")
-        try:
-            values[key] = int(raw) if key in _INT_FIELDS else float(raw)
-        except ValueError as exc:
-            raise ConfigError(f"line {line_no}: {exc}") from exc
-    spec = SyntheticSpec(**values)
-    try:
-        spec.validate()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return spec
+                raise ConfigError("interaction rates must lie in (0, 1)")
 
 
 def _random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -150,7 +120,8 @@ def generate_synthetic(spec: SyntheticSpec, rng=None) -> tuple[InteractionSet, I
     specific_a = _unit_rows(rng.standard_normal((spec.num_users, d)))
     specific_b = _unit_rows(rng.standard_normal((spec.num_users, d)))
 
-    raw: dict[str, list[RawRating]] = {}
+    user_keys = [f"u{u}" for u in range(spec.num_users)]
+    encoded = []
     for domain, specific, num_items, rate in (
         ("a", specific_a, spec.num_items_a, spec.rate_a),
         ("b", specific_b, spec.num_items_b, spec.rate_b),
@@ -158,15 +129,11 @@ def generate_synthetic(spec: SyntheticSpec, rng=None) -> tuple[InteractionSet, I
         logits = _domain_logits(spec, rng, shared, specific, independent, num_items)
         bias = _calibrate_bias(logits, rate)
         prob = expit(logits + bias)
-        hits = rng.random(prob.shape) < prob
-        users, items = np.nonzero(hits)
-        raw[domain] = [
-            RawRating(f"u{u}", f"{domain}{i}", 1.0) for u, i in zip(users, items)
-        ]
+        users, items = np.nonzero(rng.random(prob.shape) < prob)
+        encoded.append((users, items, user_keys, [f"{domain}{i}" for i in range(num_items)]))
 
     try:
-        set_a = binarize_and_filter(raw["a"], spec.min_count)
-        set_b = binarize_and_filter(raw["b"], spec.min_count)
+        set_a, set_b = (binarize_and_filter(*codes, min_count=spec.min_count) for codes in encoded)
         return align_common_users(set_a, set_b)
     except (EmptyDatasetError, AlignmentError) as exc:
         raise GenerationError(f"synthetic spec produced unusable data: {exc}") from exc

@@ -24,7 +24,7 @@ from . import fusion as fu
 from . import graph as gr
 from .autodiff import Value
 from .config import RunConfig
-from .data import SplitDataset, interaction_csr, sample_train_negatives
+from .data import SplitDataset, sample_train_negatives
 from .mixup import sample_lambda
 from .model import (
     BRANCHES,
@@ -66,11 +66,10 @@ def _epoch_arrays(
     """Positives plus freshly drawn negatives for one domain's epoch."""
     rng = np.random.default_rng([config.seed, _STREAM_NEGATIVES, epoch, domain_id])
     negatives = sample_train_negatives(train, config.neg_ratio, rng)
-    indptr, indices = interaction_csr(train)
-    pos_users = np.repeat(np.arange(train.num_users, dtype=np.int64), np.diff(indptr))
-    users = np.concatenate([pos_users, negatives[:, 0]])
-    items = np.concatenate([indices, negatives[:, 1]])
-    labels = np.concatenate([np.ones(indices.size), np.zeros(len(negatives))])
+    positives = train.interactions
+    users = np.concatenate([positives[:, 0], negatives[:, 0]])
+    items = np.concatenate([positives[:, 1], negatives[:, 1]])
+    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
     return users, items, labels
 
 

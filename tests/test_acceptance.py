@@ -35,16 +35,17 @@ from dualrec.graph import build_bipartite_adjacency
 from dualrec.mixup import interpolate, sample_lambda
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import _noise_rngs, step_losses, train_model
+from pairsets import pair_set
 
 
 # ---------------------------------------------------------------- helpers
 
 
 def make_set(pairs, num_users, num_items):
-    return InteractionSet(
-        num_users=num_users,
-        num_items=num_items,
-        interactions=set(pairs),
+    return InteractionSet.from_pairs(
+        num_users,
+        num_items,
+        pairs,
         user_map={f"u{i}": i for i in range(num_users)},
         item_map={f"i{i}": i for i in range(num_items)},
     )
@@ -297,7 +298,7 @@ class TestOverfitSanity:
     def pseudo_test_split(split, seed, n_candidates=40):
         train = split.train
         by_user = {}
-        for u, i in sorted(train.interactions):
+        for u, i in sorted(pair_set(train)):
             by_user.setdefault(u, []).append(i)
         pick = np.random.default_rng([seed, 11])
         draw = np.random.default_rng([seed, 12])
@@ -361,7 +362,7 @@ class TestNullCalibration:
 def assert_split_invariants(split, n_candidates):
     """Exhaustive split checks: disjointness, candidate counts/exclusions,
     and warm held-out items per the set-membership oracle."""
-    train_pairs = split.train.interactions
+    train_pairs = pair_set(split.train)
     train_items = {i for _, i in train_pairs}
     test_users = [u for u, _ in split.test]
     assert len(test_users) == len(set(test_users))
@@ -413,10 +414,10 @@ class TestProtocolInvariants:
         for domain_id, iset in enumerate((set_a, set_b)):
             raw = leave_one_out_split(iset, np.random.default_rng([9, domain_id]))
             kept = filter_cold_items(raw)
-            warm = {i for _, i in raw.train.interactions}
+            warm = {i for _, i in pair_set(raw.train)}
             expected = [(u, i) for u, i in raw.test if i in warm]
             assert kept.test == expected
-            assert kept.train.interactions == raw.train.interactions
+            assert pair_set(kept.train) == pair_set(raw.train)
 
 
 # --------------------------------------- 12. optional public-data check

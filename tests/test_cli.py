@@ -4,6 +4,7 @@ Every pinned exit code is exercised: 0 success, 1 usage/config, 2 data,
 3 artifact, 4 numerical abort, 5 selfcheck failure.
 """
 
+import hashlib
 import os
 
 import numpy as np
@@ -73,6 +74,15 @@ class TestSynthAndPrepare:
                          "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_ARTIFACT
 
+    def test_spec_inline_comment(self, tmp_path, data_dir):
+        spec = tmp_path / "commented.txt"
+        spec.write_text(TINY_SPEC.replace("num_users = 40", "num_users = 40  # small"))
+        out = str(tmp_path / "commented")
+        assert cli.main(["synth", "--spec", str(spec), "--out", out,
+                         "--candidates", "20"]) == cli.EXIT_OK
+        for name in ARTIFACT_FILES:  # the same data as the spec without the comment
+            assert open(os.path.join(out, name)).read() == open(os.path.join(data_dir, name)).read()
+
     def test_synth_bad_spec_is_usage_error(self, tmp_path):
         bad = tmp_path / "bad.txt"
         bad.write_text("num_users = 40\nwhatever = 3\n")
@@ -117,6 +127,119 @@ class TestSynthAndPrepare:
         assert code == cli.EXIT_DATA
 
 
+ARTIFACT_FILES = [
+    os.path.join(domain, name)
+    for domain in ("domain_a", "domain_b")
+    for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta")
+]
+
+# SHA-256 of each file in ARTIFACT_FILES, in that order, as the tuple-set
+# storage wrote them; the array storage must write the same bytes.
+PINNED_DIGESTS = {
+    "synth-1": (
+        "54ef7cd3ee420fff49716b8aee95ee5b0a300872cd6978f22730db9eb41a6d7a",
+        "941e6e1ba9a1d5f1b14c86d013f243f5b26c57998cde2baccfd5d68571ba1137",
+        "f4189f42380cab4237f93fd362a82907519712b01d676a64060f529c5b7eee79",
+        "0220a409c2d464048dffb1ab908cd55080ce99a66581533e4d02b59ccc9bb323",
+        "48c23ed0e0d591af497b2ce8739058204329cc5e70d039c19a44558242ddf126",
+        "f271d0fa023d31656b93e577e016c49d9806c91486bea0d56cbbcb120f22a703",
+        "0e9bf6793d5b61a718d18843418f65057a4c3e5b65cb34292425f00d914d3f0c",
+        "046a20b01e1f022bdf32e5f81db007f414c66b2a9ed513f9dfad2fdd67d1f431",
+    ),
+    "synth-2": (
+        "8684d685ad6746df890c01f058f0cd3845a1f2d7332dc4e47c8d8d60b79294b3",
+        "09736c38ab1e605e21ff5f7141bc404e1a3eddb06840318d07333aadd43ad52e",
+        "1e893cad548ac1872f37f2662e7b4ecbec0dfc87a274da068ba36b5ab9899141",
+        "8f2b201a6e8126f4cfb693abe4eeeb74e9520c167190ab1045b18b093a55ffc9",
+        "04955034deb04cf35fb1d2a0e304500e388fcfb54700a8f62eaad2d44754ac61",
+        "fb172285dc67dbca6fa0b9f4c188a7dbdf85b5536e96bf511fd9ba2b607df0ae",
+        "076edadd8cca5e376c511d2410424891d2406b27a0083370b67d7274afb66878",
+        "088b84594a7372e71a75a5b2da43d62b0bbdc96fe11fb8163b9cabedf82dca26",
+    ),
+    "synth-3": (
+        "58dd492388c17b996775295411dd1b915cc814b91c9ecb3820abc3aeb0bc4d31",
+        "5f9f9a1c6bbbcefa9fdf2689f145e7159a8cc0bee08df322a578c4714e3bff02",
+        "95d527274c50dbd1ee3856e50dbad5322b2d488f4f4b3eb0f3d6afb482224cf9",
+        "486bc6e9c1a80f6c40151a8f1b8911101e8edcf26434b001dc867e7a1064086e",
+        "33ed5a21c7ae7a7ab84ef417cb5525c7c3b2a5229e20c6a2ec752383ff3cdd71",
+        "c0a8381ce65b02d81665de3287bb83aaad07d2097c53154ec2f705d2ea177444",
+        "b502d1564da5b3f2ebce7f248703f42870be9398044615c1427ba69da8f7a903",
+        "0c81103b822c9bf10744ec64ac0a5a65d60d29c3965494925b38ebd423936bc4",
+    ),
+    "prepare-timestamps": (
+        "797645ed4d88fa6b6e402aa747ce218d6dba389771fbec9ef7abf162a1d3bdfc",
+        "cfcca11a9c6bd4b281b12de11943be2b4e0c93cf1e6d6a56da86a6a7336880b8",
+        "fb5fb32dbaac45e7c294d9f0654d33940bebe19424f05d3c883b3e61c7514f15",
+        "5f870e3910b5b31a13999b0a0a90371334439a069fb3b53790f3103928736846",
+        "36856f7a9dd2dc4424d7532bd641bb098317cc2d0f6473bf1c06b77e342245ac",
+        "f84211b625eb20285331441f41ce2bbe794e3cec7db91bf82451234137ce32a0",
+        "6b3707b30995a2162b84bff63812210b534a5f344b82dce1ad22196f08ac6f3d",
+        "9d0e6a2df74b40dedac61ef78e8d2afdb03c6056b63dd0edcefd2dbd4accd9e7",
+    ),
+    "prepare-plain": (
+        "b62f2f44f8af7fe16a7cfd640990c24cdc98263561b888a61444425c45f59a12",
+        "38dcf83e59aef1f74ab32f4459c1cd0e0b3fb288cdea36217dfe1e7b979c3004",
+        "fb5fb32dbaac45e7c294d9f0654d33940bebe19424f05d3c883b3e61c7514f15",
+        "6c91a9c2c109e0f0f25755ed19c6895253031bc10a3b768822eba5a99f103e68",
+        "c13d6e83f26af8c49cf9283180b643a6d1026f8f35e26071e6695c82ea9d3019",
+        "4ba8b688c39c9e6e085390028dc8f0c35145ed9be44dc05c02c20fa145b10f87",
+        "6b3707b30995a2162b84bff63812210b534a5f344b82dce1ad22196f08ac6f3d",
+        "befba2b06334df7638364d68c5d91218419a3bd0a0ea4481681cf25320bca29f",
+    ),
+}
+
+
+def pinned_rows(tag, num_users, num_items):
+    """Rating rows with a repeated pair, a timestamp tie and a min-count cascade."""
+    rows = []
+    for u in range(num_users):
+        for k in range(6 + u % 4):
+            i = (7 * u + 13 * k) % num_items
+            rows.append((f"user{u}", f"{tag}{i}", 1 + (u + k) % 5, 1000 + (37 * u + 61 * k) % 97))
+    rows.append(rows[0][:3] + (5000,))  # user0's first pair again, now its latest record
+    rows += [("user1", f"{tag}{num_items - j}", 4, 9000) for j in (1, 2)]
+    # tail0 has 4 items and drops; "rare" then has 4 users and drops, and
+    # with it tail1..tail4 fall to 4 items each
+    for t in range(5):
+        rows.append((f"tail{t}", f"{tag}rare", 3, 2000 + t))
+        rows += [(f"tail{t}", f"{tag}{j}", 2, 2000) for j in range(3 + (t > 0))]
+    return rows
+
+
+class TestArtifactBytes:
+    """``synth`` and ``prepare`` write byte-for-byte the pinned artifacts."""
+
+    def assert_pinned(self, out, case):
+        got = tuple(
+            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            for name in ARTIFACT_FILES
+        )
+        for name, g, e in zip(ARTIFACT_FILES, got, PINNED_DIGESTS[case]):
+            assert g == e, f"{case}: {name} changed"
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_synth_default_spec(self, tmp_path, seed):
+        out = str(tmp_path / "data")
+        assert cli.main(["synth", "--out", out, "--seed", str(seed)]) == cli.EXIT_OK
+        self.assert_pinned(out, f"synth-{seed}")
+
+    @pytest.mark.parametrize("case", ["prepare-timestamps", "prepare-plain"])
+    def test_prepare(self, tmp_path, case):
+        width = 4 if case == "prepare-timestamps" else 3
+        for tag, num_users, num_items in (("a", 30, 30), ("b", 33, 25)):
+            rows = pinned_rows(tag, num_users, num_items)
+            (tmp_path / f"{tag}.tsv").write_text(
+                "".join("\t".join(map(str, row[:width])) + "\n" for row in rows)
+            )
+        out = str(tmp_path / "data")
+        assert cli.main([
+            "prepare", "--domain-a", str(tmp_path / "a.tsv"),
+            "--domain-b", str(tmp_path / "b.tsv"),
+            "--out", out, "--candidates", "10", "--seed", "3",
+        ]) == cli.EXIT_OK
+        self.assert_pinned(out, case)
+
+
 class TestBadArtifacts:
     """A corrupted artifact stops train and eval with exit 3 and one line."""
 
@@ -152,6 +275,15 @@ class TestBadArtifacts:
             return [f"{u}\t{','.join(items(old.split(',')))}"] + lines[1:]
 
         self.corrupt(data_dir, "candidates.tsv", edit)
+        self.assert_artifact_error(tmp_path, data_dir, capsys, match)
+
+    @pytest.mark.parametrize("names,match", [
+        (("train.tsv",), "is on two lines"),
+        (("test.tsv", "candidates.tsv"), "is on two lines"),
+    ])
+    def test_repeated_line_rejected(self, tmp_path, data_dir, capsys, names, match):
+        for name in names:
+            self.corrupt(data_dir, name, lambda lines: lines + lines[:1])
         self.assert_artifact_error(tmp_path, data_dir, capsys, match)
 
     def test_eval_rejects_bad_candidates(self, tmp_path, data_dir, capsys):

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from dualrec import data as d
+from pairsets import items_by_user, pair_set
 
 
 def write_ratings(path, rows):
@@ -50,11 +51,21 @@ class TestLoadInteractions:
         with pytest.raises(d.ParseError, match=":2:"):
             d.load_interactions(str(p))
 
+    def test_nan_timestamp_rejected(self, tmp_path):
+        p = write_ratings(tmp_path / "r.tsv", [("u1", "i1", 3, 1000), ("u1", "i2", 3, "nan")])
+        with pytest.raises(d.ParseError, match=":2: timestamp is NaN"):
+            d.load_interactions(p)
+
     def test_non_numeric_rating(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("u1\ti1\thigh\n", encoding="utf-8")
         with pytest.raises(d.ParseError):
             d.load_interactions(str(p))
+
+
+def binarize(raw, min_count):
+    """``binarize_and_filter`` on the encoded records, as ``prepare`` runs it."""
+    return d.binarize_and_filter(*d.encode_ratings(raw), min_count=min_count)
 
 
 def brute_force_filter(pairs, min_count):
@@ -79,7 +90,7 @@ class TestBinarizeAndFilter:
     def test_exactly_at_threshold_retained(self):
         # 5 users x 5 items, fully crossed: every degree is exactly 5
         raw = [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(5) for i in range(5)]
-        iset = d.binarize_and_filter(raw, min_count=5)
+        iset = binarize(raw, 5)
         assert iset.num_users == 5 and iset.num_items == 5
         assert len(iset.interactions) == 25
 
@@ -87,18 +98,18 @@ class TestBinarizeAndFilter:
         # u0 fully crossed with 5 items shared by 4 other users; u5 has 4 of them
         raw = [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(5) for i in range(5)]
         raw += [d.RawRating("u5", f"i{i}", 1.0) for i in range(4)]
-        iset = d.binarize_and_filter(raw, min_count=5)
+        iset = binarize(raw, 5)
         assert "u5" not in iset.user_map
 
     def test_duplicates_collapse(self):
         raw = [d.RawRating("u", "i", 1.0)] * 3
-        iset = d.binarize_and_filter(raw, min_count=1)
+        iset = binarize(raw, 1)
         assert len(iset.interactions) == 1
 
     def test_everything_filtered_raises(self):
         raw = [d.RawRating("u", "i", 1.0)]
         with pytest.raises(d.EmptyDatasetError):
-            d.binarize_and_filter(raw, min_count=2)
+            binarize(raw, 2)
 
     def test_matches_brute_force_oracle(self):
         # a dense core plus a sparse tail, so filtering actually cascades
@@ -110,25 +121,24 @@ class TestBinarizeAndFilter:
             (f"u{rng.integers(100)}", f"i{rng.integers(100)}") for _ in range(900)
         }
         raw = [d.RawRating(u, i, 1.0) for u, i in sorted(pairs)]
-        iset = d.binarize_and_filter(raw, min_count=5)
+        iset = binarize(raw, 5)
         expected = brute_force_filter(pairs, 5)
         assert expected  # sanity: the oracle keeps something
         assert len(expected) < len(pairs)  # and drops something
         rev_u = {v: k for k, v in iset.user_map.items()}
         rev_i = {v: k for k, v in iset.item_map.items()}
-        got = {(rev_u[u], rev_i[i]) for u, i in iset.interactions}
+        got = {(rev_u[u], rev_i[i]) for u, i in pair_set(iset)}
         assert got == expected
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         pairs = {(f"u{rng.integers(40)}", f"i{rng.integers(40)}") for _ in range(400)}
         raw = [d.RawRating(u, i, 1.0) for u, i in sorted(pairs)]
-        once = d.binarize_and_filter(raw, min_count=5)
+        once = binarize(raw, 5)
         rev_u = {v: k for k, v in once.user_map.items()}
         rev_i = {v: k for k, v in once.item_map.items()}
-        again = d.binarize_and_filter(
-            [d.RawRating(rev_u[u], rev_i[i], 1.0) for u, i in sorted(once.interactions)],
-            min_count=5,
+        again = binarize(
+            [d.RawRating(rev_u[u], rev_i[i], 1.0) for u, i in sorted(pair_set(once))], 5
         )
         assert len(again.interactions) == len(once.interactions)
         assert again.num_users == once.num_users
@@ -136,7 +146,7 @@ class TestBinarizeAndFilter:
 
     def test_indices_dense(self):
         raw = [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(6) for i in range(6)]
-        iset = d.binarize_and_filter(raw, min_count=5)
+        iset = binarize(raw, 5)
         assert sorted(iset.user_map.values()) == list(range(iset.num_users))
         assert sorted(iset.item_map.values()) == list(range(iset.num_items))
 
@@ -146,7 +156,7 @@ class TestBinarizeAndFilter:
             for i in range(5)
         ]
         raw += [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(1, 5) for i in range(5)]
-        iset = d.binarize_and_filter(raw, min_count=5)
+        iset = binarize(raw, 5)
         assert iset.timestamps is None
 
     def test_timestamps_kept_when_universal(self):
@@ -155,7 +165,7 @@ class TestBinarizeAndFilter:
             for u in range(5)
             for i in range(5)
         ]
-        iset = d.binarize_and_filter(raw, min_count=5)
+        iset = binarize(raw, 5)
         assert iset.timestamps is not None
         assert len(iset.timestamps) == 25
 
@@ -170,24 +180,24 @@ def crossed(users, items, user_prefix="u", item_prefix="i"):
 
 class TestAlignCommonUsers:
     def test_partial_overlap(self):
-        a = d.binarize_and_filter(crossed(["x", "y"], range(5)), min_count=1)
-        b = d.binarize_and_filter(crossed(["y", "z"], range(5), item_prefix="j"), min_count=1)
+        a = binarize(crossed(["x", "y"], range(5)), 1)
+        b = binarize(crossed(["y", "z"], range(5), item_prefix="j"), 1)
         a2, b2 = d.align_common_users(a, b)
         assert a2.user_map == {"uy": 0}
         assert b2.user_map == {"uy": 0}
         assert a2.num_users == b2.num_users == 1
 
     def test_identity_when_user_sets_match(self):
-        a = d.binarize_and_filter(crossed(range(3), range(5)), min_count=1)
-        b = d.binarize_and_filter(crossed(range(3), range(5), item_prefix="j"), min_count=1)
+        a = binarize(crossed(range(3), range(5)), 1)
+        b = binarize(crossed(range(3), range(5), item_prefix="j"), 1)
         a2, b2 = d.align_common_users(a, b)
         assert a2.num_users == 3
         assert len(a2.interactions) == len(a.interactions)
         assert a2.user_map == b2.user_map
 
     def test_no_overlap_raises(self):
-        a = d.binarize_and_filter(crossed(["x"], range(5)), min_count=1)
-        b = d.binarize_and_filter(crossed(["z"], range(5)), min_count=1)
+        a = binarize(crossed(["x"], range(5)), 1)
+        b = binarize(crossed(["z"], range(5)), 1)
         with pytest.raises(d.AlignmentError):
             d.align_common_users(a, b)
 
@@ -195,49 +205,62 @@ class TestAlignCommonUsers:
         # user "a" is the only one touching items 5..9; dropping it must
         # compact domain-A item indices
         raw = crossed(["a"], range(5, 10)) + crossed(["b"], range(5))
-        a = d.binarize_and_filter(raw, min_count=1)
-        b = d.binarize_and_filter(crossed(["b"], range(5), item_prefix="j"), min_count=1)
+        a = binarize(raw, 1)
+        b = binarize(crossed(["b"], range(5), item_prefix="j"), 1)
         a2, _ = d.align_common_users(a, b)
         assert a2.num_items == 5
         assert sorted(a2.item_map.values()) == list(range(5))
 
 
+    def test_pairs_keep_their_keys(self):
+        def keyed(iset):
+            rev_u = {v: k for k, v in iset.user_map.items()}
+            rev_i = {v: k for k, v in iset.item_map.items()}
+            return {(rev_u[u], rev_i[i]) for u, i in pair_set(iset)}
+
+        raw = crossed(["a"], range(5, 10)) + crossed(["b"], [8, 1]) + crossed(["c"], [6, 3, 1])
+        a = binarize(raw, 1)
+        b = binarize(crossed(["c", "b"], range(3), item_prefix="j"), 1)
+        a2, b2 = d.align_common_users(a, b)
+        assert keyed(a2) == {(u, i) for u, i in keyed(a) if u != "ua"}
+        assert keyed(b2) == keyed(b)
+
+
 class TestLeaveOneOutSplit:
     def small_set(self, users=2, items=5):
         raw = crossed(range(users), range(items))
-        return d.binarize_and_filter(raw, min_count=1)
+        return binarize(raw, 1)
 
     def test_cardinalities(self):
         split = d.leave_one_out_split(self.small_set(), rng=0)
         assert len(split.test) == 2
         assert len(split.train.interactions) == 8
         for u, i in split.test:
-            assert (u, i) not in split.train.interactions
+            assert (u, i) not in pair_set(split.train)
 
     def test_deterministic(self):
         s1 = d.leave_one_out_split(self.small_set(), rng=3)
         s2 = d.leave_one_out_split(self.small_set(), rng=3)
         assert s1.test == s2.test
-        assert s1.train.interactions == s2.train.interactions
+        assert pair_set(s1.train) == pair_set(s2.train)
 
     def test_single_interaction_user_rejected(self):
-        iset = d.InteractionSet(
-            num_users=1, num_items=1, interactions={(0, 0)},
-            user_map={"u": 0}, item_map={"i": 0},
+        iset = d.InteractionSet.from_pairs(
+            1, 1, {(0, 0)}, user_map={"u": 0}, item_map={"i": 0},
         )
         with pytest.raises(d.DatasetError):
             d.leave_one_out_split(iset, rng=0)
 
     def test_timestamp_rule_picks_latest(self):
         raw = [d.RawRating("u", f"i{i}", 1.0, timestamp=float(100 - i)) for i in range(5)]
-        iset = d.binarize_and_filter(raw, min_count=1)
+        iset = binarize(raw, 1)
         split = d.leave_one_out_split(iset, rng=0)
         # i0 has the largest timestamp
         assert split.test == [(0, iset.item_map["i0"])]
 
     def test_timestamp_tie_broken_by_larger_item_index(self):
         raw = [d.RawRating("u", f"i{i}", 1.0, timestamp=7.0) for i in range(4)]
-        iset = d.binarize_and_filter(raw, min_count=1)
+        iset = binarize(raw, 1)
         split = d.leave_one_out_split(iset, rng=0)
         assert split.test == [(0, 3)]
 
@@ -245,9 +268,9 @@ class TestLeaveOneOutSplit:
 class TestFilterColdItems:
     def test_shared_item_kept(self):
         # user 0 holds out item 2, which user 1 still trains on
-        train = d.InteractionSet(
-            num_users=2, num_items=3,
-            interactions={(0, 0), (0, 1), (1, 1), (1, 2)},
+        train = d.InteractionSet.from_pairs(
+            2, 3,
+            {(0, 0), (0, 1), (1, 1), (1, 2)},
             user_map={"u0": 0, "u1": 1},
             item_map={f"i{i}": i for i in range(3)},
         )
@@ -256,13 +279,13 @@ class TestFilterColdItems:
 
     def test_unique_item_dropped(self):
         raw = crossed(range(2), range(4)) + [d.RawRating("u0", "solo", 1.0)]
-        iset = d.binarize_and_filter(raw, min_count=1)
+        iset = binarize(raw, 1)
         solo = iset.item_map["solo"]
         split = d.SplitDataset(
-            train=d.InteractionSet(
-                num_users=iset.num_users,
-                num_items=iset.num_items,
-                interactions={(u, i) for u, i in iset.interactions if i != solo},
+            train=d.InteractionSet.from_pairs(
+                iset.num_users,
+                iset.num_items,
+                {(u, i) for u, i in pair_set(iset) if i != solo},
                 user_map=iset.user_map,
                 item_map=iset.item_map,
             ),
@@ -277,14 +300,14 @@ class TestFilterColdItems:
         for u in range(50):  # every user needs >= 2 interactions to split
             pairs.add((u, 0))
             pairs.add((u, 1))
-        iset = d.InteractionSet(
-            num_users=50, num_items=80, interactions=pairs,
+        iset = d.InteractionSet.from_pairs(
+            50, 80, pairs,
             user_map={str(u): u for u in range(50)},
             item_map={str(i): i for i in range(80)},
         )
         split = d.leave_one_out_split(iset, rng=5)
         filtered = d.filter_cold_items(split)
-        trained_items = {i for _, i in split.train.interactions}
+        trained_items = {i for _, i in pair_set(split.train)}
         expected = [(u, i) for u, i in split.test if i in trained_items]
         assert filtered.test == expected
 
@@ -292,8 +315,8 @@ class TestFilterColdItems:
 class TestSampleTrainNegatives:
     def base_train(self, num_items=100, seen=(0, 1, 2)):
         inter = {(0, i) for i in seen}
-        return d.InteractionSet(
-            num_users=1, num_items=num_items, interactions=inter,
+        return d.InteractionSet.from_pairs(
+            1, num_items, inter,
             user_map={"u": 0}, item_map={str(i): i for i in range(num_items)},
         )
 
@@ -303,7 +326,7 @@ class TestSampleTrainNegatives:
         assert len(negs) == 3 * 7
         for u, i, label in negs:
             assert label == 0
-            assert (u, i) not in train.interactions
+            assert (u, i) not in pair_set(train)
 
     def test_distinct_within_one_positive(self):
         train = self.base_train()
@@ -322,8 +345,8 @@ class TestSampleTrainNegatives:
 
     def test_two_item_pool_frequencies(self):
         # 10k draws at ratio 1 over a 2-item unseen pool
-        train = d.InteractionSet(
-            num_users=1, num_items=4, interactions={(0, 0), (0, 1)},
+        train = d.InteractionSet.from_pairs(
+            1, 4, {(0, 0), (0, 1)},
             user_map={"u": 0}, item_map={str(i): i for i in range(4)},
         )
         counts = {2: 0, 3: 0}
@@ -354,7 +377,7 @@ class TestSampleTrainNegatives:
 
 class TestSampleEvalCandidates:
     def make_split(self, num_items=30):
-        iset = d.binarize_and_filter(crossed(range(2), range(5)), min_count=1)
+        iset = binarize(crossed(range(2), range(5)), 1)
         iset.num_items = num_items
         for j in range(5, num_items):
             iset.item_map[f"i{j}"] = j
@@ -363,7 +386,7 @@ class TestSampleEvalCandidates:
     def test_counts_and_exclusions(self):
         split = self.make_split()
         done = d.sample_eval_candidates(split, n=10, rng=0)
-        per_user = done.train.by_user()
+        per_user = items_by_user(done.train)
         held = dict(done.test)
         for u, cands in done.eval_candidates.items():
             assert len(cands) == 10
@@ -385,8 +408,8 @@ class TestSampleEvalCandidates:
 
     def test_single_candidate_pool(self):
         # user saw 3 of 5 items; after holding one out the unseen pool is 2
-        iset = d.InteractionSet(
-            num_users=1, num_items=5, interactions={(0, 0), (0, 1), (0, 2)},
+        iset = d.InteractionSet.from_pairs(
+            1, 5, {(0, 0), (0, 1), (0, 2)},
             user_map={"u": 0}, item_map={str(i): i for i in range(5)},
         )
         split = d.leave_one_out_split(iset, rng=0)
@@ -394,17 +417,17 @@ class TestSampleEvalCandidates:
         (u, held), = done.test
         cand, = done.eval_candidates[u]
         assert cand in (3, 4)
-        assert (u, cand) not in done.train.interactions
+        assert (u, cand) not in pair_set(done.train)
         assert cand != held
 
 
 def reference_train_negatives(train, ratio, rng):
     """The set-based sampler: one setdiff1d pool per user, one draw per positive."""
     gen = np.random.default_rng(rng)  # a Generator passes through unaltered
-    per_user = train.by_user()
+    per_user = items_by_user(train)
     all_items = np.arange(train.num_items)
     pools, warned, out = {}, set(), []
-    for u, i in sorted(train.interactions):
+    for u, i in sorted(pair_set(train)):
         pool = pools.get(u)
         if pool is None:
             pool = np.setdiff1d(all_items, np.fromiter(per_user[u], dtype=int))
@@ -421,7 +444,7 @@ def reference_train_negatives(train, ratio, rng):
 def reference_eval_candidates(split, n, rng):
     """The set-based candidate freezer: one setdiff1d pool per test user."""
     gen = np.random.default_rng(rng)
-    per_user = split.train.by_user()
+    per_user = items_by_user(split.train)
     all_items = np.arange(split.train.num_items)
     candidates = {}
     for u, held in split.test:
@@ -437,27 +460,33 @@ def random_train(num_users, num_items, rng, max_per_user):
     for u in range(num_users):
         k = int(rng.integers(0, max_per_user + 1))
         inter.update((u, int(i)) for i in rng.choice(num_items, size=k, replace=False))
-    return d.InteractionSet(
-        num_users=num_users, num_items=num_items, interactions=inter,
+    return d.InteractionSet.from_pairs(
+        num_users, num_items, inter,
         user_map={f"u{u}": u for u in range(num_users)},
         item_map={f"i{i}": i for i in range(num_items)},
     )
 
 
 class TestInteractionCsr:
+    """``from_pairs`` stores sorted CSR rows of the pairs it is given."""
+
     def test_rows_are_sorted_interactions(self):
-        train = random_train(30, 40, np.random.default_rng(0), 12)
-        indptr, indices = d.interaction_csr(train)
+        rng = np.random.default_rng(0)
+        pairs = [(int(rng.integers(30)), int(rng.integers(40))) for _ in range(300)]
+        train = d.InteractionSet.from_pairs(30, 40, pairs)  # holds repeated pairs
+        indptr, indices = train.indptr, train.indices
         assert indptr.dtype == indices.dtype == np.int64
         assert indptr.shape == (31,) and indptr[-1] == indices.size
         rows = [(u, int(i)) for u in range(30) for i in indices[indptr[u]:indptr[u + 1]]]
-        assert rows == sorted(train.interactions)
+        assert rows == sorted(set(pairs))
+        assert train.interactions.dtype == np.int64
+        assert train.interactions.tolist() == [list(p) for p in sorted(set(pairs))]
 
     def test_empty_set(self):
         train = random_train(3, 5, np.random.default_rng(0), 0)
-        indptr, indices = d.interaction_csr(train)
-        np.testing.assert_array_equal(indptr, [0, 0, 0, 0])
-        assert indices.shape == (0,)
+        np.testing.assert_array_equal(train.indptr, [0, 0, 0, 0])
+        assert train.indices.shape == (0,) and train.indices.dtype == np.int64
+        assert train.interactions.shape == (0, 2)
 
 
 class TestSamplersMatchReference:
@@ -475,8 +504,8 @@ class TestSamplersMatchReference:
         # users 0 and 2 leave fewer than 7 unseen items; user 1 does not
         inter = {(0, i) for i in range(15)} | {(1, i) for i in range(3)}
         inter |= {(2, i) for i in range(2, 20)}
-        train = d.InteractionSet(
-            num_users=4, num_items=20, interactions=inter,
+        train = d.InteractionSet.from_pairs(
+            4, 20, inter,
             user_map={f"u{u}": u for u in range(4)},
             item_map={f"i{i}": i for i in range(20)},
         )
@@ -526,8 +555,8 @@ class TestArtifacts:
     def complete_split(self):
         # 3 users x 4 items inside a 12-item universe, leaving room for candidates
         inter = {(u, i) for u in range(3) for i in range(u, u + 4)}
-        iset = d.InteractionSet(
-            num_users=3, num_items=12, interactions=inter,
+        iset = d.InteractionSet.from_pairs(
+            3, 12, inter,
             user_map={f"u{u}": u for u in range(3)},
             item_map={f"i{i}": i for i in range(12)},
         )
@@ -539,7 +568,7 @@ class TestArtifacts:
         out = tmp_path / "domain_a"
         d.write_split_artifact(str(out), split, {"seed": 0})
         loaded, meta = d.read_split_artifact(str(out))
-        assert loaded.train.interactions == split.train.interactions
+        assert pair_set(loaded.train) == pair_set(split.train)
         assert loaded.test == split.test
         assert loaded.eval_candidates == split.eval_candidates
         assert meta["seed"] == "0"
@@ -601,7 +630,7 @@ class TestArtifactValidation:
         """Replace user 0's candidates with make(held item, train positives)."""
         out, split = art
         held = dict(split.test)[0]
-        seen = sorted(i for u, i in split.train.interactions if u == 0)
+        seen = sorted(i for u, i in pair_set(split.train) if u == 0)
         cands = make(held, seen)
         self.rewrite(out / "candidates.tsv", lambda lines: [
             f"0\t{','.join(map(str, cands))}" if line.startswith("0\t") else line
@@ -620,6 +649,23 @@ class TestArtifactValidation:
     def test_bad_candidate_line(self, art, make, match):
         out = self.candidate_edit(art, make)
         with pytest.raises(d.ArtifactError, match=match):
+            d.read_split_artifact(str(out))
+
+    @pytest.mark.parametrize("names,match", [
+        (("train.tsv",), r"pair \(\d+, \d+\) is on two lines"),
+        (("test.tsv", "candidates.tsv"), r"user \d+ is on two lines"),
+    ])
+    def test_repeated_line(self, art, names, match):
+        out, _ = art
+        for name in names:
+            self.rewrite(out / name, lambda lines: lines + lines[-1:])
+        with pytest.raises(d.ArtifactError, match=match):
+            d.read_split_artifact(str(out))
+
+    def test_malformed_meta_line(self, art):
+        out, _ = art
+        self.rewrite(out / "meta", lambda lines: lines + ["num_users 3"])
+        with pytest.raises(d.ArtifactError, match="expected 'key = value'"):
             d.read_split_artifact(str(out))
 
     def test_missing_candidate_line(self, art):
@@ -647,7 +693,7 @@ class TestPrepareDatasets:
         assert split_a.train.num_users == split_b.train.num_users
         assert meta["num_users"] == split_a.train.num_users
         for split in (split_a, split_b):
-            per_user = split.train.by_user()
+            per_user = items_by_user(split.train)
             held = dict(split.test)
             for u, cands in split.eval_candidates.items():
                 assert len(cands) == 5
@@ -655,5 +701,5 @@ class TestPrepareDatasets:
                 assert held[u] not in cands
 
     def test_density_matches_ratio(self):
-        iset = d.binarize_and_filter(crossed(range(5), range(5)), min_count=5)
+        iset = binarize(crossed(range(5), range(5)), 5)
         assert iset.density == 1.0

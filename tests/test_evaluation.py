@@ -28,10 +28,10 @@ def make_set(num_users, num_items, per_user, seed):
     for u in range(num_users):
         for i in rng.choice(num_items, size=per_user, replace=False):
             pairs.add((u, int(i)))
-    return InteractionSet(
-        num_users=num_users,
-        num_items=num_items,
-        interactions=pairs,
+    return InteractionSet.from_pairs(
+        num_users,
+        num_items,
+        pairs,
         user_map={f"u{i}": i for i in range(num_users)},
         item_map={f"i{i}": i for i in range(num_items)},
     )

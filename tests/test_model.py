@@ -18,10 +18,10 @@ from dualrec.training import _noise_rngs
 
 
 def make_set(pairs, num_users, num_items):
-    return InteractionSet(
-        num_users=num_users,
-        num_items=num_items,
-        interactions=set(pairs),
+    return InteractionSet.from_pairs(
+        num_users,
+        num_items,
+        pairs,
         user_map={f"u{i}": i for i in range(num_users)},
         item_map={f"i{i}": i for i in range(num_items)},
     )

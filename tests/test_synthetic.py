@@ -12,11 +12,12 @@ from scipy.special import expit
 
 from dualrec import synthetic
 from dualrec.synthetic import GenerationError, SyntheticSpec, generate_synthetic
+from pairsets import items_by_user, pair_set
 
 
 def to_matrix(iset):
     m = np.zeros((iset.num_users, iset.num_items))
-    for u, i in iset.interactions:
+    for u, i in pair_set(iset):
         m[u, i] = 1.0
     return m
 
@@ -59,8 +60,8 @@ class TestGenerateSynthetic:
     def test_deterministic(self):
         a1, b1 = generate_synthetic(small_spec())
         a2, b2 = generate_synthetic(small_spec())
-        assert a1.interactions == a2.interactions
-        assert b1.interactions == b2.interactions
+        assert pair_set(a1) == pair_set(a2)
+        assert pair_set(b1) == pair_set(b2)
         assert a1.user_map == a2.user_map
 
     def test_aligned_and_filtered(self):
@@ -68,10 +69,10 @@ class TestGenerateSynthetic:
         assert a.num_users == b.num_users
         assert a.user_map == b.user_map
         for iset in (a, b):
-            by_user = iset.by_user()
+            by_user = items_by_user(iset)
             assert all(len(v) >= 5 for v in by_user.values())
             item_deg = {}
-            for _, i in iset.interactions:
+            for _, i in pair_set(iset):
                 item_deg[i] = item_deg.get(i, 0) + 1
             assert all(deg >= 5 for deg in item_deg.values())
 
@@ -108,7 +109,7 @@ class TestGenerateSynthetic:
     def test_different_seeds_differ(self):
         a1, _ = generate_synthetic(small_spec(seed=0))
         a2, _ = generate_synthetic(small_spec(seed=1))
-        assert a1.interactions != a2.interactions
+        assert pair_set(a1) != pair_set(a2)
 
     def test_invalid_spec_rejected(self):
         with pytest.raises(ValueError):
@@ -117,6 +118,24 @@ class TestGenerateSynthetic:
             generate_synthetic(small_spec(num_users=0))
         with pytest.raises(ValueError):
             generate_synthetic(small_spec(shared_strength=-1.0))
+
+    def test_filter_and_align_looked_up_on_module(self, monkeypatch):
+        # the benchmark traces these stages by rebinding the module attributes
+        calls = []
+
+        def counting(name):
+            real = getattr(synthetic, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return real(*args, **kwargs)
+
+            return wrapper
+
+        for name in ("binarize_and_filter", "align_common_users"):
+            monkeypatch.setattr(synthetic, name, counting(name))
+        generate_synthetic(small_spec())
+        assert calls == ["binarize_and_filter"] * 2 + ["align_common_users"]
 
     def test_hopeless_spec_raises_generation_error(self):
         spec = small_spec(num_users=6, num_items_a=6, num_items_b=6,
@@ -127,7 +146,7 @@ class TestGenerateSynthetic:
     def test_default_spec_supports_ranking_protocol(self):
         a, b = generate_synthetic(SyntheticSpec(seed=3))
         for iset in (a, b):
-            per_user = iset.by_user()
+            per_user = items_by_user(iset)
             max_degree = max(len(v) for v in per_user.values())
             assert iset.num_items >= 400 + max_degree + 1
         # domain B is the sparser one by construction

@@ -20,6 +20,7 @@ from dualrec.data import InteractionSet, freeze_splits
 from dualrec.evaluation import evaluate_model
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
+from pairsets import pair_set
 from test_data import reference_train_negatives
 
 
@@ -29,10 +30,10 @@ def make_set(num_users, num_items, per_user, seed):
     for u in range(num_users):
         for i in rng.choice(num_items, size=per_user, replace=False):
             pairs.add((u, int(i)))
-    return InteractionSet(
-        num_users=num_users,
-        num_items=num_items,
-        interactions=pairs,
+    return InteractionSet.from_pairs(
+        num_users,
+        num_items,
+        pairs,
         user_map={f"u{i}": i for i in range(num_users)},
         item_map={f"i{i}": i for i in range(num_items)},
     )
@@ -61,7 +62,7 @@ class TestEpochArrays:
         assert np.all(labels[:n_pos] == 1.0) and np.all(labels[n_pos:] == 0.0)
         for u, i, y in zip(users, items, labels):
             if y == 0.0:
-                assert (int(u), int(i)) not in split_a.train.interactions
+                assert (int(u), int(i)) not in pair_set(split_a.train)
 
     def test_epoch_key_changes_negatives(self):
         split_a, _ = tiny_splits()
@@ -77,7 +78,7 @@ def reference_epoch_arrays(train, epoch, domain_id, cfg):
     """The tuple-list construction of an epoch's arrays, on the set-based sampler."""
     rng = np.random.default_rng([cfg.seed, tr._STREAM_NEGATIVES, epoch, domain_id])
     negatives, _ = reference_train_negatives(train, cfg.neg_ratio, rng)
-    positives = sorted(train.interactions)
+    positives = sorted(pair_set(train))
     users = np.array([u for u, _ in positives] + [u for u, _, _ in negatives], dtype=np.int64)
     items = np.array([i for _, i in positives] + [i for _, i, _ in negatives], dtype=np.int64)
     labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
