@@ -68,8 +68,6 @@ def _load_run_config(args) -> RunConfig:
             cfg = replace(cfg, **{flag: value})
     if getattr(args, "alternating", False):
         cfg = replace(cfg, alternating=True)
-    if getattr(args, "threads", None) is not None:
-        cfg = replace(cfg, eval_threads=args.threads)
     cfg.validate()
     return cfg
 
@@ -138,11 +136,7 @@ def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     os.makedirs(args.out, exist_ok=True)
-    try:
-        result = train_model(split_a, split_b, cfg)
-    except NumericalAbortError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    result = train_model(split_a, split_b, cfg)
     save_model(os.path.join(args.out, "model.npz"), result.model)
     atomic_write(os.path.join(args.out, "train.log"), "\n".join(result.log_lines) + "\n")
     print(result.log_lines[0])
@@ -170,11 +164,7 @@ def _cmd_eval(args) -> int:
 def _cmd_ablate(args) -> int:
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
-    try:
-        _, table = ablate(split_a, split_b, cfg)
-    except NumericalAbortError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    _, table = ablate(split_a, split_b, cfg)
     atomic_write(args.out, table)
     print(table, end="")
     return EXIT_OK
@@ -184,11 +174,7 @@ def _cmd_sweep(args) -> int:
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     values = [v for v in (piece.strip() for piece in args.grid.split(",")) if v]
-    try:
-        _, table = sweep(args.param, values, split_a, split_b, cfg)
-    except NumericalAbortError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    _, table = sweep(args.param, values, split_a, split_b, cfg)
     atomic_write(args.out, table)
     print(table, end="")
     return EXIT_OK

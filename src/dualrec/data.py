@@ -217,7 +217,7 @@ def binarize_and_filter(
     they first appear in the records.
     """
     if min_count < 1:
-        raise ValueError("min_count must be >= 1")
+        raise ConfigError("min_count must be >= 1")
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
     keys, first, inverse = np.unique(
@@ -375,6 +375,8 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
     A user's pool is every item outside their train positives and their
     held-out item, in ascending order.
     """
+    if n < 1:
+        raise ConfigError("candidates must be >= 1")
     gen = _normalize_rng(rng)
     indptr, indices = split.train.indptr, split.train.indices
     all_items = np.arange(split.train.num_items)

@@ -1,37 +1,49 @@
 """Leave-one-out ranking evaluation with pessimistic tie handling.
 
-One deterministic forward pass freezes every user and item representation,
-after which each test user is scored against their frozen candidate set in
-plain numpy. Ties rank the held-out item last within its tie class, so a
-degenerate model that scores everything equally earns rank 1000, not rank 1.
+One deterministic forward pass freezes every user and item representation.
+Each domain is then scored in one product of the row-normalised test-user and
+item representations; every user's candidate scores and held-out score are
+read out of it, and all users are ranked at once. Ties rank the held-out item
+last within its tie class, so a degenerate model that scores everything
+equally earns rank 1000, not rank 1.
 """
 
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .autodiff import NORM_EPS
-from .config import RunConfig, config_lines
+from .config import ConfigError, RunConfig, config_lines
 from .data import ProtocolError, SplitDataset
 from .model import ModelState, forward, item_representations
 
 EVAL_LAMBDA = 0.5  # midpoint interpolation for the deterministic eval path
 
 
-def rank_with_ties(neg_scores: np.ndarray, pos_score: float) -> int:
-    """1-based rank of the held-out item, placed last among equal scores."""
+def rank_with_ties(neg_scores: np.ndarray, pos_score: float | np.ndarray) -> int | np.ndarray:
+    """1-based rank of the held-out item, placed last among equal scores.
+
+    Row-wise: ``neg_scores`` may be a block of rows with one ``pos_score``
+    per row, giving one rank per row; a single row gives an ``int``.
+    """
     neg = np.asarray(neg_scores, dtype=np.float64)
-    return int(1 + (neg > pos_score).sum() + (neg == pos_score).sum())
+    pos = np.asarray(pos_score, dtype=np.float64)
+    ranks = 1 + (neg >= pos[..., None]).sum(axis=-1)
+    return int(ranks) if ranks.ndim == 0 else ranks
 
 
-def metrics_at_k(rank: int, k: int) -> tuple[float, float]:
-    if rank <= k:
-        return 1.0, float(1.0 / np.log2(rank + 1))
-    return 0.0, 0.0
+def metrics_at_k(rank: int | np.ndarray, k: int) -> tuple:
+    """(HR@k, NDCG@k) of a rank, or of an array of ranks element-wise."""
+    ranks = np.asarray(rank)
+    hit = ranks <= k
+    hr = hit.astype(np.float64)
+    ndcg = np.where(hit, 1.0 / np.log2(ranks + 1), 0.0)
+    if ranks.ndim == 0:
+        return float(hr), float(ndcg)
+    return hr, ndcg
 
 
 @dataclass
@@ -73,22 +85,6 @@ def _normalize_rows(x: np.ndarray) -> np.ndarray:
     return x / np.maximum(norms, NORM_EPS)
 
 
-def _rank_users(
-    s_hat: np.ndarray,
-    t_hat: np.ndarray,
-    entries: list[tuple[int, int]],
-    candidates: dict[int, list[int]],
-) -> list[tuple[int, int]]:
-    out = []
-    for u, held in entries:
-        cand = np.asarray(candidates[u], dtype=np.int64)
-        user_vec = s_hat[u]
-        neg_scores = t_hat[cand] @ user_vec
-        pos_score = float(t_hat[held] @ user_vec)
-        out.append((u, rank_with_ties(neg_scores, pos_score)))
-    return out
-
-
 def evaluate_domain(
     s: np.ndarray,
     t: np.ndarray,
@@ -96,36 +92,26 @@ def evaluate_domain(
     top_k: int,
     threads: int = 1,
 ) -> DomainMetrics:
+    """Rank every test user of one domain; ``threads`` is accepted, unused."""
     if split.eval_candidates is None:
         raise ProtocolError("evaluation requires frozen candidate lists")
-    s_hat = _normalize_rows(s)
-    t_hat = _normalize_rows(t)
-    entries = list(split.test)
-    if threads <= 1 or len(entries) <= 1:
-        ranked = _rank_users(s_hat, t_hat, entries, split.eval_candidates)
-    else:
-        chunks = [list(c) for c in np.array_split(np.arange(len(entries)), threads) if c.size]
-        with ThreadPoolExecutor(max_workers=len(chunks)) as pool:
-            futures = [
-                pool.submit(
-                    _rank_users,
-                    s_hat,
-                    t_hat,
-                    [entries[i] for i in chunk],
-                    split.eval_candidates,
-                )
-                for chunk in chunks
-            ]
-            ranked = [pair for future in futures for pair in future.result()]
-    ranks = dict(ranked)
-    hr_sum = 0.0
-    ndcg_sum = 0.0
-    for _, rank in ranked:
-        hr, ndcg = metrics_at_k(rank, top_k)
-        hr_sum += hr
-        ndcg_sum += ndcg
-    n = max(1, len(ranked))
-    return DomainMetrics(hr=hr_sum / n, ndcg=ndcg_sum / n, num_test=len(ranked), ranks=ranks)
+    if threads < 1:
+        raise ConfigError("threads must be >= 1")
+    if not split.test:
+        return DomainMetrics(hr=0.0, ndcg=0.0, num_test=0, ranks={})
+    users, held = np.asarray(split.test, dtype=np.int64).T
+    cands = np.array([split.eval_candidates[u] for u in users.tolist()], dtype=np.int64)
+    scores = _normalize_rows(s[users]) @ _normalize_rows(t).T
+    pos = np.take_along_axis(scores, held[:, None], axis=1)[:, 0]
+    ranks = rank_with_ties(np.take_along_axis(scores, cands, axis=1), pos)
+    hr, ndcg = metrics_at_k(ranks, top_k)
+    # sequential sums in test order; np.sum's pairwise order can move ndcg by an ulp
+    return DomainMetrics(
+        hr=sum(hr.tolist()) / users.size,
+        ndcg=sum(ndcg.tolist()) / users.size,
+        num_test=users.size,
+        ranks=dict(zip(users.tolist(), ranks.tolist())),
+    )
 
 
 def model_representations(

@@ -191,20 +191,21 @@ def rank_by_sorting(neg_scores: np.ndarray, pos_score: float) -> int:
 
 
 def check_metrics(cases: int = 200, candidates: int = 999) -> tuple[bool, str]:
+    """Rank every case as one block, as eval does, against the sort oracle."""
     rng = _rng("selfcheck.metrics")
-    mismatches = 0
+    scores = np.empty((cases, candidates))
+    pos = np.empty(cases)
     for case in range(cases):
         if case % 2 == 0:
-            scores = rng.normal(size=candidates)
-            pos = float(rng.normal())
+            scores[case] = rng.normal(size=candidates)
+            pos[case] = rng.normal()
         else:  # coarse grid forces ties, including at the held-out score
-            scores = rng.integers(0, 40, size=candidates) / 10.0
-            pos = float(rng.integers(0, 40)) / 10.0
-        fast = rank_with_ties(scores, pos)
-        slow = rank_by_sorting(scores, pos)
-        hr, ndcg = metrics_at_k(fast, 10)
-        if fast != slow or ndcg > hr:
-            mismatches += 1
+            scores[case] = rng.integers(0, 40, size=candidates) / 10.0
+            pos[case] = rng.integers(0, 40) / 10.0
+    ranks = rank_with_ties(scores, pos)
+    hr, ndcg = metrics_at_k(ranks, 10)
+    oracle = [rank_by_sorting(row, p) for row, p in zip(scores, pos)]
+    mismatches = int(np.count_nonzero((ranks != oracle) | (ndcg > hr)))
     return mismatches == 0, f"{cases} cases, {mismatches} oracle mismatches"
 
 

@@ -271,6 +271,8 @@ def fit(
         log_sink.write(LOG_HEADER + "\n")
     history: list[dict] = []
     stochastic = bool(variant_components(cfg.variant))
+    # (noise offset, domains) per optimizer step; alternating updates A then B
+    passes = ((0, ("a",)), (3, ("b",))) if cfg.alternating else ((0, ("a", "b")),)
     last_grad = 0.0
 
     for epoch in range(cfg.epochs):
@@ -289,28 +291,20 @@ def fit(
             lam_sum += lam
             union = np.union1d(batch_a[0], batch_b[0])
 
+            parts: dict[str, float] = {}
+            for offset, domains in passes:
+                fwd = forward(model, union, lam, stochastic, _noise_rngs(cfg, epoch, step, offset))
+                total, sub = step_losses(model, fwd, batch_a, batch_b, domains=domains)
+                if not math.isfinite(sub["total"]):
+                    _abort(epoch, step, lam, batch_a, batch_b, last_grad)
+                last_grad = _optimize(model, optimizer, total)
+                for key, val in sub.items():
+                    parts[key] = parts.get(key, 0.0) + val
             if cfg.alternating:
-                parts: dict[str, float] = {}
-                for offset, domain in ((0, "a"), (3, "b")):
-                    fwd = forward(
-                        model, union, lam, stochastic, _noise_rngs(cfg, epoch, step, offset)
-                    )
-                    total, sub = step_losses(model, fwd, batch_a, batch_b, domains=(domain,))
-                    if not math.isfinite(sub["total"]):
-                        _abort(epoch, step, lam, batch_a, batch_b, last_grad)
-                    last_grad = _optimize(model, optimizer, total)
-                    for key, val in sub.items():
-                        parts[key] = parts.get(key, 0.0) + val
                 # aux losses appear in both half-steps; average them back
                 for key in ("cls1", "cls2"):
                     if key in parts:
                         parts[key] *= 0.5
-            else:
-                fwd = forward(model, union, lam, stochastic, _noise_rngs(cfg, epoch, step))
-                total, parts = step_losses(model, fwd, batch_a, batch_b)
-                if not math.isfinite(parts["total"]):
-                    _abort(epoch, step, lam, batch_a, batch_b, last_grad)
-                last_grad = _optimize(model, optimizer, total)
 
             for key in sums:
                 sums[key] += parts.get(key, 0.0)

@@ -126,6 +126,27 @@ class TestSynthAndPrepare:
         ])
         assert code == cli.EXIT_DATA
 
+    @pytest.mark.parametrize("argv,match", [
+        (["prepare", "--min-count", "0"], "min_count must be >= 1"),
+        (["synth", "--candidates", "-1"], "candidates must be >= 1"),
+        (["synth", "--candidates", "0"], "candidates must be >= 1"),
+    ], ids=["prepare-min-count-0", "synth-candidates-negative", "synth-candidates-0"])
+    def test_bad_count_is_usage_error(self, tmp_path, spec_file, capsys, argv, match):
+        if argv[0] == "prepare":
+            for tag in ("a", "b"):
+                lines = [f"user{u}\t{tag}{i}\t5" for u in range(8) for i in range(6)]
+                (tmp_path / f"r_{tag}.tsv").write_text("\n".join(lines) + "\n")
+            argv = argv + ["--domain-a", str(tmp_path / "r_a.tsv"),
+                           "--domain-b", str(tmp_path / "r_b.tsv")]
+        else:
+            argv = argv + ["--spec", spec_file]
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err == f"config error: {match}\n"
+        assert not out.exists()
+
 
 ARTIFACT_FILES = [
     os.path.join(domain, name)

@@ -1,7 +1,8 @@
 """Tests for ranking, metrics, and the evaluation driver.
 
 rank_with_ties is validated against a sort-based oracle that breaks ties by
-placing the held-out item after every equal-scoring candidate.
+placing the held-out item after every equal-scoring candidate, and
+evaluate_domain against the per-user loop it replaced.
 """
 
 import numpy as np
@@ -9,7 +10,8 @@ import pytest
 
 from dualrec import evaluation as ev
 from dualrec import model as md
-from dualrec.config import RunConfig
+from dualrec.autodiff import NORM_EPS
+from dualrec.config import ConfigError, RunConfig
 from dualrec.data import InteractionSet, ProtocolError, SplitDataset, freeze_splits
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.training import train_model
@@ -20,6 +22,28 @@ def rank_by_sorting(neg_scores, pos_score):
     keyed = [(-s, 0) for s in neg_scores] + [(-pos_score, 1)]
     keyed.sort()
     return 1 + [tag for _, tag in keyed].index(1)
+
+
+def reference_evaluate_domain(s, t, split, top_k):
+    """Reference: rank one user at a time (one matrix-vector product for the
+    candidates, one dot for the held-out item) and sum the metric terms in
+    test order. Returns (ranks, hr, ndcg)."""
+    def normalize(x):
+        return x / np.maximum(np.linalg.norm(x, axis=1, keepdims=True), NORM_EPS)
+
+    s_hat, t_hat = normalize(s), normalize(t)
+    ranks, hr_sum, ndcg_sum = {}, 0.0, 0.0
+    for u, held in split.test:
+        user_vec = s_hat[u]
+        neg = t_hat[np.asarray(split.eval_candidates[u], dtype=np.int64)] @ user_vec
+        pos = float(t_hat[held] @ user_vec)
+        rank = int(1 + (neg > pos).sum() + (neg == pos).sum())
+        ranks[u] = rank
+        if rank <= top_k:
+            hr_sum += 1.0
+            ndcg_sum += float(1.0 / np.log2(rank + 1))
+    n = max(1, len(split.test))
+    return ranks, hr_sum / n, ndcg_sum / n
 
 
 def make_set(num_users, num_items, per_user, seed):
@@ -58,6 +82,23 @@ class TestRankWithTies:
 
     def test_unique_best_ranks_first(self):
         assert ev.rank_with_ties(np.array([0.1, 0.5, -0.2]), 0.9) == 1
+
+
+class TestRowWise:
+    def test_block_matches_scalar_calls(self):
+        rng = np.random.default_rng(5)
+        neg = rng.integers(0, 6, size=(40, 25)).astype(np.float64)
+        pos = rng.integers(0, 6, size=40).astype(np.float64)
+        ranks = ev.rank_with_ties(neg, pos)
+        assert ranks.tolist() == [rank_by_sorting(n, p) for n, p in zip(neg, pos)]
+        hr, ndcg = ev.metrics_at_k(ranks, 10)
+        for r, h, g in zip(ranks.tolist(), hr.tolist(), ndcg.tolist()):
+            assert (h, g) == ev.metrics_at_k(r, 10)
+
+    def test_scalar_calls_return_python_numbers(self):
+        assert type(ev.rank_with_ties(np.array([0.3, 0.1]), 0.2)) is int
+        hr, ndcg = ev.metrics_at_k(3, 10)
+        assert type(hr) is float and type(ndcg) is float
 
 
 class TestMetricsAtK:
@@ -111,6 +152,11 @@ class TestEvaluateDomain:
         with pytest.raises(ProtocolError):
             ev.evaluate_domain(s, t, bare, top_k=2)
 
+    def test_threads_below_one_rejected(self):
+        split, s, t = self.hand_fixture()
+        with pytest.raises(ConfigError):
+            ev.evaluate_domain(s, t, split, top_k=2, threads=0)
+
     def test_thread_invariance(self):
         rng = np.random.default_rng(9)
         train = make_set(20, 30, 5, seed=5)
@@ -126,6 +172,53 @@ class TestEvaluateDomain:
         many = ev.evaluate_domain(s, t, split, top_k=5, threads=7)
         assert single.ranks == many.ranks
         assert single.hr == many.hr and single.ndcg == many.ndcg
+
+
+def random_split(rng, num_users, num_items, n_test, n_cands):
+    """Test users in shuffled order, each with a held-out item and distinct
+    candidates that exclude it."""
+    users = rng.permutation(num_users)[:n_test]
+    test, candidates = [], {}
+    for u in users.tolist():
+        drawn = rng.choice(num_items, size=n_cands + 1, replace=False).tolist()
+        test.append((u, drawn[0]))
+        candidates[u] = drawn[1:]
+    train = make_set(num_users, num_items, 1, seed=int(rng.integers(1 << 16)))
+    return SplitDataset(train=train, test=test, eval_candidates=candidates)
+
+
+class TestEvaluateDomainMatchesReference:
+    """The block form gives the reference's ranks, and its hr / ndcg bit for
+    bit, on continuous scores."""
+
+    def assert_matches(self, s, t, split, top_k):
+        dm = ev.evaluate_domain(s, t, split, top_k)
+        ranks, hr, ndcg = reference_evaluate_domain(s, t, split, top_k)
+        assert dm.ranks == ranks
+        assert list(dm.ranks) == list(ranks)  # test order
+        assert dm.hr == hr and dm.ndcg == ndcg
+        assert dm.num_test == len(split.test)
+
+    @pytest.mark.parametrize("num_users,num_items,n_test,n_cands,k,top_k,zero_rows", [
+        (1, 12, 1, 5, 4, 3, 0),        # one test user
+        (20, 15, 20, 1, 6, 1, 0),      # one candidate
+        (30, 60, 25, 20, 8, 10, 5),    # some all-zero user rows
+        (50, 120, 37, 99, 16, 10, 0),
+        (8, 10, 0, 3, 4, 3, 0),        # no test users
+    ])
+    def test_random_continuous_scores(self, num_users, num_items, n_test, n_cands, k,
+                                      top_k, zero_rows):
+        rng = np.random.default_rng([num_users, num_items, n_cands])
+        for _ in range(5):
+            split = random_split(rng, num_users, num_items, n_test, n_cands)
+            s = rng.normal(size=(num_users, k))
+            s[rng.permutation(num_users)[:zero_rows]] = 0.0
+            t = rng.normal(size=(num_items, k))
+            self.assert_matches(s, t, split, top_k)
+
+    def test_hand_fixture(self):
+        split, s, t = TestEvaluateDomain().hand_fixture()
+        self.assert_matches(s, t, split, top_k=2)
 
 
 class TestEvaluateModel:
