@@ -12,6 +12,12 @@ holds survive it (with their ``.grad``). For that to work no backward
 closure may refer to its own output Value; a closure that did would make
 the node a reference cycle that only the cyclic garbage collector frees.
 
+Every one-parent elementwise op (``mul_const``, ``affine_const``, ``relu``,
+``leaky_relu``, ``exp``, ``square``, ``clamp``) is built by
+:func:`_elementwise`: the op computes its output and its local derivative
+array in the forward, and the shared backward multiplies the upstream
+gradient by that array.
+
 Sparse adjacency matrices, labels, mixing coefficients and sampled noise
 enter ops as plain constants and never receive gradients.
 """
@@ -62,12 +68,12 @@ class Value:
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, op: str = "leaf", parents=(), backward=None):
+    def __init__(self, data, op: str = "leaf", parents=()):
         self.data = _as_matrix(data)
         self.grad: np.ndarray | None = None
         self.op = op
         self._parents = tuple(parents)
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -143,6 +149,17 @@ def backward(loss: Value) -> None:
 # Primitives
 # ---------------------------------------------------------------------------
 
+def _elementwise(x: Value, data, op: str, local):
+    """Node ``op`` over the single parent x whose backward is ``g * local``."""
+    out = Value(data, op, (x,))
+
+    def bw(g):
+        _accum(x, g * local)
+
+    out._backward = bw
+    return out
+
+
 def add(a: Value, b: Value) -> Value:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
@@ -159,26 +176,15 @@ def add(a: Value, b: Value) -> Value:
 def mul_const(a: Value, c) -> Value:
     """Elementwise product with a constant scalar or array (no grad to c)."""
     c = np.asarray(c, dtype=np.float64)
-    out = Value(a.data * c, "mul_const", (a,))
+    out = _elementwise(a, a.data * c, "mul_const", c)
     if out.shape != a.shape:
         raise ShapeError(f"mul_const: constant of shape {c.shape} broadcasts {a.shape} to {out.shape}")
-
-    def bw(g):
-        _accum(a, g * c)
-
-    out._backward = bw
     return out
 
 
 def affine_const(a: Value, mul: float, offset: float) -> Value:
     """mul * a + offset, both plain floats."""
-    out = Value(a.data * mul + offset, "affine_const", (a,))
-
-    def bw(g):
-        _accum(a, g * mul)
-
-    out._backward = bw
-    return out
+    return _elementwise(a, a.data * mul + offset, "affine_const", mul)
 
 
 def sub(a: Value, b: Value) -> Value:
@@ -215,36 +221,6 @@ def add_rowvec(x: Value, b: Value) -> Value:
 def affine(x: Value, w: Value, b: Value) -> Value:
     """x @ w + b (bias broadcast over rows)."""
     return add_rowvec(matmul(x, w), b)
-
-
-# The matmul bound before set_gradient_fault(True); None while no fault is on.
-_unfaulted_matmul = None
-
-
-def _faulty_matmul(a: Value, b: Value):
-    out = _unfaulted_matmul(a, b)
-
-    def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, (a.data.T @ g) * 1.01)
-
-    out._backward = bw
-    return out
-
-
-def set_gradient_fault(enabled: bool) -> None:
-    """Test hook: while on, ``matmul``'s weight-gradient rule is 1% off.
-
-    The module's ``matmul`` is rebound to a faulty twin, so every gradient
-    check must fail; turning the fault off restores the op bound before.
-    Every caller looks ``matmul`` up in this module at call time.
-    """
-    global matmul, _unfaulted_matmul
-    if enabled and _unfaulted_matmul is None:
-        _unfaulted_matmul = matmul
-        matmul = _faulty_matmul
-    elif not enabled and _unfaulted_matmul is not None:
-        matmul, _unfaulted_matmul = _unfaulted_matmul, None
 
 
 def spmm(a: sp.spmatrix | sp.sparray, x: Value) -> Value:
@@ -328,57 +304,27 @@ def slice_cols(x: Value, start: int, stop: int) -> Value:
 
 
 def relu(x: Value) -> Value:
-    out = Value(np.maximum(x.data, 0.0), "relu", (x,))
-    mask = x.data > 0.0  # subgradient at 0 is 0
-
-    def bw(g):
-        _accum(x, g * mask)
-
-    out._backward = bw
-    return out
+    # subgradient at 0 is 0
+    return _elementwise(x, np.maximum(x.data, 0.0), "relu", x.data > 0.0)
 
 
 def leaky_relu(x: Value, slope: float = LEAKY_SLOPE) -> Value:
     factor = np.where(x.data > 0.0, 1.0, slope)
-    out = Value(x.data * factor, "leaky_relu", (x,))
-
-    def bw(g):
-        _accum(x, g * factor)
-
-    out._backward = bw
-    return out
+    return _elementwise(x, x.data * factor, "leaky_relu", factor)
 
 
 def exp(x: Value) -> Value:
     e = np.exp(x.data)
-    out = Value(e, "exp", (x,))
-
-    def bw(g):
-        _accum(x, g * e)
-
-    out._backward = bw
-    return out
+    return _elementwise(x, e, "exp", e)
 
 
 def square(x: Value) -> Value:
-    out = Value(x.data * x.data, "square", (x,))
-
-    def bw(g):
-        _accum(x, 2.0 * x.data * g)
-
-    out._backward = bw
-    return out
+    return _elementwise(x, x.data * x.data, "square", 2.0 * x.data)
 
 
 def clamp(x: Value, lo: float, hi: float) -> Value:
-    out = Value(np.clip(x.data, lo, hi), "clamp", (x,))
     mask = (x.data > lo) & (x.data < hi)
-
-    def bw(g):
-        _accum(x, g * mask)
-
-    out._backward = bw
-    return out
+    return _elementwise(x, np.clip(x.data, lo, hi), "clamp", mask)
 
 
 def softmax_rows(x: Value) -> Value:
@@ -495,22 +441,6 @@ def mean_all(x: Value) -> Value:
 
     def bw(g):
         _accum(x, np.full_like(x.data, g[0, 0] / size))
-
-    out._backward = bw
-    return out
-
-
-def mse(x: Value, target) -> Value:
-    """Mean squared error against a constant target array."""
-    target = np.asarray(target, dtype=np.float64)
-    if target.shape != x.shape:
-        raise ShapeError(f"mse: x {x.shape}, target {target.shape}")
-    diff = x.data - target
-    size = x.data.size
-    out = Value([[float((diff * diff).mean())]], "mse", (x,))
-
-    def bw(g):
-        _accum(x, 2.0 * g[0, 0] * diff / size)
 
     out._backward = bw
     return out

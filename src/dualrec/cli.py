@@ -181,7 +181,7 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_selfcheck(args) -> int:
-    ok, lines = run_selfcheck(inject_gradient_fault=args.inject_gradient_fault)
+    ok, lines = run_selfcheck()
     print("\n".join(lines))
     return EXIT_OK if ok else EXIT_SELFCHECK
 
@@ -247,12 +247,6 @@ def build_parser() -> _Parser:
     sweep_cmd.set_defaults(func=_cmd_sweep)
 
     selfcheck = commands.add_parser("selfcheck", help="run built-in integrity checks")
-    selfcheck.add_argument(
-        "--inject-gradient-fault",
-        action="store_true",
-        dest="inject_gradient_fault",
-        help=argparse.SUPPRESS,
-    )
     selfcheck.set_defaults(func=_cmd_selfcheck)
     return parser
 

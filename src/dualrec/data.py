@@ -322,14 +322,13 @@ def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
 
 
 def filter_cold_items(split: SplitDataset) -> SplitDataset:
-    """Drop test entries whose held-out item never occurs in train."""
+    """Drop test entries whose held-out item never occurs in train.
+
+    Runs before candidates are frozen, so the result carries none.
+    """
     warm = np.bincount(split.train.indices, minlength=split.train.num_items) > 0
     kept = [(u, i) for u, i in split.test if warm[i]]
-    candidates = split.eval_candidates
-    if candidates is not None:
-        kept_users = {u for u, _ in kept}
-        candidates = {u: c for u, c in candidates.items() if u in kept_users}
-    return SplitDataset(train=split.train, test=kept, eval_candidates=candidates)
+    return SplitDataset(train=split.train, test=kept)
 
 
 def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> np.ndarray:

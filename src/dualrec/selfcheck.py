@@ -128,11 +128,6 @@ def _primitive_cases() -> list[tuple[str, float]]:
     rng = _rng("selfcheck.mean_all")
     x = _leaf(rng, (3, 4))
     check("mean_all", [x], lambda _: ad.mean_all(x))
-
-    rng = _rng("selfcheck.mse")
-    x = _leaf(rng, (3, 4))
-    target = rng.normal(size=(3, 4))
-    check("mse", [x], lambda _: ad.mse(x, target))
     return cases
 
 
@@ -242,7 +237,7 @@ def check_adjacency(graphs: int = 50) -> tuple[bool, str]:
     )
 
 
-def run_selfcheck(inject_gradient_fault: bool = False) -> tuple[bool, list[str]]:
+def run_selfcheck() -> tuple[bool, list[str]]:
     """Run all checks; returns overall pass flag and printable report lines."""
     checks = [
         ("gradients", check_gradients),
@@ -252,13 +247,9 @@ def run_selfcheck(inject_gradient_fault: bool = False) -> tuple[bool, list[str]]
     ]
     lines = []
     all_ok = True
-    ad.set_gradient_fault(inject_gradient_fault)
-    try:
-        for name, fn in checks:
-            ok, detail = fn()
-            all_ok = all_ok and ok
-            lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
-    finally:
-        ad.set_gradient_fault(False)
+    for name, fn in checks:
+        ok, detail = fn()
+        all_ok = all_ok and ok
+        lines.append(f"{'ok  ' if ok else 'FAIL'} {name}: {detail}")
     lines.append("selfcheck " + ("passed" if all_ok else "FAILED"))
     return all_ok, lines

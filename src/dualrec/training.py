@@ -264,6 +264,7 @@ def fit(
     log_sink=None,
 ) -> TrainResult:
     """Run the configured number of epochs on an already-built model."""
+    ad.reset_cosine_clamp_events()
     cfg = model.config
     optimizer = Adam(model.params, lr=cfg.lr)
     log_lines = [LOG_HEADER]
@@ -338,7 +339,6 @@ def train_model(
 ) -> TrainResult:
     """Build adjacencies and a fresh model, then fit it."""
     config.validate()
-    ad.reset_cosine_clamp_events()
     adjacency_a = gr.build_bipartite_adjacency(split_a.train)
     adjacency_b = gr.build_bipartite_adjacency(split_b.train)
     model = build_model(adjacency_a, adjacency_b, config)

@@ -10,8 +10,10 @@ import os
 import numpy as np
 import pytest
 
+from dualrec import autodiff as ad
 from dualrec import cli
 from dualrec.training import NumericalAbortError
+from faults import faulty_matmul
 
 TINY_SPEC = """\
 num_users = 40
@@ -437,6 +439,12 @@ class TestUsageAndSelfcheck:
         assert cli.main(["selfcheck"]) == cli.EXIT_OK
         assert "selfcheck passed" in capsys.readouterr().out
 
-    def test_selfcheck_fault_injection_fails(self, capsys):
-        assert cli.main(["selfcheck", "--inject-gradient-fault"]) == cli.EXIT_SELFCHECK
+    def test_selfcheck_fault_injection_fails(self, capsys, monkeypatch):
+        monkeypatch.setattr(ad, "matmul", faulty_matmul)
+        assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
         assert "selfcheck FAILED" in capsys.readouterr().out
+
+    def test_selfcheck_has_no_fault_flag(self, capsys):
+        assert cli.main(["selfcheck", "--inject-gradient-fault"]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("usage error:")

@@ -4,6 +4,7 @@ import numpy as np
 
 from dualrec import autodiff as ad
 from dualrec import selfcheck as sc
+from faults import faulty_matmul
 
 
 class TestIndividualChecks:
@@ -43,19 +44,23 @@ class TestRunSelfcheck:
         assert len(lines) == 5
         assert all(line.startswith("ok  ") for line in lines[:-1])
 
-    def test_injected_gradient_fault_is_detected(self):
-        ok, lines = sc.run_selfcheck(inject_gradient_fault=True)
+    def test_injected_gradient_fault_is_detected(self, monkeypatch):
+        monkeypatch.setattr(ad, "matmul", faulty_matmul)
+        ok, lines = sc.run_selfcheck()
         assert not ok
         assert lines[-1] == "selfcheck FAILED"
         assert any(line.startswith("FAIL gradients") for line in lines)
 
-    def test_fault_flag_is_always_reset(self):
-        sc.run_selfcheck(inject_gradient_fault=True)
+    def test_fault_flag_is_always_reset(self, monkeypatch):
+        monkeypatch.setattr(ad, "matmul", faulty_matmul)
+        sc.run_selfcheck()
+        monkeypatch.undo()
         ok, _ = sc.run_selfcheck()
         assert ok
 
-    def test_fault_does_not_break_oracle_checks(self):
-        _, lines = sc.run_selfcheck(inject_gradient_fault=True)
+    def test_fault_does_not_break_oracle_checks(self, monkeypatch):
+        monkeypatch.setattr(ad, "matmul", faulty_matmul)
+        _, lines = sc.run_selfcheck()
         for line in lines[:-1]:
             if "gradients" not in line:
                 assert line.startswith("ok  ")

@@ -233,6 +233,24 @@ class TestFit:
         ]
         assert max(diffs) > 0
 
+    def test_clamp_events_count_only_this_fit(self):
+        # init_std = 0 makes every representation row zero, so row_cosine
+        # clamps on every step; a second fit must not add the first one's count
+        spec = SyntheticSpec(num_users=60, num_items_a=80, num_items_b=60,
+                             rate_a=0.12, rate_b=0.12, min_count=2, seed=0)
+        split_a, split_b = freeze_splits(*generate_synthetic(spec), seed=0, n_candidates=5)
+        cfg = config(variant="base", init_std=0.0, epochs=1, batch_size=64)
+        counts = []
+        for _ in range(2):
+            model = md.build_model(
+                build_bipartite_adjacency(split_a.train),
+                build_bipartite_adjacency(split_b.train),
+                cfg,
+            )
+            counts.append(tr.fit(model, split_a, split_b).history[0]["cosine_clamp_events"])
+        assert counts[0] > 0
+        assert counts[1] == counts[0]
+
     def test_non_finite_loss_aborts_with_diagnostics(self):
         split_a, split_b = tiny_splits()
         model = md.build_model(
