@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import get_args, get_type_hints
 
@@ -49,6 +50,11 @@ class RunConfig:
     eval_threads: int = 1
 
     def validate(self) -> None:
+        for name in ("mixup_alpha", "mu1", "mu2", "gamma", "lr", "init_std"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
+        if self.init_std < 0:
+            raise ConfigError("init_std must be >= 0")
         if self.k < 1 or self.l < 1:
             raise ConfigError("k and l must be >= 1")
         if self.mixup_alpha <= 0:
@@ -57,6 +63,7 @@ class RunConfig:
             raise ConfigError(f"unknown fusion strategy {self.fusion!r}")
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}")
+        # the range test is false for nan too
         if self.fixed_lambda is not None and not 0.0 <= self.fixed_lambda <= 1.0:
             raise ConfigError("fixed_lambda must lie in [0, 1]")
         if min(self.batch_size, self.epochs, self.neg_ratio, self.top_k) < 1:

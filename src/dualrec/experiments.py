@@ -84,12 +84,15 @@ def ablate(
 def _coerce_sweep_value(param: str, value):
     if param == "fusion":
         return str(value)
-    if param == "l":
+    try:
         number = float(value)
-        if number != int(number):
+    except ValueError:
+        raise ConfigError(f"{param} must be a number, got {value!r}") from None
+    if param == "l":
+        if not number.is_integer():  # false for nan and inf too
             raise ConfigError(f"l must be an integer, got {value!r}")
         return int(number)
-    return float(value)
+    return number
 
 
 def sweep(
@@ -105,13 +108,14 @@ def sweep(
     if not values:
         raise ConfigError("sweep requires at least one grid value")
     field = _SWEEP_FIELDS[param]
-    rows = []
-    for value in values:
-        typed = _coerce_sweep_value(param, value)
-        cfg = replace(config, **{field: typed})
+    # every grid value is checked before the first model trains
+    configs = [replace(config, **{field: _coerce_sweep_value(param, v)}) for v in values]
+    for cfg in configs:
         cfg.validate()
+    rows = []
+    for cfg in configs:
         result = train_model(split_a, split_b, cfg)
         report = evaluate_model(result.model, split_a, split_b)
-        rows.append(_metric_row(str(typed), report))
+        rows.append(_metric_row(str(getattr(cfg, field)), report))
     header = f"{param}\thr_a\tndcg_a\thr_b\tndcg_b"
     return rows, _table_text(header, rows)

@@ -303,16 +303,24 @@ def load_model(
         raise ArtifactError(f"unreadable model file {path}: {exc}") from exc
     if "__config__" not in archive:
         raise ArtifactError(f"model file {path} lacks a config record")
-    config = parse_config_text("\n".join(archive["__config__"].tolist()))
+    try:
+        config = parse_config_text("\n".join(archive["__config__"].tolist()))
+    except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
+        raise ArtifactError(f"model file {path} has a bad config record: {exc}") from exc
     model = build_model(adjacency_a, adjacency_b, config)
     saved = set(archive.files) - {"__config__"}
     if saved != set(model.params):
         raise ArtifactError(f"model file {path} has a mismatched parameter census")
     for name, value in model.params.items():
-        data = archive[name]
+        try:  # an object array cannot load; a string or complex one cannot cast
+            data = archive[name].astype(np.float64, casting="same_kind")
+        except (TypeError, ValueError) as exc:
+            raise ArtifactError(f"parameter {name} is not a real array: {exc}") from exc
         if data.shape != value.data.shape:
             raise ArtifactError(
                 f"parameter {name} shape {data.shape} != expected {value.data.shape}"
             )
-        value.data = data.astype(np.float64)
+        if not np.isfinite(data).all():
+            raise ArtifactError(f"parameter {name} holds non-finite values")
+        value.data = data
     return model

@@ -1,14 +1,16 @@
 """Built-in integrity checks, runnable from the CLI in under a minute.
 
-Four groups: finite-difference gradient checks over every primitive plus a
-composed loss graph, mixing-coefficient moment checks, ranking-metric checks
-against an independent sort-based oracle, and normalized-adjacency checks
-against a dense linear-algebra oracle.
+Four groups: finite-difference gradient checks over every primitive (the
+case table the test suite runs too) plus a composed loss graph,
+mixing-coefficient moment checks, ranking-metric checks against an
+independent sort-based oracle, and normalized-adjacency checks against a
+dense linear-algebra oracle.
 """
 
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from . import autodiff as ad
 from . import fusion as fu
@@ -28,107 +30,54 @@ def _leaf(rng: np.random.Generator, shape, scale: float = 1.0) -> ad.Value:
     return ad.Value(rng.normal(0.0, scale, size=shape))
 
 
-def _mix(value: ad.Value, weights: np.ndarray) -> ad.Value:
-    # random linear readout keeps the check well conditioned
-    return ad.mul_const(value, weights)
+# a small constant CSR that is not symmetric, so a backward that multiplies
+# by a instead of a.T gives wrong values, not just a shape error
+_SPMM_A = sp.csr_matrix(np.array([
+    [1.0, 0.0, 2.0, 0.0],
+    [0.0, 0.0, 0.0, -1.0],
+    [3.0, 0.0, 0.0, 0.5],
+    [0.0, 1.5, 0.0, 0.0],
+]))
+_ONEHOT = np.eye(3)[[0, 2, 1, 0]]
+_UNIFORM = np.full((4, 2), 0.5)
+
+# (name, scalar loss over the leaves, leaf shapes): one graph per primitive.
+# Every op is looked up on the module at call time, so a rebound op is checked.
+PRIMITIVE_CASES = [
+    ("matmul", lambda ls: ad.mean_all(ad.matmul(*ls)), [(3, 4), (4, 2)]),
+    ("add", lambda ls: ad.mean_all(ad.add(*ls)), [(3, 3), (3, 3)]),
+    ("add_rowvec", lambda ls: ad.mean_all(ad.add_rowvec(*ls)), [(3, 4), (1, 4)]),
+    ("leaky_relu", lambda ls: ad.mean_all(ad.leaky_relu(ls[0])), [(3, 4)]),
+    ("exp", lambda ls: ad.mean_all(ad.exp(ls[0])), [(3, 3)]),
+    ("square", lambda ls: ad.mean_all(ad.square(ls[0])), [(3, 3)]),
+    ("softmax", lambda ls: ad.mean_all(ad.square(ad.softmax_rows(ls[0]))), [(3, 4)]),
+    ("frobenius", lambda ls: ad.frobenius_sq(ls[0]), [(3, 3)]),
+    ("scale_rows", lambda ls: ad.mean_all(ad.scale_rows(*ls)), [(3, 4), (3, 1)]),
+    ("slice_cols", lambda ls: ad.mean_all(ad.slice_cols(ls[0], 1, 3)), [(3, 4)]),
+    # the elbo reconstruction's form: mean((x - target)^2)
+    ("mse", lambda ls: ad.mean_all(ad.square(ad.affine_const(ls[0], 1.0, -0.25))), [(3, 3)]),
+    ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),
+    ("affine_const", lambda ls: ad.mean_all(ad.affine_const(ls[0], 0.5, 0.5)), [(3, 3)]),
+    ("slice_rows", lambda ls: ad.mean_all(ad.square(ad.slice_rows(ls[0], 1, 3))), [(4, 3)]),
+    ("gather_rows",
+     lambda ls: ad.mean_all(ad.square(ad.gather_rows(ls[0], [2, 0, 2, 1]))), [(3, 4)]),
+    ("concat_cols", lambda ls: ad.mean_all(ad.square(ad.concat_cols(ls))), [(3, 2), (3, 3)]),
+    ("spmm", lambda ls: ad.mean_all(ad.square(ad.spmm(_SPMM_A, ls[0]))), [(4, 3)]),
+    # relu's input is shifted; the seeded draws of relu and clamp lie at
+    # least 5e-3 from a kink, beyond the stencil's reach of 2h = 6e-4
+    ("relu", lambda ls: ad.mean_all(ad.relu(ad.affine_const(ls[0], 1.0, 0.9))), [(3, 4)]),
+    ("clamp", lambda ls: ad.mean_all(ad.clamp(ls[0], -0.7, 0.7)), [(3, 4)]),
+    ("sub", lambda ls: ad.mean_all(ad.square(ad.sub(*ls))), [(3, 3), (3, 3)]),
+    ("row_cosine", lambda ls: ad.mean_all(ad.row_cosine(*ls)), [(4, 3), (4, 3)]),
+    ("cross_entropy", lambda ls: ad.cross_entropy(ad.softmax_rows(ls[0]), _ONEHOT), [(4, 3)]),
+    ("kl_div", lambda ls: ad.kl_div(_UNIFORM, ad.softmax_rows(ls[0])), [(4, 2)]),
+]
 
 
-def _fd(fn, leaves) -> float:
-    return ad.finite_diff_check(fn, leaves)
-
-
-def _primitive_cases() -> list[tuple[str, float]]:
-    """(name, max relative FD error) for each differentiable primitive.
-
-    Every readout weight matrix is frozen at build time; redrawing it per
-    evaluation would break the finite-difference comparison.
-    """
-    cases: list[tuple[str, float]] = []
-
-    def check(name: str, leaves: list[ad.Value], fn) -> None:
-        cases.append((name, _fd(fn, leaves)))
-
-    def simple(name: str, op) -> None:
-        rng = _rng("selfcheck." + name)
-        x = _leaf(rng, (3, 4))
-        w = rng.normal(size=(3, 4))
-        check(name, [x], lambda _: ad.mean_all(_mix(op(x), w)))
-
-    def binary(name: str, op, shape_b=(3, 4)) -> None:
-        rng = _rng("selfcheck." + name)
-        a = _leaf(rng, (3, 4))
-        b = _leaf(rng, shape_b)
-        w = rng.normal(size=op(a, b).data.shape)
-        check(name, [a, b], lambda _: ad.mean_all(_mix(op(a, b), w)))
-
-    binary("add", ad.add)
-    binary("sub", ad.sub)
-    simple("mul_const", lambda x: ad.mul_const(x, 1.7))
-    simple("affine_const", lambda x: ad.affine_const(x, 0.8, -0.3))
-    simple("relu", lambda x: ad.relu(ad.affine_const(x, 1.0, 0.9)))
-    simple("leaky_relu", lambda x: ad.leaky_relu(ad.affine_const(x, 1.0, 0.9)))
-    simple("exp", ad.exp)
-    simple("square", lambda x: ad.square(ad.affine_const(x, 1.0, 1.5)))
-    simple("clamp", lambda x: ad.clamp(x, -0.7, 0.7))
-    simple("softmax_rows", ad.softmax_rows)
-    binary("matmul", ad.matmul, shape_b=(4, 2))
-    binary("add_rowvec", ad.add_rowvec, shape_b=(1, 4))
-    binary("scale_rows", ad.scale_rows, shape_b=(3, 1))
-
-    rng = _rng("selfcheck.spmm")
-    interactions = {(u, i) for u in range(3) for i in range(4) if rng.random() < 0.6}
-    interactions.add((0, 0))
-    adj = build_bipartite_adjacency(InteractionSet.from_pairs(3, 4, interactions))
-    x = _leaf(rng, (7, 3))
-    w = rng.normal(size=(7, 3))
-    check("spmm", [x], lambda _: ad.mean_all(_mix(ad.spmm(adj.matrix, x), w)))
-
-    rng = _rng("selfcheck.gather_rows")
-    x = _leaf(rng, (5, 3))
-    idx = np.array([0, 2, 2, 4])
-    w = rng.normal(size=(4, 3))
-    check("gather_rows", [x], lambda _: ad.mean_all(_mix(ad.gather_rows(x, idx), w)))
-
-    rng = _rng("selfcheck.concat_cols")
-    a = _leaf(rng, (3, 2))
-    b = _leaf(rng, (3, 3))
-    w = rng.normal(size=(3, 5))
-    check("concat_cols", [a, b], lambda _: ad.mean_all(_mix(ad.concat_cols([a, b]), w)))
-
-    rng = _rng("selfcheck.slice_cols")
-    x = _leaf(rng, (3, 5))
-    w = rng.normal(size=(3, 3))
-    check("slice_cols", [x], lambda _: ad.mean_all(_mix(ad.slice_cols(x, 1, 4), w)))
-
-    rng = _rng("selfcheck.slice_rows")
-    x = _leaf(rng, (5, 3))
-    w = rng.normal(size=(3, 3))
-    check("slice_rows", [x], lambda _: ad.mean_all(_mix(ad.slice_rows(x, 1, 4), w)))
-
-    rng = _rng("selfcheck.row_cosine")
-    s = _leaf(rng, (4, 3))
-    t = _leaf(rng, (4, 3))
-    w = rng.normal(size=(4, 1))
-    check("row_cosine", [s, t], lambda _: ad.mean_all(_mix(ad.row_cosine(s, t), w)))
-
-    rng = _rng("selfcheck.cross_entropy")
-    x = _leaf(rng, (4, 2))
-    onehot = np.zeros((4, 2))
-    onehot[np.arange(4), rng.integers(0, 2, size=4)] = 1.0
-    check("cross_entropy", [x], lambda _: ad.cross_entropy(ad.softmax_rows(x), onehot))
-
-    rng = _rng("selfcheck.kl_div")
-    x = _leaf(rng, (4, 2))
-    check("kl_div", [x], lambda _: ad.kl_div(np.full((4, 2), 0.5), ad.softmax_rows(x)))
-
-    rng = _rng("selfcheck.frobenius_sq")
-    x = _leaf(rng, (3, 4))
-    check("frobenius_sq", [x], lambda _: ad.frobenius_sq(x))
-
-    rng = _rng("selfcheck.mean_all")
-    x = _leaf(rng, (3, 4))
-    check("mean_all", [x], lambda _: ad.mean_all(x))
-    return cases
+def case_leaves(name: str, shapes) -> list[ad.Value]:
+    """Standard-normal leaves for case ``name``, seeded by the name."""
+    rng = _rng(name)
+    return [ad.Value(rng.standard_normal(s)) for s in shapes]
 
 
 def _composite_case() -> float:
@@ -148,14 +97,14 @@ def _composite_case() -> float:
         y = fu.predict(s, items)
         return fu.loss_prd(y, labels, s, items, gamma=0.01)
 
-    return _fd(fn, leaves)
+    return ad.finite_diff_check(fn, leaves)
 
 
 def check_gradients() -> tuple[bool, str]:
-    worst_name, worst = "", 0.0
-    for name, err in _primitive_cases() + [("composite_loss", _composite_case())]:
-        if err > worst:
-            worst_name, worst = name, err
+    errors = [(name, ad.finite_diff_check(fn, case_leaves(name, shapes)))
+              for name, fn, shapes in PRIMITIVE_CASES]
+    errors.append(("composite_loss", _composite_case()))
+    worst_name, worst = max(errors, key=lambda case: case[1])
     ok = worst < GRAD_TOL
     return ok, f"max relative FD error {worst:.3e} ({worst_name}), tolerance {GRAD_TOL:.0e}"
 

@@ -1,13 +1,17 @@
-"""A wrong gradient rule, for tests that check the gradient checks.
+"""Wrong gradient rules, for tests that check the gradient checks.
 
-Bind it with ``monkeypatch.setattr(autodiff, "matmul", faulty_matmul)``:
-every caller looks ``matmul`` up on the module at call time, so while it is
-bound every gradient check must fail.
+Bind one with ``monkeypatch.setattr(autodiff, "matmul", faulty_matmul)`` (or
+``"spmm"``, ``transposeless_spmm``): every caller looks the op up on the
+module at call time, so while it is bound every gradient check that reaches
+the op must fail.
 """
+
+import numpy as np
 
 from dualrec import autodiff as ad
 
 _matmul = ad.matmul
+_spmm = ad.spmm
 
 
 def faulty_matmul(a, b):
@@ -17,6 +21,17 @@ def faulty_matmul(a, b):
     def bw(g):
         ad._accum(a, g @ b.data.T)
         ad._accum(b, (a.data.T @ g) * 1.01)
+
+    out._backward = bw
+    return out
+
+
+def transposeless_spmm(a, x):
+    """``spmm`` whose backward multiplies by ``a`` where ``a.T`` belongs."""
+    out = _spmm(a, x)
+
+    def bw(g):
+        ad._accum(x, np.asarray(a @ g))
 
     out._backward = bw
     return out

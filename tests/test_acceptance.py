@@ -64,9 +64,11 @@ def toy_adjacencies():
 
 
 class TestGradientIntegrity:
-    """FD check over every primitive and the composed training loss,
-    max relative error < 1e-4 against the five-point stencil at its default
-    step, under 30 s."""
+    """FD check over every case of ``selfcheck.PRIMITIVE_CASES`` (the table
+    ``dualrec selfcheck`` and the autodiff tests run, on each case's
+    name-seeded leaves) and over the composed training loss, max relative
+    error < 1e-4 against the five-point stencil at its default step, under
+    30 s."""
 
     def end_to_end_error(self, variant):
         adj_a, adj_b = toy_adjacencies()
@@ -91,7 +93,8 @@ class TestGradientIntegrity:
 
     def test_primitives_and_composed_graph(self):
         start = time.perf_counter()
-        for name, err in sc._primitive_cases():
+        for name, fn, shapes in sc.PRIMITIVE_CASES:
+            err = ad.finite_diff_check(fn, sc.case_leaves(name, shapes))
             assert err < 1e-4, f"primitive {name}: FD error {err:.3e}"
         for variant in ("full", "elbo", "base"):
             err = self.end_to_end_error(variant)

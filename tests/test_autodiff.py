@@ -3,8 +3,10 @@
 Expected values come from independent oracles: a triple-loop matmul, a
 densify-then-multiply check for sparse products, scalar hand evaluations
 for the losses, and a five-point central finite-difference stencil for every
-gradient rule. A sweep must consume its graph without leaving cyclic
-garbage, which the collector-off tape-release tests check.
+gradient rule. The per-primitive stencil cases are the table
+``selfcheck.PRIMITIVE_CASES``, which ``dualrec selfcheck`` runs too. A sweep
+must consume its graph without leaving cyclic garbage, which the
+collector-off tape-release tests check.
 """
 
 import gc
@@ -19,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from dualrec import autodiff as ad
 from dualrec.autodiff import Value
+from dualrec.selfcheck import PRIMITIVE_CASES, case_leaves
 from faults import faulty_matmul
 
 
@@ -446,41 +449,12 @@ def _random_leaves(rng, shapes):
     return [Value(rng.standard_normal(s)) for s in shapes]
 
 
-# a small constant CSR that is not symmetric, so a backward that multiplies
-# by a instead of a.T gives wrong values, not just a shape error
-_SPMM_A = sp.csr_matrix(np.array([
-    [1.0, 0.0, 2.0, 0.0],
-    [0.0, 0.0, 0.0, -1.0],
-    [3.0, 0.0, 0.0, 0.5],
-    [0.0, 1.5, 0.0, 0.0],
-]))
-
-# (name, scalar loss over the leaves, leaf shapes): one graph per primitive
-PRIMITIVE_CASES = [
-    ("matmul", lambda ls: ad.mean_all(ad.matmul(*ls)), [(3, 4), (4, 2)]),
-    ("add", lambda ls: ad.mean_all(ad.add(*ls)), [(3, 3), (3, 3)]),
-    ("add_rowvec", lambda ls: ad.mean_all(ad.add_rowvec(*ls)), [(3, 4), (1, 4)]),
-    ("leaky_relu", lambda ls: ad.mean_all(ad.leaky_relu(ls[0])), [(3, 4)]),
-    ("exp", lambda ls: ad.mean_all(ad.exp(ls[0])), [(3, 3)]),
-    ("square", lambda ls: ad.mean_all(ad.square(ls[0])), [(3, 3)]),
-    ("softmax", lambda ls: ad.mean_all(ad.square(ad.softmax_rows(ls[0]))), [(3, 4)]),
-    ("frobenius", lambda ls: ad.frobenius_sq(ls[0]), [(3, 3)]),
-    ("scale_rows", lambda ls: ad.mean_all(ad.scale_rows(*ls)), [(3, 4), (3, 1)]),
-    ("slice_cols", lambda ls: ad.mean_all(ad.slice_cols(ls[0], 1, 3)), [(3, 4)]),
-    # the elbo reconstruction's form: mean((x - target)^2)
-    ("mse", lambda ls: ad.mean_all(ad.square(ad.affine_const(ls[0], 1.0, -0.25))), [(3, 3)]),
-    ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),
-    ("affine_const", lambda ls: ad.mean_all(ad.affine_const(ls[0], 0.5, 0.5)), [(3, 3)]),
-    ("slice_rows", lambda ls: ad.mean_all(ad.square(ad.slice_rows(ls[0], 1, 3))), [(4, 3)]),
-    ("gather_rows",
-     lambda ls: ad.mean_all(ad.square(ad.gather_rows(ls[0], [2, 0, 2, 1]))), [(3, 4)]),
-    ("concat_cols", lambda ls: ad.mean_all(ad.square(ad.concat_cols(ls))), [(3, 2), (3, 3)]),
-    ("spmm", lambda ls: ad.mean_all(ad.square(ad.spmm(_SPMM_A, ls[0]))), [(4, 3)]),
-    # relu's input is shifted as in selfcheck; the seeded draws of both cases
-    # lie at least 5e-3 from a kink, beyond the stencil's reach of 2h = 6e-4
-    ("relu", lambda ls: ad.mean_all(ad.relu(ad.affine_const(ls[0], 1.0, 0.9))), [(3, 4)]),
-    ("clamp", lambda ls: ad.mean_all(ad.clamp(ls[0], -0.7, 0.7)), [(3, 4)]),
-]
+def test_primitive_cases_cover_every_primitive_op():
+    # affine and sub build their graphs from other ops
+    ops = set()
+    for name, fn, shapes in PRIMITIVE_CASES:
+        ops.update(node.op for node in ad._toposort(fn(case_leaves(name, shapes))))
+    assert TAPE_OPS - {"affine", "sub"} <= ops
 
 
 class TestTapeRelease:
@@ -488,7 +462,7 @@ class TestTapeRelease:
 
     @pytest.mark.parametrize("name,fn,shapes", PRIMITIVE_CASES)
     def test_sweep_leaves_no_cyclic_garbage(self, name, fn, shapes):
-        leaves = _random_leaves(np.random.default_rng(list(name.encode())), shapes)
+        leaves = case_leaves(name, shapes)
         was_enabled = gc.isenabled()
         gc.collect()
         gc.disable()

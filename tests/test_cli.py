@@ -13,7 +13,7 @@ import pytest
 from dualrec import autodiff as ad
 from dualrec import cli
 from dualrec.training import NumericalAbortError
-from faults import faulty_matmul
+from faults import faulty_matmul, transposeless_spmm
 
 TINY_SPEC = """\
 num_users = 40
@@ -321,6 +321,49 @@ class TestBadArtifacts:
         assert capsys.readouterr().err.startswith("artifact error: ")
 
 
+class TestBadModelFiles:
+    """A malformed model file stops eval with exit 3 and one line."""
+
+    def eval_edited_model(self, tmp_path, data_dir, capsys, edit):
+        run_dir = str(tmp_path / "run")
+        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+        path = os.path.join(run_dir, "model.npz")
+        with np.load(path) as archive:
+            arrays = {name: archive[name] for name in archive.files}
+        edit(arrays)
+        np.savez(path, **arrays)
+        capsys.readouterr()
+        report = tmp_path / "rep.txt"
+        code = cli.main(["eval", "--data", data_dir, "--model", path, "--out", str(report)])
+        assert code == cli.EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("artifact error: ")
+        assert not report.exists()
+        return err
+
+    def test_invalid_config_record(self, tmp_path, data_dir, capsys):
+        def edit(arrays):
+            lines = [line for line in arrays["__config__"] if not line.startswith("variant")]
+            arrays["__config__"] = np.array(lines + ["variant = bogus"])
+
+        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        assert "bad config record" in err and "bogus" in err
+
+    def test_non_numeric_parameter(self, tmp_path, data_dir, capsys):
+        def edit(arrays):
+            arrays["tow_a.item.1"] = np.full(arrays["tow_a.item.1"].shape, "x")
+
+        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        assert "tow_a.item.1" in err
+
+    def test_nan_parameter(self, tmp_path, data_dir, capsys):
+        def edit(arrays):
+            arrays["tow_a.item.1"][0, 0] = np.nan
+
+        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        assert "tow_a.item.1 holds non-finite values" in err
+
+
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, data_dir):
         run_dir = str(tmp_path / "run")
@@ -380,6 +423,18 @@ class TestTrainEval:
                          "--k", "0"])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("line", ["mixup_alpha = nan", "lr = inf", "init_std = -1"])
+    def test_bad_config_file_value_is_one_line(self, tmp_path, data_dir, capsys, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(line + "\n")
+        capsys.readouterr()
+        code = cli.main(["train", "--data", data_dir, "--out", str(tmp_path / "run"),
+                         "--config", str(cfg)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert line.split(" =")[0] in err
+
     def test_config_file_and_override(self, tmp_path, data_dir):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("k = 4\nl = 1\nepochs = 1\nlr = 0.02\nvariant = base\n")
@@ -419,6 +474,17 @@ class TestAblateSweep:
         assert lines[0].startswith("lr\t")
         assert len(lines) == 3
 
+    @pytest.mark.parametrize("grid", ["abc", "0.01,nan"])
+    def test_sweep_bad_grid_value_is_usage_error(self, tmp_path, data_dir, capsys, grid):
+        out = tmp_path / "s.tsv"
+        capsys.readouterr()
+        code = cli.main(["sweep", "--data", data_dir, "--param", "lr",
+                         "--grid", grid, "--out", str(out)])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert not out.exists()
+
     def test_sweep_bad_param_is_usage_error(self, tmp_path, data_dir):
         code = cli.main(["sweep", "--data", data_dir, "--param", "k",
                          "--grid", "4", "--out", str(tmp_path / "s.tsv")])
@@ -443,6 +509,12 @@ class TestUsageAndSelfcheck:
         monkeypatch.setattr(ad, "matmul", faulty_matmul)
         assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
         assert "selfcheck FAILED" in capsys.readouterr().out
+
+    def test_selfcheck_catches_missing_spmm_transpose(self, capsys, monkeypatch):
+        monkeypatch.setattr(ad, "spmm", transposeless_spmm)
+        assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+        out = capsys.readouterr().out
+        assert "FAIL gradients:" in out and "(spmm)" in out
 
     def test_selfcheck_has_no_fault_flag(self, capsys):
         assert cli.main(["selfcheck", "--inject-gradient-fault"]) == cli.EXIT_USAGE

@@ -12,6 +12,8 @@ import pytest
 
 from dualrec.config import ConfigError, RunConfig, config_lines, parse_config_text
 
+NON_FINITE_FIELDS = ("mixup_alpha", "mu1", "mu2", "gamma", "lr", "init_std", "fixed_lambda")
+
 README = Path(__file__).resolve().parent.parent / "README.md"
 
 
@@ -44,3 +46,18 @@ class TestParseConfigText:
     def test_config_lines_roundtrip(self):
         cfg = RunConfig(k=8, fusion="sum", fixed_lambda=0.25, alternating=True)
         assert parse_config_text("\n".join(config_lines(cfg))) == cfg
+
+
+class TestValidate:
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
+    def test_non_finite_float_rejected(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            parse_config_text(f"{field} = {value}")
+
+    def test_negative_init_std_rejected(self):
+        with pytest.raises(ConfigError, match="init_std"):
+            parse_config_text("init_std = -1")
+
+    def test_zero_init_std_accepted(self):
+        assert parse_config_text("init_std = 0").init_std == 0.0

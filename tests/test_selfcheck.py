@@ -4,7 +4,7 @@ import numpy as np
 
 from dualrec import autodiff as ad
 from dualrec import selfcheck as sc
-from faults import faulty_matmul
+from faults import faulty_matmul, transposeless_spmm
 
 
 class TestIndividualChecks:
@@ -23,6 +23,12 @@ class TestIndividualChecks:
     def test_adjacency_pass(self):
         ok, detail = sc.check_adjacency()
         assert ok, detail
+
+    def test_gradients_catch_missing_spmm_transpose(self, monkeypatch):
+        monkeypatch.setattr(ad, "spmm", transposeless_spmm)
+        ok, detail = sc.check_gradients()
+        assert not ok
+        assert detail.endswith("(spmm), tolerance 1e-04"), detail
 
 
 class TestRankOracle:
