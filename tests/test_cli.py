@@ -91,6 +91,19 @@ class TestSynthAndPrepare:
         code = cli.main(["synth", "--spec", str(bad), "--out", str(tmp_path / "out")])
         assert code == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("line,bad", [
+        ("shared_strength = 3.0", "shared_strength = nan"),
+        ("specific_strength = 0.8", "specific_strength = inf"),
+    ], ids=["shared-nan", "specific-inf"])
+    def test_synth_non_finite_strength_is_usage_error(self, tmp_path, capsys, line, bad):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC.replace(line, bad))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "config error: strengths must be finite and >= 0\n"
+        assert not out.exists()
+
     def test_prepare_from_rating_files(self, tmp_path):
         rng = np.random.default_rng(0)
         for tag, n_items in (("a", 30), ("b", 25)):

@@ -118,6 +118,9 @@ class TestGenerateSynthetic:
             generate_synthetic(small_spec(num_users=0))
         with pytest.raises(ValueError):
             generate_synthetic(small_spec(shared_strength=-1.0))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                generate_synthetic(small_spec(independent_strength=bad))
 
     def test_filter_and_align_looked_up_on_module(self, monkeypatch):
         # the benchmark traces these stages by rebinding the module attributes
@@ -165,6 +168,65 @@ def reference_calibrate_bias(logits, rate):
     return 0.5 * (lo + hi)
 
 
+def bisection_sweeps(logits, rate):
+    """Sweeps the bisection makes before its midpoint rounds to an end."""
+    lo, hi = -30.0, 30.0
+    for count in range(80):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return count
+        if expit(logits + mid).mean() < rate:
+            lo = mid
+        else:
+            hi = mid
+    return 80
+
+
+def count_sweeps(monkeypatch):
+    """Count calls of ``synthetic.expit``, forwarding every argument."""
+    sweeps = []
+
+    def counting(x, *args, **kwargs):
+        sweeps.append(1)
+        return expit(x, *args, **kwargs)
+
+    monkeypatch.setattr(synthetic, "expit", counting)
+    return sweeps
+
+
+def _stress_cases():
+    rng = np.random.default_rng(11)
+    cases = []
+    for rate in (1e-6, 1e-4, 0.018, 0.2, 0.5, 0.9, 0.999):
+        for scale in (0.1, 1.0, 5.0, 40.0):
+            cases.append((f"normal-x{scale}-rate{rate}",
+                          rng.standard_normal((60, 40)) * scale, rate))
+        cases.append((f"1x1-rate{rate}", np.array([[0.3]]), rate))
+        cases.append((f"constant-rate{rate}", np.full((20, 30), -2.0), rate))
+    jitter = rng.standard_normal((10, 10)) * 0.1
+    cases += [
+        ("root-near+30", jitter - 29.5, 0.5),
+        ("root-near-30", jitter + 29.5, 0.5),
+        ("root-beyond+30", np.full((10, 10), -40.0), 0.5),
+        ("root-beyond-30", np.full((10, 10), 40.0), 0.5),
+    ]
+    half = rng.standard_normal((30, 20))
+    cases.append(("root-at-0", np.concatenate([half, -half]), 0.5))
+    some_inf = rng.standard_normal((30, 20))
+    some_inf[0, :5] = np.inf
+    some_inf[1, :5] = -np.inf
+    cases += [
+        ("some-inf", some_inf, 0.1),
+        ("half-+inf-half--inf", np.where(rng.random((20, 20)) < 0.5, np.inf, -np.inf), 0.3),
+        ("all-+inf", np.full((5, 5), np.inf), 0.3),
+        ("all--inf", np.full((5, 5), -np.inf), 0.3),
+    ]
+    return cases
+
+
+STRESS_CASES = _stress_cases()
+
+
 class TestCalibrateBias:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("rate", [0.001, 0.018, 0.025, 0.2, 0.5, 0.97])
@@ -186,3 +248,47 @@ class TestCalibrateBias:
         bias = synthetic._calibrate_bias(logits, 0.025)
         assert bias == reference_calibrate_bias(logits, 0.025)
         assert len(sweeps) < 80
+
+    @pytest.mark.parametrize("name,logits,rate", STRESS_CASES,
+                             ids=[case[0] for case in STRESS_CASES])
+    def test_stress_equals_full_bisection_bitwise(self, monkeypatch, name, logits, rate):
+        sweeps = count_sweeps(monkeypatch)
+        got = synthetic._calibrate_bias(logits, rate)
+        assert got == reference_calibrate_bias(logits, rate)
+        assert len(sweeps) <= synthetic._NEWTON_SWEEPS + bisection_sweeps(logits, rate)
+
+    def test_random_shapes_scales_and_rates(self, monkeypatch):
+        sweeps = count_sweeps(monkeypatch)
+        rng = np.random.default_rng(2024)
+        for _ in range(200):
+            shape = tuple(int(n) for n in rng.integers(1, 50, size=2))
+            logits = rng.normal(rng.normal(0.0, 5.0), 10 ** rng.uniform(-2, 1.7), shape)
+            rate = float(10 ** rng.uniform(-6, np.log10(0.999)))
+            rate = max(1 - rate, 1e-6) if rng.random() < 0.3 else rate
+            sweeps.clear()
+            got = synthetic._calibrate_bias(logits, rate)
+            assert got == reference_calibrate_bias(logits, rate), (shape, rate)
+            assert len(sweeps) <= synthetic._NEWTON_SWEEPS + bisection_sweeps(logits, rate)
+
+    def test_root_at_zero_case_reaches_the_80_step_fallback(self):
+        # the stress table's root-at-0 case covers the 0.5 * (lo + hi) return
+        _, logits, rate = next(case for case in STRESS_CASES if case[0] == "root-at-0")
+        assert bisection_sweeps(logits, rate) == 80
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_default_spec_takes_at_most_12_sweeps_per_domain(self, monkeypatch, seed):
+        sweeps = count_sweeps(monkeypatch)
+        real = synthetic._calibrate_bias
+        per_domain = []
+
+        def calibrate(logits, rate):
+            start = len(sweeps)
+            bias = real(logits, rate)
+            per_domain.append(len(sweeps) - start)
+            assert bias == reference_calibrate_bias(logits, rate)
+            return bias
+
+        monkeypatch.setattr(synthetic, "_calibrate_bias", calibrate)
+        generate_synthetic(SyntheticSpec(seed=seed))
+        assert len(per_domain) == 2
+        assert max(per_domain) <= 12
