@@ -14,15 +14,26 @@ the node a reference cycle that only the cyclic garbage collector frees.
 
 Every one-parent elementwise op (``mul_const``, ``affine_const``, ``relu``,
 ``leaky_relu``, ``exp``, ``square``, ``clamp``) is built by
-:func:`_elementwise`: the op computes its output and its local derivative
-array in the forward, and the shared backward multiplies the upstream
-gradient by that array.
+:func:`_elementwise`: the op computes its output and, when taped, its local
+derivative array in the forward, and the shared backward multiplies the
+upstream gradient by that array.
+
+Inside a ``with no_grad():`` scope nothing is recorded: every op computes
+the same output bits, but returns a Value with no parents and no backward
+closure, and the elementwise ops do not form their local derivative arrays.
+Such a Value cannot be swept (:func:`backward` rejects it), and it holds no
+reference to its inputs, so each intermediate is freed as soon as the
+caller drops it. Evaluation and the finite-difference probes run the one
+model forward inside this scope.
 
 Sparse adjacency matrices, labels, mixing coefficients and sampled noise
 enter ops as plain constants and never receive gradients.
 """
 
 from __future__ import annotations
+
+import contextlib
+from collections.abc import Iterator
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,6 +54,21 @@ class ContractError(RuntimeError):
 
 # Diagnostics: number of rows whose norm was clamped inside row_cosine.
 _clamp_events = 0
+
+# False inside a no_grad() scope: ops then record no parents and no backward.
+_taping = True
+
+
+@contextlib.contextmanager
+def no_grad() -> Iterator[None]:
+    """Scope in which ops build untaped Values; the previous mode is restored on exit."""
+    global _taping
+    was_taping = _taping
+    _taping = False
+    try:
+        yield
+    finally:
+        _taping = was_taping
 
 
 def cosine_clamp_events() -> int:
@@ -68,11 +94,11 @@ class Value:
 
     __slots__ = ("data", "grad", "op", "_parents", "_backward")
 
-    def __init__(self, data, op: str = "leaf", parents=()):
+    def __init__(self, data, op: str = "leaf"):
         self.data = _as_matrix(data)
         self.grad: np.ndarray | None = None
         self.op = op
-        self._parents = tuple(parents)
+        self._parents: tuple[Value, ...] = ()
         self._backward = None
 
     @property
@@ -131,10 +157,16 @@ def backward(loss: Value) -> None:
     The sweep consumes the graph: after a node's backward has run, its
     closure and parent links are dropped. A node nobody else holds is then
     freed, grad included; a node the caller holds keeps its ``.grad`` but
-    no longer reaches its ancestors, so a graph can be swept only once.
+    no longer reaches its ancestors, so a graph can be swept only once: a
+    second sweep, like a sweep of a loss built under :func:`no_grad`, raises
+    ContractError.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
+    if loss.op != "leaf" and loss._backward is None:
+        raise ContractError(
+            f"backward: the {loss.op} loss has no tape (built under no_grad, or already swept)"
+        )
     order = _toposort(loss)
     _accum(loss, np.ones((1, 1)))
     while order:
@@ -149,34 +181,46 @@ def backward(loss: Value) -> None:
 # Primitives
 # ---------------------------------------------------------------------------
 
+def _node(data, op: str, parents: tuple[Value, ...], backward):
+    """The output of ``op``: taped with its parents and backward, or bare under no_grad."""
+    out = Value(data, op)
+    if _taping:
+        out._parents = parents
+        out._backward = backward
+    return out
+
+
 def _elementwise(x: Value, data, op: str, local):
-    """Node ``op`` over the single parent x whose backward is ``g * local``."""
-    out = Value(data, op, (x,))
+    """Node ``op`` over the single parent x whose backward is ``g * local()``.
+
+    ``local`` forms the local derivative array; it is called only when the
+    op is taped.
+    """
+    if not _taping:
+        return Value(data, op)
+    d = local()
 
     def bw(g):
-        _accum(x, g * local)
+        _accum(x, g * d)
 
-    out._backward = bw
-    return out
+    return _node(data, op, (x,), bw)
 
 
 def add(a: Value, b: Value) -> Value:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
-    out = Value(a.data + b.data, "add", (a, b))
 
     def bw(g):
         _accum(a, g, shared=True)
         _accum(b, g, shared=True)
 
-    out._backward = bw
-    return out
+    return _node(a.data + b.data, "add", (a, b), bw)
 
 
 def mul_const(a: Value, c) -> Value:
     """Elementwise product with a constant scalar or array (no grad to c)."""
     c = np.asarray(c, dtype=np.float64)
-    out = _elementwise(a, a.data * c, "mul_const", c)
+    out = _elementwise(a, a.data * c, "mul_const", lambda: c)
     if out.shape != a.shape:
         raise ShapeError(f"mul_const: constant of shape {c.shape} broadcasts {a.shape} to {out.shape}")
     return out
@@ -184,7 +228,7 @@ def mul_const(a: Value, c) -> Value:
 
 def affine_const(a: Value, mul: float, offset: float) -> Value:
     """mul * a + offset, both plain floats."""
-    return _elementwise(a, a.data * mul + offset, "affine_const", mul)
+    return _elementwise(a, a.data * mul + offset, "affine_const", lambda: mul)
 
 
 def sub(a: Value, b: Value) -> Value:
@@ -194,28 +238,24 @@ def sub(a: Value, b: Value) -> Value:
 def matmul(a: Value, b: Value) -> Value:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
-    out = Value(a.data @ b.data, "matmul", (a, b))
 
     def bw(g):
         _accum(a, g @ b.data.T)
         _accum(b, a.data.T @ g)
 
-    out._backward = bw
-    return out
+    return _node(a.data @ b.data, "matmul", (a, b), bw)
 
 
 def add_rowvec(x: Value, b: Value) -> Value:
     """x + b with the 1-row vector b broadcast over rows of x."""
     if b.shape[0] != 1 or b.shape[1] != x.shape[1]:
         raise ShapeError(f"add_rowvec: x {x.shape}, b {b.shape}")
-    out = Value(x.data + b.data, "add_rowvec", (x, b))
 
     def bw(g):
         _accum(x, g, shared=True)
         _accum(b, g.sum(axis=0, keepdims=True))
 
-    out._backward = bw
-    return out
+    return _node(x.data + b.data, "add_rowvec", (x, b), bw)
 
 
 def affine(x: Value, w: Value, b: Value) -> Value:
@@ -227,21 +267,18 @@ def spmm(a: sp.spmatrix | sp.sparray, x: Value) -> Value:
     """Sparse-dense product a @ x; a is constant and receives no gradient."""
     if a.shape[1] != x.shape[0]:
         raise ShapeError(f"spmm: {a.shape} @ {x.shape}")
-    out = Value(np.asarray(a @ x.data), "spmm", (x,))
 
     def bw(g):
         # a.T of a CSR matrix is a CSC view of the same arrays, not a copy
         _accum(x, np.asarray(a.T @ g))
 
-    out._backward = bw
-    return out
+    return _node(np.asarray(a @ x.data), "spmm", (x,), bw)
 
 
 def gather_rows(x: Value, idx) -> Value:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows: index must be 1-D")
-    out = Value(x.data[idx], "gather_rows", (x,))
 
     def bw(g):
         # scatter-add as the product of g with the transposed one-hot
@@ -251,23 +288,20 @@ def gather_rows(x: Value, idx) -> Value:
         sel = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, x.shape[0]))
         _accum(x, np.asarray(sel.T @ g))
 
-    out._backward = bw
-    return out
+    return _node(x.data[idx], "gather_rows", (x,), bw)
 
 
 def slice_rows(x: Value, start: int, stop: int) -> Value:
     """Rows start:stop of x as a view; the backward adds into that block."""
     if not (0 <= start < stop <= x.shape[0]):
         raise ShapeError(f"slice_rows: [{start}:{stop}] of {x.shape}")
-    out = Value(x.data[start:stop], "slice_rows", (x,))
 
     def bw(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         x.grad[start:stop] += g
 
-    out._backward = bw
-    return out
+    return _node(x.data[start:stop], "slice_rows", (x,), bw)
 
 
 def concat_cols(parts: list[Value]) -> Value:
@@ -276,7 +310,6 @@ def concat_cols(parts: list[Value]) -> Value:
     rows = parts[0].shape[0]
     if any(p.shape[0] != rows for p in parts):
         raise ShapeError("concat_cols: row counts differ")
-    out = Value(np.hstack([p.data for p in parts]), "concat_cols", tuple(parts))
     widths = [p.shape[1] for p in parts]
 
     def bw(g):
@@ -285,46 +318,44 @@ def concat_cols(parts: list[Value]) -> Value:
             _accum(part, g[:, start:start + width], shared=True)
             start += width
 
-    out._backward = bw
-    return out
+    return _node(np.hstack([p.data for p in parts]), "concat_cols", tuple(parts), bw)
 
 
 def slice_cols(x: Value, start: int, stop: int) -> Value:
     if not (0 <= start < stop <= x.shape[1]):
         raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.shape}")
-    out = Value(x.data[:, start:stop].copy(), "slice_cols", (x,))
 
     def bw(g):
         if x.grad is None:
             x.grad = np.zeros_like(x.data)
         x.grad[:, start:stop] += g
 
-    out._backward = bw
-    return out
+    return _node(x.data[:, start:stop].copy(), "slice_cols", (x,), bw)
 
 
 def relu(x: Value) -> Value:
     # subgradient at 0 is 0
-    return _elementwise(x, np.maximum(x.data, 0.0), "relu", x.data > 0.0)
+    return _elementwise(x, np.maximum(x.data, 0.0), "relu", lambda: x.data > 0.0)
 
 
 def leaky_relu(x: Value, slope: float = LEAKY_SLOPE) -> Value:
     factor = np.where(x.data > 0.0, 1.0, slope)
-    return _elementwise(x, x.data * factor, "leaky_relu", factor)
+    return _elementwise(x, x.data * factor, "leaky_relu", lambda: factor)
 
 
 def exp(x: Value) -> Value:
     e = np.exp(x.data)
-    return _elementwise(x, e, "exp", e)
+    return _elementwise(x, e, "exp", lambda: e)
 
 
 def square(x: Value) -> Value:
-    return _elementwise(x, x.data * x.data, "square", 2.0 * x.data)
+    return _elementwise(x, x.data * x.data, "square", lambda: 2.0 * x.data)
 
 
 def clamp(x: Value, lo: float, hi: float) -> Value:
-    mask = (x.data > lo) & (x.data < hi)
-    return _elementwise(x, np.clip(x.data, lo, hi), "clamp", mask)
+    return _elementwise(
+        x, np.clip(x.data, lo, hi), "clamp", lambda: (x.data > lo) & (x.data < hi)
+    )
 
 
 def softmax_rows(x: Value) -> Value:
@@ -332,28 +363,24 @@ def softmax_rows(x: Value) -> Value:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
-    out = Value(p, "softmax_rows", (x,))
 
     def bw(g):
         inner = (g * p).sum(axis=1, keepdims=True)
         _accum(x, p * (g - inner))
 
-    out._backward = bw
-    return out
+    return _node(p, "softmax_rows", (x,), bw)
 
 
 def scale_rows(x: Value, c: Value) -> Value:
     """x * c with the single-column c broadcast across columns of x."""
     if c.shape != (x.shape[0], 1):
         raise ShapeError(f"scale_rows: x {x.shape}, c {c.shape}")
-    out = Value(x.data * c.data, "scale_rows", (x, c))
 
     def bw(g):
         _accum(x, g * c.data)
         _accum(c, (g * x.data).sum(axis=1, keepdims=True))
 
-    out._backward = bw
-    return out
+    return _node(x.data * c.data, "scale_rows", (x, c), bw)
 
 
 def row_cosine(s: Value, t: Value) -> Value:
@@ -372,15 +399,13 @@ def row_cosine(s: Value, t: Value) -> Value:
     tnc = np.maximum(tn, NORM_EPS)
     dot = (s.data * t.data).sum(axis=1, keepdims=True)
     cos = dot / (snc * tnc)
-    out = Value(cos, "row_cosine", (s, t))
 
     def bw(g):
         # Norm factors are constants on clamped rows.
         _accum(s, g * (t.data / (snc * tnc) - cos * s.data / (snc * snc) * s_ok))
         _accum(t, g * (s.data / (snc * tnc) - cos * t.data / (tnc * tnc) * t_ok))
 
-    out._backward = bw
-    return out
+    return _node(cos, "row_cosine", (s, t), bw)
 
 
 def cross_entropy(p: Value, o) -> Value:
@@ -396,13 +421,11 @@ def cross_entropy(p: Value, o) -> Value:
     inside = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)
     n = p.shape[0]
     loss = -(o * np.log(pc)).sum() / n
-    out = Value([[loss]], "cross_entropy", (p,))
 
     def bw(g):
         _accum(p, g[0, 0] * (-o / pc) * inside / n)
 
-    out._backward = bw
-    return out
+    return _node([[loss]], "cross_entropy", (p,), bw)
 
 
 def kl_div(o, p: Value) -> Value:
@@ -416,34 +439,27 @@ def kl_div(o, p: Value) -> Value:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(o > 0.0, o * np.log(np.where(o > 0.0, o, 1.0) / pc), 0.0)
     loss = terms.sum() / n
-    out = Value([[loss]], "kl_div", (p,))
 
     def bw(g):
         _accum(p, g[0, 0] * (-o / pc) * inside / n)
 
-    out._backward = bw
-    return out
+    return _node([[loss]], "kl_div", (p,), bw)
 
 
 def frobenius_sq(x: Value) -> Value:
-    out = Value([[float((x.data * x.data).sum())]], "frobenius_sq", (x,))
-
     def bw(g):
         _accum(x, 2.0 * g[0, 0] * x.data)
 
-    out._backward = bw
-    return out
+    return _node([[float((x.data * x.data).sum())]], "frobenius_sq", (x,), bw)
 
 
 def mean_all(x: Value) -> Value:
     size = x.data.size
-    out = Value([[float(x.data.mean())]], "mean_all", (x,))
 
     def bw(g):
         _accum(x, np.full_like(x.data, g[0, 0] / size))
 
-    out._backward = bw
-    return out
+    return _node([[float(x.data.mean())]], "mean_all", (x,), bw)
 
 
 # ---------------------------------------------------------------------------
@@ -463,8 +479,10 @@ def finite_diff_check(fn, leaves: list[Value], eps: float = 3e-4) -> float:
     reads exactly 0.
 
     fn must rebuild its graph from the given leaves on every call and
-    return a scalar Value. Returns the max over all leaf coordinates of
-    |g_fd - g_tape| / max(1e-8, |g_fd| + |g_tape|).
+    return a scalar Value. The tape gradients come from one taped call; the
+    probes run under :func:`no_grad`, so an op whose untaped output differs
+    from its taped output fails the check too. Returns the max over all
+    leaf coordinates of |g_fd - g_tape| / max(1e-8, |g_fd| + |g_tape|).
     """
     zero_grads(leaves)
     out = fn(leaves)
@@ -479,16 +497,17 @@ def finite_diff_check(fn, leaves: list[Value], eps: float = 3e-4) -> float:
         return fn(leaves).item()
 
     worst = 0.0
-    for leaf, tape in zip(leaves, tape_grads):
-        flat = leaf.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            d1 = loss_at(flat, i, orig + eps) - loss_at(flat, i, orig - eps)
-            d2 = loss_at(flat, i, orig + 2.0 * eps) - loss_at(flat, i, orig - 2.0 * eps)
-            flat[i] = orig
-            g_fd = (8.0 * d1 - d2) / (12.0 * eps)
-            g_tape = tape.reshape(-1)[i]
-            rel = abs(g_fd - g_tape) / max(1e-8, abs(g_fd) + abs(g_tape))
-            worst = max(worst, rel)
+    with no_grad():
+        for leaf, tape in zip(leaves, tape_grads):
+            flat = leaf.data.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                d1 = loss_at(flat, i, orig + eps) - loss_at(flat, i, orig - eps)
+                d2 = loss_at(flat, i, orig + 2.0 * eps) - loss_at(flat, i, orig - 2.0 * eps)
+                flat[i] = orig
+                g_fd = (8.0 * d1 - d2) / (12.0 * eps)
+                g_tape = tape.reshape(-1)[i]
+                rel = abs(g_fd - g_tape) / max(1e-8, abs(g_fd) + abs(g_tape))
+                worst = max(worst, rel)
     zero_grads(leaves)
     return worst

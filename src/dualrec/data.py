@@ -129,7 +129,8 @@ class InteractionSet:
 class SplitDataset:
     train: InteractionSet
     test: list[tuple[int, int]]
-    eval_candidates: dict[int, list[int]] | None = None
+    # each test user's frozen candidates: their row of one (n_test, n_cand) int64 array
+    eval_candidates: dict[int, np.ndarray] | None = None
 
 
 def _normalize_rng(rng) -> np.random.Generator:
@@ -372,7 +373,8 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
     """Freeze ``n`` negative candidates per test user for ranking.
 
     A user's pool is every item outside their train positives and their
-    held-out item, in ascending order.
+    held-out item, in ascending order. The draws fill one (n_test, n) int64
+    array in test order, and each test user maps to their row of it.
     """
     if n < 1:
         raise ConfigError("candidates must be >= 1")
@@ -380,8 +382,8 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
     indptr, indices = split.train.indptr, split.train.indices
     all_items = np.arange(split.train.num_items)
     unseen = np.ones(split.train.num_items, dtype=bool)
-    candidates: dict[int, list[int]] = {}
-    for u, held in split.test:
+    rows = np.empty((len(split.test), n), dtype=np.int64)
+    for row, (u, held) in zip(rows, split.test):
         seen = indices[indptr[u] : indptr[u + 1]]
         unseen[seen] = False
         unseen[held] = False
@@ -392,7 +394,8 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
             raise ProtocolError(
                 f"user {u}: only {pool.size} unseen items, need {n} candidates"
             )
-        candidates[u] = gen.choice(pool, size=n, replace=False).tolist()
+        row[:] = gen.choice(pool, size=n, replace=False)
+    candidates = dict(zip((u for u, _ in split.test), rows))
     return SplitDataset(train=split.train, test=list(split.test), eval_candidates=candidates)
 
 
@@ -469,7 +472,7 @@ def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, obj
         "train.tsv": (f"{u}\t{i}" for u, i in split.train.interactions.tolist()),
         "test.tsv": (f"{u}\t{i}" for u, i in split.test),
         "candidates.tsv": (
-            f"{u}\t{','.join(map(str, split.eval_candidates[u]))}" for u, _ in split.test
+            f"{u}\t{','.join(map(str, split.eval_candidates[u].tolist()))}" for u, _ in split.test
         ),
         "meta": (f"{k} = {v}" for k, v in full_meta.items()),
     }
@@ -487,7 +490,8 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     ranking: a count other than the meta's ``n_candidates``, a repeated or
     out-of-range item, the user's held-out item or one of their train
     positives, or a test user without a line. A train pair or a test user
-    that appears on two lines is rejected too.
+    that appears on two lines is rejected too. Each test user's candidates
+    are their row of the one parsed (n_test, n_cand) int64 array.
     """
     paths = {name: os.path.join(dir_path, name) for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta")}
     for name, p in paths.items():
@@ -517,7 +521,7 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     _check_candidates(paths["candidates.tsv"], cand_users, cands, train_pairs, test_pairs, num_items)
     train = InteractionSet.from_pairs(num_users, num_items, train_pairs)
     test = list(zip(*test_pairs.T.tolist()))
-    candidates = dict(zip(cand_users.tolist(), cands.tolist()))
+    candidates = dict(zip(cand_users.tolist(), cands))
     return SplitDataset(train=train, test=test, eval_candidates=candidates), meta
 
 

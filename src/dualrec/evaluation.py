@@ -1,11 +1,15 @@
 """Leave-one-out ranking evaluation with pessimistic tie handling.
 
 One deterministic forward pass freezes every user and item representation.
+It is the training forward run under ``autodiff.no_grad``, so it records no
+tape and each intermediate is freed once the next layer no longer needs it.
 Each domain is then scored in one product of the row-normalised test-user and
 item representations; every user's candidate scores and held-out score are
-read out of it, and all users are ranked at once. Ties rank the held-out item
-last within its tie class, so a degenerate model that scores everything
-equally earns rank 1000, not rank 1.
+read out of it, and all users are ranked at once. A domain's frozen
+candidates are int64 rows (one per test user), stacked into one index array
+for that read-out. Ties rank the held-out item last within its tie class, so
+a degenerate model that scores everything equally earns rank 1000, not
+rank 1.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autodiff import NORM_EPS
+from .autodiff import NORM_EPS, no_grad
 from .config import ConfigError, RunConfig, config_lines
 from .data import ProtocolError, SplitDataset
 from .model import ModelState, forward, item_representations
@@ -117,11 +121,12 @@ def evaluate_domain(
 def model_representations(
     model: ModelState,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic user/item representations (s_a, t_a, s_b, t_b)."""
+    """Deterministic user/item representations (s_a, t_a, s_b, t_b), untaped."""
     num_users = model.adjacency_a.num_users
-    fwd = forward(model, np.arange(num_users), EVAL_LAMBDA, stochastic=False)
-    t_a = item_representations(fwd, model, "a")
-    t_b = item_representations(fwd, model, "b")
+    with no_grad():
+        fwd = forward(model, np.arange(num_users), EVAL_LAMBDA, stochastic=False)
+        t_a = item_representations(fwd, model, "a")
+        t_b = item_representations(fwd, model, "b")
     return fwd.s_a.data, t_a.data, fwd.s_b.data, t_b.data
 
 

@@ -75,6 +75,8 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 
 # Sweeps the Newton phase of _calibrate_bias may spend before the replay.
 _NEWTON_SWEEPS = 12
+# The calibrated bias lies in [-_BIAS_BOUND, _BIAS_BOUND].
+_BIAS_BOUND = 30.0
 
 
 def _calibrate_bias(logits: np.ndarray, rate: float) -> float:
@@ -113,7 +115,7 @@ def _calibrate_bias(logits: np.ndarray, rate: float) -> float:
         np.add(logits, b, out=buf)
         return expit(buf)
 
-    below, above = -30.0, 30.0
+    below, above = -_BIAS_BOUND, _BIAS_BOUND
     target = math.log(rate) - math.log1p(-rate)
     b, step_last, step_before, stalls = 0.0, above - below, above - below, 0
     for _ in range(_NEWTON_SWEEPS):
@@ -143,7 +145,7 @@ def _calibrate_bias(logits: np.ndarray, rate: float) -> float:
             nxt = 0.5 * (below + above)
         b, step_last, step_before = nxt, nxt - b, step_last
 
-    lo, hi = -30.0, 30.0
+    lo, hi = -_BIAS_BOUND, _BIAS_BOUND
     for _ in range(80):
         mid = 0.5 * (lo + hi)
         if mid == lo or mid == hi:
@@ -153,6 +155,26 @@ def _calibrate_bias(logits: np.ndarray, rate: float) -> float:
         else:
             hi = mid
     return 0.5 * (lo + hi)
+
+
+def _check_reachable(logits: np.ndarray, rate: float, bias: float, domain: str) -> None:
+    """Raise ConfigError when ``bias`` sits at an end of the bracket because
+    no bias inside it reaches ``rate``.
+
+    The bisection then returns that end (or its neighbour float), and the
+    mean there is still on the wrong side of the rate. A bias away from the
+    ends costs no sweep.
+    """
+    if abs(bias) < math.nextafter(_BIAS_BOUND, 0.0):
+        return
+    end = math.copysign(_BIAS_BOUND, bias)
+    reached = float(expit(logits + end).mean())
+    missed = reached > rate if end < 0 else reached < rate
+    if missed:
+        raise ConfigError(
+            f"domain {domain}: rate_{domain} = {rate:g} is out of reach; "
+            f"the bias bracket end {end:+g} gives rate {reached:.6g}"
+        )
 
 
 def _domain_logits(
@@ -175,7 +197,11 @@ def _domain_logits(
 
 
 def generate_synthetic(spec: SyntheticSpec, rng=None) -> tuple[InteractionSet, InteractionSet]:
-    """Generate aligned, filtered two-domain interaction sets."""
+    """Generate aligned, filtered two-domain interaction sets.
+
+    Raises ConfigError when a domain's requested rate lies outside what a
+    bias in [-30, 30] can reach.
+    """
     spec.validate()
     if rng is None:
         rng = np.random.default_rng([spec.seed, 100])
@@ -195,6 +221,7 @@ def generate_synthetic(spec: SyntheticSpec, rng=None) -> tuple[InteractionSet, I
     ):
         logits = _domain_logits(spec, rng, shared, specific, independent, num_items)
         bias = _calibrate_bias(logits, rate)
+        _check_reachable(logits, rate, bias, domain)
         prob = expit(logits + bias)
         users, items = np.nonzero(rng.random(prob.shape) < prob)
         encoded.append((users, items, user_keys, [f"{domain}{i}" for i in range(num_items)]))

@@ -1,9 +1,9 @@
 """Wrong gradient rules, for tests that check the gradient checks.
 
 Bind one with ``monkeypatch.setattr(autodiff, "matmul", faulty_matmul)`` (or
-``"spmm"``, ``transposeless_spmm``): every caller looks the op up on the
-module at call time, so while it is bound every gradient check that reaches
-the op must fail.
+``"spmm"``, ``transposeless_spmm``; ``"exp"``, ``untaped_drift_exp``): every
+caller looks the op up on the module at call time, so while it is bound every
+gradient check that reaches the op must fail.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ from dualrec import autodiff as ad
 
 _matmul = ad.matmul
 _spmm = ad.spmm
+_exp = ad.exp
 
 
 def faulty_matmul(a, b):
@@ -35,3 +36,12 @@ def transposeless_spmm(a, x):
 
     out._backward = bw
     return out
+
+
+def untaped_drift_exp(x):
+    """``exp`` whose tape-free branch computes e**(1.01 x) while its taped
+    branch, gradient included, is right: only a check that probes tape-free
+    sees it."""
+    if ad._taping:
+        return _exp(x)
+    return ad.Value(np.exp(1.01 * x.data), "exp")

@@ -104,6 +104,17 @@ class TestSynthAndPrepare:
         assert capsys.readouterr().err == "config error: strengths must be finite and >= 0\n"
         assert not out.exists()
 
+    def test_synth_unreachable_rate_is_usage_error(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text("shared_strength = 100\nseed = 1\n")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.startswith("config error: domain a: rate_a = 0.025 is out of reach")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_prepare_from_rating_files(self, tmp_path):
         rng = np.random.default_rng(0)
         for tag, n_items in (("a", 30), ("b", 25)):

@@ -399,7 +399,7 @@ class TestSampleEvalCandidates:
         split = self.make_split()
         c1 = d.sample_eval_candidates(split, n=10, rng=4).eval_candidates
         c2 = d.sample_eval_candidates(split, n=10, rng=4).eval_candidates
-        assert c1 == c2
+        assert_same_candidates(c1, c2)
 
     def test_pool_too_small_raises(self):
         split = self.make_split(num_items=8)
@@ -419,6 +419,13 @@ class TestSampleEvalCandidates:
         assert cand in (3, 4)
         assert (u, cand) not in pair_set(done.train)
         assert cand != held
+
+
+def assert_same_candidates(got, expected):
+    """Two candidate dicts name the same users, each with the same items in the same order."""
+    assert got.keys() == expected.keys()
+    for u, row in expected.items():
+        np.testing.assert_array_equal(got[u], row, err_msg=f"user {u}")
 
 
 def reference_train_negatives(train, ratio, rng):
@@ -534,8 +541,8 @@ class TestSamplersMatchReference:
         # a held-out item may be a train positive here; both are excluded
         got = d.sample_eval_candidates(split, n=25, rng=seed).eval_candidates
         expected = reference_eval_candidates(split, 25, seed)
-        assert got == expected
-        assert {type(c) for cands in got.values() for c in cands} == {int}
+        assert_same_candidates(got, expected)
+        assert {row.dtype for row in got.values()} == {np.dtype(np.int64)}
 
     def test_default_spec_matches_reference(self):
         from dualrec.synthetic import SyntheticSpec, generate_synthetic
@@ -543,7 +550,7 @@ class TestSamplersMatchReference:
         set_a, _ = generate_synthetic(SyntheticSpec(seed=1))
         split = d.filter_cold_items(d.leave_one_out_split(set_a, np.random.default_rng([1, 10])))
         got = d.sample_eval_candidates(split, 400, np.random.default_rng([1, 12]))
-        assert got.eval_candidates == reference_eval_candidates(split, 400, [1, 12])
+        assert_same_candidates(got.eval_candidates, reference_eval_candidates(split, 400, [1, 12]))
         expected, _ = reference_train_negatives(split.train, 7, [1, 3])
         np.testing.assert_array_equal(
             d.sample_train_negatives(split.train, 7, np.random.default_rng([1, 3])),
@@ -570,9 +577,28 @@ class TestArtifacts:
         loaded, meta = d.read_split_artifact(str(out))
         assert pair_set(loaded.train) == pair_set(split.train)
         assert loaded.test == split.test
-        assert loaded.eval_candidates == split.eval_candidates
+        assert_same_candidates(loaded.eval_candidates, split.eval_candidates)
         assert meta["seed"] == "0"
         assert int(meta["num_users"]) == 3
+
+    def test_candidate_rows_are_int64_rows_of_one_array(self, tmp_path):
+        split = self.complete_split()
+        out = tmp_path / "domain_a"
+        d.write_split_artifact(str(out), split, {})
+        loaded, _ = d.read_split_artifact(str(out))
+        for cands in (split.eval_candidates, loaded.eval_candidates):
+            rows = [cands[u] for u, _ in split.test]
+            assert all(row.dtype == np.int64 and row.shape == (3,) for row in rows)
+            assert rows[0].base is not None
+            assert all(row.base is rows[0].base for row in rows)
+
+    def test_write_read_write_is_byte_identical(self, tmp_path):
+        first, second = tmp_path / "first", tmp_path / "second"
+        d.write_split_artifact(str(first), self.complete_split(), {"n_candidates": 3})
+        loaded, meta = d.read_split_artifact(str(first))
+        d.write_split_artifact(str(second), loaded, meta)
+        for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta"):
+            assert (second / name).read_bytes() == (first / name).read_bytes(), name
 
     def test_no_temp_files_left(self, tmp_path):
         out = tmp_path / "domain_a"
@@ -610,7 +636,7 @@ class TestArtifactValidation:
     def test_valid_artifact_loads(self, art):
         out, split = art
         loaded, _ = d.read_split_artifact(str(out))
-        assert loaded.eval_candidates == split.eval_candidates
+        assert_same_candidates(loaded.eval_candidates, split.eval_candidates)
 
     @pytest.mark.parametrize("name,line,match", [
         ("train.tsv", "0\t12", "outside 3 users x 12 items"),

@@ -5,6 +5,8 @@ placing the held-out item after every equal-scoring candidate, and
 evaluate_domain against the per-user loop it replaced.
 """
 
+import contextlib
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from dualrec.autodiff import NORM_EPS
 from dualrec.config import ConfigError, RunConfig
 from dualrec.data import InteractionSet, ProtocolError, SplitDataset, freeze_splits
 from dualrec.graph import build_bipartite_adjacency
+from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import train_model
 
 
@@ -262,3 +265,38 @@ class TestEvaluateModel:
         for key in ("hr_a", "ndcg_a", "hr_b", "ndcg_b", "num_test_a",
                     "seed", "config.variant", "ranks_a", "ranks_b"):
             assert key in text
+
+
+class TestUntapedEvaluation:
+    """Evaluation runs the forward under no_grad; its reports equal those of a
+    taped forward byte for byte, apart from the wall clock."""
+
+    @pytest.fixture(scope="class")
+    def synth_splits(self):
+        set_a, set_b = generate_synthetic(SyntheticSpec(seed=1))
+        return freeze_splits(set_a, set_b, seed=1, n_candidates=400)
+
+    @staticmethod
+    def report_text(model, split_a, split_b):
+        lines = ev.evaluate_model(model, split_a, split_b).to_text().splitlines()
+        return [line for line in lines if not line.startswith("wallclock_s = ")]
+
+    @pytest.mark.parametrize("variant", ["full", "base", "elbo"])
+    def test_report_equals_taped_report(self, monkeypatch, synth_splits, variant):
+        split_a, split_b = synth_splits
+        model = md.build_model(build_bipartite_adjacency(split_a.train),
+                               build_bipartite_adjacency(split_b.train),
+                               RunConfig(variant=variant, seed=1))
+        taped = []
+
+        def recording_forward(*args, **kwargs):
+            fwd = md.forward(*args, **kwargs)
+            taped.append(fwd.s_a._backward is not None)
+            return fwd
+
+        monkeypatch.setattr(ev, "forward", recording_forward)
+        untaped_report = self.report_text(model, split_a, split_b)
+        monkeypatch.setattr(ev, "no_grad", contextlib.nullcontext)
+        taped_report = self.report_text(model, split_a, split_b)
+        assert taped == [False, True]
+        assert taped_report == untaped_report

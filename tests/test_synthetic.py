@@ -11,6 +11,7 @@ import pytest
 from scipy.special import expit
 
 from dualrec import synthetic
+from dualrec.config import ConfigError
 from dualrec.synthetic import GenerationError, SyntheticSpec, generate_synthetic
 from pairsets import items_by_user, pair_set
 
@@ -145,6 +146,12 @@ class TestGenerateSynthetic:
                           rate_a=0.01, rate_b=0.01, min_count=5)
         with pytest.raises(GenerationError):
             generate_synthetic(spec)
+
+    def test_unreachable_rate_raises_config_error(self):
+        # at strength 100 even a bias of -30 leaves domain A near rate 0.198
+        with pytest.raises(ConfigError, match=r"domain a: rate_a = 0.025 is out of reach; "
+                           r"the bias bracket end -30 gives rate 0\.198"):
+            generate_synthetic(SyntheticSpec(seed=1, shared_strength=100.0))
 
     def test_default_spec_supports_ranking_protocol(self):
         a, b = generate_synthetic(SyntheticSpec(seed=3))
