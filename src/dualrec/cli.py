@@ -26,7 +26,7 @@ from .data import (
 from .evaluation import evaluate_model
 from .experiments import ablate, sweep
 from .graph import build_bipartite_adjacency
-from .model import build_model, load_model, save_model
+from .model import DOMAINS, load_model, save_model
 from .selfcheck import run_selfcheck
 from .synthetic import SyntheticSpec, generate_synthetic
 from .training import NumericalAbortError, train_model
@@ -73,8 +73,9 @@ def _load_run_config(args) -> RunConfig:
 
 
 def _load_data_dir(data_dir: str) -> tuple[SplitDataset, SplitDataset]:
-    split_a, _ = read_split_artifact(os.path.join(data_dir, "domain_a"))
-    split_b, _ = read_split_artifact(os.path.join(data_dir, "domain_b"))
+    split_a, split_b = (
+        read_split_artifact(os.path.join(data_dir, f"domain_{tag}"))[0] for tag in DOMAINS
+    )
     if split_a.train.num_users != split_b.train.num_users:
         raise ArtifactError("domain artifacts disagree on the aligned user count")
     return split_a, split_b
@@ -82,13 +83,13 @@ def _load_data_dir(data_dir: str) -> tuple[SplitDataset, SplitDataset]:
 
 def _write_prepared(out_dir: str, split_a, split_b, meta: dict) -> None:
     # write_split_artifact adds each domain's own num_items to the meta
-    write_split_artifact(os.path.join(out_dir, "domain_a"), split_a, meta)
-    write_split_artifact(os.path.join(out_dir, "domain_b"), split_b, meta)
+    for tag, split in zip(DOMAINS, (split_a, split_b)):
+        write_split_artifact(os.path.join(out_dir, f"domain_{tag}"), split, meta)
 
 
 def _print_summary(split_a, split_b) -> None:
     print(f"users = {split_a.train.num_users}")
-    for tag, split in (("a", split_a), ("b", split_b)):
+    for tag, split in zip(DOMAINS, (split_a, split_b)):
         print(
             f"domain_{tag}: items = {split.train.num_items}, "
             f"train = {split.train.indices.size}, test = {len(split.test)}"

@@ -414,12 +414,15 @@ def freeze_splits(
     n_candidates: int = 999,
 ) -> tuple[SplitDataset, SplitDataset]:
     """Split both aligned domains and freeze their evaluation candidates."""
-    split_a = leave_one_out_split(set_a, np.random.default_rng([seed, 10]))
-    split_b = leave_one_out_split(set_b, np.random.default_rng([seed, 11]))
-    split_a = filter_cold_items(split_a)
-    split_b = filter_cold_items(split_b)
-    split_a = sample_eval_candidates(split_a, n_candidates, np.random.default_rng([seed, 12]))
-    split_b = sample_eval_candidates(split_b, n_candidates, np.random.default_rng([seed, 13]))
+    splits = [
+        leave_one_out_split(iset, np.random.default_rng([seed, 10 + d]))
+        for d, iset in enumerate((set_a, set_b))
+    ]
+    splits = [filter_cold_items(split) for split in splits]
+    split_a, split_b = (
+        sample_eval_candidates(split, n_candidates, np.random.default_rng([seed, 12 + d]))
+        for d, split in enumerate(splits)
+    )
     return split_a, split_b
 
 

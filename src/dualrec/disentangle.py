@@ -92,11 +92,8 @@ def encode(
     e: Value,
     weights: DisentangleWeights,
     rng: np.random.Generator | None = None,
-    stochastic: bool = False,
 ) -> EncodeResult:
-    """Two reparameterized codes from one branch input."""
-    if stochastic and rng is None:
-        raise ValueError("stochastic encoding requires an rng")
+    """Two reparameterized codes from one branch input; noise is drawn iff ``rng`` is given."""
     h = ad.relu(ad.affine(e, weights.w0, weights.b0))
 
     def run_head(head: HeadWeights) -> tuple[Value, Value, Value]:
@@ -106,7 +103,7 @@ def encode(
             -ad.LOG_SIGMA_BOUND,
             ad.LOG_SIGMA_BOUND,
         )
-        if stochastic:
+        if rng is not None:
             eps = rng.standard_normal(mu.shape)
             z = ad.add(mu, ad.mul_const(ad.exp(log_sigma), eps))
         else:

@@ -3,13 +3,14 @@
 One deterministic forward pass freezes every user and item representation.
 It is the training forward run under ``autodiff.no_grad``, so it records no
 tape and each intermediate is freed once the next layer no longer needs it.
-Each domain is then scored in one product of the row-normalised test-user and
-item representations; every user's candidate scores and held-out score are
-read out of it, and all users are ranked at once. A domain's frozen
-candidates are int64 rows (one per test user), stacked into one index array
-for that read-out. Ties rank the held-out item last within its tie class, so
-a degenerate model that scores everything equally earns rank 1000, not
-rank 1.
+``model_representations`` returns one (user, item) pair per domain, keyed by
+domain tag. Each domain is then scored in one product of the row-normalised
+test-user and item representations; every user's candidate scores and
+held-out score are read out of it, and all users are ranked at once. A
+domain's frozen candidates are int64 rows (one per test user), stacked into
+one index array for that read-out. Ties rank the held-out item last within
+its tie class, so a degenerate model that scores everything equally earns
+rank 1000, not rank 1.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import NORM_EPS, no_grad
-from .config import ConfigError, RunConfig, config_lines
+from .config import RunConfig, config_lines
 from .data import ProtocolError, SplitDataset
-from .model import ModelState, forward, item_representations
+from .model import DOMAINS, ModelState, forward, item_representations
 
 EVAL_LAMBDA = 0.5  # midpoint interpolation for the deterministic eval path
 
@@ -94,13 +95,10 @@ def evaluate_domain(
     t: np.ndarray,
     split: SplitDataset,
     top_k: int,
-    threads: int = 1,
 ) -> DomainMetrics:
-    """Rank every test user of one domain; ``threads`` is accepted, unused."""
+    """Rank every test user of one domain."""
     if split.eval_candidates is None:
         raise ProtocolError("evaluation requires frozen candidate lists")
-    if threads < 1:
-        raise ConfigError("threads must be >= 1")
     if not split.test:
         return DomainMetrics(hr=0.0, ndcg=0.0, num_test=0, ranks={})
     users, held = np.asarray(split.test, dtype=np.int64).T
@@ -118,16 +116,15 @@ def evaluate_domain(
     )
 
 
-def model_representations(
-    model: ModelState,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Deterministic user/item representations (s_a, t_a, s_b, t_b), untaped."""
+def model_representations(model: ModelState) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Deterministic user/item representations ``{tag: (s, t)}``, untaped."""
     num_users = model.adjacency_a.num_users
     with no_grad():
-        fwd = forward(model, np.arange(num_users), EVAL_LAMBDA, stochastic=False)
-        t_a = item_representations(fwd, model, "a")
-        t_b = item_representations(fwd, model, "b")
-    return fwd.s_a.data, t_a.data, fwd.s_b.data, t_b.data
+        fwd = forward(model, np.arange(num_users), EVAL_LAMBDA)
+        return {
+            tag: (fwd.s[tag].data, item_representations(fwd, model, tag).data)
+            for tag in DOMAINS
+        }
 
 
 def evaluate_model(
@@ -137,12 +134,14 @@ def evaluate_model(
 ) -> EvalReport:
     start = time.perf_counter()
     cfg = model.config
-    s_a, t_a, s_b, t_b = model_representations(model)
-    dm_a = evaluate_domain(s_a, t_a, split_a, cfg.top_k, cfg.eval_threads)
-    dm_b = evaluate_domain(s_b, t_b, split_b, cfg.top_k, cfg.eval_threads)
+    reps = model_representations(model)
+    metrics = {
+        tag: evaluate_domain(*reps[tag], split, cfg.top_k)
+        for tag, split in zip(DOMAINS, (split_a, split_b))
+    }
     return EvalReport(
-        domain_a=dm_a,
-        domain_b=dm_b,
+        domain_a=metrics["a"],
+        domain_b=metrics["b"],
         seed=cfg.seed,
         wallclock_s=time.perf_counter() - start,
         config=cfg,

@@ -5,6 +5,11 @@ fixed census: the parameter dictionary is built once at construction, in a
 deterministic order, and optimizers iterate it by name. Ablation variants
 reshape the structure here (which codes are fused, what the user tower
 consumes) so the training loop stays variant-agnostic.
+
+Both domains run the same steps, so each step is one loop over ``DOMAINS``:
+``ModelState.domain(tag)`` gives a domain's weights, and a ForwardPass keeps
+its per-domain outputs (user representations ``s``, item embeddings
+``emb_items``) in dicts keyed by domain tag.
 """
 
 from __future__ import annotations
@@ -21,7 +26,8 @@ from .autodiff import Value
 from .config import ConfigError, RunConfig
 from .mixup import interpolate
 
-BRANCHES = ("a", "b", "aug")
+DOMAINS = ("a", "b")
+BRANCHES = DOMAINS + ("aug",)
 
 # fusion component lists per variant, per domain; "ind_other" is the other
 # domain's independent code (the transfer_ind probe)
@@ -71,9 +77,11 @@ class ModelState:
     decoders: dict[str, DecoderWeights] = field(default_factory=dict)
     params: dict[str, Value] = field(default_factory=dict)
 
-    @property
-    def graph_width(self) -> int:
-        return (self.config.l + 1) * self.config.k
+    def domain(self, tag: str) -> DomainModel:
+        return getattr(self, f"domain_{tag}")
+
+    def adjacency(self, tag: str) -> gr.NormalizedAdjacency:
+        return getattr(self, f"adjacency_{tag}")
 
 
 def _census(model: ModelState) -> dict[str, Value]:
@@ -82,7 +90,8 @@ def _census(model: ModelState) -> dict[str, Value]:
     def put(name: str, value: Value) -> None:
         params[name] = value
 
-    for tag, dm in (("a", model.domain_a), ("b", model.domain_b)):
+    for tag in DOMAINS:
+        dm = model.domain(tag)
         put(f"gcn_{tag}.e0", dm.gcn.e0)
         for idx, (w, b) in enumerate(dm.gcn.layers):
             put(f"gcn_{tag}.w{idx}", w)
@@ -101,7 +110,8 @@ def _census(model: ModelState) -> dict[str, Value]:
     if model.classifier is not None:
         put("clf.w", model.classifier.w)
         put("clf.b", model.classifier.b)
-    for tag, dm in (("a", model.domain_a), ("b", model.domain_b)):
+    for tag in DOMAINS:
+        dm = model.domain(tag)
         if dm.fusion is not None:
             for idx, w in enumerate(dm.fusion.w_components):
                 put(f"fus_{tag}.c{idx}", w)
@@ -170,10 +180,8 @@ class ForwardPass:
 
     users: np.ndarray  # sorted union of user indices the pass covers
     lam: float
-    emb_items_a: Value
-    emb_items_b: Value
-    s_a: Value  # towered user representations aligned with `users`
-    s_b: Value
+    emb_items: dict[str, Value]  # per domain: graph item embeddings
+    s: dict[str, Value]  # per domain: towered user representations aligned with `users`
     codes: dict[str, Value] = field(default_factory=dict)
     enc_results: dict[str, dis.EncodeResult] = field(default_factory=dict)
     enc_inputs: dict[str, Value] = field(default_factory=dict)
@@ -183,34 +191,29 @@ def forward(
     model: ModelState,
     user_indices: np.ndarray,
     lam: float,
-    stochastic: bool,
     noise_rngs: dict[str, np.random.Generator] | None = None,
 ) -> ForwardPass:
+    """One sweep over both domains; the encoders draw noise iff ``noise_rngs`` is given."""
     cfg = model.config
     users = np.asarray(user_indices, dtype=np.int64)
-    emb_a = gr.encode_graph(model.adjacency_a, model.domain_a.gcn)
-    emb_b = gr.encode_graph(model.adjacency_b, model.domain_b.gcn)
-    eu_a = ad.gather_rows(emb_a.users, users)
-    eu_b = ad.gather_rows(emb_b.users, users)
+    emb = {tag: gr.encode_graph(model.adjacency(tag), model.domain(tag).gcn) for tag in DOMAINS}
+    eu = {tag: ad.gather_rows(emb[tag].users, users) for tag in DOMAINS}
+    emb_items = {tag: emb[tag].items for tag in DOMAINS}
+    components = variant_components(cfg.variant)
 
-    if not variant_components(cfg.variant):  # base: towers on raw graph embeddings
-        return ForwardPass(
-            users=users,
-            lam=lam,
-            emb_items_a=emb_a.items,
-            emb_items_b=emb_b.items,
-            s_a=fu.tower_forward(eu_a, model.domain_a.user_tower),
-            s_b=fu.tower_forward(eu_b, model.domain_b.user_tower),
-        )
+    if not components:  # base: towers on raw graph embeddings
+        s = {tag: fu.tower_forward(eu[tag], model.domain(tag).user_tower) for tag in DOMAINS}
+        return ForwardPass(users=users, lam=lam, emb_items=emb_items, s=s)
 
-    e_aug = interpolate(eu_a, eu_b, lam)
-    enc_inputs = {"a": eu_a, "b": eu_b, "aug": e_aug}
-    enc_results: dict[str, dis.EncodeResult] = {}
-    for branch in BRANCHES:
-        rng = noise_rngs.get(branch) if noise_rngs else None
-        enc_results[branch] = dis.encode(
-            enc_inputs[branch], model.encoders[branch], rng=rng, stochastic=stochastic
+    enc_inputs = dict(eu, aug=interpolate(eu["a"], eu["b"], lam))
+    enc_results = {
+        branch: dis.encode(
+            enc_inputs[branch],
+            model.encoders[branch],
+            rng=noise_rngs.get(branch) if noise_rngs else None,
         )
+        for branch in BRANCHES
+    }
     codes = {
         "ind_a": enc_results["a"].z1,
         "spe_a": enc_results["a"].z2,
@@ -220,26 +223,24 @@ def forward(
         "spe_aug": enc_results["aug"].z2,
     }
 
-    def fused_user_rep(tag: str, dm: DomainModel) -> Value:
+    def fused_user_rep(tag: str) -> Value:
         other = "b" if tag == "a" else "a"
         chosen = []
-        for comp in variant_components(cfg.variant):
+        for comp in components:
             if comp == "ind_other":
                 chosen.append(codes[f"ind_{other}"])
             elif comp == "sha":
                 chosen.append(codes["sha"])
             else:
                 chosen.append(codes[f"{comp}_{tag}"])
-        fused = fu.fuse(chosen, cfg.fusion, dm.fusion)
-        return fu.tower_forward(fused, dm.user_tower)
+        dm = model.domain(tag)
+        return fu.tower_forward(fu.fuse(chosen, cfg.fusion, dm.fusion), dm.user_tower)
 
     return ForwardPass(
         users=users,
         lam=lam,
-        emb_items_a=emb_a.items,
-        emb_items_b=emb_b.items,
-        s_a=fused_user_rep("a", model.domain_a),
-        s_b=fused_user_rep("b", model.domain_b),
+        emb_items=emb_items,
+        s={tag: fused_user_rep(tag) for tag in DOMAINS},
         codes=codes,
         enc_results=enc_results,
         enc_inputs=enc_inputs,
@@ -254,24 +255,20 @@ def score_pairs(
     pair_items: np.ndarray,
 ) -> tuple[Value, Value, Value]:
     """Cosine scores for (user, item) pairs; returns (y_hat, s_rows, t_rows)."""
-    dm = model.domain_a if domain == "a" else model.domain_b
-    s_all = fwd.s_a if domain == "a" else fwd.s_b
-    emb_items = fwd.emb_items_a if domain == "a" else fwd.emb_items_b
     positions = np.searchsorted(fwd.users, pair_users)
     if not np.array_equal(fwd.users[positions], pair_users):
         raise ad.ContractError("pair users missing from the forward pass")
-    s_rows = ad.gather_rows(s_all, positions)
+    s_rows = ad.gather_rows(fwd.s[domain], positions)
     # the item tower runs once per distinct item, then fans out to the pairs
     items, inverse = np.unique(pair_items, return_inverse=True)
-    t_items = fu.tower_forward(ad.gather_rows(emb_items, items), dm.item_tower)
+    item_tower = model.domain(domain).item_tower
+    t_items = fu.tower_forward(ad.gather_rows(fwd.emb_items[domain], items), item_tower)
     t_rows = ad.gather_rows(t_items, inverse)
     return fu.predict(s_rows, t_rows), s_rows, t_rows
 
 
 def item_representations(fwd: ForwardPass, model: ModelState, domain: str) -> Value:
-    dm = model.domain_a if domain == "a" else model.domain_b
-    emb_items = fwd.emb_items_a if domain == "a" else fwd.emb_items_b
-    return fu.tower_forward(emb_items, dm.item_tower)
+    return fu.tower_forward(fwd.emb_items[domain], model.domain(domain).item_tower)
 
 
 def save_model(path: str, model: ModelState) -> None:

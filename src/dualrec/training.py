@@ -7,11 +7,15 @@ keyed to (seed, stream, epoch, step, ...) so reruns are bit-identical.
 
 An epoch's samples are built as arrays: the positives from the train set's
 CSR rows, then the negatives that ``sample_train_negatives`` draws for them
-(looked up on this module at call time, once per domain and epoch).
+(looked up on this module at call time, once per domain and epoch). Each
+domain's samples feed a ``_batches`` generator; a step's batches travel as
+one dict keyed by domain tag, and ``step_losses`` scores each batch it is
+given. A non-finite loss or gradient aborts before the optimizer moves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import reduce
@@ -28,6 +32,7 @@ from .data import SplitDataset, sample_train_negatives
 from .mixup import sample_lambda
 from .model import (
     BRANCHES,
+    DOMAINS,
     ModelState,
     build_model,
     forward,
@@ -46,7 +51,7 @@ _STREAM_SHUFFLE = 4
 
 
 class NumericalAbortError(RuntimeError):
-    """Training produced a non-finite loss; carries step diagnostics."""
+    """Training produced a non-finite loss or gradient; carries step diagnostics."""
 
     def __init__(self, message: str, diagnostics: dict):
         super().__init__(message)
@@ -73,53 +78,26 @@ def _epoch_arrays(
     return users, items, labels
 
 
-class _BatchStream:
+def _batches(
+    users: np.ndarray,
+    items: np.ndarray,
+    labels: np.ndarray,
+    config: RunConfig,
+    epoch: int,
+    domain_id: int,
+):
     """Shuffled batches over one domain's epoch samples, recycling on demand.
 
-    When the stream runs out before the paired (larger) domain finishes its
-    epoch, it reshuffles the same samples under a new cycle key and keeps
-    serving batches.
+    When a pass runs out before the paired (larger) domain finishes its
+    epoch, the same samples are reshuffled under the next cycle key. An empty
+    domain yields empty batches.
     """
-
-    def __init__(
-        self,
-        users: np.ndarray,
-        items: np.ndarray,
-        labels: np.ndarray,
-        config: RunConfig,
-        epoch: int,
-        domain_id: int,
-    ):
-        self._users = users
-        self._items = items
-        self._labels = labels
-        self._batch = config.batch_size
-        self._seed = config.seed
-        self._epoch = epoch
-        self._domain_id = domain_id
-        self._cycle = -1
-        self._order = np.empty(0, dtype=np.int64)
-        self._pos = 0
-        self._advance_cycle()
-
-    @property
-    def batches_per_cycle(self) -> int:
-        return max(1, math.ceil(self._users.size / self._batch))
-
-    def _advance_cycle(self) -> None:
-        self._cycle += 1
-        rng = np.random.default_rng(
-            [self._seed, _STREAM_SHUFFLE, self._epoch, self._domain_id, self._cycle]
-        )
-        self._order = rng.permutation(self._users.size)
-        self._pos = 0
-
-    def next_batch(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if self._pos >= self._order.size:
-            self._advance_cycle()
-        sel = self._order[self._pos : self._pos + self._batch]
-        self._pos += self._batch
-        return self._users[sel], self._items[sel], self._labels[sel]
+    for cycle in itertools.count():
+        rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch, domain_id, cycle])
+        order = rng.permutation(users.size)
+        for start in range(0, max(order.size, 1), config.batch_size):
+            sel = order[start : start + config.batch_size]
+            yield users[sel], items[sel], labels[sel]
 
 
 def _noise_rngs(config: RunConfig, epoch: int, step: int, offset: int = 0):
@@ -175,25 +153,21 @@ def _elbo_terms(model: ModelState, fwd) -> tuple[Value, Value]:
 def step_losses(
     model: ModelState,
     fwd,
-    batch_a: tuple[np.ndarray, np.ndarray, np.ndarray],
-    batch_b: tuple[np.ndarray, np.ndarray, np.ndarray],
-    domains: tuple[str, ...] = ("a", "b"),
+    batches: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray]],
 ) -> tuple[Value, dict[str, float]]:
-    """Total loss Value for one step plus float copies of each component."""
+    """Total loss Value for one step plus float copies of each component.
+
+    ``batches`` maps each domain tag to score onto its (users, items, labels).
+    """
     cfg = model.config
     weighted: list[Value] = []
     parts: dict[str, float] = {}
 
-    if "a" in domains:
-        y, s, t = score_pairs(fwd, model, "a", batch_a[0], batch_a[1])
-        prd_a = fu.loss_prd(y, batch_a[2], s, t, cfg.gamma)
-        weighted.append(prd_a)
-        parts["prd_a"] = prd_a.data.item()
-    if "b" in domains:
-        y, s, t = score_pairs(fwd, model, "b", batch_b[0], batch_b[1])
-        prd_b = fu.loss_prd(y, batch_b[2], s, t, cfg.gamma)
-        weighted.append(prd_b)
-        parts["prd_b"] = prd_b.data.item()
+    for tag, (users, items, labels) in batches.items():
+        y, s, t = score_pairs(fwd, model, tag, users, items)
+        prd = fu.loss_prd(y, labels, s, t, cfg.gamma)
+        weighted.append(prd)
+        parts[f"prd_{tag}"] = prd.data.item()
 
     if variant_components(cfg.variant):
         if cfg.variant == "elbo":
@@ -223,38 +197,28 @@ def step_losses(
 
 
 def _max_abs_grad(model: ModelState) -> float:
-    worst = 0.0
-    for value in model.params.values():
-        if value.grad is not None and value.grad.size:
-            worst = max(worst, float(np.abs(value.grad).max()))
-    return worst
+    """Largest |gradient| entry over all parameters; NaN if any entry is NaN."""
+    peaks = [
+        np.abs(value.grad).max()
+        for value in model.params.values()
+        if value.grad is not None and value.grad.size
+    ]
+    return float(np.max(peaks, initial=0.0))  # np.max keeps a NaN that max() would drop
 
 
-def _abort(epoch: int, step: int, lam: float, batch_a, batch_b, last_grad: float):
-    diagnostics = {
-        "epoch": epoch,
-        "step": step,
-        "lambda": lam,
-        "batch_users_a": batch_a[0].tolist(),
-        "batch_items_a": batch_a[1].tolist(),
-        "batch_users_b": batch_b[0].tolist(),
-        "batch_items_b": batch_b[1].tolist(),
-        "last_max_abs_grad": last_grad,
-    }
+def _abort(what: str, epoch: int, step: int, lam: float, batches: dict, last_grad: float):
+    diagnostics: dict = {"epoch": epoch, "step": step, "lambda": lam}
+    for tag, (users, items, _) in batches.items():
+        diagnostics[f"batch_users_{tag}"] = users.tolist()
+        diagnostics[f"batch_items_{tag}"] = items.tolist()
+    diagnostics["last_max_abs_grad"] = last_grad
+    sizes = " ".join(f"{tag}={batch[0].size}" for tag, batch in batches.items())
     raise NumericalAbortError(
-        "non-finite training loss at epoch %d step %d "
-        "(lambda=%.6f, batch sizes a=%d b=%d, last max|grad|=%.3e)"
-        % (epoch, step, lam, batch_a[0].size, batch_b[0].size, last_grad),
+        "non-finite training %s at epoch %d step %d "
+        "(lambda=%.6f, batch sizes %s, last max|grad|=%.3e)"
+        % (what, epoch, step, lam, sizes, last_grad),
         diagnostics,
     )
-
-
-def _optimize(model: ModelState, optimizer: Adam, total: Value) -> float:
-    optimizer.zero_grad()
-    ad.backward(total)
-    grad_max = _max_abs_grad(model)
-    optimizer.step()
-    return grad_max
 
 
 def fit(
@@ -271,34 +235,41 @@ def fit(
     if log_sink is not None:
         log_sink.write(LOG_HEADER + "\n")
     history: list[dict] = []
-    stochastic = bool(variant_components(cfg.variant))
+    trains = dict(zip(DOMAINS, (split_a.train, split_b.train)))
+    noisy = bool(variant_components(cfg.variant))  # base never encodes
     # (noise offset, domains) per optimizer step; alternating updates A then B
-    passes = ((0, ("a",)), (3, ("b",))) if cfg.alternating else ((0, ("a", "b")),)
+    passes = ((0, ("a",)), (3, ("b",))) if cfg.alternating else ((0, DOMAINS),)
     last_grad = 0.0
 
     for epoch in range(cfg.epochs):
-        arrays_a = _epoch_arrays(split_a.train, epoch, 0, cfg)
-        arrays_b = _epoch_arrays(split_b.train, epoch, 1, cfg)
-        stream_a = _BatchStream(*arrays_a, cfg, epoch, 0)
-        stream_b = _BatchStream(*arrays_b, cfg, epoch, 1)
-        steps = max(stream_a.batches_per_cycle, stream_b.batches_per_cycle)
+        # the larger domain sets the epoch's steps; the other recycles its samples
+        streams, steps = {}, 1
+        for domain_id, tag in enumerate(DOMAINS):
+            samples = _epoch_arrays(trains[tag], epoch, domain_id, cfg)
+            streams[tag] = _batches(*samples, cfg, epoch, domain_id)
+            steps = max(steps, math.ceil(samples[0].size / cfg.batch_size))
         sums = {"total": 0.0, "prd_a": 0.0, "prd_b": 0.0, "cls1": 0.0, "cls2": 0.0}
         lam_sum = 0.0
 
         for step in range(steps):
-            batch_a = stream_a.next_batch()
-            batch_b = stream_b.next_batch()
+            batches = {tag: next(stream) for tag, stream in streams.items()}
             lam = _step_lambda(cfg, epoch, step)
             lam_sum += lam
-            union = np.union1d(batch_a[0], batch_b[0])
+            union = reduce(np.union1d, (users for users, _, _ in batches.values()))
 
             parts: dict[str, float] = {}
             for offset, domains in passes:
-                fwd = forward(model, union, lam, stochastic, _noise_rngs(cfg, epoch, step, offset))
-                total, sub = step_losses(model, fwd, batch_a, batch_b, domains=domains)
+                noise = _noise_rngs(cfg, epoch, step, offset) if noisy else None
+                fwd = forward(model, union, lam, noise)
+                total, sub = step_losses(model, fwd, {tag: batches[tag] for tag in domains})
                 if not math.isfinite(sub["total"]):
-                    _abort(epoch, step, lam, batch_a, batch_b, last_grad)
-                last_grad = _optimize(model, optimizer, total)
+                    _abort("loss", epoch, step, lam, batches, last_grad)
+                optimizer.zero_grad()
+                ad.backward(total)
+                last_grad = _max_abs_grad(model)
+                if not math.isfinite(last_grad):
+                    _abort("gradient", epoch, step, lam, batches, last_grad)
+                optimizer.step()
                 for key, val in sub.items():
                     parts[key] = parts.get(key, 0.0) + val
             if cfg.alternating:

@@ -3,7 +3,9 @@
 Bind one with ``monkeypatch.setattr(autodiff, "matmul", faulty_matmul)`` (or
 ``"spmm"``, ``transposeless_spmm``; ``"exp"``, ``untaped_drift_exp``): every
 caller looks the op up on the module at call time, so while it is bound every
-gradient check that reaches the op must fail.
+gradient check that reaches the op must fail. ``nan_gradient_backward``,
+bound as ``"backward"``, leaves a NaN in one parameter gradient of every sweep,
+for tests of the training loop's gradient check.
 """
 
 import numpy as np
@@ -13,6 +15,7 @@ from dualrec import autodiff as ad
 _matmul = ad.matmul
 _spmm = ad.spmm
 _exp = ad.exp
+_backward = ad.backward
 
 
 def faulty_matmul(a, b):
@@ -45,3 +48,12 @@ def untaped_drift_exp(x):
     if ad._taping:
         return _exp(x)
     return ad.Value(np.exp(1.01 * x.data), "exp")
+
+
+def nan_gradient_backward(loss):
+    """``backward`` that then sets the first entry of one leaf's gradient to NaN."""
+    leaves = [node for node in ad._toposort(loss) if node.op == "leaf"]
+    _backward(loss)
+    leaf = next(node for node in leaves if node.grad is not None)
+    leaf.grad = leaf.grad.copy()  # the stored gradient may be shared with another node
+    leaf.grad.flat[0] = np.nan

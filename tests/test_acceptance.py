@@ -9,6 +9,7 @@ fast integrity checks fail first when something is broken.
 import math
 import os
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from dualrec.disentangle import (
     loss_cls1,
     loss_cls2,
 )
-from dualrec.evaluation import evaluate_domain, evaluate_model, metrics_at_k, rank_with_ties
+from dualrec.evaluation import evaluate_model, metrics_at_k, rank_with_ties
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.mixup import interpolate, sample_lambda
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
@@ -81,12 +82,10 @@ class TestGradientIntegrity:
                    np.array([1.0, 0.0, 1.0, 0.0, 1.0]))
         batch_b = (np.array([2, 2, 0, 3, 1]), np.array([1, 1, 5, 4, 0]),
                    np.array([0.0, 1.0, 1.0, 0.0, 1.0]))
-        stochastic = bool(md.variant_components(variant))
 
         def fn(_):
-            fwd = md.forward(model, users, 0.37, stochastic=stochastic,
-                             noise_rngs=_noise_rngs(cfg, 0, 0))
-            total, _ = step_losses(model, fwd, batch_a, batch_b)
+            fwd = md.forward(model, users, 0.37, noise_rngs=_noise_rngs(cfg, 0, 0))
+            total, _ = step_losses(model, fwd, {"a": batch_a, "b": batch_b})
             return total
 
         return ad.finite_diff_check(fn, list(model.params.values()))
@@ -279,12 +278,13 @@ class TestDeterminism:
             assert d1.hr == d2.hr and d1.ndcg == d2.ndcg
             assert d1.ranks == d2.ranks
 
-        from dualrec.evaluation import model_representations
-
-        s_a, t_a, s_b, t_b = model_representations(r1.model)
-        for s, t, split in ((s_a, t_a, split_a), (s_b, t_b, split_b)):
-            one = evaluate_domain(s, t, split, top_k=10, threads=1)
-            many = evaluate_domain(s, t, split, top_k=10, threads=6)
+        model = r1.model
+        reports = []
+        for threads in (1, 6):
+            model.config = replace(model.config, eval_threads=threads)
+            reports.append(evaluate_model(model, split_a, split_b))
+        v_one, v_many = reports
+        for one, many in ((v_one.domain_a, v_many.domain_a), (v_one.domain_b, v_many.domain_b)):
             assert one.hr == many.hr and one.ndcg == many.ndcg
             assert one.ranks == many.ranks
 
@@ -436,8 +436,6 @@ DOUBAN_DIR = os.path.join(os.path.dirname(__file__), "..", "data", "douban")
 class TestDoubanFusionDirection:
     def test_attention_beats_concat(self):
         from dualrec.data import read_split_artifact
-        from dataclasses import replace
-
         split_a, _ = read_split_artifact(os.path.join(DOUBAN_DIR, "domain_a"))
         split_b, _ = read_split_artifact(os.path.join(DOUBAN_DIR, "domain_b"))
         base = RunConfig(epochs=100)

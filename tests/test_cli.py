@@ -13,7 +13,7 @@ import pytest
 from dualrec import autodiff as ad
 from dualrec import cli
 from dualrec.training import NumericalAbortError
-from faults import faulty_matmul, transposeless_spmm
+from faults import faulty_matmul, nan_gradient_backward, transposeless_spmm
 
 TINY_SPEC = """\
 num_users = 40
@@ -476,6 +476,32 @@ class TestTrainEval:
         monkeypatch.setattr(cli, "train_model", explode)
         code = run_train(data_dir, str(tmp_path / "run"))
         assert code == cli.EXIT_NUMERIC
+
+    def test_non_finite_gradient_exits_4_without_a_model(self, tmp_path, data_dir,
+                                                         monkeypatch, capsys):
+        monkeypatch.setattr(ad, "backward", nan_gradient_backward)
+        run_dir = str(tmp_path / "run")
+        capsys.readouterr()
+        # one epoch of one step, so the poisoned sweep is the last one
+        extra = ("--epochs", "1", "--batch-size", "65536")
+        assert run_train(data_dir, run_dir, extra) == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical abort: non-finite training gradient")
+        assert not os.path.exists(os.path.join(run_dir, "model.npz"))
+
+    def test_eval_threads_below_one_is_one_line_usage_error(self, tmp_path, data_dir, capsys):
+        run_dir = str(tmp_path / "run")
+        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+        report = tmp_path / "rep.txt"
+        capsys.readouterr()
+        code = cli.main(["eval", "--data", data_dir,
+                         "--model", os.path.join(run_dir, "model.npz"),
+                         "--out", str(report), "--threads", "0"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("config error: ")
+        assert "eval_threads" in err
+        assert not report.exists()
 
 
 class TestAblateSweep:

@@ -61,3 +61,7 @@ class TestValidate:
 
     def test_zero_init_std_accepted(self):
         assert parse_config_text("init_std = 0").init_std == 0.0
+
+    def test_zero_eval_threads_rejected(self):
+        with pytest.raises(ConfigError, match="eval_threads"):
+            parse_config_text("eval_threads = 0")

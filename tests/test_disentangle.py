@@ -40,15 +40,14 @@ def zero_classifier(k):
 class TestEncode:
     def test_zero_weights_deterministic_output_is_zero(self):
         weights = zero_weights(6, 3)
-        out = dis.encode(Value(np.ones((4, 6))), weights, stochastic=False)
+        out = dis.encode(Value(np.ones((4, 6))), weights)
         np.testing.assert_array_equal(out.z1.data, np.zeros((4, 3)))
         np.testing.assert_array_equal(out.z2.data, np.zeros((4, 3)))
 
     def test_zero_weights_stochastic_output_is_standard_normal_draw(self):
         # mu = 0, log_sigma = 0, so z equals the noise draw exactly
         weights = zero_weights(6, 3)
-        out = dis.encode(Value(np.ones((4, 6))), weights,
-                         rng=np.random.default_rng(42), stochastic=True)
+        out = dis.encode(Value(np.ones((4, 6))), weights, rng=np.random.default_rng(42))
         expected = np.random.default_rng(42).standard_normal((4, 3))
         np.testing.assert_array_equal(out.z1.data, expected)
 
@@ -56,25 +55,21 @@ class TestEncode:
         rng = np.random.default_rng(0)
         weights = dis.init_disentangle_weights(6, 3, rng)
         e = Value(rng.standard_normal((4, 6)))
-        o1 = dis.encode(e, weights, stochastic=False)
-        o2 = dis.encode(e, weights, stochastic=False)
+        o1 = dis.encode(e, weights)
+        o2 = dis.encode(e, weights)
         assert np.array_equal(o1.z1.data, o2.z1.data)
         assert np.array_equal(o1.z2.data, o2.z2.data)
-
-    def test_stochastic_requires_rng(self):
-        with pytest.raises(ValueError):
-            dis.encode(Value(np.ones((2, 6))), zero_weights(6, 3), stochastic=True)
 
     def test_monte_carlo_mean_matches_mu(self):
         rng = np.random.default_rng(1)
         weights = dis.init_disentangle_weights(4, 2, rng, std=0.5)
         e = Value(rng.standard_normal((1, 4)))
-        det = dis.encode(e, weights, stochastic=False)
+        det = dis.encode(e, weights)
         draws = 10_000
         noise_rng = np.random.default_rng(2)
         acc = np.zeros((1, 2))
         for _ in range(draws):
-            acc += dis.encode(e, weights, rng=noise_rng, stochastic=True).z1.data
+            acc += dis.encode(e, weights, rng=noise_rng).z1.data
         sigma = np.exp(det.log_sigma1.data)
         err = np.abs(acc / draws - det.mu1.data)
         assert (err < 3 * sigma / math.sqrt(draws) + 1e-12).all()
@@ -83,7 +78,7 @@ class TestEncode:
         weights = zero_weights(4, 2)
         weights.b0.data[:] = 0.0
         weights.head1.b_sigma.data[:] = 50.0
-        out = dis.encode(Value(np.zeros((2, 4))), weights, stochastic=False)
+        out = dis.encode(Value(np.zeros((2, 4))), weights)
         assert (out.log_sigma1.data == ad.LOG_SIGMA_BOUND).all()
 
 
@@ -205,7 +200,7 @@ class TestGradients:
                 )
             classifier = dis.DomainClassifier(w=ls[30], b=ls[31])
             outs = [
-                dis.encode(Value(inp), w, stochastic=False)
+                dis.encode(Value(inp), w)
                 for inp, w in zip(inputs, ws)
             ]
             l1 = dis.loss_cls1(outs[0].z2, outs[1].z2, outs[2].z2, 0.6, classifier)

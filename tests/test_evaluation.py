@@ -6,6 +6,7 @@ evaluate_domain against the per-user loop it replaced.
 """
 
 import contextlib
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ import pytest
 from dualrec import evaluation as ev
 from dualrec import model as md
 from dualrec.autodiff import NORM_EPS
-from dualrec.config import ConfigError, RunConfig
+from dualrec.config import RunConfig
 from dualrec.data import InteractionSet, ProtocolError, SplitDataset, freeze_splits
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
@@ -155,26 +156,6 @@ class TestEvaluateDomain:
         with pytest.raises(ProtocolError):
             ev.evaluate_domain(s, t, bare, top_k=2)
 
-    def test_threads_below_one_rejected(self):
-        split, s, t = self.hand_fixture()
-        with pytest.raises(ConfigError):
-            ev.evaluate_domain(s, t, split, top_k=2, threads=0)
-
-    def test_thread_invariance(self):
-        rng = np.random.default_rng(9)
-        train = make_set(20, 30, 5, seed=5)
-        split = SplitDataset(
-            train=train,
-            test=[(u, int(rng.integers(0, 30))) for u in range(20)],
-            eval_candidates={u: rng.choice(30, size=8, replace=False).tolist()
-                             for u in range(20)},
-        )
-        s = rng.normal(size=(20, 6))
-        t = rng.normal(size=(30, 6))
-        single = ev.evaluate_domain(s, t, split, top_k=5, threads=1)
-        many = ev.evaluate_domain(s, t, split, top_k=5, threads=7)
-        assert single.ranks == many.ranks
-        assert single.hr == many.hr and single.ndcg == many.ndcg
 
 
 def random_split(rng, num_users, num_items, n_test, n_cands):
@@ -251,12 +232,23 @@ class TestEvaluateModel:
         split_a, split_b = self.splits()
         result = train_model(split_a, split_b, self.config())
         model = result.model
-        s_a, t_a, _, _ = ev.model_representations(model)
-        fwd = md.forward(model, np.arange(split_a.train.num_users),
-                         ev.EVAL_LAMBDA, stochastic=False)
-        np.testing.assert_array_equal(s_a, fwd.s_a.data)
+        s_a, t_a = ev.model_representations(model)["a"]
+        fwd = md.forward(model, np.arange(split_a.train.num_users), ev.EVAL_LAMBDA)
+        np.testing.assert_array_equal(s_a, fwd.s["a"].data)
         np.testing.assert_array_equal(t_a, md.item_representations(fwd, model, "a").data)
         assert ev.EVAL_LAMBDA == 0.5
+
+    def test_thread_invariance(self):
+        split_a, split_b = self.splits()
+        model = train_model(split_a, split_b, self.config()).model
+        reports = []
+        for threads in (1, 6):
+            model.config = replace(model.config, eval_threads=threads)
+            reports.append(ev.evaluate_model(model, split_a, split_b))
+        single, many = reports
+        for one, other in ((single.domain_a, many.domain_a), (single.domain_b, many.domain_b)):
+            assert one.ranks == other.ranks
+            assert one.hr == other.hr and one.ndcg == other.ndcg
 
     def test_report_text_fields(self):
         split_a, split_b = self.splits()
@@ -291,7 +283,7 @@ class TestUntapedEvaluation:
 
         def recording_forward(*args, **kwargs):
             fwd = md.forward(*args, **kwargs)
-            taped.append(fwd.s_a._backward is not None)
+            taped.append(fwd.s["a"]._backward is not None)
             return fwd
 
         monkeypatch.setattr(ev, "forward", recording_forward)

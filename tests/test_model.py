@@ -87,15 +87,15 @@ class TestBuildModel:
         m = md.build_model(adj_a, adj_b, config(variant="elbo"))
         assert sorted(m.decoders) == ["a.h1", "a.h2", "aug.h1", "aug.h2", "b.h1", "b.h2"]
         for dec in m.decoders.values():
-            assert dec.w.shape == (3, m.graph_width)
+            assert dec.w.shape == (3, (m.config.l + 1) * m.config.k)
 
     def test_every_variant_builds_and_runs(self):
         adj_a, adj_b = adjacencies()
         users = np.arange(4)
         for variant in VARIANTS:
             m = md.build_model(adj_a, adj_b, config(variant=variant))
-            fwd = md.forward(m, users, 0.4, stochastic=False)
-            assert fwd.s_a.shape == (4, 3) and fwd.s_b.shape == (4, 3)
+            fwd = md.forward(m, users, 0.4)
+            assert fwd.s["a"].shape == (4, 3) and fwd.s["b"].shape == (4, 3)
 
     def test_mismatched_user_sets_rejected(self):
         adj_a, _ = adjacencies()
@@ -108,21 +108,21 @@ class TestForward:
     def test_base_path_has_no_codes(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="base"))
-        fwd = md.forward(m, np.arange(4), 0.5, stochastic=False)
+        fwd = md.forward(m, np.arange(4), 0.5)
         assert fwd.codes == {} and fwd.enc_results == {}
 
     def test_full_codes_keys(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config())
-        fwd = md.forward(m, np.arange(4), 0.5, stochastic=False)
+        fwd = md.forward(m, np.arange(4), 0.5)
         assert sorted(fwd.codes) == ["ind_a", "ind_b", "sha", "spe_a", "spe_aug", "spe_b"]
 
     def test_lambda_endpoints_reproduce_pure_domains(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         users = np.arange(4)
-        at_one = md.forward(m, users, 1.0, stochastic=False)
-        at_zero = md.forward(m, users, 0.0, stochastic=False)
+        at_one = md.forward(m, users, 1.0)
+        at_zero = md.forward(m, users, 0.0)
         np.testing.assert_array_equal(at_one.enc_inputs["aug"].data,
                                       at_one.enc_inputs["a"].data)
         np.testing.assert_array_equal(at_zero.enc_inputs["aug"].data,
@@ -133,16 +133,16 @@ class TestForward:
         m = md.build_model(adj_a, adj_b, config())
         users = np.arange(4)
         cfg = m.config
-        f1 = md.forward(m, users, 0.5, stochastic=True, noise_rngs=_noise_rngs(cfg, 3, 7))
-        f2 = md.forward(m, users, 0.5, stochastic=True, noise_rngs=_noise_rngs(cfg, 3, 7))
-        f3 = md.forward(m, users, 0.5, stochastic=True, noise_rngs=_noise_rngs(cfg, 3, 8))
+        f1 = md.forward(m, users, 0.5, noise_rngs=_noise_rngs(cfg, 3, 7))
+        f2 = md.forward(m, users, 0.5, noise_rngs=_noise_rngs(cfg, 3, 7))
+        f3 = md.forward(m, users, 0.5, noise_rngs=_noise_rngs(cfg, 3, 8))
         np.testing.assert_array_equal(f1.codes["sha"].data, f2.codes["sha"].data)
         assert np.abs(f1.codes["sha"].data - f3.codes["sha"].data).max() > 0
 
     def test_deterministic_path_equals_mu(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config())
-        fwd = md.forward(m, np.arange(4), 0.5, stochastic=False)
+        fwd = md.forward(m, np.arange(4), 0.5)
         for branch in md.BRANCHES:
             res = fwd.enc_results[branch]
             np.testing.assert_array_equal(res.z1.data, res.mu1.data)
@@ -156,9 +156,9 @@ class TestScorePairs:
         rng = np.random.default_rng(7)
         users = rng.integers(0, 4, size=30)
         items = rng.integers(0, 6, size=30)
-        fwd = md.forward(m, np.unique(users), 0.5, stochastic=False)
+        fwd = md.forward(m, np.unique(users), 0.5)
         y, _, _ = md.score_pairs(fwd, m, "a", users, items)
-        s_a, t_a, _, _ = model_representations(m)
+        s_a, t_a = model_representations(m)["a"]
         sn = s_a / np.linalg.norm(s_a, axis=1, keepdims=True)
         tn = t_a / np.linalg.norm(t_a, axis=1, keepdims=True)
         manual = np.einsum("ij,ij->i", sn[users], tn[items]).reshape(-1, 1)
@@ -175,11 +175,11 @@ class TestScorePairs:
 
         def run(per_pair):
             ad.zero_grads(m.params.values())
-            fwd = md.forward(m, np.unique(users), 0.5, stochastic=False)
+            fwd = md.forward(m, np.unique(users), 0.5)
             if per_pair:
                 positions = np.searchsorted(fwd.users, users)
-                s = ad.gather_rows(fwd.s_a, positions)
-                t = fu.tower_forward(ad.gather_rows(fwd.emb_items_a, items), tower)
+                s = ad.gather_rows(fwd.s["a"], positions)
+                t = fu.tower_forward(ad.gather_rows(fwd.emb_items["a"], items), tower)
                 y = fu.predict(s, t)
             else:
                 y, s, t = md.score_pairs(fwd, m, "a", users, items)
@@ -196,14 +196,14 @@ class TestScorePairs:
     def test_scores_lie_in_cosine_range(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="wo_ind"))
-        fwd = md.forward(m, np.arange(4), 0.3, stochastic=False)
+        fwd = md.forward(m, np.arange(4), 0.3)
         y, _, _ = md.score_pairs(fwd, m, "b", np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]))
         assert np.all(np.abs(y.data) <= 1 + 1e-12)
 
     def test_user_missing_from_pass_raises(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config())
-        fwd = md.forward(m, np.array([0, 2]), 0.5, stochastic=False)
+        fwd = md.forward(m, np.array([0, 2]), 0.5)
         with pytest.raises(ad.ContractError):
             md.score_pairs(fwd, m, "a", np.array([1]), np.array([0]))
 
