@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 from .config import ConfigError, RunConfig, parse_fields
 from .data import (
@@ -55,21 +55,19 @@ def _load_fields(cls, path: str | None, what: str):
     if not os.path.isfile(path):
         raise ArtifactError(f"{what} file not found: {path}")
     with open(path, encoding="utf-8") as fh:
-        value = parse_fields(cls, fh.read())
+        return parse_fields(cls, fh.read())
+
+
+def _with_flags(value, args):
+    """``value`` with every given flag whose ``dest`` names one of its fields, validated."""
+    given = {f.name: getattr(args, f.name, None) for f in fields(value)}
+    value = replace(value, **{name: v for name, v in given.items() if v is not None})
     value.validate()
     return value
 
 
 def _load_run_config(args) -> RunConfig:
-    cfg = _load_fields(RunConfig, getattr(args, "config", None), "config")
-    for flag in ("seed", "epochs", "variant", "fusion", "k", "l", "lr", "batch_size"):
-        value = getattr(args, flag, None)
-        if value is not None:
-            cfg = replace(cfg, **{flag: value})
-    if getattr(args, "alternating", False):
-        cfg = replace(cfg, alternating=True)
-    cfg.validate()
-    return cfg
+    return _with_flags(_load_fields(RunConfig, args.config, "config"), args)
 
 
 def _load_data_dir(data_dir: str) -> tuple[SplitDataset, SplitDataset]:
@@ -116,9 +114,7 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    spec = _load_fields(SyntheticSpec, args.spec, "spec")
-    if args.seed is not None:
-        spec.seed = args.seed
+    spec = _with_flags(_load_fields(SyntheticSpec, args.spec, "spec"), args)
     set_a, set_b = generate_synthetic(spec)
     split_a, split_b = freeze_splits(set_a, set_b, spec.seed, args.candidates)
     meta = {
@@ -151,9 +147,7 @@ def _cmd_eval(args) -> int:
     adjacency_a = build_bipartite_adjacency(split_a.train)
     adjacency_b = build_bipartite_adjacency(split_b.train)
     model = load_model(args.model, adjacency_a, adjacency_b)
-    if args.threads is not None:
-        model.config = replace(model.config, eval_threads=args.threads)
-        model.config.validate()
+    model.config = _with_flags(model.config, args)
     report = evaluate_model(model, split_a, split_b)
     atomic_write(args.out, report.to_text())
     print(f"hr_a = {report.domain_a.hr:.6f}, ndcg_a = {report.domain_a.ndcg:.6f}")
@@ -197,7 +191,8 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--batch-size", type=int, dest="batch_size")
     sub.add_argument("--variant", help="model variant tag")
     sub.add_argument("--fusion", help="fusion strategy: concat, sum, attention")
-    sub.add_argument("--alternating", action="store_true", help="alternate domain updates")
+    sub.add_argument("--alternating", action="store_true", default=None,
+                     help="alternate domain updates")
 
 
 def build_parser() -> _Parser:
@@ -230,7 +225,7 @@ def build_parser() -> _Parser:
     evaluate.add_argument("--data", required=True)
     evaluate.add_argument("--model", required=True)
     evaluate.add_argument("--out", required=True)
-    evaluate.add_argument("--threads", type=int, default=None)
+    evaluate.add_argument("--threads", type=int, dest="eval_threads")
     evaluate.set_defaults(func=_cmd_eval)
 
     ablate_cmd = commands.add_parser("ablate", help="train and evaluate every variant")

@@ -24,7 +24,9 @@ VARIANTS = (
 
 FUSIONS = ("concat", "sum", "attention")
 
-SWEEPABLE = ("l", "alpha", "mu1", "mu2", "lr", "fusion")
+# sweep parameter name -> RunConfig field
+SWEEPABLE = {"l": "l", "alpha": "mixup_alpha", "mu1": "mu1", "mu2": "mu2", "lr": "lr",
+             "fusion": "fusion"}
 
 
 @dataclass
@@ -55,6 +57,8 @@ class RunConfig:
                 raise ConfigError(f"{name} must be finite, got {getattr(self, name)}")
         if self.init_std < 0:
             raise ConfigError("init_std must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.k < 1 or self.l < 1:
             raise ConfigError("k and l must be >= 1")
         if self.mixup_alpha <= 0:
@@ -122,18 +126,18 @@ def parse_key_values(text: str, types: dict[str, object] | None = None) -> dict[
 
 
 def parse_fields(cls, text: str):
-    """An instance of dataclass ``cls`` with the fields ``text`` sets; the rest keep their defaults.
+    """A validated instance of dataclass ``cls`` with the fields ``text`` sets.
 
-    The field annotations give the value types.
+    The rest keep their defaults; the field annotations give the value types.
     """
-    return cls(**parse_key_values(text, get_type_hints(cls)))
+    value = cls(**parse_key_values(text, get_type_hints(cls)))
+    value.validate()
+    return value
 
 
-def parse_config_text(text: str) -> RunConfig:
-    """Parse ``key = value`` lines; unknown keys are errors."""
-    cfg = parse_fields(RunConfig, text)
-    cfg.validate()
-    return cfg
+def parse_field(cls, name: str, text: str):
+    """``text`` read as field ``name`` of dataclass ``cls``, as a config file reads it."""
+    return _convert(get_type_hints(cls)[name], text, name)
 
 
 def config_lines(cfg: RunConfig) -> list[str]:

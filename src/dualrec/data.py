@@ -414,6 +414,8 @@ def freeze_splits(
     n_candidates: int = 999,
 ) -> tuple[SplitDataset, SplitDataset]:
     """Split both aligned domains and freeze their evaluation candidates."""
+    if seed < 0:  # numpy rejects a negative seed entry with a bare ValueError
+        raise ConfigError("seed must be >= 0")
     splits = [
         leave_one_out_split(iset, np.random.default_rng([seed, 10 + d]))
         for d, iset in enumerate((set_a, set_b))

@@ -6,31 +6,20 @@ rows differ only in the model under test.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .config import SWEEPABLE, VARIANTS, ConfigError, RunConfig
+from .config import SWEEPABLE, VARIANTS, ConfigError, RunConfig, parse_field
 from .data import SplitDataset
 from .evaluation import EvalReport, evaluate_model
-from .training import TrainResult, train_model
+from .training import train_model
 
 ABLATION_HEADER = "variant\thr_a\tndcg_a\thr_b\tndcg_b"
 
-# sweep parameter name -> RunConfig field
-_SWEEP_FIELDS = {
-    "l": "l",
-    "alpha": "mixup_alpha",
-    "mu1": "mu1",
-    "mu2": "mu2",
-    "lr": "lr",
-    "fusion": "fusion",
-}
 
-
-@dataclass
-class RunOutcome:
-    tag: str
-    report: EvalReport
-    result: TrainResult
+def _train_and_evaluate(
+    split_a: SplitDataset, split_b: SplitDataset, config: RunConfig
+) -> EvalReport:
+    return evaluate_model(train_model(split_a, split_b, config).model, split_a, split_b)
 
 
 def run_variant(
@@ -38,13 +27,9 @@ def run_variant(
     split_a: SplitDataset,
     split_b: SplitDataset,
     config: RunConfig,
-) -> RunOutcome:
+) -> EvalReport:
     """Train and evaluate one ablation variant on shared splits."""
-    cfg = replace(config, variant=tag)
-    cfg.validate()
-    result = train_model(split_a, split_b, cfg)
-    report = evaluate_model(result.model, split_a, split_b)
-    return RunOutcome(tag=tag, report=report, result=result)
+    return _train_and_evaluate(split_a, split_b, replace(config, variant=tag))
 
 
 def _metric_row(tag: str, report: EvalReport) -> dict:
@@ -74,25 +59,8 @@ def ablate(
     variants: tuple[str, ...] = VARIANTS,
 ) -> tuple[list[dict], str]:
     """Train every variant on identical data; returns rows and a TSV table."""
-    rows = []
-    for tag in variants:
-        outcome = run_variant(tag, split_a, split_b, config)
-        rows.append(_metric_row(tag, outcome.report))
+    rows = [_metric_row(tag, run_variant(tag, split_a, split_b, config)) for tag in variants]
     return rows, _table_text(ABLATION_HEADER, rows)
-
-
-def _coerce_sweep_value(param: str, value):
-    if param == "fusion":
-        return str(value)
-    try:
-        number = float(value)
-    except ValueError:
-        raise ConfigError(f"{param} must be a number, got {value!r}") from None
-    if param == "l":
-        if not number.is_integer():  # false for nan and inf too
-            raise ConfigError(f"l must be an integer, got {value!r}")
-        return int(number)
-    return number
 
 
 def sweep(
@@ -102,20 +70,22 @@ def sweep(
     split_b: SplitDataset,
     config: RunConfig,
 ) -> tuple[list[dict], str]:
-    """Train one model per grid value of a single hyperparameter."""
+    """Train one model per grid value of a single hyperparameter.
+
+    Each value is read as the config file reads the field it sets.
+    """
     if param not in SWEEPABLE:
-        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {SWEEPABLE}")
+        raise ConfigError(f"unknown sweep parameter {param!r}; choose from {tuple(SWEEPABLE)}")
     if not values:
         raise ConfigError("sweep requires at least one grid value")
-    field = _SWEEP_FIELDS[param]
+    field = SWEEPABLE[param]
     # every grid value is checked before the first model trains
-    configs = [replace(config, **{field: _coerce_sweep_value(param, v)}) for v in values]
+    configs = [replace(config, **{field: parse_field(RunConfig, field, str(v))}) for v in values]
     for cfg in configs:
         cfg.validate()
-    rows = []
-    for cfg in configs:
-        result = train_model(split_a, split_b, cfg)
-        report = evaluate_model(result.model, split_a, split_b)
-        rows.append(_metric_row(str(getattr(cfg, field)), report))
+    rows = [
+        _metric_row(str(getattr(cfg, field)), _train_and_evaluate(split_a, split_b, cfg))
+        for cfg in configs
+    ]
     header = f"{param}\thr_a\tndcg_a\thr_b\tndcg_b"
     return rows, _table_text(header, rows)

@@ -23,7 +23,7 @@ from . import disentangle as dis
 from . import fusion as fu
 from . import graph as gr
 from .autodiff import Value
-from .config import ConfigError, RunConfig
+from .config import ConfigError, RunConfig, parse_fields
 from .mixup import interpolate
 
 DOMAINS = ("a", "b")
@@ -288,7 +288,6 @@ def load_model(
     adjacency_a: gr.NormalizedAdjacency,
     adjacency_b: gr.NormalizedAdjacency,
 ) -> ModelState:
-    from .config import parse_config_text
     from .data import ArtifactError
     import os
 
@@ -301,7 +300,7 @@ def load_model(
     if "__config__" not in archive:
         raise ArtifactError(f"model file {path} lacks a config record")
     try:
-        config = parse_config_text("\n".join(archive["__config__"].tolist()))
+        config = parse_fields(RunConfig, "\n".join(archive["__config__"].tolist()))
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ArtifactError(f"model file {path} has a bad config record: {exc}") from exc
     model = build_model(adjacency_a, adjacency_b, config)

@@ -59,6 +59,8 @@ class SyntheticSpec:
         for rate in (self.rate_a, self.rate_b):
             if not 0.0 < rate < 1.0:
                 raise ConfigError("interaction rates must lie in (0, 1)")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 def _random_orthogonal(dim: int, rng: np.random.Generator) -> np.ndarray:
@@ -196,17 +198,14 @@ def _domain_logits(
     return logits
 
 
-def generate_synthetic(spec: SyntheticSpec, rng=None) -> tuple[InteractionSet, InteractionSet]:
+def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionSet, InteractionSet]:
     """Generate aligned, filtered two-domain interaction sets.
 
     Raises ConfigError when a domain's requested rate lies outside what a
     bias in [-30, 30] can reach.
     """
     spec.validate()
-    if rng is None:
-        rng = np.random.default_rng([spec.seed, 100])
-    elif not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng([spec.seed, 100])
     d = spec.latent_dim
     shared = _unit_rows(rng.standard_normal((spec.num_users, d)))
     independent = _unit_rows(rng.standard_normal((spec.num_users, d)))

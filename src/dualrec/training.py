@@ -260,12 +260,14 @@ def fit(
             parts: dict[str, float] = {}
             for offset, domains in passes:
                 noise = _noise_rngs(cfg, epoch, step, offset) if noisy else None
-                fwd = forward(model, union, lam, noise)
-                total, sub = step_losses(model, fwd, {tag: batches[tag] for tag in domains})
-                if not math.isfinite(sub["total"]):
-                    _abort("loss", epoch, step, lam, batches, last_grad)
-                optimizer.zero_grad()
-                ad.backward(total)
+                # an overflow reaches the loss or gradient check, which reports it once
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fwd = forward(model, union, lam, noise)
+                    total, sub = step_losses(model, fwd, {tag: batches[tag] for tag in domains})
+                    if not math.isfinite(sub["total"]):
+                        _abort("loss", epoch, step, lam, batches, last_grad)
+                    optimizer.zero_grad()
+                    ad.backward(total)
                 last_grad = _max_abs_grad(model)
                 if not math.isfinite(last_grad):
                     _abort("gradient", epoch, step, lam, batches, last_grad)
@@ -309,7 +311,6 @@ def train_model(
     log_sink=None,
 ) -> TrainResult:
     """Build adjacencies and a fresh model, then fit it."""
-    config.validate()
     adjacency_a = gr.build_bipartite_adjacency(split_a.train)
     adjacency_b = gr.build_bipartite_adjacency(split_b.train)
     model = build_model(adjacency_a, adjacency_b, config)

@@ -4,14 +4,18 @@ Every pinned exit code is exercised: 0 success, 1 usage/config, 2 data,
 3 artifact, 4 numerical abort, 5 selfcheck failure.
 """
 
+import argparse
 import hashlib
 import os
+import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from dualrec import autodiff as ad
 from dualrec import cli
+from dualrec.config import RunConfig
 from dualrec.training import NumericalAbortError
 from faults import faulty_matmul, nan_gradient_backward, transposeless_spmm
 
@@ -51,6 +55,20 @@ def run_train(data_dir, out, extra=()):
         "--k", "4", "--l", "1", "--epochs", "2", "--lr", "0.02",
         *extra,
     ])
+
+
+def subcommand(name):
+    (commands,) = (a for a in cli.build_parser()._actions
+                   if isinstance(a, argparse._SubParsersAction))
+    return commands.choices[name]
+
+
+def rating_files(tmp_path):
+    """Two small rating files that prepare accepts with --min-count 2."""
+    for tag in ("a", "b"):
+        lines = [f"user{u}\t{tag}{i}\t5" for u in range(8) for i in range(6)]
+        (tmp_path / f"r_{tag}.tsv").write_text("\n".join(lines) + "\n")
+    return ["--domain-a", str(tmp_path / "r_a.tsv"), "--domain-b", str(tmp_path / "r_b.tsv")]
 
 
 class TestSynthAndPrepare:
@@ -159,11 +177,7 @@ class TestSynthAndPrepare:
     ], ids=["prepare-min-count-0", "synth-candidates-negative", "synth-candidates-0"])
     def test_bad_count_is_usage_error(self, tmp_path, spec_file, capsys, argv, match):
         if argv[0] == "prepare":
-            for tag in ("a", "b"):
-                lines = [f"user{u}\t{tag}{i}\t5" for u in range(8) for i in range(6)]
-                (tmp_path / f"r_{tag}.tsv").write_text("\n".join(lines) + "\n")
-            argv = argv + ["--domain-a", str(tmp_path / "r_a.tsv"),
-                           "--domain-b", str(tmp_path / "r_b.tsv")]
+            argv = argv + rating_files(tmp_path)
         else:
             argv = argv + ["--spec", spec_file]
         out = tmp_path / "out"
@@ -172,6 +186,33 @@ class TestSynthAndPrepare:
         err = capsys.readouterr().err
         assert err == f"config error: {match}\n"
         assert not out.exists()
+
+
+class TestNegativeSeed:
+    """numpy rejects a negative seed entry; every way in says so in one line first."""
+
+    def assert_seed_error(self, capsys, argv, out):
+        capsys.readouterr()
+        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
+        assert not out.exists()
+
+    def test_train_flag(self, tmp_path, data_dir, capsys):
+        self.assert_seed_error(capsys, ["train", "--data", data_dir, "--seed", "-1"],
+                               tmp_path / "run")
+
+    def test_synth_flag(self, tmp_path, spec_file, capsys):
+        self.assert_seed_error(capsys, ["synth", "--spec", spec_file, "--seed", "-1"],
+                               tmp_path / "out")
+
+    def test_spec_file(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(TINY_SPEC.replace("seed = 0", "seed = -2"))
+        self.assert_seed_error(capsys, ["synth", "--spec", str(spec)], tmp_path / "out")
+
+    def test_prepare_flag(self, tmp_path, capsys):
+        argv = ["prepare", *rating_files(tmp_path), "--min-count", "2", "--seed", "-1"]
+        self.assert_seed_error(capsys, argv, tmp_path / "out")
 
 
 ARTIFACT_FILES = [
@@ -373,6 +414,14 @@ class TestBadModelFiles:
         err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
         assert "bad config record" in err and "bogus" in err
 
+    def test_negative_seed_in_config_record(self, tmp_path, data_dir, capsys):
+        def edit(arrays):
+            lines = [line for line in arrays["__config__"] if not line.startswith("seed")]
+            arrays["__config__"] = np.array(lines + ["seed = -1"])
+
+        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        assert "bad config record" in err and "seed must be >= 0" in err
+
     def test_non_numeric_parameter(self, tmp_path, data_dir, capsys):
         def edit(arrays):
             arrays["tow_a.item.1"] = np.full(arrays["tow_a.item.1"].shape, "x")
@@ -489,6 +538,20 @@ class TestTrainEval:
         assert err.count("\n") == 1 and err.startswith("numerical abort: non-finite training gradient")
         assert not os.path.exists(os.path.join(run_dir, "model.npz"))
 
+    def test_overflow_exits_4_with_one_line(self, tmp_path, data_dir, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("init_std = 1e300\n")
+        run_dir = str(tmp_path / "run")
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print lines of its own
+            code = run_train(data_dir, run_dir, ("--config", str(cfg), "--epochs", "1"))
+        assert code == cli.EXIT_NUMERIC
+        assert [str(w.message) for w in caught] == []
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("numerical abort: ")
+        assert not os.path.exists(os.path.join(run_dir, "model.npz"))
+
     def test_eval_threads_below_one_is_one_line_usage_error(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")
         assert run_train(data_dir, run_dir) == cli.EXIT_OK
@@ -535,10 +598,70 @@ class TestAblateSweep:
         assert err.count("\n") == 1 and err.startswith("config error: ")
         assert not out.exists()
 
+    @pytest.mark.parametrize("source", ["config", "flag", "grid"])
+    def test_fractional_l_rejected_everywhere(self, tmp_path, data_dir, capsys, source):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("l = 2.0\n")
+        out = tmp_path / "out"
+        argv = {
+            "config": ["train", "--data", data_dir, "--config", str(cfg)],
+            "flag": ["train", "--data", data_dir, "--l", "2.0"],
+            "grid": ["sweep", "--data", data_dir, "--param", "l", "--grid", "2.0"],
+        }[source]
+        capsys.readouterr()
+        code = cli.main(argv + ["--out", str(out), "--k", "4", "--epochs", "1"])
+        assert code == cli.EXIT_USAGE
+        assert capsys.readouterr().err.count("\n") == 1
+        assert not out.exists()
+
     def test_sweep_bad_param_is_usage_error(self, tmp_path, data_dir):
         code = cli.main(["sweep", "--data", data_dir, "--param", "k",
                          "--grid", "4", "--out", str(tmp_path / "s.tsv")])
         assert code == cli.EXIT_USAGE
+
+
+# a value for each train option that sets a RunConfig field; None marks a switch
+TRAIN_FLAG_VALUES = {
+    "seed": "5", "epochs": "1", "k": "3", "l": "2", "lr": "0.05",
+    "batch_size": "64", "variant": "base", "fusion": "sum", "alternating": None,
+}
+
+
+class TestFlagFields:
+    """A flag sets the field its dest names, so a misspelt dest would be dropped silently."""
+
+    def test_train_option_dests_are_config_fields(self):
+        dests = {a.dest for a in subcommand("train")._actions if a.option_strings}
+        dests -= {"help", "config", "data", "out"}
+        assert dests == set(TRAIN_FLAG_VALUES)
+        assert dests <= {f.name for f in fields(RunConfig)}
+
+    @pytest.mark.parametrize("dest", sorted(TRAIN_FLAG_VALUES))
+    def test_train_flag_reaches_model_record(self, tmp_path, data_dir, dest):
+        (action,) = (a for a in subcommand("train")._actions if a.dest == dest)
+        value = TRAIN_FLAG_VALUES[dest]
+        flag = (action.option_strings[0],) + (() if value is None else (value,))
+        run_dir = tmp_path / "run"
+        assert run_train(data_dir, str(run_dir), flag) == cli.EXIT_OK
+        with np.load(run_dir / "model.npz") as archive:
+            record = archive["__config__"].tolist()
+        assert f"{dest} = {'True' if value is None else value}" in record
+
+    def test_eval_threads_flag_sets_config(self, tmp_path, data_dir):
+        run_dir = str(tmp_path / "run")
+        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+        report = tmp_path / "rep.txt"
+        assert cli.main(["eval", "--data", data_dir,
+                         "--model", os.path.join(run_dir, "model.npz"),
+                         "--out", str(report), "--threads", "3"]) == cli.EXIT_OK
+        assert "config.eval_threads = 3" in report.read_text().splitlines()
+
+    def test_synth_seed_flag_sets_spec(self, tmp_path, spec_file):
+        out = tmp_path / "data"
+        assert cli.main(["synth", "--spec", spec_file, "--out", str(out),
+                         "--candidates", "20", "--seed", "5"]) == cli.EXIT_OK
+        for domain in ("domain_a", "domain_b"):
+            assert "seed = 5" in (out / domain / "meta").read_text().splitlines()
 
 
 class TestUsageAndSelfcheck:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dualrec.config import ConfigError, RunConfig, config_lines, parse_config_text
+from dualrec.config import ConfigError, RunConfig, config_lines, parse_fields
 
 NON_FINITE_FIELDS = ("mixup_alpha", "mu1", "mu2", "gamma", "lr", "init_std", "fixed_lambda")
 
@@ -26,26 +26,26 @@ def readme_config_block() -> str:
 
 class TestParseConfigText:
     def test_readme_example_parses_to_defaults(self):
-        cfg = parse_config_text(readme_config_block())
+        cfg = parse_fields(RunConfig, readme_config_block())
         assert cfg.fixed_lambda is None
         assert cfg.fusion == "attention"
         assert cfg == RunConfig()
 
     def test_trailing_comment_is_stripped(self):
-        cfg = parse_config_text("fusion = concat  # attention | concat | sum\nk = 8 # width")
+        cfg = parse_fields(RunConfig, "fusion = concat  # attention | concat | sum\nk = 8 # width")
         assert cfg.fusion == "concat" and cfg.k == 8
 
     def test_commented_out_value_is_empty(self):
         with pytest.raises(ConfigError):
-            parse_config_text("k =  # no value")
+            parse_fields(RunConfig, "k =  # no value")
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
-            parse_config_text("depth = 3")
+            parse_fields(RunConfig, "depth = 3")
 
     def test_config_lines_roundtrip(self):
         cfg = RunConfig(k=8, fusion="sum", fixed_lambda=0.25, alternating=True)
-        assert parse_config_text("\n".join(config_lines(cfg))) == cfg
+        assert parse_fields(RunConfig, "\n".join(config_lines(cfg))) == cfg
 
 
 class TestValidate:
@@ -53,15 +53,15 @@ class TestValidate:
     @pytest.mark.parametrize("field", NON_FINITE_FIELDS)
     def test_non_finite_float_rejected(self, field, value):
         with pytest.raises(ConfigError, match=field):
-            parse_config_text(f"{field} = {value}")
+            parse_fields(RunConfig, f"{field} = {value}")
 
     def test_negative_init_std_rejected(self):
         with pytest.raises(ConfigError, match="init_std"):
-            parse_config_text("init_std = -1")
+            parse_fields(RunConfig, "init_std = -1")
 
     def test_zero_init_std_accepted(self):
-        assert parse_config_text("init_std = 0").init_std == 0.0
+        assert parse_fields(RunConfig, "init_std = 0").init_std == 0.0
 
     def test_zero_eval_threads_rejected(self):
         with pytest.raises(ConfigError, match="eval_threads"):
-            parse_config_text("eval_threads = 0")
+            parse_fields(RunConfig, "eval_threads = 0")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from dualrec import experiments as ex
-from dualrec.config import SWEEPABLE, VARIANTS, ConfigError, RunConfig
+from dualrec.config import VARIANTS, ConfigError, RunConfig
 from dualrec.data import InteractionSet, freeze_splits
 
 
@@ -39,10 +39,9 @@ def config(**kw):
 class TestRunVariant:
     def test_overrides_variant_and_keeps_rest(self):
         split_a, split_b = tiny_splits()
-        outcome = ex.run_variant("wo_spe", split_a, split_b, config(variant="full"))
-        assert outcome.tag == "wo_spe"
-        assert outcome.report.config.variant == "wo_spe"
-        assert outcome.report.config.k == 4
+        report = ex.run_variant("wo_spe", split_a, split_b, config(variant="full"))
+        assert report.config.variant == "wo_spe"
+        assert report.config.k == 4
 
     def test_rejects_unknown_tag(self):
         split_a, split_b = tiny_splits()
@@ -106,15 +105,3 @@ class TestSweep:
         with pytest.raises(ConfigError):
             ex.sweep("fusion", ["stack"], split_a, split_b, config())
 
-
-class TestCoerceSweepValue:
-    def test_types(self):
-        assert ex._coerce_sweep_value("l", "2") == 2
-        assert isinstance(ex._coerce_sweep_value("l", "2"), int)
-        assert ex._coerce_sweep_value("lr", "0.5") == 0.5
-        assert ex._coerce_sweep_value("fusion", "sum") == "sum"
-        with pytest.raises(ConfigError):
-            ex._coerce_sweep_value("l", "1.5")
-
-    def test_sweepable_covers_fields(self):
-        assert set(ex._SWEEP_FIELDS) == set(SWEEPABLE)
