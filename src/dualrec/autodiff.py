@@ -291,19 +291,6 @@ def gather_rows(x: Value, idx) -> Value:
     return _node(x.data[idx], "gather_rows", (x,), bw)
 
 
-def slice_rows(x: Value, start: int, stop: int) -> Value:
-    """Rows start:stop of x as a view; the backward adds into that block."""
-    if not (0 <= start < stop <= x.shape[0]):
-        raise ShapeError(f"slice_rows: [{start}:{stop}] of {x.shape}")
-
-    def bw(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[start:stop] += g
-
-    return _node(x.data[start:stop], "slice_rows", (x,), bw)
-
-
 def concat_cols(parts: list[Value]) -> Value:
     if not parts:
         raise ShapeError("concat_cols: empty input")

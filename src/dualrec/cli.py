@@ -132,8 +132,8 @@ def _cmd_synth(args) -> int:
 def _cmd_train(args) -> int:
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
-    os.makedirs(args.out, exist_ok=True)
     result = train_model(split_a, split_b, cfg)
+    os.makedirs(args.out, exist_ok=True)  # after training: an abort leaves no run directory
     save_model(os.path.join(args.out, "model.npz"), result.model)
     atomic_write(os.path.join(args.out, "train.log"), "\n".join(result.log_lines) + "\n")
     print(result.log_lines[0])
@@ -181,7 +181,7 @@ def _cmd_selfcheck(args) -> int:
     return EXIT_OK if ok else EXIT_SELFCHECK
 
 
-def _add_config_flags(sub) -> None:
+def _add_config_flags(sub, variant: bool = True) -> None:
     sub.add_argument("--config", help="path to a key = value config file")
     sub.add_argument("--seed", type=int, help="override the config seed")
     sub.add_argument("--epochs", type=int, help="override the epoch count")
@@ -189,7 +189,8 @@ def _add_config_flags(sub) -> None:
     sub.add_argument("--l", type=int, help="override the propagation depth")
     sub.add_argument("--lr", type=float, help="override the learning rate")
     sub.add_argument("--batch-size", type=int, dest="batch_size")
-    sub.add_argument("--variant", help="model variant tag")
+    if variant:  # ablate trains every variant
+        sub.add_argument("--variant", help="model variant tag")
     sub.add_argument("--fusion", help="fusion strategy: concat, sum, attention")
     sub.add_argument("--alternating", action="store_true", default=None,
                      help="alternate domain updates")
@@ -231,7 +232,7 @@ def build_parser() -> _Parser:
     ablate_cmd = commands.add_parser("ablate", help="train and evaluate every variant")
     ablate_cmd.add_argument("--data", required=True)
     ablate_cmd.add_argument("--out", required=True)
-    _add_config_flags(ablate_cmd)
+    _add_config_flags(ablate_cmd, variant=False)
     ablate_cmd.set_defaults(func=_cmd_ablate)
 
     sweep_cmd = commands.add_parser("sweep", help="grid over one hyperparameter")

@@ -1,16 +1,17 @@
 """Leave-one-out ranking evaluation with pessimistic tie handling.
 
 One deterministic forward pass freezes every user and item representation.
-It is the training forward run under ``autodiff.no_grad``, so it records no
-tape and each intermediate is freed once the next layer no longer needs it.
-``model_representations`` returns one (user, item) pair per domain, keyed by
-domain tag. Each domain is then scored in one product of the row-normalised
-test-user and item representations; every user's candidate scores and
-held-out score are read out of it, and all users are ranked at once. A
-domain's frozen candidates are int64 rows (one per test user), stacked into
-one index array for that read-out. Ties rank the held-out item last within
-its tie class, so a degenerate model that scores everything equally earns
-rank 1000, not rank 1.
+It is the training ``model.forward``, called without ``item_indices`` so it
+covers every item of both domains, and run under ``autodiff.no_grad``, so it
+records no tape and each intermediate is freed once the next layer no longer
+needs it. ``model_representations`` returns its (``s``, ``t``) pair per
+domain, keyed by domain tag. Each domain is then scored in one product of
+the row-normalised test-user and item representations; every user's
+candidate scores and held-out score are read out of it, and all users are
+ranked at once. A domain's frozen candidates are int64 rows (one per test
+user), stacked into one index array for that read-out. Ties rank the
+held-out item last within its tie class, so a degenerate model that scores
+everything equally earns rank 1000, not rank 1.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import numpy as np
 from .autodiff import NORM_EPS, no_grad
 from .config import RunConfig, config_lines
 from .data import ProtocolError, SplitDataset
-from .model import DOMAINS, ModelState, forward, item_representations
+from .model import DOMAINS, ModelState, forward
 
 EVAL_LAMBDA = 0.5  # midpoint interpolation for the deterministic eval path
 
@@ -121,10 +122,7 @@ def model_representations(model: ModelState) -> dict[str, tuple[np.ndarray, np.n
     num_users = model.adjacency_a.num_users
     with no_grad():
         fwd = forward(model, np.arange(num_users), EVAL_LAMBDA)
-        return {
-            tag: (fwd.s[tag].data, item_representations(fwd, model, tag).data)
-            for tag in DOMAINS
-        }
+        return {tag: (fwd.s[tag].data, fwd.t[tag].data) for tag in DOMAINS}
 
 
 def evaluate_model(

@@ -29,10 +29,6 @@ class FusionWeights:
 class TowerWeights:
     weights: list[Value]  # bias-free stages
 
-    @property
-    def in_width(self) -> int:
-        return self.weights[0].shape[0]
-
 
 def init_fusion_weights(
     k: int, num_components: int, rng: np.random.Generator, std: float = 0.01

@@ -5,6 +5,12 @@ the identity, normalized symmetrically by inverse square-root degrees. The
 normalization scales each stored entry by dinv[row]*dinv[col], a commutative
 product, so the sparse matrix is exactly symmetric rather than symmetric up
 to floating-point association order.
+
+``encode_graph`` returns the layer list [E0, ..., El] over every node (users
+first, then items offset by the user count). A node's embedding is its row of
+every layer, concatenated columnwise; ``node_rows`` builds it for just the
+rows a pass reads, gathering each layer before the concat, so the backward
+never forms a gradient the size of the whole concat.
 """
 
 from __future__ import annotations
@@ -35,18 +41,8 @@ class GcnWeights:
     layers: list[tuple[Value, Value]]
 
     @property
-    def k(self) -> int:
-        return self.e0.shape[1]
-
-    @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-
-@dataclass
-class NodeEmbeddings:
-    users: Value
-    items: Value
 
 
 def build_bipartite_adjacency(train: InteractionSet) -> NormalizedAdjacency:
@@ -82,7 +78,7 @@ def init_gcn_weights(
     return GcnWeights(e0=e0, layers=layers)
 
 
-def propagate(adjacency: NormalizedAdjacency, weights: GcnWeights) -> list[Value]:
+def encode_graph(adjacency: NormalizedAdjacency, weights: GcnWeights) -> list[Value]:
     """Return [E0, E1, ..., El] with El = ReLU(A_hat E_{l-1} W_l + b_l)."""
     if weights.num_layers < 1:
         raise ad.ContractError("propagation needs at least one layer")
@@ -93,13 +89,6 @@ def propagate(adjacency: NormalizedAdjacency, weights: GcnWeights) -> list[Value
     return outs
 
 
-def assemble_node_embeddings(layers: list[Value], num_users: int) -> NodeEmbeddings:
-    """Concatenate all layers columnwise and split rows into users and items."""
-    stacked = ad.concat_cols(layers)
-    users = ad.slice_rows(stacked, 0, num_users)
-    items = ad.slice_rows(stacked, num_users, stacked.shape[0])
-    return NodeEmbeddings(users=users, items=items)
-
-
-def encode_graph(adjacency: NormalizedAdjacency, weights: GcnWeights) -> NodeEmbeddings:
-    return assemble_node_embeddings(propagate(adjacency, weights), adjacency.num_users)
+def node_rows(layers: list[Value], rows: np.ndarray) -> Value:
+    """Node embeddings [E0 | E1 | ... | El] of ``rows`` only."""
+    return ad.concat_cols([ad.gather_rows(layer, rows) for layer in layers])

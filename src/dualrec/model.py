@@ -8,8 +8,13 @@ consumes) so the training loop stays variant-agnostic.
 
 Both domains run the same steps, so each step is one loop over ``DOMAINS``:
 ``ModelState.domain(tag)`` gives a domain's weights, and a ForwardPass keeps
-its per-domain outputs (user representations ``s``, item embeddings
-``emb_items``) in dicts keyed by domain tag.
+its per-domain outputs in dicts keyed by domain tag.
+
+``forward`` is the one place where user and item representations are built,
+for training and eval alike. It builds the towered rows of the pass's users
+(``s``) and of each scored domain's items (``t``), and no others: a training
+step scores its batches' distinct items, eval every item. ``score_pairs``
+then only looks rows up.
 """
 
 from __future__ import annotations
@@ -180,8 +185,9 @@ class ForwardPass:
 
     users: np.ndarray  # sorted union of user indices the pass covers
     lam: float
-    emb_items: dict[str, Value]  # per domain: graph item embeddings
-    s: dict[str, Value]  # per domain: towered user representations aligned with `users`
+    items: dict[str, np.ndarray]  # per scored domain: sorted distinct item indices
+    s: dict[str, Value]  # per scored domain: towered user representations aligned with `users`
+    t: dict[str, Value]  # per scored domain: towered item representations aligned with `items`
     codes: dict[str, Value] = field(default_factory=dict)
     enc_results: dict[str, dis.EncodeResult] = field(default_factory=dict)
     enc_inputs: dict[str, Value] = field(default_factory=dict)
@@ -192,18 +198,35 @@ def forward(
     user_indices: np.ndarray,
     lam: float,
     noise_rngs: dict[str, np.random.Generator] | None = None,
+    item_indices: dict[str, np.ndarray] | None = None,
 ) -> ForwardPass:
-    """One sweep over both domains; the encoders draw noise iff ``noise_rngs`` is given."""
+    """One sweep that builds the rows of ``user_indices`` and of the scored items.
+
+    ``item_indices`` maps each domain the pass scores to its sorted distinct
+    items; without it the pass scores every item of both domains, as eval
+    does. ``s`` and ``t`` are built for the scored domains only. The encoders
+    draw noise iff ``noise_rngs`` is given.
+    """
     cfg = model.config
     users = np.asarray(user_indices, dtype=np.int64)
-    emb = {tag: gr.encode_graph(model.adjacency(tag), model.domain(tag).gcn) for tag in DOMAINS}
-    eu = {tag: ad.gather_rows(emb[tag].users, users) for tag in DOMAINS}
-    emb_items = {tag: emb[tag].items for tag in DOMAINS}
+    if item_indices is None:
+        item_indices = {tag: np.arange(model.adjacency(tag).num_items) for tag in DOMAINS}
+    items = {tag: np.asarray(idx, dtype=np.int64) for tag, idx in item_indices.items()}
     components = variant_components(cfg.variant)
+    eu: dict[str, Value] = {}
+    t: dict[str, Value] = {}
+    # the encoders read both domains' users; base reads only the scored domains
+    for tag in DOMAINS if components else items:
+        dm, adjacency = model.domain(tag), model.adjacency(tag)
+        layers = gr.encode_graph(adjacency, dm.gcn)
+        eu[tag] = gr.node_rows(layers, users)
+        if tag in items:
+            item_rows = gr.node_rows(layers, adjacency.num_users + items[tag])
+            t[tag] = fu.tower_forward(item_rows, dm.item_tower)
 
     if not components:  # base: towers on raw graph embeddings
-        s = {tag: fu.tower_forward(eu[tag], model.domain(tag).user_tower) for tag in DOMAINS}
-        return ForwardPass(users=users, lam=lam, emb_items=emb_items, s=s)
+        s = {tag: fu.tower_forward(eu[tag], model.domain(tag).user_tower) for tag in items}
+        return ForwardPass(users=users, lam=lam, items=items, s=s, t=t)
 
     enc_inputs = dict(eu, aug=interpolate(eu["a"], eu["b"], lam))
     enc_results = {
@@ -239,36 +262,34 @@ def forward(
     return ForwardPass(
         users=users,
         lam=lam,
-        emb_items=emb_items,
-        s={tag: fused_user_rep(tag) for tag in DOMAINS},
+        items=items,
+        s={tag: fused_user_rep(tag) for tag in items},
+        t=t,
         codes=codes,
         enc_results=enc_results,
         enc_inputs=enc_inputs,
     )
 
 
+def _positions(covered: np.ndarray, wanted: np.ndarray, what: str) -> np.ndarray:
+    """Row of each ``wanted`` index in the sorted ``covered`` indices."""
+    positions = np.searchsorted(covered, wanted)
+    # an index above every covered one lands one past the end
+    if (positions == covered.size).any() or not np.array_equal(covered[positions], wanted):
+        raise ad.ContractError(f"pair {what} missing from the forward pass")
+    return positions
+
+
 def score_pairs(
     fwd: ForwardPass,
-    model: ModelState,
     domain: str,
     pair_users: np.ndarray,
     pair_items: np.ndarray,
 ) -> tuple[Value, Value, Value]:
     """Cosine scores for (user, item) pairs; returns (y_hat, s_rows, t_rows)."""
-    positions = np.searchsorted(fwd.users, pair_users)
-    if not np.array_equal(fwd.users[positions], pair_users):
-        raise ad.ContractError("pair users missing from the forward pass")
-    s_rows = ad.gather_rows(fwd.s[domain], positions)
-    # the item tower runs once per distinct item, then fans out to the pairs
-    items, inverse = np.unique(pair_items, return_inverse=True)
-    item_tower = model.domain(domain).item_tower
-    t_items = fu.tower_forward(ad.gather_rows(fwd.emb_items[domain], items), item_tower)
-    t_rows = ad.gather_rows(t_items, inverse)
+    s_rows = ad.gather_rows(fwd.s[domain], _positions(fwd.users, pair_users, "users"))
+    t_rows = ad.gather_rows(fwd.t[domain], _positions(fwd.items[domain], pair_items, "items"))
     return fu.predict(s_rows, t_rows), s_rows, t_rows
-
-
-def item_representations(fwd: ForwardPass, model: ModelState, domain: str) -> Value:
-    return fu.tower_forward(fwd.emb_items[domain], model.domain(domain).item_tower)
 
 
 def save_model(path: str, model: ModelState) -> None:

@@ -1,9 +1,10 @@
 """Multi-task training loop over both domains.
 
 Each step draws one batch per domain, runs a single forward pass over the
-union of the batch users, and optimizes the summed objective (prediction
-losses plus the weighted disentanglement losses). Every random decision is
-keyed to (seed, stream, epoch, step, ...) so reruns are bit-identical.
+union of the batch users and each scored batch's distinct items, and
+optimizes the summed objective (prediction losses plus the weighted
+disentanglement losses). Every random decision is keyed to (seed, stream,
+epoch, step, ...) so reruns are bit-identical.
 
 An epoch's samples are built as arrays: the positives from the train set's
 CSR rows, then the negatives that ``sample_train_negatives`` draws for them
@@ -164,7 +165,7 @@ def step_losses(
     parts: dict[str, float] = {}
 
     for tag, (users, items, labels) in batches.items():
-        y, s, t = score_pairs(fwd, model, tag, users, items)
+        y, s, t = score_pairs(fwd, tag, users, items)
         prd = fu.loss_prd(y, labels, s, t, cfg.gamma)
         weighted.append(prd)
         parts[f"prd_{tag}"] = prd.data.item()
@@ -262,8 +263,10 @@ def fit(
                 noise = _noise_rngs(cfg, epoch, step, offset) if noisy else None
                 # an overflow reaches the loss or gradient check, which reports it once
                 with np.errstate(over="ignore", invalid="ignore"):
-                    fwd = forward(model, union, lam, noise)
-                    total, sub = step_losses(model, fwd, {tag: batches[tag] for tag in domains})
+                    scored = {tag: batches[tag] for tag in domains}
+                    items = {tag: np.unique(batch[1]) for tag, batch in scored.items()}
+                    fwd = forward(model, union, lam, noise, items)
+                    total, sub = step_losses(model, fwd, scored)
                     if not math.isfinite(sub["total"]):
                         _abort("loss", epoch, step, lam, batches, last_grad)
                     optimizer.zero_grad()

@@ -369,19 +369,6 @@ class TestGatherConcatSlice:
         np.add.at(expected, idx, g)
         np.testing.assert_array_equal(x.grad, expected)
 
-    def test_slice_rows_is_a_view_and_scatters_to_its_block(self):
-        x = Value(np.arange(12.0).reshape(4, 3))
-        mid = ad.slice_rows(x, 1, 3)
-        assert np.shares_memory(mid.data, x.data)
-        np.testing.assert_array_equal(mid.data, x.data[1:3])
-        ad.backward(ad.mul_const(ad.mean_all(mid), 6.0))  # grad 1 per output entry
-        np.testing.assert_array_equal(x.grad, [[0, 0, 0], [1, 1, 1], [1, 1, 1], [0, 0, 0]])
-
-    @pytest.mark.parametrize("start,stop", [(-1, 2), (2, 2), (3, 1), (0, 5)])
-    def test_slice_rows_bounds(self, start, stop):
-        with pytest.raises(ad.ShapeError):
-            ad.slice_rows(Value(np.ones((4, 3))), start, stop)
-
 
 class TestElementwiseOps:
     """Each op built on ``_elementwise``: forward data and ``x.grad`` under a
@@ -455,7 +442,7 @@ TAPE_OPS = {
     "add", "add_rowvec", "affine", "affine_const", "clamp", "concat_cols",
     "cross_entropy", "exp", "frobenius_sq", "gather_rows", "kl_div", "leaky_relu",
     "matmul", "mean_all", "mul_const", "relu", "row_cosine", "scale_rows",
-    "slice_cols", "slice_rows", "softmax_rows", "spmm", "square", "sub",
+    "slice_cols", "softmax_rows", "spmm", "square", "sub",
 }
 
 

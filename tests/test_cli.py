@@ -552,6 +552,14 @@ class TestTrainEval:
         assert err.count("\n") == 1 and err.startswith("numerical abort: ")
         assert not os.path.exists(os.path.join(run_dir, "model.npz"))
 
+    def test_abort_leaves_no_run_directory(self, tmp_path, data_dir):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("init_std = 1e300\n")
+        run_dir = tmp_path / "run_abort"
+        code = run_train(data_dir, str(run_dir), ("--config", str(cfg), "--epochs", "1"))
+        assert code == cli.EXIT_NUMERIC
+        assert not run_dir.exists()
+
     def test_eval_threads_below_one_is_one_line_usage_error(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")
         assert run_train(data_dir, run_dir) == cli.EXIT_OK
@@ -576,6 +584,16 @@ class TestAblateSweep:
         lines = open(out).read().strip().split("\n")
         assert lines[0] == "variant\thr_a\tndcg_a\thr_b\tndcg_b"
         assert len(lines) == 1 + 8
+
+    def test_ablate_rejects_variant_flag(self, tmp_path, data_dir, capsys):
+        # ablate trains every variant, so a --variant would change nothing
+        out = tmp_path / "ablation.tsv"
+        capsys.readouterr()
+        code = cli.main(["ablate", "--data", data_dir, "--out", str(out), "--variant", "base"])
+        assert code == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        assert not out.exists()
 
     def test_sweep_grid(self, tmp_path, data_dir):
         out = str(tmp_path / "sweep.tsv")

@@ -235,7 +235,7 @@ class TestEvaluateModel:
         s_a, t_a = ev.model_representations(model)["a"]
         fwd = md.forward(model, np.arange(split_a.train.num_users), ev.EVAL_LAMBDA)
         np.testing.assert_array_equal(s_a, fwd.s["a"].data)
-        np.testing.assert_array_equal(t_a, md.item_representations(fwd, model, "a").data)
+        np.testing.assert_array_equal(t_a, fwd.t["a"].data)
         assert ev.EVAL_LAMBDA == 0.5
 
     def test_thread_invariance(self):

@@ -117,7 +117,6 @@ class TestTowers:
         tower = fu.init_tower_weights(12, 4, rng)
         assert tower.weights[0].shape == (12, 8)
         assert tower.weights[1].shape == (8, 4)
-        assert tower.in_width == 12
 
 
 class TestPredict:

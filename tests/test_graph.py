@@ -109,7 +109,7 @@ class TestPropagate:
             e0=Value(e0),
             layers=[(Value(np.eye(2)), Value(np.zeros((1, 2))))] * 2,
         )
-        outs = graph.propagate(identity_adjacency(2, 1), weights)
+        outs = graph.encode_graph(identity_adjacency(2, 1), weights)
         assert len(outs) == 3
         np.testing.assert_array_equal(outs[1].data, np.maximum(e0, 0))
         np.testing.assert_array_equal(outs[2].data, np.maximum(np.maximum(e0, 0), 0))
@@ -120,7 +120,7 @@ class TestPropagate:
             e0=Value(rng.standard_normal((2, 3))),
             layers=[(Value(rng.standard_normal((3, 3))), Value(np.full((1, 3), -100.0)))],
         )
-        outs = graph.propagate(identity_adjacency(2, 1), weights)
+        outs = graph.encode_graph(identity_adjacency(2, 1), weights)
         np.testing.assert_array_equal(outs[1].data, np.zeros((2, 3)))
 
     def test_hand_recursion_on_single_pair_graph(self):
@@ -133,7 +133,7 @@ class TestPropagate:
         weights = graph.GcnWeights(
             e0=Value(e0), layers=[(Value(w1), Value(b1)), (Value(w2), Value(b2))]
         )
-        outs = graph.propagate(adj, weights)
+        outs = graph.encode_graph(adj, weights)
         a_hat = np.full((2, 2), 0.5)
         e1 = np.maximum(a_hat @ e0 @ w1 + b1, 0)
         e2 = np.maximum(a_hat @ e1 @ w2 + b2, 0)
@@ -143,37 +143,37 @@ class TestPropagate:
     def test_no_layers_rejected(self):
         weights = graph.GcnWeights(e0=Value(np.ones((2, 2))), layers=[])
         with pytest.raises(ad.ContractError):
-            graph.propagate(identity_adjacency(2, 1), weights)
+            graph.encode_graph(identity_adjacency(2, 1), weights)
 
 
 class TestAssemble:
+    """``node_rows`` builds [E0 | E1 | ...] for the requested rows only."""
+
     def test_width_is_layers_times_k(self):
         layers = [Value(np.ones((5, 2))) for _ in range(2)]
-        emb = graph.assemble_node_embeddings(layers, num_users=3)
-        assert emb.users.shape == (3, 4)
-        assert emb.items.shape == (2, 4)
+        assert graph.node_rows(layers, np.arange(3)).shape == (3, 4)
+        assert graph.node_rows(layers, np.array([3, 4])).shape == (2, 4)
 
     def test_width_with_defaults(self):
         layers = [Value(np.ones((4, 64))) for _ in range(3)]
-        emb = graph.assemble_node_embeddings(layers, num_users=2)
-        assert emb.users.shape[1] == 192
+        assert graph.node_rows(layers, np.array([0, 1])).shape[1] == 192
 
     def test_concatenation_order(self):
         l0 = Value(np.zeros((2, 1)))
         l1 = Value(np.ones((2, 1)))
-        emb = graph.assemble_node_embeddings([l0, l1], num_users=1)
-        np.testing.assert_array_equal(emb.users.data, [[0.0, 1.0]])
-        np.testing.assert_array_equal(emb.items.data, [[0.0, 1.0]])
+        np.testing.assert_array_equal(graph.node_rows([l0, l1], np.array([0])).data, [[0.0, 1.0]])
+        np.testing.assert_array_equal(graph.node_rows([l0, l1], np.array([1])).data, [[0.0, 1.0]])
 
     def test_slices_route_each_layer_gradient_to_its_rows(self):
         rng = np.random.default_rng(8)
         l0 = Value(rng.standard_normal((5, 2)))
         l1 = Value(rng.standard_normal((5, 3)))
-        emb = graph.assemble_node_embeddings([l0, l1], num_users=2)
+        users = graph.node_rows([l0, l1], np.array([0, 1]))
+        items = graph.node_rows([l0, l1], np.array([2, 3, 4]))
         r_users = rng.standard_normal((2, 5))
         r_items = rng.standard_normal((3, 5))
-        loss = ad.add(ad.frobenius_sq(ad.mul_const(emb.users, r_users)),
-                      ad.frobenius_sq(ad.mul_const(emb.items, r_items)))
+        loss = ad.add(ad.frobenius_sq(ad.mul_const(users, r_users)),
+                      ad.frobenius_sq(ad.mul_const(items, r_items)))
         ad.backward(loss)
         # d/dx sum((r*x)^2) = 2 r^2 x, so every row gets its own readout
         readout = np.vstack([r_users, r_items])
@@ -202,12 +202,12 @@ class TestEquivariance:
         def run(p, e):
             adj = graph.build_bipartite_adjacency(make_set(p, m, n))
             weights = graph.GcnWeights(e0=Value(e), layers=[(Value(w), Value(b))])
-            return graph.encode_graph(adj, weights)
+            return graph.node_rows(graph.encode_graph(adj, weights), np.arange(m + n)).data
 
         base = run(pairs, e0)
         perm = run(pairs_perm, e0_perm)
-        np.testing.assert_allclose(perm.users.data[perm_u], base.users.data, atol=1e-12)
-        np.testing.assert_allclose(perm.items.data[perm_i], base.items.data, atol=1e-12)
+        np.testing.assert_allclose(perm[perm_u], base[:m], atol=1e-12)
+        np.testing.assert_allclose(perm[m + perm_i], base[m:], atol=1e-12)
 
 
 class TestGradientFlow:
@@ -227,8 +227,10 @@ class TestGradientFlow:
             weights = graph.GcnWeights(
                 e0=ls[0], layers=[(ls[1], ls[2]), (ls[3], ls[4])]
             )
-            emb = graph.encode_graph(adj, weights)
-            return ad.add(ad.mean_all(ad.square(emb.users)), ad.mean_all(ad.square(emb.items)))
+            layers = graph.encode_graph(adj, weights)
+            users = graph.node_rows(layers, np.arange(3))
+            items = graph.node_rows(layers, 3 + np.arange(2))
+            return ad.add(ad.mean_all(ad.square(users)), ad.mean_all(ad.square(items)))
 
         assert ad.finite_diff_check(fn, leaves) < 1e-4
 

@@ -9,6 +9,7 @@ import pytest
 
 from dualrec import autodiff as ad
 from dualrec import fusion as fu
+from dualrec import graph as gr
 from dualrec import model as md
 from dualrec.config import ConfigError, RunConfig, VARIANTS
 from dualrec.data import ArtifactError, InteractionSet
@@ -105,6 +106,24 @@ class TestBuildModel:
 
 
 class TestForward:
+    def test_scored_rows_equal_eval_rows(self):
+        adj_a, adj_b = adjacencies()
+        users, items = np.array([0, 2, 3]), np.array([1, 2, 5])
+        for variant in VARIANTS:
+            m = md.build_model(adj_a, adj_b, config(variant=variant))
+            s_a, t_a = model_representations(m)["a"]
+            fwd = md.forward(m, users, 0.5, item_indices={"a": items})
+            np.testing.assert_array_equal(fwd.s["a"].data, s_a[users], err_msg=variant)
+            np.testing.assert_array_equal(fwd.t["a"].data, t_a[items], err_msg=variant)
+
+    def test_one_domain_pass_builds_that_domain_only(self):
+        adj_a, adj_b = adjacencies()
+        for variant in ("full", "base"):
+            m = md.build_model(adj_a, adj_b, config(variant=variant))
+            fwd = md.forward(m, np.arange(4), 0.5, item_indices={"b": np.array([0, 3])})
+            assert set(fwd.s) == set(fwd.t) == set(fwd.items) == {"b"}
+            assert fwd.t["b"].shape == (2, 3)
+
     def test_base_path_has_no_codes(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="base"))
@@ -156,8 +175,8 @@ class TestScorePairs:
         rng = np.random.default_rng(7)
         users = rng.integers(0, 4, size=30)
         items = rng.integers(0, 6, size=30)
-        fwd = md.forward(m, np.unique(users), 0.5)
-        y, _, _ = md.score_pairs(fwd, m, "a", users, items)
+        fwd = md.forward(m, np.unique(users), 0.5, item_indices={"a": np.unique(items)})
+        y, _, _ = md.score_pairs(fwd, "a", users, items)
         s_a, t_a = model_representations(m)["a"]
         sn = s_a / np.linalg.norm(s_a, axis=1, keepdims=True)
         tn = t_a / np.linalg.norm(t_a, axis=1, keepdims=True)
@@ -175,14 +194,15 @@ class TestScorePairs:
 
         def run(per_pair):
             ad.zero_grads(m.params.values())
-            fwd = md.forward(m, np.unique(users), 0.5)
+            fwd = md.forward(m, np.unique(users), 0.5, item_indices={"a": np.unique(items)})
             if per_pair:
                 positions = np.searchsorted(fwd.users, users)
                 s = ad.gather_rows(fwd.s["a"], positions)
-                t = fu.tower_forward(ad.gather_rows(fwd.emb_items["a"], items), tower)
+                layers = gr.encode_graph(m.adjacency_a, m.domain_a.gcn)
+                t = fu.tower_forward(gr.node_rows(layers, adj_a.num_users + items), tower)
                 y = fu.predict(s, t)
             else:
-                y, s, t = md.score_pairs(fwd, m, "a", users, items)
+                y, s, t = md.score_pairs(fwd, "a", users, items)
             ad.backward(ad.mean_all(ad.mul_const(y, readout)))
             return y.data, t.data, [w.grad for w in tower.weights]
 
@@ -197,7 +217,7 @@ class TestScorePairs:
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="wo_ind"))
         fwd = md.forward(m, np.arange(4), 0.3)
-        y, _, _ = md.score_pairs(fwd, m, "b", np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]))
+        y, _, _ = md.score_pairs(fwd, "b", np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]))
         assert np.all(np.abs(y.data) <= 1 + 1e-12)
 
     def test_user_missing_from_pass_raises(self):
@@ -205,7 +225,19 @@ class TestScorePairs:
         m = md.build_model(adj_a, adj_b, config())
         fwd = md.forward(m, np.array([0, 2]), 0.5)
         with pytest.raises(ad.ContractError):
-            md.score_pairs(fwd, m, "a", np.array([1]), np.array([0]))
+            md.score_pairs(fwd, "a", np.array([1]), np.array([0]))
+
+    def test_pair_beyond_the_pass_raises(self):
+        # searchsorted puts an index above every covered one past the end
+        adj_a, adj_b = adjacencies()
+        m = md.build_model(adj_a, adj_b, config())
+        fwd = md.forward(m, np.array([0, 2]), 0.5, item_indices={"a": np.array([1, 4])})
+        for users, items in (([3], [1]), ([0], [5]), ([0], [2]), ([2, 0], [4, 0])):
+            with pytest.raises(ad.ContractError):
+                md.score_pairs(fwd, "a", np.array(users), np.array(items))
+        empty = np.array([], dtype=np.int64)
+        y, s, t = md.score_pairs(fwd, "a", empty, empty)  # an empty domain's batch
+        assert y.shape == (0, 1) and s.shape[0] == t.shape[0] == 0
 
 
 class TestPersistence:

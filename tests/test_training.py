@@ -16,6 +16,7 @@ from dualrec import autodiff as ad
 from dualrec import data
 from dualrec import disentangle as dis
 from dualrec import evaluation as ev
+from dualrec import fusion as fu
 from dualrec import graph as gr
 from dualrec import model as md
 from dualrec import training as tr
@@ -157,6 +158,7 @@ class TestHookLookup:
         (tr, "step_losses"),
         (gr, "encode_graph"),
         (md, "interpolate"),
+        (fu, "tower_forward"),
         (dis, "encode"),
         (ev, "model_representations"),
         (ev, "evaluate_domain"),
@@ -203,6 +205,7 @@ class TestHookLookup:
             "training.score_pairs": 2 * steps,
             "graph.encode_graph": 2 * forwards,
             "model.interpolate": forwards,
+            "fusion.tower_forward": 4 * forwards,  # user and item tower per domain
             "disentangle.encode": len(md.BRANCHES) * forwards,
             "evaluation.model_representations": 1,
             "evaluation.evaluate_domain": 2,
