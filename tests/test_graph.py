@@ -182,6 +182,50 @@ class TestAssemble:
         np.testing.assert_allclose(l0.grad, expected[:, :2], rtol=1e-14)
         np.testing.assert_allclose(l1.grad, expected[:, 2:], rtol=1e-14)
 
+    def test_rows_come_in_request_order_with_repeats(self):
+        rng = np.random.default_rng(10)
+        layers = [Value(rng.standard_normal((6, w))) for w in (2, 3, 1)]
+        rows = np.array([4, 0, 4, 2])
+        stacked = np.hstack([layer.data for layer in layers])
+        np.testing.assert_array_equal(graph.node_rows(layers, rows).data, stacked[rows])
+
+    def test_unrequested_rows_get_zero_gradient_and_repeats_add(self):
+        l0 = Value(np.ones((5, 2)))
+        l1 = Value(np.ones((5, 3)))
+        out = graph.node_rows([l0, l1], np.array([3, 1, 3]))
+        ad.backward(ad.mul_const(ad.mean_all(out), float(out.data.size)))  # grad 1 per entry
+        np.testing.assert_array_equal(l0.grad[:, 0], [0, 1, 0, 2, 0])
+        np.testing.assert_array_equal(l1.grad[:, 0], [0, 1, 0, 2, 0])
+        assert l0.grad.shape == (5, 2) and l1.grad.shape == (5, 3)
+
+    def test_equals_gathering_the_whole_concat_bit_for_bit(self):
+        # gathering each layer before the concat must not change a value or
+        # a gradient against concatenating every node first
+        rng = np.random.default_rng(11)
+        data = [rng.standard_normal((7, w)) for w in (3, 2)]
+        rows = np.array([6, 1, 1, 4, 0])
+        readout = rng.standard_normal((rows.size, 5))
+
+        def run(build):
+            layers = [Value(d.copy()) for d in data]
+            out = build(layers)
+            ad.backward(ad.frobenius_sq(ad.mul_const(out, readout)))
+            return out.data, [layer.grad for layer in layers]
+
+        new_out, new_grads = run(lambda ls: graph.node_rows(ls, rows))
+        old_out, old_grads = run(lambda ls: ad.gather_rows(ad.concat_cols(ls), rows))
+        np.testing.assert_array_equal(new_out, old_out)
+        for new, old in zip(new_grads, old_grads):
+            np.testing.assert_array_equal(new, old)
+
+    def test_no_rows_gives_an_empty_block_and_zero_gradient(self):
+        layers = [Value(np.ones((4, 2))) for _ in range(2)]
+        out = graph.node_rows(layers, np.array([], dtype=np.int64))
+        assert out.shape == (0, 4)
+        ad.backward(ad.frobenius_sq(out))
+        for layer in layers:
+            assert layer.grad is None or not layer.grad.any()
+
 
 class TestEquivariance:
     def test_permuting_nodes_permutes_embeddings(self):
