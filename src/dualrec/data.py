@@ -9,9 +9,10 @@ operations are deterministic given their inputs and a seed.
 Interactions are stored as sorted CSR rows (:class:`InteractionSet`), and
 every stage works on those arrays. The samplers take each user's pool of
 unseen items from a boolean mask over all items, so the only per-draw work
-left in Python is one ``Generator.choice`` call. Reading an artifact parses
-its numbers in bulk and rejects out-of-range indices, repeated lines and
-unusable candidate lists with :class:`ArtifactError`.
+left in Python is one ``Generator.choice`` call. Writing an artifact turns
+index arrays into text through one table of decimal strings; reading one
+parses its numbers in bulk and rejects out-of-range indices, repeated lines
+and unusable candidate lists with :class:`ArtifactError`.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 import os
 import warnings
 from dataclasses import dataclass, replace
-from itertools import chain
 
 import numpy as np
 
@@ -466,18 +466,27 @@ def atomic_write(path: str, payload: str | bytes) -> None:
 
 
 def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, object]) -> None:
-    """Write train/test/candidates/meta files; each file lands atomically."""
+    """Write train/test/candidates/meta files; each file lands atomically.
+
+    Every index is written as its entry in one table of the decimal strings
+    of ``0 .. max(num_users, num_items) - 1``, so whole arrays turn into text
+    by indexing, without formatting an integer per entry.
+    """
     if split.eval_candidates is None:
         raise ValueError("artifact requires a completed split with eval candidates")
     os.makedirs(dir_path, exist_ok=True)
+    train = split.train
     full_meta = dict(meta)
-    full_meta.setdefault("num_users", split.train.num_users)
-    full_meta.setdefault("num_items", split.train.num_items)
+    full_meta.setdefault("num_users", train.num_users)
+    full_meta.setdefault("num_items", train.num_items)
+    decimal = np.array(list(map(str, range(max(train.num_users, train.num_items)))), dtype=object)
+    test = np.array(split.test, dtype=np.int64).reshape(-1, 2)
     files = {
-        "train.tsv": (f"{u}\t{i}" for u, i in split.train.interactions.tolist()),
-        "test.tsv": (f"{u}\t{i}" for u, i in split.test),
+        "train.tsv": map("\t".join, decimal[train.interactions].tolist()),
+        "test.tsv": map("\t".join, decimal[test].tolist()),
         "candidates.tsv": (
-            f"{u}\t{','.join(map(str, split.eval_candidates[u].tolist()))}" for u, _ in split.test
+            f"{decimal[u]}\t{','.join(decimal[split.eval_candidates[u]].tolist())}"
+            for u in test[:, 0].tolist()
         ),
         "meta": (f"{k} = {v}" for k, v in full_meta.items()),
     }
@@ -523,17 +532,27 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     if user is not None:
         raise ArtifactError(f"{paths['test.tsv']}: user {user} is on two lines")
     cand_users, cands = _read_candidates(paths["candidates.tsv"], n_candidates)
-    _check_candidates(paths["candidates.tsv"], cand_users, cands, train_pairs, test_pairs, num_items)
+    _check_candidates(
+        paths["candidates.tsv"], cand_users, cands, train_pairs, test_pairs, num_users, num_items
+    )
     train = InteractionSet.from_pairs(num_users, num_items, train_pairs)
     test = list(zip(*test_pairs.T.tolist()))
     candidates = dict(zip(cand_users.tolist(), cands))
     return SplitDataset(train=train, test=test, eval_candidates=candidates), meta
 
 
-def _read_fields(path: str) -> list[list[str]]:
-    """The tab-separated fields of each non-blank line of ``path``."""
+def _read_lines(path: str) -> list[str]:
+    """The non-blank lines of ``path``, without their line ends."""
     with open(path, encoding="utf-8") as fh:
-        return [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+        return [line for line in fh.read().split("\n") if line.strip()]
+
+
+def _one_tab_per_line(text: str, count: int) -> bool:
+    """Whether each of the ``count`` newline-separated lines of ``text`` holds exactly one tab."""
+    raw = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    tabs = np.flatnonzero(raw == ord("\t"))
+    # one tab per line exactly when there are ``count`` tabs and the k-th lies on line k
+    return np.array_equal(np.searchsorted(np.flatnonzero(raw == ord("\n")), tabs), np.arange(count))
 
 
 def _repeated(keys: np.ndarray) -> int | None:
@@ -559,11 +578,12 @@ def _parse_ints(path: str, text: str, count: int) -> np.ndarray:
 
 def _read_pairs(path: str, num_users: int, num_items: int) -> np.ndarray:
     """The ``user<TAB>item`` lines of ``path`` as an (n, 2) array, range-checked."""
-    rows = _read_fields(path)
-    if any(len(row) != 2 for row in rows):
+    lines = _read_lines(path)
+    text = "\n".join(lines)
+    if not _one_tab_per_line(text, len(lines)):
         raise ArtifactError(f"{path}: every line must be user<TAB>item")
-    pairs = _parse_ints(path, ",".join(chain.from_iterable(rows)), 2 * len(rows))
-    pairs = pairs.reshape(len(rows), 2)
+    pairs = _parse_ints(path, text.replace("\t", ",").replace("\n", ","), 2 * len(lines))
+    pairs = pairs.reshape(len(lines), 2)
     outside = ((pairs < 0) | (pairs >= (num_users, num_items))).any(axis=1)
     if outside.any():
         u, i = pairs[outside.argmax()]
@@ -579,7 +599,7 @@ def _read_candidates(path: str, n_candidates: int | None) -> tuple[np.ndarray, n
     Every line must hold ``n_candidates`` items, or, when the meta does not
     name that count, as many as the first line.
     """
-    rows = _read_fields(path)
+    rows = [line.split("\t") for line in _read_lines(path)]
     if any(len(row) != 2 for row in rows):
         raise ArtifactError(f"{path}: every line must be user<TAB>item,item,...")
     users = _parse_ints(path, ",".join(row[0] for row in rows), len(rows))
@@ -598,12 +618,16 @@ def _check_candidates(
     cands: np.ndarray,
     train_pairs: np.ndarray,
     test_pairs: np.ndarray,
+    num_users: int,
     num_items: int,
 ) -> None:
     """Reject candidate rows a ranking protocol cannot use.
 
     There must be one row per test user; its items must be distinct, in
-    range, and neither the user's held-out item nor a train positive.
+    range, and neither the user's held-out item nor a train positive. What
+    each (user, item) pair is comes from one byte table over all users and
+    items, an eighth of the float64 score matrix ranking builds over the
+    test users and items.
     """
     if not np.array_equal(np.sort(users), np.sort(test_pairs[:, 0])):
         raise ArtifactError(f"{path}: candidate users differ from the test users")
@@ -615,8 +639,12 @@ def _check_candidates(
     repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
     if repeated.any():
         raise ArtifactError(f"{path}: user {users[repeated.argmax()]} has a repeated candidate")
-    keys = users[:, None] * num_items + cands
-    for pairs, what in ((test_pairs, "held-out item"), (train_pairs, "train positive")):
-        hit = np.isin(keys, pairs[:, 0] * num_items + pairs[:, 1]).any(axis=1)
+    kind = np.zeros((num_users, num_items), dtype=np.uint8)
+    kind[train_pairs[:, 0], train_pairs[:, 1]] = 1
+    # a test pair also in train is held-out first, as the held-out check runs first
+    kind[test_pairs[:, 0], test_pairs[:, 1]] = 2
+    found = kind.ravel()[users[:, None] * num_items + cands]
+    for code, what in ((2, "held-out item"), (1, "train positive")):
+        hit = (found == code).any(axis=1)
         if hit.any():
             raise ArtifactError(f"{path}: user {users[hit.argmax()]} has their {what} as a candidate")

@@ -347,6 +347,12 @@ class TestGatherConcatSlice:
         ad.backward(loss)
         np.testing.assert_array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
 
+    def test_gather_sorted_duplicates_accumulate(self):
+        x = Value(np.arange(6.0).reshape(3, 2))
+        out = ad.gather_rows(x, [0, 1, 1])  # increasing, but not strictly
+        ad.backward(ad.mul_const(ad.mean_all(out), 6.0))
+        np.testing.assert_array_equal(x.grad, [[1, 1], [2, 2], [0, 0]])
+
     def test_concat_slice_roundtrip(self):
         a = Value(np.ones((2, 2)))
         b = Value(np.full((2, 3), 2.0))
@@ -367,6 +373,19 @@ class TestGatherConcatSlice:
         g = np.full((1024, 8), 1.0 / readout.size) * readout  # what reaches the gather
         expected = np.zeros((50, 8))
         np.add.at(expected, idx, g)
+        np.testing.assert_array_equal(x.grad, expected)
+
+    def test_gather_backward_of_increasing_rows_adds_their_rows(self):
+        rng = np.random.default_rng(41)
+        x = Value(rng.standard_normal((50, 8)))
+        idx = np.sort(rng.choice(50, 20, replace=False))  # what graph.node_rows passes
+        readout = rng.standard_normal((20, 8))
+        loss = ad.add(*(ad.mean_all(ad.mul_const(ad.gather_rows(x, idx), readout)) for _ in "ab"))
+        ad.backward(loss)
+        g = np.full((20, 8), 1.0 / readout.size) * readout
+        expected = np.zeros((50, 8))
+        np.add.at(expected, idx, g)
+        np.add.at(expected, idx, g)  # the second gather adds onto the first
         np.testing.assert_array_equal(x.grad, expected)
 
 

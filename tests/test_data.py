@@ -3,13 +3,20 @@
 The filtering and cold-item tests compare against brute-force oracles that
 re-scan the full record list instead of updating incrementally. The array
 samplers are checked bit for bit against the per-positive loops over sets
-they replaced, kept here as reference oracles.
+they replaced, kept here as reference oracles. In the same way the artifact
+writer is checked against per-integer formatting, and the reader against the
+per-line reader and the ``np.isin`` candidate check it replaced.
 """
 
 import logging
+import pathlib
+import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dualrec import data as d
 from pairsets import items_by_user, pair_set
@@ -619,8 +626,86 @@ class TestArtifacts:
             d.write_split_artifact(str(tmp_path / "x"), bare, {})
 
 
+def reference_artifact_text(split):
+    """The three index files as formatting each integer on its own writes them."""
+    lines = {
+        "train.tsv": [f"{u}\t{i}" for u, i in split.train.interactions.tolist()],
+        "test.tsv": [f"{u}\t{i}" for u, i in split.test],
+        "candidates.tsv": [
+            f"{u}\t{','.join(map(str, split.eval_candidates[u].tolist()))}" for u, _ in split.test
+        ],
+    }
+    return {name: "\n".join(rows) + "\n" for name, rows in lines.items()}
+
+
+def spread_split(num_users, num_items, width, seed):
+    """A split whose indices span both ranges, with candidates in drawn order."""
+    rng = np.random.default_rng(seed)
+    pairs = {(u, int(i)) for u in range(num_users) for i in rng.choice(num_items, 2, replace=False)}
+    train = d.InteractionSet.from_pairs(num_users, num_items, pairs)
+    test = [(u, int(rng.integers(num_items))) for u in range(num_users)]
+    cands = {u: rng.choice(num_items, width, replace=False) for u, _ in test}
+    return d.SplitDataset(train=train, test=test, eval_candidates=cands)
+
+
+@st.composite
+def artifact_splits(draw):
+    num_users = draw(st.integers(1, 30))
+    num_items = draw(st.integers(1, 130))
+    user, item = st.integers(0, num_users - 1), st.integers(0, num_items - 1)
+    pairs = draw(st.sets(st.tuples(user, item), max_size=40))
+    test_users = draw(st.lists(user, unique=True, max_size=num_users))
+    width = draw(st.integers(1, min(num_items, 5)))
+    row = st.lists(item, min_size=width, max_size=width, unique=True)
+    return d.SplitDataset(
+        train=d.InteractionSet.from_pairs(num_users, num_items, sorted(pairs)),
+        test=[(u, draw(item)) for u in test_users],
+        eval_candidates={u: np.array(draw(row), dtype=np.int64) for u in test_users},
+    )
+
+
+class TestArtifactWriter:
+    """The index files hold exactly what per-integer formatting writes."""
+
+    def assert_reference_bytes(self, out, split):
+        for name, text in reference_artifact_text(split).items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name
+
+    def test_no_test_users(self, tmp_path):
+        split = TestArtifacts().complete_split()
+        bare = d.SplitDataset(train=split.train, test=[], eval_candidates={})
+        d.write_split_artifact(str(tmp_path), bare, {})
+        assert (tmp_path / "test.tsv").read_bytes() == b"\n"
+        assert (tmp_path / "candidates.tsv").read_bytes() == b"\n"
+        self.assert_reference_bytes(tmp_path, bare)
+
+    @pytest.mark.parametrize("num_users,num_items", [(150, 7), (4, 1200), (120, 120)])
+    def test_users_and_items_of_any_width(self, tmp_path, num_users, num_items):
+        split = spread_split(num_users, num_items, 5, seed=num_users)
+        d.write_split_artifact(str(tmp_path), split, {})
+        self.assert_reference_bytes(tmp_path, split)
+        text = (tmp_path / "train.tsv").read_text()
+        assert f"\n{num_users - 1}\t" in text  # multi-digit users are written whole
+
+    def test_candidates_keep_their_drawn_order(self, tmp_path):
+        split = TestArtifacts().complete_split()
+        users = [u for u, _ in split.test]
+        split.eval_candidates = {u: np.array([11, 2, 7 + u]) for u in users}
+        d.write_split_artifact(str(tmp_path), split, {})
+        lines = (tmp_path / "candidates.tsv").read_text().splitlines()
+        assert lines == [f"{u}\t11,2,{7 + u}" for u in users]
+
+    @given(artifact_splits())
+    @settings(max_examples=60, deadline=None)
+    def test_bytes_equal_per_integer_formatting(self, split):
+        with tempfile.TemporaryDirectory() as out:
+            d.write_split_artifact(out, split, {})
+            self.assert_reference_bytes(pathlib.Path(out), split)
+
+
 class TestArtifactValidation:
-    """Each bad artifact is rejected on load with ArtifactError."""
+    """Each bad artifact is rejected on load with ArtifactError; blank lines
+    and CRLF line ends load as written."""
 
     @pytest.fixture()
     def art(self, tmp_path):
@@ -706,6 +791,222 @@ class TestArtifactValidation:
         self.rewrite(out / "candidates.tsv", lambda lines: lines[:-1] + [lines[-1] + ",11"])
         with pytest.raises(d.ArtifactError, match="candidates, expected 3"):
             d.read_split_artifact(str(out))
+
+    def assert_loads_as_written(self, out, split):
+        loaded, _ = d.read_split_artifact(str(out))
+        assert pair_set(loaded.train) == pair_set(split.train)
+        assert loaded.test == split.test
+        assert_same_candidates(loaded.eval_candidates, split.eval_candidates)
+
+    def test_blank_lines_between_rows_are_skipped(self, art):
+        out, split = art
+        for name in ("train.tsv", "test.tsv", "candidates.tsv"):
+            self.rewrite(out / name, lambda lines: [x for line in lines for x in ("", line, " \t ")])
+        self.assert_loads_as_written(out, split)
+
+    def test_crlf_line_ends_read_as_newlines(self, art):
+        out, split = art
+        for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta"):
+            (out / name).write_bytes((out / name).read_bytes().replace(b"\n", b"\r\n"))
+        self.assert_loads_as_written(out, split)
+
+    @pytest.mark.parametrize("name,edit,message", [
+        ("train.tsv", lambda line: line.replace("\t", " "), "every line must be user<TAB>item"),
+        ("train.tsv", lambda line: line + "\t", "every line must be user<TAB>item"),
+        ("test.tsv", lambda line: line + "\t", "every line must be user<TAB>item"),
+        ("candidates.tsv", lambda line: line.replace("\t", " "),
+         "every line must be user<TAB>item,item,..."),
+        ("candidates.tsv", lambda line: line + "\t", "every line must be user<TAB>item,item,..."),
+        ("candidates.tsv", lambda line: line.split("\t")[0] + "\t",
+         "user {user} has 1 candidates, expected 3"),
+        ("train.tsv", lambda line: line.split("\t")[0] + "\t",
+         "expected {numbers} numbers, read {read}"),
+    ])
+    def test_malformed_last_line_message(self, art, name, edit, message):
+        out, split = art
+        path = out / name
+        numbers = 2 * len(path.read_text(encoding="utf-8").splitlines())
+        self.rewrite(path, lambda lines: lines[:-1] + [edit(lines[-1])])
+        expected = message.format(user=split.test[-1][0], numbers=numbers, read=numbers - 1)
+        with pytest.raises(d.ArtifactError) as caught:
+            d.read_split_artifact(str(out))
+        assert str(caught.value) == f"{path}: {expected}"
+
+    def test_empty_field_inside_the_file_is_malformed(self, art):
+        out, _ = art
+        self.rewrite(out / "train.tsv", lambda lines: [lines[0].split("\t")[0] + "\t"] + lines[1:])
+        with pytest.raises(d.ArtifactError, match=r"train\.tsv: malformed number: "):
+            d.read_split_artifact(str(out))
+
+
+def reference_fields(path):
+    """The tab-separated fields of each non-blank line, read line by line."""
+    with open(path, encoding="utf-8") as fh:
+        return [line.rstrip("\n").split("\t") for line in fh if line.strip()]
+
+
+def reference_read_pairs(path, num_users, num_items):
+    """``_read_pairs`` by per-line fields, the reader's reference."""
+    rows = reference_fields(path)
+    if any(len(row) != 2 for row in rows):
+        raise d.ArtifactError(f"{path}: every line must be user<TAB>item")
+    pairs = d._parse_ints(path, ",".join(x for row in rows for x in row), 2 * len(rows))
+    pairs = pairs.reshape(len(rows), 2)
+    outside = ((pairs < 0) | (pairs >= (num_users, num_items))).any(axis=1)
+    if outside.any():
+        u, i = pairs[outside.argmax()]
+        raise d.ArtifactError(
+            f"{path}: pair ({u}, {i}) is outside {num_users} users x {num_items} items"
+        )
+    return pairs
+
+
+def reference_read_candidates(path, n_candidates):
+    """``_read_candidates`` by per-line fields, the reader's reference."""
+    rows = reference_fields(path)
+    if any(len(row) != 2 for row in rows):
+        raise d.ArtifactError(f"{path}: every line must be user<TAB>item,item,...")
+    users = d._parse_ints(path, ",".join(row[0] for row in rows), len(rows))
+    widths = [row[1].count(",") + 1 for row in rows]
+    width = n_candidates if n_candidates is not None else (widths[0] if widths else 0)
+    for u, n in zip(users.tolist(), widths):
+        if n != width:
+            raise d.ArtifactError(f"{path}: user {u} has {n} candidates, expected {width}")
+    cands = d._parse_ints(path, ",".join(row[1] for row in rows), len(rows) * width)
+    return users, cands.reshape(len(rows), width)
+
+
+def reference_check_candidates(path, users, cands, train_pairs, test_pairs, num_users, num_items):
+    """``_check_candidates`` with ``np.isin`` over pair keys, the reader's reference."""
+    if not np.array_equal(np.sort(users), np.sort(test_pairs[:, 0])):
+        raise d.ArtifactError(f"{path}: candidate users differ from the test users")
+    if cands.size == 0:
+        return
+    if cands.min() < 0 or cands.max() >= num_items:
+        raise d.ArtifactError(f"{path}: candidate item outside 0..{num_items - 1}")
+    ordered = np.sort(cands, axis=1)
+    repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    if repeated.any():
+        raise d.ArtifactError(f"{path}: user {users[repeated.argmax()]} has a repeated candidate")
+    keys = users[:, None] * num_items + cands
+    for pairs, what in ((test_pairs, "held-out item"), (train_pairs, "train positive")):
+        hit = np.isin(keys, pairs[:, 0] * num_items + pairs[:, 1]).any(axis=1)
+        if hit.any():
+            raise d.ArtifactError(
+                f"{path}: user {users[hit.argmax()]} has their {what} as a candidate"
+            )
+
+
+def read_outcome(dir_path):
+    """What reading ``dir_path`` gives: the loaded values, or the exception's type and text."""
+    try:
+        split, meta = d.read_split_artifact(dir_path)
+    except Exception as exc:  # any outcome is compared, not only ArtifactError
+        return type(exc).__name__, str(exc)
+    cands = {u: row.tolist() for u, row in split.eval_candidates.items()}
+    return split.train.indptr.tolist(), split.train.indices.tolist(), split.test, cands, meta
+
+
+def reference_read_outcome(dir_path):
+    with mock.patch.multiple(
+        d,
+        _read_pairs=reference_read_pairs,
+        _read_candidates=reference_read_candidates,
+        _check_candidates=reference_check_candidates,
+    ):
+        return read_outcome(dir_path)
+
+
+# numbers in and out of range, padded, empty or no number at all
+NUMBER = st.sampled_from(["0", "1", "2", "5", "11", "12", "-1", "+3", "007", " 1", "1 ", "",
+                          "x", "1.0"])
+# a line shaped like an artifact line, or a soup of pieces with line ends and
+# other whitespace in it
+EDITED_LINE = st.one_of(
+    st.tuples(
+        NUMBER,
+        st.sampled_from(["\t", "\t", "\t", " ", "\t\t"]),
+        st.lists(NUMBER, min_size=1, max_size=4).map(",".join),
+        st.sampled_from(["", "", "\r", "\t", " ", "\x0b"]),
+    ).map("".join),
+    st.lists(
+        st.sampled_from(["0", "1", "12", "\t", ",", "\n", "\r\n", "\r", " ", "x", "\x0b",
+                         "\x1c", "\x85", "\u3000"]),
+        max_size=8,
+    ).map("".join),
+)
+
+
+class TestReaderMatchesLineReference:
+    """Reading edited artifacts gives what the per-line reader gives: the same
+    values, or the same exception with the same text."""
+
+    @given(
+        edits=st.lists(
+            st.tuples(
+                st.sampled_from(["train.tsv", "test.tsv", "candidates.tsv"]),
+                st.sampled_from(["replace", "insert", "append"]),
+                st.integers(0, 20),
+                EDITED_LINE,
+            ),
+            min_size=1, max_size=3,
+        ),
+        n_candidates=st.sampled_from([3, None]),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_edited_artifact(self, edits, n_candidates):
+        split = TestArtifacts().complete_split()
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp)
+            meta = {} if n_candidates is None else {"n_candidates": n_candidates}
+            d.write_split_artifact(tmp, split, meta)
+            for name, how, at, text in edits:
+                lines = (out / name).read_bytes().decode("utf-8").split("\n")
+                at %= len(lines)
+                if how == "replace":
+                    lines[at] = text
+                elif how == "insert":
+                    lines.insert(at, text)
+                else:
+                    lines[at] += text
+                (out / name).write_bytes("\n".join(lines).encode("utf-8"))
+            assert read_outcome(tmp) == reference_read_outcome(tmp)
+
+    @given(
+        num_users=st.integers(1, 6),
+        num_items=st.integers(2, 9),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_candidate_check(self, num_users, num_items, data):
+        pair = st.tuples(st.integers(0, num_users - 1), st.integers(0, num_items - 1))
+        train = np.array(data.draw(st.lists(pair, max_size=12)), dtype=np.int64).reshape(-1, 2)
+        test_users = data.draw(st.permutations(range(num_users)))
+        test = np.array(
+            [(u, data.draw(st.integers(0, num_items - 1))) for u in test_users], dtype=np.int64
+        ).reshape(-1, 2)
+        width = data.draw(st.integers(1, num_items))
+        cands = np.array(
+            [data.draw(st.permutations(range(num_items)))[:width] for _ in test_users],
+            dtype=np.int64,
+        ).reshape(len(test_users), width)
+        # most rows stay distinct and in range, so the membership lookups run
+        row, col = data.draw(st.integers(0, num_users - 1)), data.draw(st.integers(0, width - 1))
+        edit = data.draw(st.sampled_from(["none", "none", "outside", "repeat"]))
+        if edit == "outside":
+            cands[row, col] = data.draw(st.sampled_from([-1, num_items]))
+        elif edit == "repeat":
+            cands[row, col] = cands[row, data.draw(st.integers(0, width - 1))]
+        users = np.array(data.draw(st.permutations(test_users)), dtype=np.int64)
+        args = ("c.tsv", users, cands, train, test, num_users, num_items)
+        outcomes = []
+        for check in (d._check_candidates, reference_check_candidates):
+            try:
+                check(*args)
+                outcomes.append(None)
+            except d.ArtifactError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
 
 
 class TestPrepareDatasets:
