@@ -114,6 +114,25 @@ class Value:
         return f"Value(op={self.op!r}, shape={self.shape})"
 
 
+class Params(dict):
+    """Named leaf Values in draw order, each drawn from ``N(mean, std)`` on one generator.
+
+    Every weight is named where it is drawn, so a model's names, shapes and
+    initial bits come from one place.
+    """
+
+    def __init__(self, rng: np.random.Generator, std: float):
+        super().__init__()
+        self.rng = rng
+        self.std = std
+
+    def new(self, name: str, shape: tuple[int, int], mean: float = 0.0) -> Value:
+        if name in self:
+            raise ContractError(f"parameter {name!r} is already drawn")
+        self[name] = leaf = Value(self.rng.normal(mean, self.std, size=shape))
+        return leaf
+
+
 def _accum(node: Value, grad: np.ndarray, shared: bool = False) -> None:
     """Add ``grad`` into ``node.grad``; the first gradient is stored as is.
 

@@ -21,6 +21,7 @@ from .data import (
     atomic_write,
     freeze_splits,
     read_split_artifact,
+    read_text,
     write_split_artifact,
 )
 from .evaluation import evaluate_model
@@ -54,8 +55,7 @@ def _load_fields(cls, path: str | None, what: str):
         return cls()
     if not os.path.isfile(path):
         raise ArtifactError(f"{what} file not found: {path}")
-    with open(path, encoding="utf-8") as fh:
-        return parse_fields(cls, fh.read())
+    return parse_fields(cls, read_text(path, ConfigError))
 
 
 def _with_flags(value, args):

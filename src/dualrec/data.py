@@ -139,6 +139,15 @@ def _normalize_rng(rng) -> np.random.Generator:
     return np.random.default_rng(rng)
 
 
+def read_text(path: str, error: type[Exception]) -> str:
+    """The UTF-8 text of ``path``; a file that is not UTF-8 raises ``error``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return fh.read()
+        except UnicodeDecodeError as exc:
+            raise error(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def load_interactions(path: str) -> list[RawRating]:
     """Parse a tab-separated rating file.
 
@@ -147,26 +156,24 @@ def load_interactions(path: str) -> list[RawRating]:
     must be numbers, and a timestamp must not be NaN.
     """
     records: list[RawRating] = []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) not in (3, 4):
-                raise ParseError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(parts)}")
-            user_key, item_key = parts[0], parts[1]
-            if not user_key or not item_key:
-                raise ParseError(f"{path}:{line_no}: empty user or item key")
-            try:
-                rating = float(parts[2])
-                timestamp = float(parts[3]) if len(parts) == 4 else None
-            except ValueError as exc:
-                raise ParseError(f"{path}:{line_no}: {exc}") from exc
-            # NaN has no place in a recency order
-            if timestamp is not None and math.isnan(timestamp):
-                raise ParseError(f"{path}:{line_no}: timestamp is NaN")
-            records.append(RawRating(user_key, item_key, rating, timestamp))
+    for line_no, line in enumerate(read_text(path, ParseError).split("\n"), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise ParseError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(parts)}")
+        user_key, item_key = parts[0], parts[1]
+        if not user_key or not item_key:
+            raise ParseError(f"{path}:{line_no}: empty user or item key")
+        try:
+            rating = float(parts[2])
+            timestamp = float(parts[3]) if len(parts) == 4 else None
+        except ValueError as exc:
+            raise ParseError(f"{path}:{line_no}: {exc}") from exc
+        # NaN has no place in a recency order
+        if timestamp is not None and math.isnan(timestamp):
+            raise ParseError(f"{path}:{line_no}: timestamp is NaN")
+        records.append(RawRating(user_key, item_key, rating, timestamp))
     return records
 
 
@@ -511,11 +518,10 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     for name, p in paths.items():
         if not os.path.isfile(p):
             raise ArtifactError(f"missing artifact file: {p}")
-    with open(paths["meta"], encoding="utf-8") as fh:
-        try:
-            meta = parse_key_values(fh.read())
-        except ConfigError as exc:
-            raise ArtifactError(f"{paths['meta']}: {exc}") from None
+    try:
+        meta = parse_key_values(read_text(paths["meta"], ArtifactError))
+    except ConfigError as exc:
+        raise ArtifactError(f"{paths['meta']}: {exc}") from None
     try:
         num_users = int(meta["num_users"])
         num_items = int(meta["num_items"])
@@ -543,8 +549,7 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
 
 def _read_lines(path: str) -> list[str]:
     """The non-blank lines of ``path``, without their line ends."""
-    with open(path, encoding="utf-8") as fh:
-        return [line for line in fh.read().split("\n") if line.strip()]
+    return [line for line in read_text(path, ArtifactError).split("\n") if line.strip()]
 
 
 def _one_tab_per_line(text: str, count: int) -> bool:
@@ -571,6 +576,11 @@ def _parse_ints(path: str, text: str, count: int) -> np.ndarray:
             values = np.fromstring(text, dtype=np.int64, sep=",")
         except (ValueError, DeprecationWarning) as exc:
             raise ArtifactError(f"{path}: malformed number: {exc}") from None
+    # fromstring saturates a number beyond int64 to a bound (numpy 2.4 reads
+    # both signs as the maximum); no index reaches a bound, so one is rejected
+    bounds = np.iinfo(np.int64)
+    if values.size and (values.min() == bounds.min or values.max() == bounds.max):
+        raise ArtifactError(f"{path}: number outside the int64 range")
     if values.size != count:
         raise ArtifactError(f"{path}: expected {count} numbers, read {values.size}")
     return values

@@ -61,31 +61,28 @@ class EncodeResult:
 
 
 def init_disentangle_weights(
-    in_width: int, k: int, rng: np.random.Generator, std: float = 0.01
+    params: ad.Params, name: str, in_width: int, k: int
 ) -> DisentangleWeights:
     hidden = 2 * k
 
-    def head() -> HeadWeights:
+    def head(h: str) -> HeadWeights:
         return HeadWeights(
-            w_mu=Value(rng.normal(0.0, std, size=(hidden, k))),
-            b_mu=Value(rng.normal(0.0, std, size=(1, k))),
-            w_sigma=Value(rng.normal(0.0, std, size=(hidden, k))),
-            b_sigma=Value(rng.normal(SIGMA_BIAS_INIT, std, size=(1, k))),
+            w_mu=params.new(f"{name}.{h}.w_mu", (hidden, k)),
+            b_mu=params.new(f"{name}.{h}.b_mu", (1, k)),
+            w_sigma=params.new(f"{name}.{h}.w_sigma", (hidden, k)),
+            b_sigma=params.new(f"{name}.{h}.b_sigma", (1, k), mean=SIGMA_BIAS_INIT),
         )
 
     return DisentangleWeights(
-        w0=Value(rng.normal(0.0, std, size=(in_width, hidden))),
-        b0=Value(rng.normal(0.0, std, size=(1, hidden))),
-        head1=head(),
-        head2=head(),
+        w0=params.new(f"{name}.w0", (in_width, hidden)),
+        b0=params.new(f"{name}.b0", (1, hidden)),
+        head1=head("h1"),
+        head2=head("h2"),
     )
 
 
-def init_domain_classifier(k: int, rng: np.random.Generator, std: float = 0.01) -> DomainClassifier:
-    return DomainClassifier(
-        w=Value(rng.normal(0.0, std, size=(k, 2))),
-        b=Value(rng.normal(0.0, std, size=(1, 2))),
-    )
+def init_domain_classifier(params: ad.Params, name: str, k: int) -> DomainClassifier:
+    return DomainClassifier(w=params.new(f"{name}.w", (k, 2)), b=params.new(f"{name}.b", (1, 2)))
 
 
 def encode(

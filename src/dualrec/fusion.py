@@ -31,22 +31,17 @@ class TowerWeights:
 
 
 def init_fusion_weights(
-    k: int, num_components: int, rng: np.random.Generator, std: float = 0.01
+    params: ad.Params, name: str, k: int, num_components: int
 ) -> FusionWeights:
     return FusionWeights(
-        w_components=[Value(rng.normal(0.0, std, size=(k, k))) for _ in range(num_components)],
-        w_s=Value(rng.normal(0.0, std, size=(k, num_components))),
+        w_components=[params.new(f"{name}.c{idx}", (k, k)) for idx in range(num_components)],
+        w_s=params.new(f"{name}.ws", (k, num_components)),
     )
 
 
-def init_tower_weights(
-    in_width: int, k: int, rng: np.random.Generator, std: float = 0.01
-) -> TowerWeights:
+def init_tower_weights(params: ad.Params, name: str, in_width: int, k: int) -> TowerWeights:
     return TowerWeights(
-        weights=[
-            Value(rng.normal(0.0, std, size=(in_width, 2 * k))),
-            Value(rng.normal(0.0, std, size=(2 * k, k))),
-        ]
+        weights=[params.new(f"{name}.0", (in_width, 2 * k)), params.new(f"{name}.1", (2 * k, k))]
     )
 
 

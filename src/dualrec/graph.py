@@ -65,15 +65,12 @@ def build_bipartite_adjacency(train: InteractionSet) -> NormalizedAdjacency:
 
 
 def init_gcn_weights(
-    size: int, k: int, num_layers: int, rng: np.random.Generator, std: float = 0.01
+    params: ad.Params, name: str, size: int, k: int, num_layers: int
 ) -> GcnWeights:
-    e0 = Value(rng.normal(0.0, std, size=(size, k)))
+    e0 = params.new(f"{name}.e0", (size, k))
     layers = [
-        (
-            Value(rng.normal(0.0, std, size=(k, k))),
-            Value(rng.normal(0.0, std, size=(1, k))),
-        )
-        for _ in range(num_layers)
+        (params.new(f"{name}.w{idx}", (k, k)), params.new(f"{name}.b{idx}", (1, k)))
+        for idx in range(num_layers)
     ]
     return GcnWeights(e0=e0, layers=layers)
 

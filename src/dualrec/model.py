@@ -1,8 +1,8 @@
 """Model state assembly and the shared forward pass.
 
-One ModelState holds every trainable parameter for both domains under a
-fixed census: the parameter dictionary is built once at construction, in a
-deterministic order, and optimizers iterate it by name. Ablation variants
+One ModelState holds every trainable parameter for both domains. Each is
+drawn through one ``ad.Params``, which names it where it is drawn and keeps
+it in draw order; optimizers and save/load use them by name. Ablation variants
 reshape the structure here (which codes are fused, what the user tower
 consumes) so the training loop stays variant-agnostic.
 
@@ -77,58 +77,16 @@ class ModelState:
     adjacency_b: gr.NormalizedAdjacency
     domain_a: DomainModel
     domain_b: DomainModel
+    params: ad.Params  # every weight below, by name, in draw order
     encoders: dict[str, dis.DisentangleWeights] = field(default_factory=dict)
     classifier: dis.DomainClassifier | None = None
     decoders: dict[str, DecoderWeights] = field(default_factory=dict)
-    params: dict[str, Value] = field(default_factory=dict)
 
     def domain(self, tag: str) -> DomainModel:
         return getattr(self, f"domain_{tag}")
 
     def adjacency(self, tag: str) -> gr.NormalizedAdjacency:
         return getattr(self, f"adjacency_{tag}")
-
-
-def _census(model: ModelState) -> dict[str, Value]:
-    params: dict[str, Value] = {}
-
-    def put(name: str, value: Value) -> None:
-        params[name] = value
-
-    for tag in DOMAINS:
-        dm = model.domain(tag)
-        put(f"gcn_{tag}.e0", dm.gcn.e0)
-        for idx, (w, b) in enumerate(dm.gcn.layers):
-            put(f"gcn_{tag}.w{idx}", w)
-            put(f"gcn_{tag}.b{idx}", b)
-    for branch in BRANCHES:
-        enc = model.encoders.get(branch)
-        if enc is None:
-            continue
-        put(f"enc_{branch}.w0", enc.w0)
-        put(f"enc_{branch}.b0", enc.b0)
-        for h, head in (("h1", enc.head1), ("h2", enc.head2)):
-            put(f"enc_{branch}.{h}.w_mu", head.w_mu)
-            put(f"enc_{branch}.{h}.b_mu", head.b_mu)
-            put(f"enc_{branch}.{h}.w_sigma", head.w_sigma)
-            put(f"enc_{branch}.{h}.b_sigma", head.b_sigma)
-    if model.classifier is not None:
-        put("clf.w", model.classifier.w)
-        put("clf.b", model.classifier.b)
-    for tag in DOMAINS:
-        dm = model.domain(tag)
-        if dm.fusion is not None:
-            for idx, w in enumerate(dm.fusion.w_components):
-                put(f"fus_{tag}.c{idx}", w)
-            put(f"fus_{tag}.ws", dm.fusion.w_s)
-        for idx, w in enumerate(dm.user_tower.weights):
-            put(f"tow_{tag}.user.{idx}", w)
-        for idx, w in enumerate(dm.item_tower.weights):
-            put(f"tow_{tag}.item.{idx}", w)
-    for key in sorted(model.decoders):
-        put(f"dec_{key}.w", model.decoders[key].w)
-        put(f"dec_{key}.b", model.decoders[key].b)
-    return params
 
 
 def build_model(
@@ -139,43 +97,43 @@ def build_model(
     config.validate()
     if adjacency_a.num_users != adjacency_b.num_users:
         raise ConfigError("domains must share the user set")
-    rng = np.random.default_rng([config.seed, 0])
-    k, l, std = config.k, config.l, config.init_std
+    params = ad.Params(np.random.default_rng([config.seed, 0]), config.init_std)
+    k, l = config.k, config.l
     gw = (l + 1) * k
     components = variant_components(config.variant)
 
-    def domain(adjacency: gr.NormalizedAdjacency) -> DomainModel:
-        gcn = gr.init_gcn_weights(adjacency.size, k, l, rng, std)
+    def domain(tag: str, adjacency: gr.NormalizedAdjacency) -> DomainModel:
+        gcn = gr.init_gcn_weights(params, f"gcn_{tag}", adjacency.size, k, l)
         fusion = None
         if components and config.fusion == "attention":
-            fusion = fu.init_fusion_weights(k, len(components), rng, std)
+            fusion = fu.init_fusion_weights(params, f"fus_{tag}", k, len(components))
         user_in = gw if not components else fu.fused_width(config.fusion, k, len(components))
         return DomainModel(
             gcn=gcn,
             fusion=fusion,
-            user_tower=fu.init_tower_weights(user_in, k, rng, std),
-            item_tower=fu.init_tower_weights(gw, k, rng, std),
+            user_tower=fu.init_tower_weights(params, f"tow_{tag}.user", user_in, k),
+            item_tower=fu.init_tower_weights(params, f"tow_{tag}.item", gw, k),
         )
 
     model = ModelState(
         config=config,
         adjacency_a=adjacency_a,
         adjacency_b=adjacency_b,
-        domain_a=domain(adjacency_a),
-        domain_b=domain(adjacency_b),
+        domain_a=domain("a", adjacency_a),
+        domain_b=domain("b", adjacency_b),
+        params=params,
     )
     if components:
         for branch in BRANCHES:
-            model.encoders[branch] = dis.init_disentangle_weights(gw, k, rng, std)
-        model.classifier = dis.init_domain_classifier(k, rng, std)
+            model.encoders[branch] = dis.init_disentangle_weights(params, f"enc_{branch}", gw, k)
+        model.classifier = dis.init_domain_classifier(params, "clf", k)
     if config.variant == "elbo":
         for branch in BRANCHES:
             for head in ("h1", "h2"):
-                model.decoders[f"{branch}.{head}"] = DecoderWeights(
-                    w=Value(rng.normal(0.0, std, size=(k, gw))),
-                    b=Value(rng.normal(0.0, std, size=(1, gw))),
+                key = f"{branch}.{head}"
+                model.decoders[key] = DecoderWeights(
+                    w=params.new(f"dec_{key}.w", (k, gw)), b=params.new(f"dec_{key}.b", (1, gw))
                 )
-    model.params = _census(model)
     return model
 
 
@@ -327,7 +285,7 @@ def load_model(
     model = build_model(adjacency_a, adjacency_b, config)
     saved = set(archive.files) - {"__config__"}
     if saved != set(model.params):
-        raise ArtifactError(f"model file {path} has a mismatched parameter census")
+        raise ArtifactError(f"model file {path} has mismatched parameter names")
     for name, value in model.params.items():
         try:  # an object array cannot load; a string or complex one cannot cast
             data = archive[name].astype(np.float64, casting="same_kind")

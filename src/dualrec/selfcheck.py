@@ -26,10 +26,6 @@ def _rng(tag: str) -> np.random.Generator:
     return np.random.default_rng(list(tag.encode()))
 
 
-def _leaf(rng: np.random.Generator, shape, scale: float = 1.0) -> ad.Value:
-    return ad.Value(rng.normal(0.0, scale, size=shape))
-
-
 # a small constant CSR that is not symmetric, so a backward that multiplies
 # by a instead of a.T gives wrong values, not just a shape error
 _SPMM_A = sp.csr_matrix(np.array([
@@ -83,12 +79,13 @@ def _composite_case() -> float:
     """FD over a small fused scoring loss, touching most ops at once."""
     rng = _rng("selfcheck.composite")
     k, m = 3, 4
-    codes = [_leaf(rng, (m, k), 0.4) for _ in range(3)]
-    fw = fu.init_fusion_weights(k, 3, rng, std=0.3)
-    tower = fu.init_tower_weights(k, k, rng, std=0.3)
-    items = _leaf(rng, (m, k), 0.4)
+    inputs, weights = ad.Params(rng, 0.4), ad.Params(rng, 0.3)
+    codes = [inputs.new(f"code{c}", (m, k)) for c in range(3)]
+    fw = fu.init_fusion_weights(weights, "fus", k, 3)
+    tower = fu.init_tower_weights(weights, "tow", k, k)
+    items = inputs.new("items", (m, k))
     labels = np.array([1.0, 0.0, 1.0, 0.0])
-    leaves = codes + [items] + fw.w_components + [fw.w_s] + tower.weights
+    leaves = list(inputs.values()) + list(weights.values())
 
     def fn(_):
         fused = fu.fuse(codes, "attention", fw)

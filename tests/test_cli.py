@@ -374,6 +374,16 @@ class TestBadArtifacts:
             self.corrupt(data_dir, name, lambda lines: lines + lines[:1])
         self.assert_artifact_error(tmp_path, data_dir, capsys, match)
 
+    @pytest.mark.parametrize("number", ["99999999999999999999", "-99999999999999999999"])
+    def test_number_outside_int64_rejected(self, tmp_path, data_dir, capsys, number):
+        # numpy reads either sign as the int64 maximum, a number the file does not hold
+        def edit(lines):
+            u = lines[0].split("\t")[0]
+            return [f"{u}\t{number}"] + lines[1:]
+
+        self.corrupt(data_dir, "train.tsv", edit)
+        self.assert_artifact_error(tmp_path, data_dir, capsys, "number outside the int64 range")
+
     def test_eval_rejects_bad_candidates(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")
         assert run_train(data_dir, run_dir) == cli.EXIT_OK
@@ -384,6 +394,38 @@ class TestBadArtifacts:
                          "--out", str(tmp_path / "rep.txt")])
         assert code == cli.EXIT_ARTIFACT
         assert capsys.readouterr().err.startswith("artifact error: ")
+
+
+class TestNonUtf8Input:
+    """A byte that is not UTF-8 in a text input ends the run with its code and one line."""
+
+    @pytest.mark.parametrize("target, code, prefix", [
+        ("train.tsv", cli.EXIT_ARTIFACT, "artifact error: "),
+        ("meta", cli.EXIT_ARTIFACT, "artifact error: "),
+        ("config", cli.EXIT_USAGE, "config error: "),
+        ("spec", cli.EXIT_USAGE, "config error: "),
+        ("ratings", cli.EXIT_DATA, "data error: "),
+    ])
+    def test_one_line(self, tmp_path, data_dir, spec_file, capsys, target, code, prefix):
+        out = str(tmp_path / "out")
+        train = ["train", "--data", data_dir, "--out", out, "--k", "4", "--epochs", "1"]
+        if target in ("train.tsv", "meta"):
+            path, argv = os.path.join(data_dir, "domain_a", target), train
+        elif target == "config":
+            path = str(tmp_path / "run.cfg")
+            argv = train + ["--config", path]
+        elif target == "spec":
+            path, argv = spec_file, ["synth", "--spec", spec_file, "--out", out]
+        else:
+            argv = ["prepare", *rating_files(tmp_path), "--out", out, "--min-count", "2"]
+            path = str(tmp_path / "r_a.tsv")
+        with open(path, "ab") as fh:
+            fh.write(b"\xff\n")
+        capsys.readouterr()
+        assert cli.main(argv) == code
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(prefix)
+        assert f"{path}: not UTF-8 text" in err
 
 
 class TestBadModelFiles:

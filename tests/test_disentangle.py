@@ -53,7 +53,7 @@ class TestEncode:
 
     def test_deterministic_path_repeatable(self):
         rng = np.random.default_rng(0)
-        weights = dis.init_disentangle_weights(6, 3, rng)
+        weights = dis.init_disentangle_weights(ad.Params(rng, 0.01), "enc", 6, 3)
         e = Value(rng.standard_normal((4, 6)))
         o1 = dis.encode(e, weights)
         o2 = dis.encode(e, weights)
@@ -62,7 +62,7 @@ class TestEncode:
 
     def test_monte_carlo_mean_matches_mu(self):
         rng = np.random.default_rng(1)
-        weights = dis.init_disentangle_weights(4, 2, rng, std=0.5)
+        weights = dis.init_disentangle_weights(ad.Params(rng, 0.5), "enc", 4, 2)
         e = Value(rng.standard_normal((1, 4)))
         det = dis.encode(e, weights)
         draws = 10_000
@@ -178,14 +178,11 @@ class TestGradients:
         in_width, k, m = 5, 3, 4
         inputs = [rng.standard_normal((m, in_width)) for _ in range(3)]
 
-        weights = [dis.init_disentangle_weights(in_width, k, rng, std=0.3) for _ in range(3)]
-        clf = dis.init_domain_classifier(k, rng, std=0.3)
-        leaves = []
-        for w in weights:
-            leaves += [w.w0, w.b0]
-            for head in (w.head1, w.head2):
-                leaves += [head.w_mu, head.b_mu, head.w_sigma, head.b_sigma]
-        leaves += [clf.w, clf.b]
+        params = ad.Params(rng, 0.3)
+        for i in range(3):
+            dis.init_disentangle_weights(params, f"enc{i}", in_width, k)
+        dis.init_domain_classifier(params, "clf", k)
+        leaves = list(params.values())  # draw order: w0, b0, each head's four, then w, b
 
         def fn(ls):
             ws = []
@@ -216,7 +213,7 @@ class TestGradients:
         z_a = Value(rng.standard_normal((m, k)) + 1.2)
         z_b = Value(rng.standard_normal((m, k)) - 1.2)
         z_aug = Value(0.5 * (z_a.data + z_b.data))
-        clf = dis.init_domain_classifier(k, rng)
+        clf = dis.init_domain_classifier(ad.Params(rng, 0.01), "clf", k)
         opt = Adam({"w": clf.w, "b": clf.b}, lr=0.05)
         for _ in range(200):
             opt.zero_grad()

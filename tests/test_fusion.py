@@ -44,7 +44,7 @@ class TestFuse:
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         codes = rand_codes(rng)
-        weights = fu.init_fusion_weights(3, 3, rng, std=0.5)
+        weights = fu.init_fusion_weights(ad.Params(rng, 0.5), "fus", 3, 3)
         attn = fu.attention_weights(codes, weights)
         assert (attn.data >= 0).all()
         np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-12)
@@ -52,7 +52,7 @@ class TestFuse:
     def test_attention_output_is_convex_combination(self):
         rng = np.random.default_rng(4)
         codes = rand_codes(rng)
-        weights = fu.init_fusion_weights(3, 3, rng, std=0.5)
+        weights = fu.init_fusion_weights(ad.Params(rng, 0.5), "fus", 3, 3)
         out = fu.fuse(codes, "attention", weights).data
         stacked = np.stack([c.data for c in codes])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
@@ -61,7 +61,7 @@ class TestFuse:
     def test_two_component_attention(self):
         rng = np.random.default_rng(5)
         codes = rand_codes(rng, count=2)
-        weights = fu.init_fusion_weights(3, 2, rng)
+        weights = fu.init_fusion_weights(ad.Params(rng, 0.01), "fus", 3, 2)
         attn = fu.attention_weights(codes, weights)
         assert attn.shape == (4, 2)
         np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-12)
@@ -114,7 +114,7 @@ class TestTowers:
 
     def test_init_widths(self):
         rng = np.random.default_rng(10)
-        tower = fu.init_tower_weights(12, 4, rng)
+        tower = fu.init_tower_weights(ad.Params(rng, 0.01), "tow", 12, 4)
         assert tower.weights[0].shape == (12, 8)
         assert tower.weights[1].shape == (8, 4)
 
@@ -198,10 +198,11 @@ class TestLossPrd:
         labels = np.array([1.0, 0.0, 1.0, 0.0])
 
         codes = [Value(rng.standard_normal((m, k))) for _ in range(3)]
-        fw = fu.init_fusion_weights(k, 3, rng, std=0.3)
-        user_tower = fu.init_tower_weights(k, k, rng, std=0.3)
-        item_tower = fu.init_tower_weights(item_width, k, rng, std=0.3)
-        leaves = codes + fw.w_components + [fw.w_s] + user_tower.weights + item_tower.weights
+        params = ad.Params(rng, 0.3)
+        fw = fu.init_fusion_weights(params, "fus", k, 3)
+        user_tower = fu.init_tower_weights(params, "tow.user", k, k)
+        item_tower = fu.init_tower_weights(params, "tow.item", item_width, k)
+        leaves = codes + list(params.values())
 
         def fn(ls):
             cs = ls[0:3]

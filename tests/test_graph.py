@@ -280,7 +280,7 @@ class TestGradientFlow:
 
     def test_init_shapes(self):
         rng = np.random.default_rng(9)
-        weights = graph.init_gcn_weights(size=7, k=4, num_layers=2, rng=rng)
+        weights = graph.init_gcn_weights(ad.Params(rng, 0.01), "gcn", size=7, k=4, num_layers=2)
         assert weights.e0.shape == (7, 4)
         assert weights.num_layers == 2
         for w, b in weights.layers:

@@ -1,8 +1,10 @@
 """Tests for model assembly, the forward pass, pair scoring, and persistence.
 
-Census stability and save/load are checked bitwise; scoring is checked
+Initial parameters and save/load are checked bitwise; scoring is checked
 against an independent numpy cosine on the evaluation-path representations.
 """
+
+import hashlib
 
 import numpy as np
 import pytest
@@ -11,7 +13,7 @@ from dualrec import autodiff as ad
 from dualrec import fusion as fu
 from dualrec import graph as gr
 from dualrec import model as md
-from dualrec.config import ConfigError, RunConfig, VARIANTS
+from dualrec.config import FUSIONS, VARIANTS, ConfigError, RunConfig
 from dualrec.data import ArtifactError, InteractionSet
 from dualrec.evaluation import model_representations
 from dualrec.graph import build_bipartite_adjacency
@@ -46,6 +48,46 @@ def config(**kw):
     return RunConfig(**base)
 
 
+# sha256 over the sorted (name, shape, bytes) of each build's initial
+# parameters, recorded before every weight was drawn through ad.Params
+INITIAL_DIGESTS = {
+    ("full", "concat"): "ba8d5d9ede14bfdf6a8b944a7dce3a06bc80e069fad504cd920a20c343289273",
+    ("full", "sum"): "13888bb7f7f71bad12d4fd93cdbf6c591224032de19b7d317384b68e3835acde",
+    ("full", "attention"): "84315d5f62b84cddef4760729f08f7c5af03b93c3fadba55cd223cc09ef57f93",
+    ("fixed_lambda", "concat"): "ba8d5d9ede14bfdf6a8b944a7dce3a06bc80e069fad504cd920a20c343289273",
+    ("fixed_lambda", "sum"): "13888bb7f7f71bad12d4fd93cdbf6c591224032de19b7d317384b68e3835acde",
+    ("fixed_lambda", "attention"): "84315d5f62b84cddef4760729f08f7c5af03b93c3fadba55cd223cc09ef57f93",
+    ("base", "concat"): "2ee873c0e36d5dce478c8bcf14653bbf2a4d10680524b0c16446c11a9a93ac25",
+    ("base", "sum"): "2ee873c0e36d5dce478c8bcf14653bbf2a4d10680524b0c16446c11a9a93ac25",
+    ("base", "attention"): "2ee873c0e36d5dce478c8bcf14653bbf2a4d10680524b0c16446c11a9a93ac25",
+    ("elbo", "concat"): "a97d07f3e5698a0cee4859f88ae9650d41dd47317add62d8051842d303363274",
+    ("elbo", "sum"): "f5fbd822d16a0c4ffae1b8163212c180a964ae25f3a130357395ed4ca8af3cc4",
+    ("elbo", "attention"): "bd7718bd630dc6b8c985ef9f4e66a259f206359f6d16acaba4b6e4f4f090ce9d",
+    ("wo_sha", "concat"): "62e9c3a388ff44307d17e1f555169e648796124caec69ceff8e4850d39b065f4",
+    ("wo_sha", "sum"): "13888bb7f7f71bad12d4fd93cdbf6c591224032de19b7d317384b68e3835acde",
+    ("wo_sha", "attention"): "fbfa732af5b5a40433233bb61922f51ebeaed0bff4151f69f271cf281c7b7c99",
+    ("wo_spe", "concat"): "62e9c3a388ff44307d17e1f555169e648796124caec69ceff8e4850d39b065f4",
+    ("wo_spe", "sum"): "13888bb7f7f71bad12d4fd93cdbf6c591224032de19b7d317384b68e3835acde",
+    ("wo_spe", "attention"): "fbfa732af5b5a40433233bb61922f51ebeaed0bff4151f69f271cf281c7b7c99",
+    ("wo_ind", "concat"): "62e9c3a388ff44307d17e1f555169e648796124caec69ceff8e4850d39b065f4",
+    ("wo_ind", "sum"): "13888bb7f7f71bad12d4fd93cdbf6c591224032de19b7d317384b68e3835acde",
+    ("wo_ind", "attention"): "fbfa732af5b5a40433233bb61922f51ebeaed0bff4151f69f271cf281c7b7c99",
+    ("transfer_ind", "concat"): "a8ca2a79191bc3857929df797b70b76e31c06c62b89f30b69a0ca41b1443ea5f",
+    ("transfer_ind", "sum"): "13888bb7f7f71bad12d4fd93cdbf6c591224032de19b7d317384b68e3835acde",
+    ("transfer_ind", "attention"): "5c71fbe874577a87db54c532388f2adea2bf0056d346b527c134d0cde91a88a7",
+}
+
+
+def params_digest(params) -> str:
+    h = hashlib.sha256()
+    for name in sorted(params):
+        data = params[name].data
+        h.update(name.encode())
+        h.update(repr(data.shape).encode())
+        h.update(data.tobytes())
+    return h.hexdigest()
+
+
 class TestVariantComponents:
     def test_component_lists(self):
         assert md.variant_components("full") == ("spe", "ind", "sha")
@@ -68,6 +110,15 @@ class TestBuildModel:
         assert list(m1.params) == list(m2.params)
         for name in m1.params:
             np.testing.assert_array_equal(m1.params[name].data, m2.params[name].data)
+        with pytest.raises(ad.ContractError, match="gcn_a.e0"):
+            m1.params.new("gcn_a.e0", (1, 1))
+
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_initial_parameters_pinned(self, variant, fusion):
+        adj_a, adj_b = adjacencies()
+        m = md.build_model(adj_a, adj_b, config(variant=variant, fusion=fusion))
+        assert params_digest(m.params) == INITIAL_DIGESTS[variant, fusion]
 
     def test_base_variant_has_no_encoders(self):
         adj_a, adj_b = adjacencies()
@@ -246,11 +297,17 @@ class TestPersistence:
         m = md.build_model(adj_a, adj_b, config(variant="elbo"))
         path = str(tmp_path / "model.npz")
         md.save_model(path, m)
-        loaded = md.load_model(path, adj_a, adj_b)
-        assert list(loaded.params) == list(m.params)
-        for name in m.params:
-            np.testing.assert_array_equal(loaded.params[name].data, m.params[name].data)
-        assert loaded.config == m.config
+        # members load by name: the same file with its members reversed loads the same
+        members = dict(np.load(path, allow_pickle=False))
+        reversed_path = str(tmp_path / "reversed.npz")
+        np.savez(reversed_path, **dict(reversed(list(members.items()))))
+        assert np.load(reversed_path).files == list(reversed(members))
+        for source in (path, reversed_path):
+            loaded = md.load_model(source, adj_a, adj_b)
+            assert list(loaded.params) == list(m.params)
+            for name in m.params:
+                np.testing.assert_array_equal(loaded.params[name].data, m.params[name].data)
+            assert loaded.config == m.config
 
     def test_missing_file_raises_artifact_error(self, tmp_path):
         adj_a, adj_b = adjacencies()
