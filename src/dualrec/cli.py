@@ -20,6 +20,7 @@ from .data import (
     SplitDataset,
     atomic_write,
     freeze_splits,
+    prepare_datasets,
     read_split_artifact,
     read_text,
     write_split_artifact,
@@ -98,8 +99,6 @@ def _cmd_prepare(args) -> int:
     for path in (args.domain_a, args.domain_b):
         if not os.path.isfile(path):
             raise DatasetError(f"input ratings file not found: {path}")
-    from .data import prepare_datasets
-
     split_a, split_b, meta = prepare_datasets(
         args.domain_a,
         args.domain_b,

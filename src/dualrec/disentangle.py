@@ -5,6 +5,11 @@ heads. Head 1 yields the domain-independent (or, on the augmented branch,
 domain-shared) code; head 2 yields the domain-specific code. A single
 classifier is shared across branches: the specific codes are trained to be
 identifiable, the independent and shared codes to be indistinguishable.
+
+Both read their weights by name from a parameter dict: an encoder named
+``enc_a`` reads ``enc_a.w0``, ``enc_a.b0`` and, per head ``h1``/``h2``,
+``enc_a.h1.w_mu``, ``.b_mu``, ``.w_sigma`` and ``.b_sigma``; the classifier
+``clf`` reads ``clf.w`` and ``clf.b``.
 """
 
 from __future__ import annotations
@@ -26,28 +31,6 @@ SIGMA_BIAS_INIT = -2.0
 
 
 @dataclass
-class HeadWeights:
-    w_mu: Value
-    b_mu: Value
-    w_sigma: Value
-    b_sigma: Value
-
-
-@dataclass
-class DisentangleWeights:
-    w0: Value
-    b0: Value
-    head1: HeadWeights
-    head2: HeadWeights
-
-
-@dataclass
-class DomainClassifier:
-    w: Value
-    b: Value
-
-
-@dataclass
 class EncodeResult:
     """Codes plus the distribution parameters behind them (needed by the
     ELBO objective)."""
@@ -60,43 +43,33 @@ class EncodeResult:
     log_sigma2: Value
 
 
-def init_disentangle_weights(
-    params: ad.Params, name: str, in_width: int, k: int
-) -> DisentangleWeights:
+def init_disentangle_weights(params: ad.Params, name: str, in_width: int, k: int) -> None:
     hidden = 2 * k
-
-    def head(h: str) -> HeadWeights:
-        return HeadWeights(
-            w_mu=params.new(f"{name}.{h}.w_mu", (hidden, k)),
-            b_mu=params.new(f"{name}.{h}.b_mu", (1, k)),
-            w_sigma=params.new(f"{name}.{h}.w_sigma", (hidden, k)),
-            b_sigma=params.new(f"{name}.{h}.b_sigma", (1, k), mean=SIGMA_BIAS_INIT),
-        )
-
-    return DisentangleWeights(
-        w0=params.new(f"{name}.w0", (in_width, hidden)),
-        b0=params.new(f"{name}.b0", (1, hidden)),
-        head1=head("h1"),
-        head2=head("h2"),
-    )
+    params.new(f"{name}.w0", (in_width, hidden))
+    params.new(f"{name}.b0", (1, hidden))
+    for head in ("h1", "h2"):
+        params.new(f"{name}.{head}.w_mu", (hidden, k))
+        params.new(f"{name}.{head}.b_mu", (1, k))
+        params.new(f"{name}.{head}.w_sigma", (hidden, k))
+        params.new(f"{name}.{head}.b_sigma", (1, k), mean=SIGMA_BIAS_INIT)
 
 
-def init_domain_classifier(params: ad.Params, name: str, k: int) -> DomainClassifier:
-    return DomainClassifier(w=params.new(f"{name}.w", (k, 2)), b=params.new(f"{name}.b", (1, 2)))
+def init_domain_classifier(params: ad.Params, name: str, k: int) -> None:
+    params.new(f"{name}.w", (k, 2))
+    params.new(f"{name}.b", (1, 2))
 
 
 def encode(
-    e: Value,
-    weights: DisentangleWeights,
-    rng: np.random.Generator | None = None,
+    e: Value, params: dict[str, Value], name: str, rng: np.random.Generator | None = None
 ) -> EncodeResult:
     """Two reparameterized codes from one branch input; noise is drawn iff ``rng`` is given."""
-    h = ad.relu(ad.affine(e, weights.w0, weights.b0))
+    h = ad.relu(ad.affine(e, params[f"{name}.w0"], params[f"{name}.b0"]))
 
-    def run_head(head: HeadWeights) -> tuple[Value, Value, Value]:
-        mu = ad.affine(h, head.w_mu, head.b_mu)
+    def run_head(head: str) -> tuple[Value, Value, Value]:
+        prefix = f"{name}.{head}"
+        mu = ad.affine(h, params[f"{prefix}.w_mu"], params[f"{prefix}.b_mu"])
         log_sigma = ad.clamp(
-            ad.affine(h, head.w_sigma, head.b_sigma),
+            ad.affine(h, params[f"{prefix}.w_sigma"], params[f"{prefix}.b_sigma"]),
             -ad.LOG_SIGMA_BOUND,
             ad.LOG_SIGMA_BOUND,
         )
@@ -107,13 +80,13 @@ def encode(
             z = mu
         return z, mu, log_sigma
 
-    z1, mu1, ls1 = run_head(weights.head1)
-    z2, mu2, ls2 = run_head(weights.head2)
+    z1, mu1, ls1 = run_head("h1")
+    z2, mu2, ls2 = run_head("h2")
     return EncodeResult(z1=z1, z2=z2, mu1=mu1, log_sigma1=ls1, mu2=mu2, log_sigma2=ls2)
 
 
-def classify_domain(z: Value, classifier: DomainClassifier) -> Value:
-    return ad.softmax_rows(ad.affine(z, classifier.w, classifier.b))
+def classify_domain(z: Value, params: dict[str, Value], name: str) -> Value:
+    return ad.softmax_rows(ad.affine(z, params[f"{name}.w"], params[f"{name}.b"]))
 
 
 def _label_rows(m: int, label: tuple[float, float]) -> np.ndarray:
@@ -125,7 +98,8 @@ def loss_cls1(
     z_spe_b: Value,
     z_spe_aug: Value,
     lam: float,
-    classifier: DomainClassifier,
+    params: dict[str, Value],
+    name: str,
 ) -> Value:
     """Domain-classification loss over the specific codes.
 
@@ -134,9 +108,9 @@ def loss_cls1(
     """
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must lie in [0, 1], got {lam}")
-    p_a = classify_domain(z_spe_a, classifier)
-    p_b = classify_domain(z_spe_b, classifier)
-    p_aug = classify_domain(z_spe_aug, classifier)
+    p_a = classify_domain(z_spe_a, params, name)
+    p_b = classify_domain(z_spe_b, params, name)
+    p_aug = classify_domain(z_spe_aug, params, name)
     term_a = ad.cross_entropy(p_a, _label_rows(z_spe_a.shape[0], LABEL_A))
     term_b = ad.cross_entropy(p_b, _label_rows(z_spe_b.shape[0], LABEL_B))
     term_aug_a = ad.cross_entropy(p_aug, _label_rows(z_spe_aug.shape[0], LABEL_A))
@@ -152,12 +126,13 @@ def loss_cls2(
     z_ind_a: Value,
     z_ind_b: Value,
     z_sha_aug: Value,
-    classifier: DomainClassifier,
+    params: dict[str, Value],
+    name: str,
 ) -> Value:
     """KL pressure toward domain indistinguishability on independent/shared codes."""
     total = None
     for z in (z_ind_a, z_ind_b, z_sha_aug):
-        p = classify_domain(z, classifier)
+        p = classify_domain(z, params, name)
         term = ad.kl_div(_label_rows(z.shape[0], LABEL_UNIFORM), p)
         total = term if total is None else ad.add(total, term)
     return ad.mul_const(total, 1.0 / 3.0)

@@ -1,12 +1,14 @@
 """Preference fusion, scoring towers, cosine prediction, and prediction loss.
 
-The attention path is generic over the number of fused components so the
-ablation variants (two, three, or four codes) reuse the same machinery.
+Attention fusion and the towers read their weights by name from a parameter
+dict: ``<name>.c<i>`` (one k x k matrix per fused code) and ``<name>.ws``
+(k x C scores) for attention, ``<name>.<stage>`` for the bias-free tower
+stages, whose widths ``TOWER_STAGES`` sets. The attention path is generic
+over the number of fused components so the ablation variants (two, three, or
+four codes) reuse the same machinery.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -14,35 +16,20 @@ from . import autodiff as ad
 from .autodiff import Value
 from .config import ConfigError
 
-
-@dataclass
-class FusionWeights:
-    w_components: list[Value]  # one k x k matrix per fused code
-    w_s: Value  # k x num_components score projection
-
-    @property
-    def num_components(self) -> int:
-        return len(self.w_components)
+# output width of each bias-free tower stage, in multiples of k
+TOWER_STAGES = (2, 1)
 
 
-@dataclass
-class TowerWeights:
-    weights: list[Value]  # bias-free stages
+def init_fusion_weights(params: ad.Params, name: str, k: int, num_components: int) -> None:
+    for idx in range(num_components):
+        params.new(f"{name}.c{idx}", (k, k))
+    params.new(f"{name}.ws", (k, num_components))
 
 
-def init_fusion_weights(
-    params: ad.Params, name: str, k: int, num_components: int
-) -> FusionWeights:
-    return FusionWeights(
-        w_components=[params.new(f"{name}.c{idx}", (k, k)) for idx in range(num_components)],
-        w_s=params.new(f"{name}.ws", (k, num_components)),
-    )
-
-
-def init_tower_weights(params: ad.Params, name: str, in_width: int, k: int) -> TowerWeights:
-    return TowerWeights(
-        weights=[params.new(f"{name}.0", (in_width, 2 * k)), params.new(f"{name}.1", (2 * k, k))]
-    )
+def init_tower_weights(params: ad.Params, name: str, in_width: int, k: int) -> None:
+    for idx, multiple in enumerate(TOWER_STAGES):
+        params.new(f"{name}.{idx}", (in_width, multiple * k))
+        in_width = multiple * k
 
 
 def fused_width(strategy: str, k: int, num_components: int) -> int:
@@ -53,21 +40,22 @@ def fused_width(strategy: str, k: int, num_components: int) -> int:
     raise ConfigError(f"unknown fusion strategy {strategy!r}")
 
 
-def attention_weights(codes: list[Value], weights: FusionWeights) -> Value:
+def attention_weights(codes: list[Value], params: dict[str, Value], name: str) -> Value:
     """Per-user softmax weights over the fused components, shape m x C."""
-    if len(codes) != weights.num_components:
-        raise ad.ShapeError(
-            f"fusion got {len(codes)} codes for {weights.num_components} component weights"
-        )
+    w_s = params[f"{name}.ws"]
+    if len(codes) != w_s.shape[1]:
+        raise ad.ShapeError(f"fusion got {len(codes)} codes for {w_s.shape[1]} component weights")
     mixed = None
-    for code, w in zip(codes, weights.w_components):
-        term = ad.matmul(code, w)
+    for idx, code in enumerate(codes):
+        term = ad.matmul(code, params[f"{name}.c{idx}"])
         mixed = term if mixed is None else ad.add(mixed, term)
-    scores = ad.matmul(ad.leaky_relu(mixed), weights.w_s)
+    scores = ad.matmul(ad.leaky_relu(mixed), w_s)
     return ad.softmax_rows(scores)
 
 
-def fuse(codes: list[Value], strategy: str, weights: FusionWeights | None = None) -> Value:
+def fuse(
+    codes: list[Value], strategy: str, params: dict[str, Value] | None = None, name: str = ""
+) -> Value:
     if strategy == "concat":
         return ad.concat_cols(codes)
     if strategy == "sum":
@@ -76,9 +64,9 @@ def fuse(codes: list[Value], strategy: str, weights: FusionWeights | None = None
             out = ad.add(out, code)
         return out
     if strategy == "attention":
-        if weights is None:
+        if params is None or f"{name}.ws" not in params:
             raise ConfigError("attention fusion requires fusion weights")
-        attn = attention_weights(codes, weights)
+        attn = attention_weights(codes, params, name)
         out = None
         for c, code in enumerate(codes):
             weighted = ad.scale_rows(code, ad.slice_cols(attn, c, c + 1))
@@ -87,10 +75,10 @@ def fuse(codes: list[Value], strategy: str, weights: FusionWeights | None = None
     raise ConfigError(f"unknown fusion strategy {strategy!r}")
 
 
-def tower_forward(x: Value, tower: TowerWeights) -> Value:
+def tower_forward(x: Value, params: dict[str, Value], name: str) -> Value:
     out = x
-    for w in tower.weights:
-        out = ad.leaky_relu(ad.matmul(out, w))
+    for idx in range(len(TOWER_STAGES)):
+        out = ad.leaky_relu(ad.matmul(out, params[f"{name}.{idx}"]))
     return out
 
 

@@ -6,11 +6,13 @@ normalization scales each stored entry by dinv[row]*dinv[col], a commutative
 product, so the sparse matrix is exactly symmetric rather than symmetric up
 to floating-point association order.
 
-``encode_graph`` returns the layer list [E0, ..., El] over every node (users
-first, then items offset by the user count). A node's embedding is its row of
-every layer, concatenated columnwise; ``node_rows`` builds it for just the
-rows a pass reads, gathering each layer before the concat, so the backward
-never forms a gradient the size of the whole concat.
+``encode_graph`` reads a domain's weights by name from a parameter dict
+(``<name>.e0``, then ``<name>.w<i>`` and ``<name>.b<i>`` per layer) and
+returns the layer list [E0, ..., El] over every node (users first, then items
+offset by the user count). A node's embedding is its row of every layer,
+concatenated columnwise; ``node_rows`` builds it for just the rows a pass
+reads, gathering each layer before the concat, so the backward never forms a
+gradient the size of the whole concat.
 """
 
 from __future__ import annotations
@@ -33,18 +35,6 @@ class NormalizedAdjacency:
     matrix: sp.csr_matrix
 
 
-@dataclass
-class GcnWeights:
-    """Initial node embedding plus per-layer weight/bias pairs."""
-
-    e0: Value
-    layers: list[tuple[Value, Value]]
-
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
-
 def build_bipartite_adjacency(train: InteractionSet) -> NormalizedAdjacency:
     """Self-looped, symmetrically normalized bipartite adjacency."""
     if not train.indices.size:
@@ -64,25 +54,23 @@ def build_bipartite_adjacency(train: InteractionSet) -> NormalizedAdjacency:
     return NormalizedAdjacency(size=size, num_users=m, num_items=n, matrix=matrix)
 
 
-def init_gcn_weights(
-    params: ad.Params, name: str, size: int, k: int, num_layers: int
-) -> GcnWeights:
-    e0 = params.new(f"{name}.e0", (size, k))
-    layers = [
-        (params.new(f"{name}.w{idx}", (k, k)), params.new(f"{name}.b{idx}", (1, k)))
-        for idx in range(num_layers)
-    ]
-    return GcnWeights(e0=e0, layers=layers)
+def init_gcn_weights(params: ad.Params, name: str, size: int, k: int, num_layers: int) -> None:
+    params.new(f"{name}.e0", (size, k))
+    for idx in range(num_layers):
+        params.new(f"{name}.w{idx}", (k, k))
+        params.new(f"{name}.b{idx}", (1, k))
 
 
-def encode_graph(adjacency: NormalizedAdjacency, weights: GcnWeights) -> list[Value]:
+def encode_graph(
+    adjacency: NormalizedAdjacency, params: dict[str, Value], name: str, num_layers: int
+) -> list[Value]:
     """Return [E0, E1, ..., El] with El = ReLU(A_hat E_{l-1} W_l + b_l)."""
-    if weights.num_layers < 1:
+    if num_layers < 1:
         raise ad.ContractError("propagation needs at least one layer")
-    outs = [weights.e0]
-    for w, b in weights.layers:
+    outs = [params[f"{name}.e0"]]
+    for idx in range(num_layers):
         agg = ad.spmm(adjacency.matrix, outs[-1])
-        outs.append(ad.relu(ad.affine(agg, w, b)))
+        outs.append(ad.relu(ad.affine(agg, params[f"{name}.w{idx}"], params[f"{name}.b{idx}"])))
     return outs
 
 

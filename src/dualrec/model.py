@@ -1,14 +1,15 @@
 """Model state assembly and the shared forward pass.
 
-One ModelState holds every trainable parameter for both domains. Each is
-drawn through one ``ad.Params``, which names it where it is drawn and keeps
-it in draw order; optimizers and save/load use them by name. Ablation variants
-reshape the structure here (which codes are fused, what the user tower
-consumes) so the training loop stays variant-agnostic.
+One ModelState holds the two adjacencies and one ``ad.Params`` with every
+trainable weight of both domains, named where it is drawn and kept in draw
+order. Layers, optimizers and save/load use the weights by these names, which
+are also the ``model.npz`` member names (the README tabulates them). Ablation
+variants reshape the structure here (which codes are fused, what the user
+tower consumes) so the training loop stays variant-agnostic.
 
 Both domains run the same steps, so each step is one loop over ``DOMAINS``:
-``ModelState.domain(tag)`` gives a domain's weights, and a ForwardPass keeps
-its per-domain outputs in dicts keyed by domain tag.
+a domain's weights carry its tag (``gcn_<tag>``, ``tow_<tag>.user``), and a
+ForwardPass keeps its per-domain outputs in dicts keyed by domain tag.
 
 ``forward`` is the one place where user and item representations are built,
 for training and eval alike. It builds the towered rows of the pass's users
@@ -19,6 +20,8 @@ then only looks rows up.
 
 from __future__ import annotations
 
+import io
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,7 +31,8 @@ from . import disentangle as dis
 from . import fusion as fu
 from . import graph as gr
 from .autodiff import Value
-from .config import ConfigError, RunConfig, parse_fields
+from .config import ConfigError, RunConfig, config_lines, parse_fields
+from .data import ArtifactError, atomic_write
 from .mixup import interpolate
 
 DOMAINS = ("a", "b")
@@ -57,33 +61,11 @@ def variant_components(variant: str) -> tuple[str, ...]:
 
 
 @dataclass
-class DomainModel:
-    gcn: gr.GcnWeights
-    fusion: fu.FusionWeights | None
-    user_tower: fu.TowerWeights
-    item_tower: fu.TowerWeights
-
-
-@dataclass
-class DecoderWeights:
-    w: Value
-    b: Value
-
-
-@dataclass
 class ModelState:
     config: RunConfig
     adjacency_a: gr.NormalizedAdjacency
     adjacency_b: gr.NormalizedAdjacency
-    domain_a: DomainModel
-    domain_b: DomainModel
-    params: ad.Params  # every weight below, by name, in draw order
-    encoders: dict[str, dis.DisentangleWeights] = field(default_factory=dict)
-    classifier: dis.DomainClassifier | None = None
-    decoders: dict[str, DecoderWeights] = field(default_factory=dict)
-
-    def domain(self, tag: str) -> DomainModel:
-        return getattr(self, f"domain_{tag}")
+    params: ad.Params  # every weight, by name, in draw order
 
     def adjacency(self, tag: str) -> gr.NormalizedAdjacency:
         return getattr(self, f"adjacency_{tag}")
@@ -102,39 +84,23 @@ def build_model(
     gw = (l + 1) * k
     components = variant_components(config.variant)
 
-    def domain(tag: str, adjacency: gr.NormalizedAdjacency) -> DomainModel:
-        gcn = gr.init_gcn_weights(params, f"gcn_{tag}", adjacency.size, k, l)
-        fusion = None
+    for tag, adjacency in zip(DOMAINS, (adjacency_a, adjacency_b)):
+        gr.init_gcn_weights(params, f"gcn_{tag}", adjacency.size, k, l)
         if components and config.fusion == "attention":
-            fusion = fu.init_fusion_weights(params, f"fus_{tag}", k, len(components))
+            fu.init_fusion_weights(params, f"fus_{tag}", k, len(components))
         user_in = gw if not components else fu.fused_width(config.fusion, k, len(components))
-        return DomainModel(
-            gcn=gcn,
-            fusion=fusion,
-            user_tower=fu.init_tower_weights(params, f"tow_{tag}.user", user_in, k),
-            item_tower=fu.init_tower_weights(params, f"tow_{tag}.item", gw, k),
-        )
-
-    model = ModelState(
-        config=config,
-        adjacency_a=adjacency_a,
-        adjacency_b=adjacency_b,
-        domain_a=domain("a", adjacency_a),
-        domain_b=domain("b", adjacency_b),
-        params=params,
-    )
+        fu.init_tower_weights(params, f"tow_{tag}.user", user_in, k)
+        fu.init_tower_weights(params, f"tow_{tag}.item", gw, k)
     if components:
         for branch in BRANCHES:
-            model.encoders[branch] = dis.init_disentangle_weights(params, f"enc_{branch}", gw, k)
-        model.classifier = dis.init_domain_classifier(params, "clf", k)
+            dis.init_disentangle_weights(params, f"enc_{branch}", gw, k)
+        dis.init_domain_classifier(params, "clf", k)
     if config.variant == "elbo":
         for branch in BRANCHES:
             for head in ("h1", "h2"):
-                key = f"{branch}.{head}"
-                model.decoders[key] = DecoderWeights(
-                    w=params.new(f"dec_{key}.w", (k, gw)), b=params.new(f"dec_{key}.b", (1, gw))
-                )
-    return model
+                params.new(f"dec_{branch}.{head}.w", (k, gw))
+                params.new(f"dec_{branch}.{head}.b", (1, gw))
+    return ModelState(config, adjacency_a, adjacency_b, params)
 
 
 @dataclass
@@ -165,7 +131,7 @@ def forward(
     does. ``s`` and ``t`` are built for the scored domains only. The encoders
     draw noise iff ``noise_rngs`` is given.
     """
-    cfg = model.config
+    cfg, params = model.config, model.params
     users = np.asarray(user_indices, dtype=np.int64)
     if item_indices is None:
         item_indices = {tag: np.arange(model.adjacency(tag).num_items) for tag in DOMAINS}
@@ -175,22 +141,23 @@ def forward(
     t: dict[str, Value] = {}
     # the encoders read both domains' users; base reads only the scored domains
     for tag in DOMAINS if components else items:
-        dm, adjacency = model.domain(tag), model.adjacency(tag)
-        layers = gr.encode_graph(adjacency, dm.gcn)
+        adjacency = model.adjacency(tag)
+        layers = gr.encode_graph(adjacency, params, f"gcn_{tag}", cfg.l)
         eu[tag] = gr.node_rows(layers, users)
         if tag in items:
             item_rows = gr.node_rows(layers, adjacency.num_users + items[tag])
-            t[tag] = fu.tower_forward(item_rows, dm.item_tower)
+            t[tag] = fu.tower_forward(item_rows, params, f"tow_{tag}.item")
 
     if not components:  # base: towers on raw graph embeddings
-        s = {tag: fu.tower_forward(eu[tag], model.domain(tag).user_tower) for tag in items}
+        s = {tag: fu.tower_forward(eu[tag], params, f"tow_{tag}.user") for tag in items}
         return ForwardPass(users=users, lam=lam, items=items, s=s, t=t)
 
     enc_inputs = dict(eu, aug=interpolate(eu["a"], eu["b"], lam))
     enc_results = {
         branch: dis.encode(
             enc_inputs[branch],
-            model.encoders[branch],
+            params,
+            f"enc_{branch}",
             rng=noise_rngs.get(branch) if noise_rngs else None,
         )
         for branch in BRANCHES
@@ -214,8 +181,8 @@ def forward(
                 chosen.append(codes["sha"])
             else:
                 chosen.append(codes[f"{comp}_{tag}"])
-        dm = model.domain(tag)
-        return fu.tower_forward(fu.fuse(chosen, cfg.fusion, dm.fusion), dm.user_tower)
+        fused = fu.fuse(chosen, cfg.fusion, params, f"fus_{tag}")
+        return fu.tower_forward(fused, params, f"tow_{tag}.user")
 
     return ForwardPass(
         users=users,
@@ -251,10 +218,6 @@ def score_pairs(
 
 
 def save_model(path: str, model: ModelState) -> None:
-    from .config import config_lines
-    from .data import atomic_write
-    import io
-
     arrays = {name: value.data for name, value in model.params.items()}
     arrays["__config__"] = np.array(config_lines(model.config))
     buffer = io.BytesIO()
@@ -267,9 +230,6 @@ def load_model(
     adjacency_a: gr.NormalizedAdjacency,
     adjacency_b: gr.NormalizedAdjacency,
 ) -> ModelState:
-    from .data import ArtifactError
-    import os
-
     if not os.path.exists(path):
         raise ArtifactError(f"model file not found: {path}")
     try:

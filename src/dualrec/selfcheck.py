@@ -66,6 +66,10 @@ PRIMITIVE_CASES = [
     ("sub", lambda ls: ad.mean_all(ad.square(ad.sub(*ls))), [(3, 3), (3, 3)]),
     ("row_cosine", lambda ls: ad.mean_all(ad.row_cosine(*ls)), [(4, 3), (4, 3)]),
     ("cross_entropy", lambda ls: ad.cross_entropy(ad.softmax_rows(ls[0]), _ONEHOT), [(4, 3)]),
+    # a strictly increasing index writes its gradient by rows, as every
+    # graph.node_rows call does; the index above takes the selector product
+    ("gather_rows_increasing",
+     lambda ls: ad.mean_all(ad.square(ad.gather_rows(ls[0], [0, 2]))), [(3, 4)]),
 ]
 
 
@@ -81,15 +85,15 @@ def _composite_case() -> float:
     k, m = 3, 4
     inputs, weights = ad.Params(rng, 0.4), ad.Params(rng, 0.3)
     codes = [inputs.new(f"code{c}", (m, k)) for c in range(3)]
-    fw = fu.init_fusion_weights(weights, "fus", k, 3)
-    tower = fu.init_tower_weights(weights, "tow", k, k)
+    fu.init_fusion_weights(weights, "fus", k, 3)
+    fu.init_tower_weights(weights, "tow", k, k)
     items = inputs.new("items", (m, k))
     labels = np.array([1.0, 0.0, 1.0, 0.0])
     leaves = list(inputs.values()) + list(weights.values())
 
     def fn(_):
-        fused = fu.fuse(codes, "attention", fw)
-        s = fu.tower_forward(fused, tower)
+        fused = fu.fuse(codes, "attention", weights, "fus")
+        s = fu.tower_forward(fused, weights, "tow")
         y = fu.predict(s, items)
         return fu.loss_prd(y, labels, s, items, gamma=0.01)
 

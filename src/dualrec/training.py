@@ -142,8 +142,8 @@ def _elbo_terms(model: ModelState, fwd) -> tuple[Value, Value]:
                 ad.mul_const(log_sigma, 2.0),
             )
             kl_parts.append(ad.mul_const(ad.mean_all(inner), 0.5 * k))
-            dec = model.decoders[f"{branch}.{name}"]
-            decoded = ad.affine(z, dec.w, dec.b)
+            dec = f"dec_{branch}.{name}"
+            decoded = ad.affine(z, model.params[f"{dec}.w"], model.params[f"{dec}.b"])
             recon_parts.append(ad.mean_all(ad.square(ad.sub(decoded, target))))
     scale = 1.0 / len(kl_parts)
     kl = ad.mul_const(reduce(ad.add, kl_parts), scale)
@@ -182,10 +182,11 @@ def step_losses(
                 fwd.codes["spe_b"],
                 fwd.codes["spe_aug"],
                 fwd.lam,
-                model.classifier,
+                model.params,
+                "clf",
             )
             cls2 = dis.loss_cls2(
-                fwd.codes["ind_a"], fwd.codes["ind_b"], fwd.codes["sha"], model.classifier
+                fwd.codes["ind_a"], fwd.codes["ind_b"], fwd.codes["sha"], model.params, "clf"
             )
             weighted.append(ad.mul_const(cls1, cfg.mu1))
             weighted.append(ad.mul_const(cls2, cfg.mu2))

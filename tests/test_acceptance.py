@@ -26,11 +26,7 @@ from dualrec.data import (
     leave_one_out_split,
     prepare_datasets,
 )
-from dualrec.disentangle import (
-    DomainClassifier,
-    loss_cls1,
-    loss_cls2,
-)
+from dualrec.disentangle import loss_cls1, loss_cls2
 from dualrec.evaluation import evaluate_model, metrics_at_k, rank_with_ties
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.mixup import interpolate, sample_lambda
@@ -190,18 +186,18 @@ class TestLossFixedPoints:
 
     @staticmethod
     def zero_classifier(k):
-        return DomainClassifier(w=ad.Value(np.zeros((k, 2))), b=ad.Value(np.zeros((1, 2))))
+        return {"clf.w": ad.Value(np.zeros((k, 2))), "clf.b": ad.Value(np.zeros((1, 2)))}
 
     def test_cls2_zero_at_uniform(self):
         rng = np.random.default_rng(5)
         z = [ad.Value(rng.normal(size=(7, 3))) for _ in range(3)]
-        loss = loss_cls2(z[0], z[1], z[2], self.zero_classifier(3))
+        loss = loss_cls2(z[0], z[1], z[2], self.zero_classifier(3), "clf")
         assert loss.data.item() == 0.0
 
     def test_cls1_ln2_at_uniform(self):
         rng = np.random.default_rng(6)
         z = [ad.Value(rng.normal(size=(5, 3))) for _ in range(3)]
-        loss = loss_cls1(z[0], z[1], z[2], 0.3, self.zero_classifier(3))
+        loss = loss_cls1(z[0], z[1], z[2], 0.3, self.zero_classifier(3), "clf")
         assert abs(loss.data.item() - math.log(2.0)) < 1e-12
 
     def test_kl_hand_value(self):

@@ -31,29 +31,29 @@ class TestFuse:
     def test_attention_uniform_at_zero_weights(self):
         rng = np.random.default_rng(2)
         codes = rand_codes(rng)
-        weights = fu.FusionWeights(
-            w_components=[Value(np.zeros((3, 3))) for _ in range(3)],
-            w_s=Value(np.zeros((3, 3))),
-        )
-        attn = fu.attention_weights(codes, weights)
+        weights = {f"fus.c{idx}": Value(np.zeros((3, 3))) for idx in range(3)}
+        weights["fus.ws"] = Value(np.zeros((3, 3)))
+        attn = fu.attention_weights(codes, weights, "fus")
         np.testing.assert_allclose(attn.data, np.full((4, 3), 1 / 3), atol=1e-15)
-        out = fu.fuse(codes, "attention", weights)
+        out = fu.fuse(codes, "attention", weights, "fus")
         mean = (codes[0].data + codes[1].data + codes[2].data) / 3
         np.testing.assert_allclose(out.data, mean, atol=1e-12)
 
     def test_attention_rows_sum_to_one(self):
         rng = np.random.default_rng(3)
         codes = rand_codes(rng)
-        weights = fu.init_fusion_weights(ad.Params(rng, 0.5), "fus", 3, 3)
-        attn = fu.attention_weights(codes, weights)
+        weights = ad.Params(rng, 0.5)
+        fu.init_fusion_weights(weights, "fus", 3, 3)
+        attn = fu.attention_weights(codes, weights, "fus")
         assert (attn.data >= 0).all()
         np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-12)
 
     def test_attention_output_is_convex_combination(self):
         rng = np.random.default_rng(4)
         codes = rand_codes(rng)
-        weights = fu.init_fusion_weights(ad.Params(rng, 0.5), "fus", 3, 3)
-        out = fu.fuse(codes, "attention", weights).data
+        weights = ad.Params(rng, 0.5)
+        fu.init_fusion_weights(weights, "fus", 3, 3)
+        out = fu.fuse(codes, "attention", weights, "fus").data
         stacked = np.stack([c.data for c in codes])
         lo, hi = stacked.min(axis=0), stacked.max(axis=0)
         assert ((out >= lo - 1e-12) & (out <= hi + 1e-12)).all()
@@ -61,10 +61,28 @@ class TestFuse:
     def test_two_component_attention(self):
         rng = np.random.default_rng(5)
         codes = rand_codes(rng, count=2)
-        weights = fu.init_fusion_weights(ad.Params(rng, 0.01), "fus", 3, 2)
-        attn = fu.attention_weights(codes, weights)
+        weights = ad.Params(rng, 0.01)
+        fu.init_fusion_weights(weights, "fus", 3, 2)
+        attn = fu.attention_weights(codes, weights, "fus")
         assert attn.shape == (4, 2)
         np.testing.assert_allclose(attn.data.sum(axis=1), 1.0, atol=1e-12)
+
+    def test_attention_code_count_is_checked_against_ws(self):
+        rng = np.random.default_rng(15)
+        weights = ad.Params(rng, 0.1)
+        fu.init_fusion_weights(weights, "fus", 3, 3)
+        with pytest.raises(ad.ShapeError, match="2 codes for 3"):
+            fu.fuse(rand_codes(rng, count=2), "attention", weights, "fus")
+
+    def test_attention_without_fusion_weights(self):
+        rng = np.random.default_rng(16)
+        codes = rand_codes(rng)
+        weights = ad.Params(rng, 0.1)
+        fu.init_fusion_weights(weights, "fus_a", 3, 3)
+        with pytest.raises(ConfigError, match="requires fusion weights"):
+            fu.fuse(codes, "attention")
+        with pytest.raises(ConfigError, match="requires fusion weights"):
+            fu.fuse(codes, "attention", weights, "fus_b")
 
     def test_sum_scaling_equivariance(self):
         rng = np.random.default_rng(6)
@@ -89,14 +107,16 @@ class TestFuse:
 class TestTowers:
     def test_zero_weights_zero_output(self):
         rng = np.random.default_rng(8)
-        tower = fu.TowerWeights(weights=[Value(np.zeros((3, 6))), Value(np.zeros((6, 3)))])
-        out = fu.tower_forward(Value(rng.standard_normal((4, 3))), tower)
+        tower = {"tow.0": Value(np.zeros((3, 6))), "tow.1": Value(np.zeros((6, 3)))}
+        out = fu.tower_forward(Value(rng.standard_normal((4, 3))), tower, "tow")
         np.testing.assert_array_equal(out.data, np.zeros((4, 3)))
 
-    def test_identity_single_stage(self):
+    def test_identity_single_stage(self, monkeypatch):
+        # the forward reads its stage count from TOWER_STAGES
+        monkeypatch.setattr(fu, "TOWER_STAGES", (1,))
         x = np.array([[1.0, -2.0]])
-        tower = fu.TowerWeights(weights=[Value(np.eye(2))])
-        out = fu.tower_forward(Value(x), tower)
+        tower = {"tow.0": Value(np.eye(2))}
+        out = fu.tower_forward(Value(x), tower, "tow")
         np.testing.assert_array_equal(out.data, [[1.0, -0.02]])
 
     def test_matches_composition_oracle(self):
@@ -104,8 +124,8 @@ class TestTowers:
         x = rng.standard_normal((5, 4))
         w1 = rng.standard_normal((4, 8))
         w2 = rng.standard_normal((8, 4))
-        tower = fu.TowerWeights(weights=[Value(w1), Value(w2)])
-        out = fu.tower_forward(Value(x), tower)
+        tower = {"tow.0": Value(w1), "tow.1": Value(w2)}
+        out = fu.tower_forward(Value(x), tower, "tow")
 
         def leaky(v):
             return np.where(v > 0, v, 0.01 * v)
@@ -114,9 +134,17 @@ class TestTowers:
 
     def test_init_widths(self):
         rng = np.random.default_rng(10)
-        tower = fu.init_tower_weights(ad.Params(rng, 0.01), "tow", 12, 4)
-        assert tower.weights[0].shape == (12, 8)
-        assert tower.weights[1].shape == (8, 4)
+        tower = ad.Params(rng, 0.01)
+        fu.init_tower_weights(tower, "tow", 12, 4)
+        assert {name: w.shape for name, w in tower.items()} == {"tow.0": (12, 8), "tow.1": (8, 4)}
+
+    def test_init_and_forward_follow_tower_stages(self, monkeypatch):
+        monkeypatch.setattr(fu, "TOWER_STAGES", (3, 2, 1))
+        rng = np.random.default_rng(17)
+        tower = ad.Params(rng, 0.1)
+        fu.init_tower_weights(tower, "tow", 5, 2)
+        assert [w.shape for w in tower.values()] == [(5, 6), (6, 4), (4, 2)]
+        assert fu.tower_forward(Value(np.ones((3, 5))), tower, "tow").shape == (3, 2)
 
 
 class TestPredict:
@@ -199,19 +227,15 @@ class TestLossPrd:
 
         codes = [Value(rng.standard_normal((m, k))) for _ in range(3)]
         params = ad.Params(rng, 0.3)
-        fw = fu.init_fusion_weights(params, "fus", k, 3)
-        user_tower = fu.init_tower_weights(params, "tow.user", k, k)
-        item_tower = fu.init_tower_weights(params, "tow.item", item_width, k)
+        fu.init_fusion_weights(params, "fus", k, 3)
+        fu.init_tower_weights(params, "tow.user", k, k)
+        fu.init_tower_weights(params, "tow.item", item_width, k)
         leaves = codes + list(params.values())
 
-        def fn(ls):
-            cs = ls[0:3]
-            fweights = fu.FusionWeights(w_components=ls[3:6], w_s=ls[6])
-            ut = fu.TowerWeights(weights=ls[7:9])
-            it = fu.TowerWeights(weights=ls[9:11])
-            fused = fu.fuse(cs, "attention", fweights)
-            s = fu.tower_forward(fused, ut)
-            t = fu.tower_forward(Value(item_emb), it)
+        def fn(_):
+            fused = fu.fuse(codes, "attention", params, "fus")
+            s = fu.tower_forward(fused, params, "tow.user")
+            t = fu.tower_forward(Value(item_emb), params, "tow.item")
             y_hat = fu.predict(s, t)
             return fu.loss_prd(y_hat, labels, s, t, gamma=0.01)
 

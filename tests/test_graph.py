@@ -102,25 +102,30 @@ def identity_adjacency(size, num_users):
     )
 
 
+def gcn_params(e0, layers, name="gcn"):
+    """A name-keyed GCN weight dict: ``<name>.e0`` and a (w, b) pair per layer."""
+    params = {f"{name}.e0": Value(e0)}
+    for idx, (w, b) in enumerate(layers):
+        params[f"{name}.w{idx}"] = Value(w)
+        params[f"{name}.b{idx}"] = Value(b)
+    return params
+
+
 class TestPropagate:
     def test_identity_graph_identity_weights(self):
         e0 = np.array([[1.0, -2.0], [0.5, 3.0]])
-        weights = graph.GcnWeights(
-            e0=Value(e0),
-            layers=[(Value(np.eye(2)), Value(np.zeros((1, 2))))] * 2,
-        )
-        outs = graph.encode_graph(identity_adjacency(2, 1), weights)
+        weights = gcn_params(e0, [(np.eye(2), np.zeros((1, 2)))] * 2)
+        outs = graph.encode_graph(identity_adjacency(2, 1), weights, "gcn", 2)
         assert len(outs) == 3
         np.testing.assert_array_equal(outs[1].data, np.maximum(e0, 0))
         np.testing.assert_array_equal(outs[2].data, np.maximum(np.maximum(e0, 0), 0))
 
     def test_large_negative_bias_saturates(self):
         rng = np.random.default_rng(4)
-        weights = graph.GcnWeights(
-            e0=Value(rng.standard_normal((2, 3))),
-            layers=[(Value(rng.standard_normal((3, 3))), Value(np.full((1, 3), -100.0)))],
+        weights = gcn_params(
+            rng.standard_normal((2, 3)), [(rng.standard_normal((3, 3)), np.full((1, 3), -100.0))]
         )
-        outs = graph.encode_graph(identity_adjacency(2, 1), weights)
+        outs = graph.encode_graph(identity_adjacency(2, 1), weights, "gcn", 1)
         np.testing.assert_array_equal(outs[1].data, np.zeros((2, 3)))
 
     def test_hand_recursion_on_single_pair_graph(self):
@@ -130,10 +135,8 @@ class TestPropagate:
         b1 = np.array([[0.1, -0.2]])
         w2 = np.array([[2.0, 0.0], [1.0, 1.0]])
         b2 = np.array([[0.0, 0.3]])
-        weights = graph.GcnWeights(
-            e0=Value(e0), layers=[(Value(w1), Value(b1)), (Value(w2), Value(b2))]
-        )
-        outs = graph.encode_graph(adj, weights)
+        weights = gcn_params(e0, [(w1, b1), (w2, b2)])
+        outs = graph.encode_graph(adj, weights, "gcn", 2)
         a_hat = np.full((2, 2), 0.5)
         e1 = np.maximum(a_hat @ e0 @ w1 + b1, 0)
         e2 = np.maximum(a_hat @ e1 @ w2 + b2, 0)
@@ -141,9 +144,9 @@ class TestPropagate:
         np.testing.assert_allclose(outs[2].data, e2, atol=1e-15)
 
     def test_no_layers_rejected(self):
-        weights = graph.GcnWeights(e0=Value(np.ones((2, 2))), layers=[])
+        weights = gcn_params(np.ones((2, 2)), [])
         with pytest.raises(ad.ContractError):
-            graph.encode_graph(identity_adjacency(2, 1), weights)
+            graph.encode_graph(identity_adjacency(2, 1), weights, "gcn", 0)
 
 
 class TestAssemble:
@@ -245,8 +248,8 @@ class TestEquivariance:
 
         def run(p, e):
             adj = graph.build_bipartite_adjacency(make_set(p, m, n))
-            weights = graph.GcnWeights(e0=Value(e), layers=[(Value(w), Value(b))])
-            return graph.node_rows(graph.encode_graph(adj, weights), np.arange(m + n)).data
+            layers = graph.encode_graph(adj, gcn_params(e, [(w, b)]), "gcn", 1)
+            return graph.node_rows(layers, np.arange(m + n)).data
 
         base = run(pairs, e0)
         perm = run(pairs_perm, e0_perm)
@@ -259,30 +262,27 @@ class TestGradientFlow:
         rng = np.random.default_rng(8)
         pairs = {(0, 0), (0, 1), (1, 1), (2, 0)}
         adj = graph.build_bipartite_adjacency(make_set(pairs, 3, 2))
-        leaves = [
-            Value(rng.standard_normal((5, 3))),
-            Value(rng.standard_normal((3, 3))),
-            Value(rng.standard_normal((1, 3))),
-            Value(rng.standard_normal((3, 3))),
-            Value(rng.standard_normal((1, 3))),
-        ]
+        weights = gcn_params(
+            rng.standard_normal((5, 3)),
+            [(rng.standard_normal((3, 3)), rng.standard_normal((1, 3))) for _ in range(2)],
+        )
 
-        def fn(ls):
-            weights = graph.GcnWeights(
-                e0=ls[0], layers=[(ls[1], ls[2]), (ls[3], ls[4])]
-            )
-            layers = graph.encode_graph(adj, weights)
+        def fn(_):
+            layers = graph.encode_graph(adj, weights, "gcn", 2)
             users = graph.node_rows(layers, np.arange(3))
             items = graph.node_rows(layers, 3 + np.arange(2))
             return ad.add(ad.mean_all(ad.square(users)), ad.mean_all(ad.square(items)))
 
-        assert ad.finite_diff_check(fn, leaves) < 1e-4
+        assert ad.finite_diff_check(fn, list(weights.values())) < 1e-4
 
     def test_init_shapes(self):
         rng = np.random.default_rng(9)
-        weights = graph.init_gcn_weights(ad.Params(rng, 0.01), "gcn", size=7, k=4, num_layers=2)
-        assert weights.e0.shape == (7, 4)
-        assert weights.num_layers == 2
-        for w, b in weights.layers:
-            assert w.shape == (4, 4)
-            assert b.shape == (1, 4)
+        params = ad.Params(rng, 0.01)
+        graph.init_gcn_weights(params, "gcn", size=7, k=4, num_layers=2)
+        shapes = {name: value.shape for name, value in params.items()}
+        assert shapes == {
+            "gcn.e0": (7, 4),
+            "gcn.w0": (4, 4), "gcn.b0": (1, 4),
+            "gcn.w1": (4, 4), "gcn.b1": (1, 4),
+        }
+        assert list(params) == ["gcn.e0", "gcn.w0", "gcn.b0", "gcn.w1", "gcn.b1"]

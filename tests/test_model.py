@@ -4,6 +4,7 @@ Initial parameters and save/load are checked bitwise; scoring is checked
 against an independent numpy cosine on the evaluation-path representations.
 """
 
+import dataclasses
 import hashlib
 
 import numpy as np
@@ -120,26 +121,51 @@ class TestBuildModel:
         m = md.build_model(adj_a, adj_b, config(variant=variant, fusion=fusion))
         assert params_digest(m.params) == INITIAL_DIGESTS[variant, fusion]
 
+    @pytest.mark.parametrize("fusion", FUSIONS)
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_name_prefixes_per_variant_and_fusion(self, variant, fusion):
+        adj_a, adj_b = adjacencies()
+        m = md.build_model(adj_a, adj_b, config(variant=variant, fusion=fusion))
+        fuses = variant != "base" and fusion == "attention"
+        expected = []
+        for tag in ("a", "b"):
+            expected += [f"gcn_{tag}"] + [f"fus_{tag}"] * fuses + [f"tow_{tag}"]
+        if variant != "base":
+            expected += ["enc_a", "enc_b", "enc_aug", "clf"]
+        if variant == "elbo":
+            expected += ["dec_a", "dec_b", "dec_aug"]
+        # first name segments in draw order
+        assert list(dict.fromkeys(name.split(".")[0] for name in m.params)) == expected
+        towers = {name.rsplit(".", 1)[0] for name in m.params if name.startswith("tow_")}
+        assert towers == {"tow_a.user", "tow_a.item", "tow_b.user", "tow_b.item"}
+
     def test_base_variant_has_no_encoders(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="base"))
-        assert not m.encoders and m.classifier is None and not m.decoders
-        assert m.domain_a.fusion is None
-        assert not any(name.startswith("enc_") for name in m.params)
+        assert not any(name.startswith(("enc_", "clf", "dec_", "fus_")) for name in m.params)
 
     def test_fusion_weights_only_for_attention(self):
         adj_a, adj_b = adjacencies()
         att = md.build_model(adj_a, adj_b, config(fusion="attention"))
         cat = md.build_model(adj_a, adj_b, config(fusion="concat"))
-        assert att.domain_a.fusion is not None
-        assert cat.domain_a.fusion is None
+        assert {n for n in att.params if n.startswith("fus_a.")} == {
+            "fus_a.c0", "fus_a.c1", "fus_a.c2", "fus_a.ws"}
+        assert att.params["fus_a.ws"].shape == (3, 3)
+        assert not any(name.startswith("fus_") for name in cat.params)
 
     def test_elbo_variant_carries_decoders(self):
         adj_a, adj_b = adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="elbo"))
-        assert sorted(m.decoders) == ["a.h1", "a.h2", "aug.h1", "aug.h2", "b.h1", "b.h2"]
-        for dec in m.decoders.values():
-            assert dec.w.shape == (3, (m.config.l + 1) * m.config.k)
+        decoders = sorted(n[len("dec_"):-len(".w")] for n in m.params if n.startswith("dec_")
+                          and n.endswith(".w"))
+        assert decoders == ["a.h1", "a.h2", "aug.h1", "aug.h2", "b.h1", "b.h2"]
+        for key in decoders:
+            assert m.params[f"dec_{key}.w"].shape == (3, (m.config.l + 1) * m.config.k)
+            assert m.params[f"dec_{key}.b"].shape == (1, (m.config.l + 1) * m.config.k)
+
+    def test_state_holds_only_config_adjacencies_and_params(self):
+        assert [f.name for f in dataclasses.fields(md.ModelState)] == [
+            "config", "adjacency_a", "adjacency_b", "params"]
 
     def test_every_variant_builds_and_runs(self):
         adj_a, adj_b = adjacencies()
@@ -241,7 +267,7 @@ class TestScorePairs:
         users = rng.integers(0, 4, size=40)
         items = rng.integers(0, 6, size=40)  # every item about 7 times
         readout = rng.standard_normal((40, 1))
-        tower = m.domain_a.item_tower
+        tower = [m.params["tow_a.item.0"], m.params["tow_a.item.1"]]
 
         def run(per_pair):
             ad.zero_grads(m.params.values())
@@ -249,13 +275,14 @@ class TestScorePairs:
             if per_pair:
                 positions = np.searchsorted(fwd.users, users)
                 s = ad.gather_rows(fwd.s["a"], positions)
-                layers = gr.encode_graph(m.adjacency_a, m.domain_a.gcn)
-                t = fu.tower_forward(gr.node_rows(layers, adj_a.num_users + items), tower)
+                layers = gr.encode_graph(m.adjacency_a, m.params, "gcn_a", m.config.l)
+                item_rows = gr.node_rows(layers, adj_a.num_users + items)
+                t = fu.tower_forward(item_rows, m.params, "tow_a.item")
                 y = fu.predict(s, t)
             else:
                 y, s, t = md.score_pairs(fwd, "a", users, items)
             ad.backward(ad.mean_all(ad.mul_const(y, readout)))
-            return y.data, t.data, [w.grad for w in tower.weights]
+            return y.data, t.data, [w.grad for w in tower]
 
         y_ref, t_ref, g_ref = run(per_pair=True)
         y, t, g = run(per_pair=False)
@@ -339,3 +366,18 @@ class TestPersistence:
         np.savez(path, **arrays)
         with pytest.raises(ArtifactError):
             md.load_model(path, adj_a, adj_b)
+
+    def test_mismatched_names_raise(self, tmp_path):
+        # the names are the only layout: a missing or a stray member is refused
+        adj_a, adj_b = adjacencies()
+        m = md.build_model(adj_a, adj_b, config())
+        path = str(tmp_path / "model.npz")
+        md.save_model(path, m)
+        arrays = dict(np.load(path, allow_pickle=False))
+        dropped = {name: data for name, data in arrays.items() if name != "clf.b"}
+        stray = dict(arrays, **{"clf.b2": arrays["clf.b"]})
+        for members in (dropped, stray):
+            tampered = str(tmp_path / "tampered.npz")
+            np.savez(tampered, **members)
+            with pytest.raises(ArtifactError, match="mismatched parameter names"):
+                md.load_model(tampered, adj_a, adj_b)

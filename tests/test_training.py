@@ -388,8 +388,8 @@ class TestElboTerms:
                 var = np.exp(2.0 * log_sigma.data)
                 inner = mu.data ** 2 + var - 1.0 - 2.0 * log_sigma.data
                 kl_parts.append(0.5 * k * inner.mean())
-                dec = model.decoders[f"{branch}.{name}"]
-                pred = z.data @ dec.w.data + dec.b.data
+                dec = f"dec_{branch}.{name}"
+                pred = z.data @ model.params[f"{dec}.w"].data + model.params[f"{dec}.b"].data
                 recon_parts.append(((pred - target) ** 2).mean())
         np.testing.assert_allclose(kl.data.item(), np.mean(kl_parts), rtol=1e-12)
         np.testing.assert_allclose(recon.data.item(), np.mean(recon_parts), rtol=1e-12)
