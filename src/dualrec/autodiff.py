@@ -1,22 +1,44 @@
 """Reverse-mode automatic differentiation over dense float64 matrices.
 
 Every differentiable quantity in the model is a :class:`Value`: a 2-D
-float64 array plus a lazily allocated gradient slot and a backward
-closure. Graphs are built dynamically (one per training batch) and swept
-once by :func:`backward`; gradients accumulate by summation over fan-out.
+float64 array (``data``) plus its tape :class:`Node`. The node holds the
+lazily allocated gradient slot, the op name, the parent *nodes* and the
+backward closure; it holds no array of its own. Graphs are built
+dynamically (one per training batch) and swept once by :func:`backward`;
+gradients accumulate by summation over fan-out.
 
-A graph is consumed by its sweep: each node drops its closure and its
-parent links once its own backward has run, so the tape is freed by
-reference counting as the sweep goes, and only the nodes the caller still
-holds survive it (with their ``.grad``). For that to work no backward
-closure may refer to its own output Value; a closure that did would make
-the node a reference cycle that only the cyclic garbage collector frees.
+Each backward closure captures exactly the arrays it reads, or only a
+shape where it reads no array:
+
+- ``matmul`` keeps both operands; ``scale_rows``, ``row_cosine`` and
+  ``frobenius_sq`` keep their inputs;
+- ``exp`` and ``softmax_rows`` keep their own output;
+- ``relu``, ``leaky_relu``, ``clamp`` and ``square`` keep a local
+  derivative array (a mask, a factor or ``2x``), not their input;
+- ``cross_entropy`` and ``kl_div`` keep the clipped probabilities, their
+  band mask and the constant targets;
+- ``add``, ``add_rowvec``, ``concat_cols``, ``spmm``, ``mul_const`` and
+  ``affine_const`` keep no input or output array, only their constants;
+  ``gather_rows``, ``slice_cols`` and ``mean_all`` keep only a shape.
+
+So a forward intermediate is freed as soon as the forward code drops its
+Value, unless some backward reads it; in ``relu(affine(spmm(A, E), W, b))``
+the matmul and bias outputs go at once, and the ``spmm`` output lives on in
+the matmul backward.
+
+A graph is consumed by its sweep: each node drops its closure, and with it
+the arrays the closure kept, and its parent links once its own backward has
+run, so the tape is freed by reference counting as the sweep goes, and only
+the nodes the caller still holds (through their Values) survive it, with
+their ``.grad``. For that to work no backward closure may refer to its own
+output node or Value; a closure that did would make the node a reference
+cycle that only the cyclic garbage collector frees.
 
 Every one-parent elementwise op (``mul_const``, ``affine_const``, ``relu``,
 ``leaky_relu``, ``exp``, ``square``, ``clamp``) is built by
 :func:`_elementwise`: the op computes its output and, when taped, its local
 derivative array in the forward, and the shared backward multiplies the
-upstream gradient by that array.
+upstream gradient by that array, which is all it keeps.
 
 Inside a ``with no_grad():`` scope nothing is recorded: every op computes
 the same output bits, but returns a Value with no parents and no backward
@@ -89,21 +111,58 @@ def _as_matrix(data) -> np.ndarray:
     return np.ascontiguousarray(arr)
 
 
-class Value:
-    """Node in the computation graph: payload matrix plus gradient slot."""
+class Node:
+    """Tape entry of one Value: gradient slot, op name, parent nodes, backward.
 
-    __slots__ = ("data", "grad", "op", "_parents", "_backward")
+    A node holds no payload: what its backward reads it captured itself, so
+    a parent link keeps the parent's tape alive but not the parent's array.
+    """
+
+    __slots__ = ("grad", "op", "_parents", "_backward")
+
+    def __init__(self, op: str):
+        self.grad: np.ndarray | None = None
+        self.op = op
+        self._parents: tuple[Node, ...] = ()
+        self._backward = None
+
+
+class Value:
+    """Payload matrix plus its tape node; the tape attributes read through to the node."""
+
+    __slots__ = ("data", "node")
 
     def __init__(self, data, op: str = "leaf"):
         self.data = _as_matrix(data)
-        self.grad: np.ndarray | None = None
-        self.op = op
-        self._parents: tuple[Value, ...] = ()
-        self._backward = None
+        self.node = Node(op)
 
     @property
     def shape(self) -> tuple[int, int]:
         return self.data.shape
+
+    @property
+    def op(self) -> str:
+        return self.node.op
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        return self.node.grad
+
+    @grad.setter
+    def grad(self, grad: np.ndarray | None) -> None:
+        self.node.grad = grad
+
+    @property
+    def _parents(self) -> tuple[Node, ...]:
+        return self.node._parents
+
+    @property
+    def _backward(self):
+        return self.node._backward
+
+    @_backward.setter
+    def _backward(self, backward) -> None:
+        self.node._backward = backward
 
     def item(self) -> float:
         if self.data.shape != (1, 1):
@@ -133,7 +192,7 @@ class Params(dict):
         return leaf
 
 
-def _accum(node: Value, grad: np.ndarray, shared: bool = False) -> None:
+def _accum(node: Node, grad: np.ndarray, shared: bool = False) -> None:
     """Add ``grad`` into ``node.grad``; the first gradient is stored as is.
 
     A backward passes ``shared=True`` when ``grad`` is also reachable
@@ -151,10 +210,10 @@ def zero_grads(values) -> None:
         v.grad = None
 
 
-def _toposort(root: Value) -> list[Value]:
-    order: list[Value] = []
+def _toposort(root: Node) -> list[Node]:
+    order: list[Node] = []
     seen: set[int] = set()
-    stack: list[tuple[Value, bool]] = [(root, False)]
+    stack: list[tuple[Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
@@ -174,20 +233,22 @@ def backward(loss: Value) -> None:
     """Reverse sweep from a scalar loss; accumulates grads into all ancestors.
 
     The sweep consumes the graph: after a node's backward has run, its
-    closure and parent links are dropped. A node nobody else holds is then
-    freed, grad included; a node the caller holds keeps its ``.grad`` but
-    no longer reaches its ancestors, so a graph can be swept only once: a
-    second sweep, like a sweep of a loss built under :func:`no_grad`, raises
+    closure and parent links are dropped, and with the closure the arrays
+    it kept. A node nobody else holds is then freed, grad included; a node
+    the caller holds (through its Value) keeps its ``.grad`` but no longer
+    reaches its ancestors, so a graph can be swept only once: a second
+    sweep, like a sweep of a loss built under :func:`no_grad`, raises
     ContractError.
     """
     if loss.shape != (1, 1):
         raise ContractError(f"backward requires a scalar loss, got shape {loss.shape}")
-    if loss.op != "leaf" and loss._backward is None:
+    root = loss.node
+    if root.op != "leaf" and root._backward is None:
         raise ContractError(
-            f"backward: the {loss.op} loss has no tape (built under no_grad, or already swept)"
+            f"backward: the {root.op} loss has no tape (built under no_grad, or already swept)"
         )
-    order = _toposort(loss)
-    _accum(loss, np.ones((1, 1)))
+    order = _toposort(root)
+    _accum(root, np.ones((1, 1)))
     while order:
         node = order.pop()
         if node._backward is not None and node.grad is not None:
@@ -200,12 +261,12 @@ def backward(loss: Value) -> None:
 # Primitives
 # ---------------------------------------------------------------------------
 
-def _node(data, op: str, parents: tuple[Value, ...], backward):
-    """The output of ``op``: taped with its parents and backward, or bare under no_grad."""
+def _output(data, op: str, parents: tuple[Node, ...], backward):
+    """The output of ``op``: taped with its parent nodes and backward, or bare under no_grad."""
     out = Value(data, op)
     if _taping:
-        out._parents = parents
-        out._backward = backward
+        out.node._parents = parents
+        out.node._backward = backward
     return out
 
 
@@ -213,27 +274,30 @@ def _elementwise(x: Value, data, op: str, local):
     """Node ``op`` over the single parent x whose backward is ``g * local()``.
 
     ``local`` forms the local derivative array; it is called only when the
-    op is taped.
+    op is taped, and the backward keeps that array instead of x's payload
+    (it is ``exp``'s own output, a mask for ``relu`` and ``clamp``).
     """
     if not _taping:
         return Value(data, op)
     d = local()
+    xn = x.node
 
     def bw(g):
-        _accum(x, g * d)
+        _accum(xn, g * d)
 
-    return _node(data, op, (x,), bw)
+    return _output(data, op, (xn,), bw)
 
 
 def add(a: Value, b: Value) -> Value:
     if a.shape != b.shape:
         raise ShapeError(f"add: {a.shape} vs {b.shape}")
+    an, bn = a.node, b.node
 
     def bw(g):
-        _accum(a, g, shared=True)
-        _accum(b, g, shared=True)
+        _accum(an, g, shared=True)
+        _accum(bn, g, shared=True)
 
-    return _node(a.data + b.data, "add", (a, b), bw)
+    return _output(a.data + b.data, "add", (an, bn), bw)
 
 
 def mul_const(a: Value, c) -> Value:
@@ -257,24 +321,27 @@ def sub(a: Value, b: Value) -> Value:
 def matmul(a: Value, b: Value) -> Value:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+    lhs, rhs = a.data, b.data
+    an, bn = a.node, b.node
 
     def bw(g):
-        _accum(a, g @ b.data.T)
-        _accum(b, a.data.T @ g)
+        _accum(an, g @ rhs.T)
+        _accum(bn, lhs.T @ g)
 
-    return _node(a.data @ b.data, "matmul", (a, b), bw)
+    return _output(lhs @ rhs, "matmul", (an, bn), bw)
 
 
 def add_rowvec(x: Value, b: Value) -> Value:
     """x + b with the 1-row vector b broadcast over rows of x."""
     if b.shape[0] != 1 or b.shape[1] != x.shape[1]:
         raise ShapeError(f"add_rowvec: x {x.shape}, b {b.shape}")
+    xn, bn = x.node, b.node
 
     def bw(g):
-        _accum(x, g, shared=True)
-        _accum(b, g.sum(axis=0, keepdims=True))
+        _accum(xn, g, shared=True)
+        _accum(bn, g.sum(axis=0, keepdims=True))
 
-    return _node(x.data + b.data, "add_rowvec", (x, b), bw)
+    return _output(x.data + b.data, "add_rowvec", (xn, bn), bw)
 
 
 def affine(x: Value, w: Value, b: Value) -> Value:
@@ -286,34 +353,36 @@ def spmm(a: sp.spmatrix | sp.sparray, x: Value) -> Value:
     """Sparse-dense product a @ x; a is constant and receives no gradient."""
     if a.shape[1] != x.shape[0]:
         raise ShapeError(f"spmm: {a.shape} @ {x.shape}")
+    xn = x.node
 
     def bw(g):
         # a.T of a CSR matrix is a CSC view of the same arrays, not a copy
-        _accum(x, np.asarray(a.T @ g))
+        _accum(xn, np.asarray(a.T @ g))
 
-    return _node(np.asarray(a @ x.data), "spmm", (x,), bw)
+    return _output(np.asarray(a @ x.data), "spmm", (xn,), bw)
 
 
 def gather_rows(x: Value, idx) -> Value:
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows: index must be 1-D")
+    xn, shape = x.node, x.shape
 
     def bw(g):
         if (idx[1:] > idx[:-1]).all():
             # each row is read at most once: its gradient is its row of g
-            out = np.zeros_like(x.data)
+            out = np.zeros(shape)
             out[idx] = g
-            _accum(x, out)
+            _accum(xn, out)
             return
         # scatter-add as the product of g with the transposed one-hot
         # selector; scipy sums each output row in index order, so the result
         # equals np.add.at into zeros bit for bit
         n = idx.shape[0]
-        sel = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, x.shape[0]))
-        _accum(x, np.asarray(sel.T @ g))
+        sel = sp.csr_matrix((np.ones(n), idx, np.arange(n + 1)), shape=(n, shape[0]))
+        _accum(xn, np.asarray(sel.T @ g))
 
-    return _node(x.data[idx], "gather_rows", (x,), bw)
+    return _output(x.data[idx], "gather_rows", (xn,), bw)
 
 
 def concat_cols(parts: list[Value]) -> Value:
@@ -322,27 +391,29 @@ def concat_cols(parts: list[Value]) -> Value:
     rows = parts[0].shape[0]
     if any(p.shape[0] != rows for p in parts):
         raise ShapeError("concat_cols: row counts differ")
+    nodes = tuple(p.node for p in parts)
     widths = [p.shape[1] for p in parts]
 
     def bw(g):
         start = 0
-        for part, width in zip(parts, widths):
-            _accum(part, g[:, start:start + width], shared=True)
+        for node, width in zip(nodes, widths):
+            _accum(node, g[:, start:start + width], shared=True)
             start += width
 
-    return _node(np.hstack([p.data for p in parts]), "concat_cols", tuple(parts), bw)
+    return _output(np.hstack([p.data for p in parts]), "concat_cols", nodes, bw)
 
 
 def slice_cols(x: Value, start: int, stop: int) -> Value:
     if not (0 <= start < stop <= x.shape[1]):
         raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.shape}")
+    xn, shape = x.node, x.shape
 
     def bw(g):
-        if x.grad is None:
-            x.grad = np.zeros_like(x.data)
-        x.grad[:, start:stop] += g
+        if xn.grad is None:
+            xn.grad = np.zeros(shape)
+        xn.grad[:, start:stop] += g
 
-    return _node(x.data[:, start:stop].copy(), "slice_cols", (x,), bw)
+    return _output(x.data[:, start:stop].copy(), "slice_cols", (xn,), bw)
 
 
 def relu(x: Value) -> Value:
@@ -375,24 +446,27 @@ def softmax_rows(x: Value) -> Value:
     shifted = x.data - x.data.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     p = e / e.sum(axis=1, keepdims=True)
+    xn = x.node
 
     def bw(g):
         inner = (g * p).sum(axis=1, keepdims=True)
-        _accum(x, p * (g - inner))
+        _accum(xn, p * (g - inner))
 
-    return _node(p, "softmax_rows", (x,), bw)
+    return _output(p, "softmax_rows", (xn,), bw)
 
 
 def scale_rows(x: Value, c: Value) -> Value:
     """x * c with the single-column c broadcast across columns of x."""
     if c.shape != (x.shape[0], 1):
         raise ShapeError(f"scale_rows: x {x.shape}, c {c.shape}")
+    xd, cd = x.data, c.data
+    xn, cn = x.node, c.node
 
     def bw(g):
-        _accum(x, g * c.data)
-        _accum(c, (g * x.data).sum(axis=1, keepdims=True))
+        _accum(xn, g * cd)
+        _accum(cn, (g * xd).sum(axis=1, keepdims=True))
 
-    return _node(x.data * c.data, "scale_rows", (x, c), bw)
+    return _output(xd * cd, "scale_rows", (xn, cn), bw)
 
 
 def row_cosine(s: Value, t: Value) -> Value:
@@ -400,8 +474,9 @@ def row_cosine(s: Value, t: Value) -> Value:
     global _clamp_events
     if s.shape != t.shape:
         raise ShapeError(f"row_cosine: {s.shape} vs {t.shape}")
-    sn = np.linalg.norm(s.data, axis=1, keepdims=True)
-    tn = np.linalg.norm(t.data, axis=1, keepdims=True)
+    sd, td = s.data, t.data
+    sn = np.linalg.norm(sd, axis=1, keepdims=True)
+    tn = np.linalg.norm(td, axis=1, keepdims=True)
     s_ok = sn >= NORM_EPS
     t_ok = tn >= NORM_EPS
     clamped = int((~s_ok).sum() + (~t_ok).sum())
@@ -409,15 +484,16 @@ def row_cosine(s: Value, t: Value) -> Value:
         _clamp_events += clamped
     snc = np.maximum(sn, NORM_EPS)
     tnc = np.maximum(tn, NORM_EPS)
-    dot = (s.data * t.data).sum(axis=1, keepdims=True)
+    dot = (sd * td).sum(axis=1, keepdims=True)
     cos = dot / (snc * tnc)
+    s_node, t_node = s.node, t.node
 
     def bw(g):
         # Norm factors are constants on clamped rows.
-        _accum(s, g * (t.data / (snc * tnc) - cos * s.data / (snc * snc) * s_ok))
-        _accum(t, g * (s.data / (snc * tnc) - cos * t.data / (tnc * tnc) * t_ok))
+        _accum(s_node, g * (td / (snc * tnc) - cos * sd / (snc * snc) * s_ok))
+        _accum(t_node, g * (sd / (snc * tnc) - cos * td / (tnc * tnc) * t_ok))
 
-    return _node(cos, "row_cosine", (s, t), bw)
+    return _output(cos, "row_cosine", (s_node, t_node), bw)
 
 
 def cross_entropy(p: Value, o) -> Value:
@@ -433,11 +509,12 @@ def cross_entropy(p: Value, o) -> Value:
     inside = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)
     n = p.shape[0]
     loss = -(o * np.log(pc)).sum() / n
+    pn = p.node
 
     def bw(g):
-        _accum(p, g[0, 0] * (-o / pc) * inside / n)
+        _accum(pn, g[0, 0] * (-o / pc) * inside / n)
 
-    return _node([[loss]], "cross_entropy", (p,), bw)
+    return _output([[loss]], "cross_entropy", (pn,), bw)
 
 
 def kl_div(o, p: Value) -> Value:
@@ -451,27 +528,30 @@ def kl_div(o, p: Value) -> Value:
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(o > 0.0, o * np.log(np.where(o > 0.0, o, 1.0) / pc), 0.0)
     loss = terms.sum() / n
+    pn = p.node
 
     def bw(g):
-        _accum(p, g[0, 0] * (-o / pc) * inside / n)
+        _accum(pn, g[0, 0] * (-o / pc) * inside / n)
 
-    return _node([[loss]], "kl_div", (p,), bw)
+    return _output([[loss]], "kl_div", (pn,), bw)
 
 
 def frobenius_sq(x: Value) -> Value:
-    def bw(g):
-        _accum(x, 2.0 * g[0, 0] * x.data)
+    xd, xn = x.data, x.node
 
-    return _node([[float((x.data * x.data).sum())]], "frobenius_sq", (x,), bw)
+    def bw(g):
+        _accum(xn, 2.0 * g[0, 0] * xd)
+
+    return _output([[float((xd * xd).sum())]], "frobenius_sq", (xn,), bw)
 
 
 def mean_all(x: Value) -> Value:
-    size = x.data.size
+    xn, shape, size = x.node, x.shape, x.data.size
 
     def bw(g):
-        _accum(x, np.full_like(x.data, g[0, 0] / size))
+        _accum(xn, np.full(shape, g[0, 0] / size))
 
-    return _node([[float(x.data.mean())]], "mean_all", (x,), bw)
+    return _output([[float(x.data.mean())]], "mean_all", (xn,), bw)
 
 
 # ---------------------------------------------------------------------------

@@ -21,10 +21,11 @@ _backward = ad.backward
 def faulty_matmul(a, b):
     """``matmul`` whose weight-gradient rule is 1% off."""
     out = _matmul(a, b)
+    lhs, rhs, an, bn = a.data, b.data, a.node, b.node
 
     def bw(g):
-        ad._accum(a, g @ b.data.T)
-        ad._accum(b, (a.data.T @ g) * 1.01)
+        ad._accum(an, g @ rhs.T)
+        ad._accum(bn, (lhs.T @ g) * 1.01)
 
     out._backward = bw
     return out
@@ -33,9 +34,10 @@ def faulty_matmul(a, b):
 def transposeless_spmm(a, x):
     """``spmm`` whose backward multiplies by ``a`` where ``a.T`` belongs."""
     out = _spmm(a, x)
+    xn = x.node
 
     def bw(g):
-        ad._accum(x, np.asarray(a @ g))
+        ad._accum(xn, np.asarray(a @ g))
 
     out._backward = bw
     return out
@@ -52,7 +54,7 @@ def untaped_drift_exp(x):
 
 def nan_gradient_backward(loss):
     """``backward`` that then sets the first entry of one leaf's gradient to NaN."""
-    leaves = [node for node in ad._toposort(loss) if node.op == "leaf"]
+    leaves = [node for node in ad._toposort(loss.node) if node.op == "leaf"]
     _backward(loss)
     leaf = next(node for node in leaves if node.grad is not None)
     leaf.grad = leaf.grad.copy()  # the stored gradient may be shared with another node

@@ -6,12 +6,14 @@ for the losses, and a five-point central finite-difference stencil for every
 gradient rule. The per-primitive stencil cases are the table
 ``selfcheck.PRIMITIVE_CASES``, which ``dualrec selfcheck`` runs too. A sweep
 must consume its graph without leaving cyclic garbage, which the
-collector-off tape-release tests check. Under ``no_grad`` every node of every
-case must equal its taped counterpart bit for bit and record nothing.
+collector-off tape-release tests check. Weak references on the arrays check
+that the tape keeps only what a backward reads. Under ``no_grad`` every node
+of every case must equal its taped counterpart bit for bit and record nothing.
 """
 
 import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -452,7 +454,7 @@ class TestElementwiseOps:
             "clamp": ad.clamp(x, -1.0, 1.0),
         }
         for name, out in ops.items():
-            assert out.op == name and out._parents == (x,)
+            assert out.op == name and out._parents == (x.node,)
 
 
 # every op a benchmark trace times: the module's functions annotated to
@@ -515,6 +517,74 @@ class TestTapeRelease:
         assert loss._parents == ()
 
 
+_TAPE_RNG = np.random.default_rng(60)
+_ADJACENCY = sp.csr_matrix(_TAPE_RNG.random((6, 6)) * (_TAPE_RNG.random((6, 6)) < 0.5))
+_EPS = _TAPE_RNG.standard_normal((6, 3))
+
+# (name, graph over the leaves, leaf shapes, per op: whether its output array
+# outlives the forward while the caller holds only the graph's output)
+HELD_ARRAY_CASES = [
+    ("gcn_layer", lambda ls: ad.relu(ad.affine(ad.spmm(_ADJACENCY, ls[0]), ls[1], ls[2])),
+     [(6, 4), (4, 3), (1, 3)],
+     {"spmm": True, "matmul": False, "add_rowvec": False, "relu": True}),
+    ("reparameterised_head",
+     lambda ls: ad.add(ls[0], ad.mul_const(ad.exp(ad.clamp(ls[1], -2.0, 2.0)), _EPS)),
+     [(6, 3), (6, 3)],
+     {"clamp": False, "exp": True, "mul_const": False, "add": True}),
+]
+
+
+def _record_made(monkeypatch, entry):
+    """List of ``entry(value)`` for each non-leaf Value made from now on."""
+    made = []
+    init = Value.__init__
+
+    def recording_init(self, data, op="leaf"):
+        init(self, data, op)
+        if op != "leaf":
+            made.append(entry(self))
+
+    monkeypatch.setattr(Value, "__init__", recording_init)
+    return made
+
+
+def _alive(made) -> dict[str, bool]:
+    return {op: ref() is not None for op, ref in made}
+
+
+class TestTapeKeepsOnlyWhatBackwardReads:
+    """A node's parent links hold nodes, not arrays: an intermediate array is
+    freed once the forward code drops it, unless a backward reads it; the
+    arrays a backward reads live until the sweep, which frees them."""
+
+    @pytest.mark.parametrize("name,fn,shapes,kept", HELD_ARRAY_CASES)
+    def test_arrays_live_exactly_as_long_as_a_backward_reads_them(
+            self, monkeypatch, name, fn, shapes, kept):
+        leaves = _random_leaves(np.random.default_rng(61), shapes)
+        made = _record_made(monkeypatch, lambda v: (v.op, weakref.ref(v.data)))
+        out = fn(leaves)
+        assert _alive(made) == kept, name
+        loss = ad.mean_all(out)  # keeps only the shape of its input
+        output_op = out.op
+        del out
+        assert _alive(made) == {**kept, output_op: False, "mean_all": True}, name
+        ad.backward(loss)
+        assert _alive(made) == {op: op == "mean_all" for op in _alive(made)}, name
+        assert all(leaf.grad is not None for leaf in leaves), name
+
+    @pytest.mark.parametrize("name,fn,shapes,kept", HELD_ARRAY_CASES)
+    def test_gradients_equal_those_with_every_intermediate_held(
+            self, monkeypatch, name, fn, shapes, kept):
+        freed = _random_leaves(np.random.default_rng(62), shapes)
+        held = _random_leaves(np.random.default_rng(62), shapes)
+        ad.backward(ad.mean_all(fn(freed)))
+        values = _record_made(monkeypatch, lambda v: v)
+        ad.backward(ad.mean_all(fn(held)))
+        assert {v.op for v in values} == {*kept, "mean_all"}
+        for a, b in zip(freed, held):
+            assert a.grad.tobytes() == b.grad.tobytes(), name
+
+
 class TestNoGrad:
     """Under no_grad every op computes the taped output bits and records nothing."""
 
@@ -548,7 +618,7 @@ class TestNoGrad:
             assert not ad._taping
         assert ad._taping
         x = Value([[1.0]])
-        assert ad.exp(x)._parents == (x,)
+        assert ad.exp(x)._parents == (x.node,)
 
     def test_restores_taping_after_an_exception(self):
         with pytest.raises(KeyError):

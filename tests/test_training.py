@@ -6,6 +6,7 @@ graph-built loss has an independent reference.
 """
 
 import gc
+import hashlib
 import io
 import math
 
@@ -482,3 +483,34 @@ class TestFirstStepGolden:
         assert set(parts) == set(self.GOLDEN[variant])
         for key, want in self.GOLDEN[variant].items():
             assert parts[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
+
+
+class TestTrainedBitsPinned:
+    """sha256 over every parameter's name and bits after three ``fit`` steps.
+
+    The digests were recorded before the tape was split into payloads and
+    nodes. ``TestFirstStepGolden`` pins only the first step's losses; these
+    pin every gradient bit of three updates, so a tape refactor that changes
+    a sum's order or an op's rounding fails here.
+    """
+
+    DIGESTS = {
+        ("full", False): "1c0dbc4bed9a8bab1326573acd411a6c25e3aee79d8b425fb943b83c86ae83f8",
+        ("base", False): "73c79cda2d08dc278eb72ad02b6ddef723bbff74200b84cfdba31738b0dc4701",
+        ("elbo", False): "e4ed76763271852ffc6d1a72cd63fefc3704643f03a1be5036e6a316b5001a98",
+        ("full", True): "4880ca28f3425a6b9e2aa8c5818cfca84681dbb90901c781430898cc4cf988aa",
+    }
+
+    @pytest.mark.parametrize("variant,alternating", sorted(DIGESTS))
+    def test_parameters_after_three_steps(self, leak_splits, variant, alternating):
+        split_a, split_b = leak_splits
+        cfg = RunConfig(k=8, epochs=1, batch_size=1100, neg_ratio=1, eval_negatives=20,
+                        variant=variant, alternating=alternating, seed=3)
+        # the larger domain, A, sets the epoch's steps
+        assert math.ceil(2 * len(split_a.train.interactions) / cfg.batch_size) == 3
+        model = tr.train_model(split_a, split_b, cfg).model
+        digest = hashlib.sha256()
+        for name, value in model.params.items():
+            digest.update(name.encode())
+            digest.update(value.data.tobytes())
+        assert digest.hexdigest() == self.DIGESTS[(variant, alternating)]
