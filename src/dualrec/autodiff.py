@@ -13,8 +13,9 @@ shape where it reads no array:
 - ``matmul`` keeps both operands; ``scale_rows``, ``row_cosine`` and
   ``frobenius_sq`` keep their inputs;
 - ``exp`` and ``softmax_rows`` keep their own output;
-- ``relu``, ``leaky_relu``, ``clamp`` and ``square`` keep a local
-  derivative array (a mask, a factor or ``2x``), not their input;
+- ``relu``, ``clamp`` and ``square`` keep a local derivative array (a
+  mask or ``2x``), not their input; ``leaky_relu`` keeps its bool
+  ``x > 0`` mask and rebuilds its {1, slope} factor from it in the backward;
 - ``cross_entropy`` and ``kl_div`` keep the clipped probabilities, their
   band mask and the constant targets;
 - ``add``, ``add_rowvec``, ``concat_cols``, ``spmm``, ``mul_const`` and
@@ -38,7 +39,8 @@ Every one-parent elementwise op (``mul_const``, ``affine_const``, ``relu``,
 ``leaky_relu``, ``exp``, ``square``, ``clamp``) is built by
 :func:`_elementwise`: the op computes its output and, when taped, its local
 derivative array in the forward, and the shared backward multiplies the
-upstream gradient by that array, which is all it keeps.
+upstream gradient by that array, which is all it keeps (``leaky_relu``
+multiplies by the factor it rebuilds from its kept mask).
 
 Inside a ``with no_grad():`` scope nothing is recorded: every op computes
 the same output bits, but returns a Value with no parents and no backward
@@ -270,12 +272,14 @@ def _output(data, op: str, parents: tuple[Node, ...], backward):
     return out
 
 
-def _elementwise(x: Value, data, op: str, local):
+def _elementwise(x: Value, data, op: str, local, expand=None):
     """Node ``op`` over the single parent x whose backward is ``g * local()``.
 
     ``local`` forms the local derivative array; it is called only when the
     op is taped, and the backward keeps that array instead of x's payload
-    (it is ``exp``'s own output, a mask for ``relu`` and ``clamp``).
+    (it is ``exp``'s own output, a mask for ``relu`` and ``clamp``). With
+    ``expand``, the backward keeps ``local()`` and multiplies by
+    ``expand(local())`` instead, so a compact array can stand for a wide one.
     """
     if not _taping:
         return Value(data, op)
@@ -283,7 +287,7 @@ def _elementwise(x: Value, data, op: str, local):
     xn = x.node
 
     def bw(g):
-        _accum(xn, g * d)
+        _accum(xn, g * (d if expand is None else expand(d)))
 
     return _output(data, op, (xn,), bw)
 
@@ -421,9 +425,24 @@ def relu(x: Value) -> Value:
     return _elementwise(x, np.maximum(x.data, 0.0), "relu", lambda: x.data > 0.0)
 
 
+def _leaky_factor(pos: np.ndarray, slope: float) -> np.ndarray:
+    """``np.where(pos, 1.0, slope)`` bit for bit when 0 <= slope <= 1, without
+    the per-entry branch of a scalar ``np.where``."""
+    factor = pos.astype(np.float64)
+    return np.maximum(factor, slope, out=factor)
+
+
 def leaky_relu(x: Value, slope: float = LEAKY_SLOPE) -> Value:
-    factor = np.where(x.data > 0.0, 1.0, slope)
-    return _elementwise(x, x.data * factor, "leaky_relu", lambda: factor)
+    if not 0.0 <= slope <= 1.0:
+        raise ContractError(f"leaky_relu: slope {slope} is outside [0, 1]")
+    pos = x.data > 0.0
+    return _elementwise(
+        x,
+        x.data * _leaky_factor(pos, slope),
+        "leaky_relu",
+        lambda: pos,
+        lambda mask: _leaky_factor(mask, slope),
+    )
 
 
 def exp(x: Value) -> Value:

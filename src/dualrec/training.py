@@ -16,6 +16,7 @@ given. A non-finite loss or gradient aborts before the optimizer moves.
 
 from __future__ import annotations
 
+import ctypes
 import itertools
 import math
 from dataclasses import dataclass
@@ -49,6 +50,41 @@ _STREAM_NEGATIVES = 1
 _STREAM_LAMBDA = 2
 _STREAM_NOISE = 3
 _STREAM_SHUFFLE = 4
+
+# glibc mallopt(3) parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def _find_mallopt():
+    """The C library's ``mallopt``, or None where there is none.
+
+    Looked up once, at import: each ``ctypes.CDLL`` builds ctypes classes,
+    which are cyclic garbage. ``CDLL(None)`` fails on Windows, and macOS has
+    no ``mallopt``.
+    """
+    try:
+        return ctypes.CDLL(None).mallopt  # int mallopt(int, int): ctypes' default types
+    except (OSError, TypeError, AttributeError):
+        return None
+
+
+_mallopt = _find_mallopt()
+
+
+def _keep_freed_heap() -> None:
+    """Make malloc keep the heap a training step frees, for the next step.
+
+    A step frees its whole tape during its sweep. With glibc's self-tuning
+    thresholds the freed top of the heap goes back to the kernel after every
+    sweep, and the next forward faults it in again, page by page. Fixed
+    thresholds keep it: arrays below 32 MiB come from the heap, and the heap
+    is trimmed only when 1 GiB lies free at its top. Both are set, because
+    setting either one turns off the self-tuning of both.
+    """
+    if _mallopt is not None:
+        _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+        _mallopt(_M_TRIM_THRESHOLD, 1 << 30)
 
 
 class NumericalAbortError(RuntimeError):
@@ -200,11 +236,9 @@ def step_losses(
 
 def _max_abs_grad(model: ModelState) -> float:
     """Largest |gradient| entry over all parameters; NaN if any entry is NaN."""
-    peaks = [
-        np.abs(value.grad).max()
-        for value in model.params.values()
-        if value.grad is not None and value.grad.size
-    ]
+    grads = (value.grad for value in model.params.values())
+    # a NaN makes both max() and min() NaN, so the pair's max keeps it
+    peaks = [max(g.max(), -g.min()) for g in grads if g is not None and g.size]
     return float(np.max(peaks, initial=0.0))  # np.max keeps a NaN that max() would drop
 
 
@@ -231,6 +265,7 @@ def fit(
 ) -> TrainResult:
     """Run the configured number of epochs on an already-built model."""
     ad.reset_cosine_clamp_events()
+    _keep_freed_heap()
     cfg = model.config
     optimizer = Adam(model.params, lr=cfg.lr)
     log_lines = [LOG_HEADER]
@@ -266,12 +301,17 @@ def fit(
                 with np.errstate(over="ignore", invalid="ignore"):
                     scored = {tag: batches[tag] for tag in domains}
                     items = {tag: np.unique(batch[1]) for tag, batch in scored.items()}
-                    fwd = forward(model, union, lam, noise, items)
-                    total, sub = step_losses(model, fwd, scored)
+                    # nothing of the previous step lives on into this one: its
+                    # gradients go now, and no name here holds the pass, whose
+                    # arrays die with step_losses or as the sweep passes them
+                    optimizer.zero_grad()
+                    total, sub = step_losses(
+                        model, forward(model, union, lam, noise, items), scored
+                    )
                     if not math.isfinite(sub["total"]):
                         _abort("loss", epoch, step, lam, batches, last_grad)
-                    optimizer.zero_grad()
                     ad.backward(total)
+                    del total
                 last_grad = _max_abs_grad(model)
                 if not math.isfinite(last_grad):
                     _abort("gradient", epoch, step, lam, batches, last_grad)

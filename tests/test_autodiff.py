@@ -426,6 +426,28 @@ class TestElementwiseOps:
         np.testing.assert_array_equal(data, np.where(self.X > 0, self.X, 0.01 * self.X))
         np.testing.assert_array_equal(grad, np.where(self.X > 0, self.G, 0.01 * self.G))
 
+    def test_leaky_relu_matches_scalar_where_at_the_edges(self):
+        # signed zeros, subnormals, infinities and NaN: the mask-built factor
+        # must equal the np.where factor it replaced bit for bit
+        edges = [0.0, -0.0, 5e-324, -5e-324, np.inf, -np.inf, np.nan, 1.0, -1.0]
+        x = np.array(edges * 2).reshape(3, 6)
+        g = np.random.default_rng(53).standard_normal((3, 6))
+        g[0, :2] = -0.0
+        for slope in (ad.LEAKY_SLOPE, 0.0, 0.3, 1.0):
+            factor = np.where(x > 0, 1.0, slope)
+            v = Value(x.copy())
+            with np.errstate(invalid="ignore"):  # -inf * 0.0 at slope 0
+                out = ad.leaky_relu(v, slope)
+            out._backward(g)
+            with np.errstate(invalid="ignore"):
+                assert out.data.tobytes() == (x * factor).tobytes(), slope
+            assert v.grad.tobytes() == (g * factor).tobytes(), slope
+
+    def test_leaky_relu_rejects_a_slope_outside_unit_interval(self):
+        for slope in (-0.01, 1.5, np.nan):
+            with pytest.raises(ad.ContractError):
+                ad.leaky_relu(Value(self.X), slope)
+
     def test_exp(self):
         data, grad = self._run(ad.exp)
         np.testing.assert_array_equal(data, np.exp(self.X))
@@ -583,6 +605,16 @@ class TestTapeKeepsOnlyWhatBackwardReads:
         assert {v.op for v in values} == {*kept, "mean_all"}
         for a, b in zip(freed, held):
             assert a.grad.tobytes() == b.grad.tobytes(), name
+
+    def test_leaky_relu_keeps_a_bool_mask_only(self):
+        x = Value(np.random.default_rng(63).standard_normal((6, 3)))
+        out = ad.leaky_relu(x)
+        kept = [
+            cell.cell_contents
+            for cell in out._backward.__closure__
+            if isinstance(cell.cell_contents, np.ndarray)
+        ]
+        assert [(a.dtype, a.shape) for a in kept] == [(np.dtype(bool), x.shape)]
 
 
 class TestNoGrad:

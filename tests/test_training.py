@@ -9,6 +9,8 @@ import gc
 import hashlib
 import io
 import math
+import weakref
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dualrec import evaluation as ev
 from dualrec import fusion as fu
 from dualrec import graph as gr
 from dualrec import model as md
+from dualrec import optim
 from dualrec import training as tr
 from dualrec.config import VARIANTS, RunConfig
 from dualrec.data import InteractionSet, freeze_splits
@@ -365,6 +368,27 @@ class TestFit:
             np.testing.assert_array_equal(value.data, before[name], err_msg=name)
 
 
+class TestMaxAbsGrad:
+    @staticmethod
+    def peak(*grads):
+        params = {}
+        for idx, grad in enumerate(grads):
+            params[idx] = value = ad.Value(np.zeros((1, 1)))
+            value.grad = None if grad is None else np.array([grad], dtype=np.float64)
+        return tr._max_abs_grad(SimpleNamespace(params=params))
+
+    def test_peaks(self):
+        assert math.isnan(self.peak([1.0, np.nan, -2.0], [5.0]))
+        assert math.isnan(self.peak([5.0], [np.nan]))
+        assert self.peak([-np.inf]) == math.inf
+        assert self.peak([-3.0, 2.0]) == 3.0
+        assert self.peak([-3.0, 2.0], [4.0], None) == 4.0
+
+    def test_no_gradients_is_zero(self):
+        assert self.peak() == 0.0
+        assert self.peak(None, np.zeros((1, 0))) == 0.0
+
+
 class TestElboTerms:
     def test_terms_match_numpy_reference(self):
         split_a, split_b = tiny_splits()
@@ -438,6 +462,80 @@ class TestTapeIsFreed:
             if was_enabled:
                 gc.enable()
         assert (after_fit, after_eval) == (0, 0)
+
+
+class TestStepKeepsNothingPastItsSweep:
+    """When a step's forward starts, nothing of the step before is alive:
+    neither the previous pass's arrays nor the previous update's parameter
+    gradients. The hooks bind over the module attributes the benchmark
+    wraps; the collector is off, so only reference counting frees."""
+
+    @pytest.mark.parametrize("variant,alternating", [
+        ("full", False), ("base", False), ("full", True),
+    ])
+    def test_previous_step_is_dead_at_the_next_forward(
+            self, leak_splits, monkeypatch, variant, alternating):
+        split_a, split_b = leak_splits
+        cfg = RunConfig(k=8, epochs=1, batch_size=256, neg_ratio=1, eval_negatives=20,
+                        variant=variant, alternating=alternating, seed=3)
+        real_forward, real_step = tr.forward, optim.Adam.step
+        held: list[weakref.ref] = []  # the current step's arrays
+        alive_at_forward: list[int] = []
+
+        def forward_hook(*args, **kwargs):
+            alive_at_forward.append(sum(ref() is not None for ref in held))
+            held.clear()
+            fwd = real_forward(*args, **kwargs)
+            arrays = [v.data for v in fwd.s.values()] + [v.data for v in fwd.codes.values()][:1]
+            held.extend(weakref.ref(a) for a in arrays)
+            return fwd
+
+        def step_hook(optimizer):
+            grads = [p.grad for p in optimizer.params.values() if p.grad is not None]
+            assert grads
+            held.extend(weakref.ref(g) for g in grads)
+            real_step(optimizer)
+
+        monkeypatch.setattr(tr, "forward", forward_hook)
+        monkeypatch.setattr(optim.Adam, "step", step_hook)
+        model = md.build_model(
+            build_bipartite_adjacency(split_a.train),
+            build_bipartite_adjacency(split_b.train),
+            cfg,
+        )
+        was_enabled = gc.isenabled()
+        gc.collect()
+        gc.disable()
+        try:
+            tr.fit(model, split_a, split_b)
+        finally:
+            if was_enabled:
+                gc.enable()
+        assert len(alive_at_forward) > 2
+        assert alive_at_forward == [0] * len(alive_at_forward)
+
+
+class TestHeapPolicy:
+    """``fit`` fixes glibc's mmap and trim thresholds, both of them, and
+    trains the same bits where the C library has no ``mallopt``."""
+
+    def test_sets_both_thresholds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tr, "_mallopt", lambda param, value: calls.append((param, value)))
+        split_a, split_b = tiny_splits()
+        tr.train_model(split_a, split_b, config(epochs=1))
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_without_mallopt_trains_the_pinned_bits(self, leak_splits, monkeypatch):
+        monkeypatch.setattr(tr, "_mallopt", None)
+        split_a, split_b = leak_splits
+        cfg = RunConfig(k=8, epochs=1, batch_size=1100, neg_ratio=1, eval_negatives=20, seed=3)
+        model = tr.train_model(split_a, split_b, cfg).model
+        digest = hashlib.sha256()
+        for name, value in model.params.items():
+            digest.update(name.encode())
+            digest.update(value.data.tobytes())
+        assert digest.hexdigest() == TestTrainedBitsPinned.DIGESTS[("full", False)]
 
 
 class TestFirstStepGolden:
