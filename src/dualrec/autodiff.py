@@ -15,7 +15,8 @@ shape where it reads no array:
 - ``exp`` and ``softmax_rows`` keep their own output;
 - ``relu``, ``clamp`` and ``square`` keep a local derivative array (a
   mask or ``2x``), not their input; ``leaky_relu`` keeps its bool
-  ``x > 0`` mask and rebuilds its {1, slope} factor from it in the backward;
+  ``x > 0`` mask and rebuilds its {1, ``LEAKY_SLOPE``} factor from it in
+  the backward;
 - ``cross_entropy`` and ``kl_div`` keep the clipped probabilities, their
   band mask and the constant targets;
 - ``add``, ``add_rowvec``, ``concat_cols``, ``spmm``, ``mul_const`` and
@@ -35,12 +36,12 @@ their ``.grad``. For that to work no backward closure may refer to its own
 output node or Value; a closure that did would make the node a reference
 cycle that only the cyclic garbage collector frees.
 
-Every one-parent elementwise op (``mul_const``, ``affine_const``, ``relu``,
-``leaky_relu``, ``exp``, ``square``, ``clamp``) is built by
+Every one-parent elementwise op but ``leaky_relu`` (``mul_const``,
+``affine_const``, ``relu``, ``exp``, ``square``, ``clamp``) is built by
 :func:`_elementwise`: the op computes its output and, when taped, its local
 derivative array in the forward, and the shared backward multiplies the
-upstream gradient by that array, which is all it keeps (``leaky_relu``
-multiplies by the factor it rebuilds from its kept mask).
+upstream gradient by that array, which is all it keeps. ``leaky_relu``
+multiplies by the factor it rebuilds from its kept mask.
 
 Inside a ``with no_grad():`` scope nothing is recorded: every op computes
 the same output bits, but returns a Value with no parents and no backward
@@ -272,14 +273,12 @@ def _output(data, op: str, parents: tuple[Node, ...], backward):
     return out
 
 
-def _elementwise(x: Value, data, op: str, local, expand=None):
+def _elementwise(x: Value, data, op: str, local):
     """Node ``op`` over the single parent x whose backward is ``g * local()``.
 
     ``local`` forms the local derivative array; it is called only when the
     op is taped, and the backward keeps that array instead of x's payload
-    (it is ``exp``'s own output, a mask for ``relu`` and ``clamp``). With
-    ``expand``, the backward keeps ``local()`` and multiplies by
-    ``expand(local())`` instead, so a compact array can stand for a wide one.
+    (it is ``exp``'s own output, a mask for ``relu`` and ``clamp``).
     """
     if not _taping:
         return Value(data, op)
@@ -287,7 +286,7 @@ def _elementwise(x: Value, data, op: str, local, expand=None):
     xn = x.node
 
     def bw(g):
-        _accum(xn, g * (d if expand is None else expand(d)))
+        _accum(xn, g * d)
 
     return _output(data, op, (xn,), bw)
 
@@ -425,24 +424,22 @@ def relu(x: Value) -> Value:
     return _elementwise(x, np.maximum(x.data, 0.0), "relu", lambda: x.data > 0.0)
 
 
-def _leaky_factor(pos: np.ndarray, slope: float) -> np.ndarray:
-    """``np.where(pos, 1.0, slope)`` bit for bit when 0 <= slope <= 1, without
-    the per-entry branch of a scalar ``np.where``."""
+def _leaky_factor(pos: np.ndarray) -> np.ndarray:
+    """``np.where(pos, 1.0, LEAKY_SLOPE)`` bit for bit, without the per-entry
+    branch of a scalar ``np.where``."""
     factor = pos.astype(np.float64)
-    return np.maximum(factor, slope, out=factor)
+    return np.maximum(factor, LEAKY_SLOPE, out=factor)
 
 
-def leaky_relu(x: Value, slope: float = LEAKY_SLOPE) -> Value:
-    if not 0.0 <= slope <= 1.0:
-        raise ContractError(f"leaky_relu: slope {slope} is outside [0, 1]")
+def leaky_relu(x: Value) -> Value:
+    # the backward keeps the bool mask, not a float64 factor of x's shape
     pos = x.data > 0.0
-    return _elementwise(
-        x,
-        x.data * _leaky_factor(pos, slope),
-        "leaky_relu",
-        lambda: pos,
-        lambda mask: _leaky_factor(mask, slope),
-    )
+    xn = x.node
+
+    def bw(g):
+        _accum(xn, g * _leaky_factor(pos))
+
+    return _output(x.data * _leaky_factor(pos), "leaky_relu", (xn,), bw)
 
 
 def exp(x: Value) -> Value:

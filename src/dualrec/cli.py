@@ -31,7 +31,7 @@ from .graph import build_bipartite_adjacency
 from .model import DOMAINS, load_model, save_model
 from .selfcheck import run_selfcheck
 from .synthetic import SyntheticSpec, generate_synthetic
-from .training import NumericalAbortError, train_model
+from .training import NumericalAbortError, keep_freed_heap, train_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -129,6 +129,7 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    keep_freed_heap()
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     result = train_model(split_a, split_b, cfg)
@@ -156,6 +157,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
+    keep_freed_heap()
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     _, table = ablate(split_a, split_b, cfg)
@@ -165,6 +167,7 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
+    keep_freed_heap()
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     values = [v for v in (piece.strip() for piece in args.grid.split(",")) if v]

@@ -72,15 +72,18 @@ def _find_mallopt():
 _mallopt = _find_mallopt()
 
 
-def _keep_freed_heap() -> None:
+def keep_freed_heap() -> None:
     """Make malloc keep the heap a training step frees, for the next step.
 
-    A step frees its whole tape during its sweep. With glibc's self-tuning
-    thresholds the freed top of the heap goes back to the kernel after every
-    sweep, and the next forward faults it in again, page by page. Fixed
-    thresholds keep it: arrays below 32 MiB come from the heap, and the heap
-    is trimmed only when 1 GiB lies free at its top. Both are set, because
-    setting either one turns off the self-tuning of both.
+    ``fit`` frees the whole of a step by the end of its sweep. With glibc's
+    self-tuning thresholds the freed top of the heap then goes back to the
+    kernel after every sweep, and the next forward faults it in again, page
+    by page. Fixed thresholds keep it: arrays below 32 MiB come from the
+    heap, and the heap is trimmed only when 1 GiB lies free at its top. Both
+    are set, because setting either one turns off the self-tuning of both.
+    The setting lasts for the rest of the process and cannot be undone, so
+    ``fit`` does not make it: a program that trains calls this once (the
+    CLI's ``train``, ``ablate`` and ``sweep`` do).
     """
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
@@ -265,7 +268,6 @@ def fit(
 ) -> TrainResult:
     """Run the configured number of epochs on an already-built model."""
     ad.reset_cosine_clamp_events()
-    _keep_freed_heap()
     cfg = model.config
     optimizer = Adam(model.params, lr=cfg.lr)
     log_lines = [LOG_HEADER]

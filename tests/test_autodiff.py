@@ -433,20 +433,12 @@ class TestElementwiseOps:
         x = np.array(edges * 2).reshape(3, 6)
         g = np.random.default_rng(53).standard_normal((3, 6))
         g[0, :2] = -0.0
-        for slope in (ad.LEAKY_SLOPE, 0.0, 0.3, 1.0):
-            factor = np.where(x > 0, 1.0, slope)
-            v = Value(x.copy())
-            with np.errstate(invalid="ignore"):  # -inf * 0.0 at slope 0
-                out = ad.leaky_relu(v, slope)
-            out._backward(g)
-            with np.errstate(invalid="ignore"):
-                assert out.data.tobytes() == (x * factor).tobytes(), slope
-            assert v.grad.tobytes() == (g * factor).tobytes(), slope
-
-    def test_leaky_relu_rejects_a_slope_outside_unit_interval(self):
-        for slope in (-0.01, 1.5, np.nan):
-            with pytest.raises(ad.ContractError):
-                ad.leaky_relu(Value(self.X), slope)
+        factor = np.where(x > 0, 1.0, ad.LEAKY_SLOPE)
+        v = Value(x.copy())
+        out = ad.leaky_relu(v)
+        out._backward(g)
+        assert out.data.tobytes() == (x * factor).tobytes()
+        assert v.grad.tobytes() == (g * factor).tobytes()
 
     def test_exp(self):
         data, grad = self._run(ad.exp)

@@ -15,6 +15,7 @@ import pytest
 
 from dualrec import autodiff as ad
 from dualrec import cli
+from dualrec import training as tr
 from dualrec.config import RunConfig
 from dualrec.training import NumericalAbortError
 from faults import faulty_matmul, nan_gradient_backward, transposeless_spmm
@@ -528,6 +529,16 @@ class TestTrainEval:
                          "--model", str(tmp_path / "none.npz"),
                          "--out", str(tmp_path / "rep.txt")])
         assert code == cli.EXIT_ARTIFACT
+
+    def test_train_sets_both_malloc_thresholds(self, tmp_path, data_dir, monkeypatch):
+        calls = []
+        monkeypatch.setattr(tr, "_mallopt", lambda param, value: calls.append((param, value)))
+        assert run_train(data_dir, str(tmp_path / "run")) == cli.EXIT_OK
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
+
+    def test_keep_freed_heap_without_mallopt_sets_nothing(self, monkeypatch):
+        monkeypatch.setattr(tr, "_mallopt", None)
+        tr.keep_freed_heap()
 
     def test_train_missing_data_is_artifact_error(self, tmp_path):
         code = run_train(str(tmp_path / "nowhere"), str(tmp_path / "run"))

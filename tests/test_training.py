@@ -515,27 +515,13 @@ class TestStepKeepsNothingPastItsSweep:
         assert alive_at_forward == [0] * len(alive_at_forward)
 
 
-class TestHeapPolicy:
-    """``fit`` fixes glibc's mmap and trim thresholds, both of them, and
-    trains the same bits where the C library has no ``mallopt``."""
-
-    def test_sets_both_thresholds(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(tr, "_mallopt", lambda param, value: calls.append((param, value)))
-        split_a, split_b = tiny_splits()
-        tr.train_model(split_a, split_b, config(epochs=1))
-        assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
-
-    def test_without_mallopt_trains_the_pinned_bits(self, leak_splits, monkeypatch):
-        monkeypatch.setattr(tr, "_mallopt", None)
-        split_a, split_b = leak_splits
-        cfg = RunConfig(k=8, epochs=1, batch_size=1100, neg_ratio=1, eval_negatives=20, seed=3)
-        model = tr.train_model(split_a, split_b, cfg).model
-        digest = hashlib.sha256()
-        for name, value in model.params.items():
-            digest.update(name.encode())
-            digest.update(value.data.tobytes())
-        assert digest.hexdigest() == TestTrainedBitsPinned.DIGESTS[("full", False)]
+def test_fit_leaves_malloc_alone(monkeypatch):
+    # the heap policy outlives its caller, so only a training program sets it
+    calls = []
+    monkeypatch.setattr(tr, "_mallopt", lambda param, value: calls.append((param, value)))
+    split_a, split_b = tiny_splits()
+    tr.train_model(split_a, split_b, config(epochs=1))
+    assert calls == []
 
 
 class TestFirstStepGolden:
