@@ -7,9 +7,11 @@ training, and frozen candidate sampling for ranking evaluation. All
 operations are deterministic given their inputs and a seed.
 
 Interactions are stored as sorted CSR rows (:class:`InteractionSet`), and
-every stage works on those arrays. The samplers take each user's pool of
-unseen items from a boolean mask over all items, so the only per-draw work
-left in Python is one ``Generator.choice`` call. Writing an artifact turns
+every stage works on those arrays. Training negatives are drawn for a
+whole epoch at once on the generator's uint32 stream, as ``Generator.choice``
+would draw them one positive at a time. Candidate freezing takes each test
+user's pool from a boolean mask over all items and makes one
+``Generator.choice`` call per test user. Writing an artifact turns
 index arrays into text through one table of decimal strings; reading one
 parses its numbers in bulk and rejects out-of-range indices, repeated lines
 and unusable candidate lists with :class:`ArtifactError`.
@@ -343,37 +345,157 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     """Draw ``ratio`` unseen items per observed interaction, label 0.
 
     Returns an int64 array with one row ``(user, item, 0)`` per draw. The
-    positives are visited by user, then item, with one draw each. Draws are
-    without replacement within one positive's draw. A user whose unseen pool
-    is smaller than ``ratio`` contributes the whole pool per positive, with
-    one warning.
+    positives are visited by user, then item. A user's pool is their unseen
+    items, ascending. A user whose pool is smaller than ``ratio`` contributes
+    the whole pool per positive, with one warning. Every other positive gets
+    the ``ratio`` distinct items that ``choice(pool, ratio, replace=False)``
+    on the generator would give, one call per positive in this order, and
+    the generator is left where those calls would leave it.
+
+    The whole epoch is drawn at once on the generator's uint32 stream, as
+    ``choice`` draws: Floyd's algorithm, then a shuffle of the picks, each
+    draw one Lemire bounded integer (see :func:`_floyd_picks`). NumPy does
+    otherwise in one regime, a pool of more than 10,000 items with
+    ``ratio > pool // 50``, where it shuffles the pool's tail; there the
+    draws differ from ``choice``'s but are still ``ratio`` distinct unseen
+    items, uniform over the pool. Resting on the stream is at least as
+    stable as resting on ``choice``: NumPy keeps bit-generator streams fixed
+    across versions but lets ``Generator`` methods change (NEP 19). These
+    stream facts hold for PCG64, the bit generator of
+    ``np.random.default_rng``, so another bit generator raises
+    ``ValueError``, as do ``ratio < 1`` and more than 2**32 items.
     """
+    if ratio < 1:
+        raise ValueError(f"negative ratio must be >= 1, got {ratio}")
+    if train.num_items > 1 << 32:
+        raise ValueError(
+            f"negative sampling draws from at most 2**32 items, got {train.num_items}"
+        )
     gen = _normalize_rng(rng)
+    if not isinstance(gen.bit_generator, np.random.PCG64):
+        raise ValueError(
+            f"negative sampling needs a PCG64 generator, got {type(gen.bit_generator).__name__}"
+        )
     indptr, indices = train.indptr, train.indices
-    all_items = np.arange(train.num_items)
-    unseen = np.ones(train.num_items, dtype=bool)
-    users = np.flatnonzero(np.diff(indptr))
-    per_user = np.zeros(users.size, dtype=np.int64)  # draws per user
-    chunks: list[np.ndarray] = []
-    for k, u in enumerate(users.tolist()):
-        seen = indices[indptr[u] : indptr[u + 1]]
-        unseen[seen] = False
-        pool = all_items[unseen]
-        unseen[seen] = True
-        if pool.size < ratio:
-            logger.warning(
-                "user %d has only %d unseen items (< ratio %d); taking the whole pool",
-                u, pool.size, ratio,
-            )
-            chunks.append(np.tile(pool, seen.size))
-        else:
-            chunks.extend(gen.choice(pool, size=ratio, replace=False) for _ in range(seen.size))
-        per_user[k] = seen.size * min(pool.size, ratio)
-    out = np.zeros((int(per_user.sum()), 3), dtype=np.int64)
-    if chunks:
-        out[:, 0] = np.repeat(users, per_user)
-        out[:, 1] = np.concatenate(chunks)
+    degree = np.diff(indptr)
+    for u in np.flatnonzero(degree > max(train.num_items - ratio, 0)).tolist():
+        logger.warning(
+            "user %d has only %d unseen items (< ratio %d); taking the whole pool",
+            u, train.num_items - degree[u], ratio,
+        )
+    pos_user = np.repeat(np.arange(train.num_users), degree)
+    pos_pool = train.num_items - degree[pos_user]
+    width = np.minimum(pos_pool, ratio)  # draws per positive
+    # each draw's index into its user's pool: 0, 1, ... for a whole pool
+    picks = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
+    full = pos_pool >= ratio
+    stream = _Uint32Stream(gen.bit_generator)
+    picks[np.repeat(full, width)] = _floyd_picks(pos_pool[full], ratio, stream).ravel()
+    stream.close()
+    # pool index q of user u is item q + #(u's seen items at or below it): the
+    # count of row u's ``indices - rank`` at or below q, each row offset to
+    # its own stretch of one sorted array
+    stride = train.num_items + 1
+    keys = indices - (np.arange(indices.size) - indptr[pos_user]) + pos_user * stride
+    row_user = np.repeat(pos_user, width)
+    out = np.zeros((picks.size, 3), dtype=np.int64)
+    out[:, 0] = row_user
+    seen = np.searchsorted(keys, picks + row_user * stride, side="right") - indptr[row_user]
+    out[:, 1] = picks + seen
     return out
+
+
+class _Uint32Stream:
+    """A PCG64 generator's ``next_uint32`` sequence, read in blocks.
+
+    PCG64 serves each 64-bit word as two uint32, the low half first, and
+    keeps the high half in its state (``has_uint32``, ``uinteger``) for the
+    next call. This reads whole words with ``random_raw`` and keeps the half
+    the same way, so after :meth:`close` the generator stands where as many
+    ``next_uint32`` calls would have left it.
+    """
+
+    def __init__(self, bit_generator: np.random.PCG64):
+        self._bits = bit_generator
+        state = bit_generator.state
+        self._has, self._half = state["has_uint32"], state["uinteger"]
+
+    def take(self, n: int) -> np.ndarray:
+        """The next ``n`` uint32 of the stream, widened to uint64."""
+        out = np.empty(n, dtype=np.uint64)
+        held = min(self._has, n)
+        out[:held] = self._half
+        self._has -= held
+        rest = n - held
+        if rest:
+            halves = self._bits.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
+            out[held:] = halves[:rest]
+            self._has, self._half = rest % 2, int(halves[-1])
+        return out
+
+    def close(self) -> None:
+        state = self._bits.state
+        state["has_uint32"], state["uinteger"] = self._has, self._half
+        self._bits.state = state
+
+
+def _floyd_picks(pool: np.ndarray, ratio: int, stream: _Uint32Stream) -> np.ndarray:
+    """Pool indices of ``choice(pool[p], ratio, replace=False)`` for each row p, in order.
+
+    Row p makes Floyd's draws, one in ``[0, j]`` for each ``j = pool[p] - ratio
+    ... pool[p] - 1`` (none when ``j`` is 0), taking ``j`` itself when the draw
+    repeats an earlier pick; then it swaps pick ``i`` with a draw in
+    ``[0, i]`` for ``i = ratio - 1 ... 1``. Rows draw one after another on the
+    stream, so every row's draws are made at once and the rules are applied
+    one column at a time, across all rows.
+    """
+    width = 2 * ratio - 1
+    span = np.empty((pool.size, width), dtype=np.uint64)  # each draw's j + 1
+    span[:, :ratio] = (pool - ratio + 1)[:, None] + np.arange(ratio)
+    span[:, ratio:] = np.arange(ratio, 1, -1)
+    drawn = np.zeros_like(span)
+    live = span > 1  # only a pool exactly ``ratio`` wide has a span of 1
+    drawn[live] = _lemire(span[live], stream)
+    picks = drawn[:, :ratio]
+    for t in range(1, ratio):
+        pick = picks[:, t]
+        repeat = picks[:, 0] == pick
+        for s in range(1, t):
+            repeat |= picks[:, s] == pick
+        np.subtract(span[:, t], 1, out=pick, where=repeat)
+    flat, row_start = drawn.reshape(-1), np.arange(0, drawn.size, width, dtype=np.uint64)
+    for i in range(ratio - 1, 0, -1):
+        at = row_start + drawn[:, width - i]
+        swap = flat[at]
+        flat[at] = picks[:, i]
+        picks[:, i] = swap
+    return picks
+
+
+def _lemire(span: np.ndarray, stream: _Uint32Stream) -> np.ndarray:
+    """One draw in ``[0, s)`` for each ``s`` of ``span`` (uint64, 2 to 2**32), in order.
+
+    Each draw is Lemire's ``(x * s) >> 32`` on the next uint32 ``x``, taken
+    again while the product's low word is below ``2**32 mod s``. Every draw
+    gets its word at once; a rejection (under ``s / 2**32`` per draw) shifts
+    the later draws by one word and recomputes them.
+    """
+    word = stream.take(span.size)
+    out = np.empty(span.size, dtype=np.uint64)
+    start = 0
+    while True:
+        product = word[start:] * span[start:]
+        low = product & 0xFFFFFFFF
+        check = np.flatnonzero(low < span[start:])
+        s = span[start:][check]
+        rejected = check[low[check] < (2**32 - s) % s]
+        stop = rejected[0] if rejected.size else product.size
+        out[start : start + stop] = product[:stop] >> 32
+        if not rejected.size:
+            return out
+        start += stop
+        word[start:-1] = word[start + 1 :]
+        word[-1:] = stream.take(1)
 
 
 def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> SplitDataset:

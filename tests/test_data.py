@@ -365,6 +365,33 @@ class TestSampleTrainNegatives:
         assert total == 10000
         assert abs(counts[2] / total - 0.5) < 0.02
 
+    @pytest.mark.parametrize("ratio", [0, -1])
+    def test_ratio_below_one_raises(self, ratio):
+        with pytest.raises(ValueError, match="ratio must be >= 1"):
+            d.sample_train_negatives(self.base_train(), ratio=ratio, rng=0)
+
+    def test_other_bit_generator_raises(self):
+        gen = np.random.Generator(np.random.MT19937(0))
+        with pytest.raises(ValueError, match="PCG64"):
+            d.sample_train_negatives(self.base_train(), ratio=7, rng=gen)
+
+    def test_more_than_2_to_the_32_items_raises(self):
+        train = d.InteractionSet.from_pairs(1, (1 << 32) + 1, [(0, 0)], user_map={}, item_map={})
+        with pytest.raises(ValueError, match=r"2\*\*32"):
+            d.sample_train_negatives(train, ratio=7, rng=0)
+
+    def test_tail_shuffle_regime_draws_distinct_unseen_items(self):
+        # a 10,001-item pool at ratio 201, where Generator.choice would shuffle
+        # the pool's tail instead of running Floyd's algorithm
+        seen = (0, 5000, 10003)
+        train = self.base_train(num_items=10004, seen=seen)
+        negs = d.sample_train_negatives(train, ratio=201, rng=3)
+        assert negs.shape == (3 * 201, 3)
+        for block in negs[:, 1].reshape(3, 201):
+            assert len(set(block.tolist())) == 201
+            assert not set(block.tolist()) & set(seen)
+            assert block.min() >= 0 and block.max() < 10004
+
     def test_marginals_within_binomial_band(self):
         # each unseen item should appear ~ n_draws * ratio / pool_size times
         train = self.base_train(num_items=23, seen=(0, 1, 2))
@@ -455,6 +482,19 @@ def reference_train_negatives(train, ratio, rng):
     return out, warned
 
 
+def assert_negatives_match_reference(train, ratio, make_rng):
+    """The sampler gives the reference's rows and leaves its generator where the reference's is.
+
+    ``make_rng`` makes a fresh generator, the same on every call.
+    """
+    ref_gen, gen = make_rng(), make_rng()
+    expected, _ = reference_train_negatives(train, ratio, ref_gen)
+    got = d.sample_train_negatives(train, ratio, gen)
+    assert got.dtype == np.int64
+    np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 3))
+    assert gen.bit_generator.state == ref_gen.bit_generator.state
+
+
 def reference_eval_candidates(split, n, rng):
     """The set-based candidate freezer: one setdiff1d pool per test user."""
     gen = np.random.default_rng(rng)
@@ -536,6 +576,74 @@ class TestSamplersMatchReference:
         train = random_train(3, 5, np.random.default_rng(0), 0)
         got = d.sample_train_negatives(train, 7, 0)
         assert got.shape == (0, 3) and got.dtype == np.int64
+
+    def test_pool_exactly_ratio_wide(self):
+        # user 0's pool is 7 items: its first Floyd bound is 0 and draws nothing
+        inter = {(0, i) for i in range(13)} | {(1, 4), (1, 9)}
+        train = d.InteractionSet.from_pairs(2, 20, inter)
+        assert_negatives_match_reference(train, 7, lambda: np.random.default_rng(11))
+
+    def test_ratio_one(self):
+        # pools of 1 (no draw), 2 and 37 items
+        inter = {(0, i) for i in range(39)} | {(1, i) for i in range(38)} | {(2, 0), (2, 7)}
+        train = d.InteractionSet.from_pairs(3, 40, inter)
+        assert_negatives_match_reference(train, 1, lambda: np.random.default_rng(12))
+
+    def test_idle_users_between_drawing_users(self):
+        # users 1 and 5 have no positives; users 2 (pool 3) and 4 (pool 0) are exhausted
+        inter = {(0, 3), (0, 8)} | {(2, i) for i in range(17)} | {(3, 1)}
+        inter |= {(4, i) for i in range(20)} | {(6, i) for i in range(0, 20, 3)}
+        train = d.InteractionSet.from_pairs(7, 20, inter)
+        assert_negatives_match_reference(train, 7, lambda: np.random.default_rng(13))
+
+    @pytest.mark.parametrize("positives", [1, 2])
+    def test_generator_holding_a_uint32_half(self, positives):
+        # 13 or 26 draws after the held half: the call ends on a whole word or half of one
+        def make_rng():
+            gen = np.random.default_rng(14)
+            gen.integers(0, 10, dtype=np.uint32)
+            assert gen.bit_generator.state["has_uint32"] == 1
+            return gen
+
+        train = d.InteractionSet.from_pairs(1, 30, {(0, i) for i in range(positives)})
+        assert_negatives_match_reference(train, 7, make_rng)
+
+    def test_rejected_draw_is_redrawn(self):
+        # seed 3728's first uint32 fails Lemire's test for the first Floyd
+        # draw, in [0, 2**20], so that draw takes the next uint32 and every
+        # later draw one uint32 later
+        seed, ratio, positives = 3728, 7, 40
+        span = (1 << 20) + 1
+        first = int(np.random.PCG64(seed).random_raw()) & 0xFFFFFFFF
+        assert (first * span) & 0xFFFFFFFF < (1 << 32) % span
+        num_items = span - 1 + ratio + positives  # pool of 2**20 + ratio items
+        train = d.InteractionSet.from_pairs(1, num_items, {(0, i) for i in range(positives)})
+        assert_negatives_match_reference(train, ratio, lambda: np.random.default_rng(seed))
+
+    @given(
+        num_items=st.integers(1, 60),
+        degrees=st.lists(st.integers(0, 60), min_size=1, max_size=30),
+        ratio=st.integers(1, 9),
+        seed=st.integers(0, 2**64 - 1),
+        held_half=st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_any_csr_set_matches_reference(self, num_items, degrees, ratio, seed, held_half):
+        layout = np.random.default_rng(seed)
+        pairs = [
+            (u, int(i))
+            for u, k in enumerate(degrees)
+            for i in layout.choice(num_items, size=min(k, num_items), replace=False)
+        ]
+        train = d.InteractionSet.from_pairs(len(degrees), num_items, pairs)
+
+        def make_rng():
+            gen = np.random.default_rng([seed, 1])
+            if held_half:
+                gen.integers(0, 10, dtype=np.uint32)
+            return gen
+
+        assert_negatives_match_reference(train, ratio, make_rng)
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_eval_candidates_bitwise(self, seed):
