@@ -6,8 +6,13 @@ splitting, cold-item filtering of the test set, negative sampling for
 training, and frozen candidate sampling for ranking evaluation. All
 operations are deterministic given their inputs and a seed.
 
-Interactions are stored as sorted CSR rows (:class:`InteractionSet`), and
-every stage works on those arrays. Training negatives are drawn for a
+String keys end at ingest: :func:`load_interactions` turns each rating line
+into integer user and item codes, with user codes shared across the two
+files so a code names the same user in both domains. Filtering returns the
+code of each kept user, alignment matches the domains on those codes, and
+no later stage holds a key. Interactions are stored as sorted CSR rows
+(:class:`InteractionSet`), a split's test pairs as one (n, 2) int64 array,
+and every stage works on those arrays. Training negatives are drawn for a
 whole epoch at once on the generator's uint32 stream, as ``Generator.choice``
 would draw them one positive at a time. Candidate freezing takes each test
 user's pool from a boolean mask over all items and makes one
@@ -57,14 +62,6 @@ class ArtifactError(DatasetError):
     """A prepared-dataset artifact is missing, unreadable or inconsistent."""
 
 
-@dataclass
-class RawRating:
-    user_key: str
-    item_key: str
-    rating: float
-    timestamp: float | None = None
-
-
 @dataclass(eq=False)
 class InteractionSet:
     """Binary interactions over dense contiguous indices, as sorted CSR rows.
@@ -80,8 +77,6 @@ class InteractionSet:
     num_items: int
     indptr: np.ndarray
     indices: np.ndarray
-    user_map: dict[str, int]
-    item_map: dict[str, int]
     timestamps: np.ndarray | None = None
 
     @classmethod
@@ -90,15 +85,12 @@ class InteractionSet:
         num_users: int,
         num_items: int,
         pairs,
-        user_map: dict[str, int] | None = None,
-        item_map: dict[str, int] | None = None,
         timestamps: np.ndarray | None = None,
     ) -> InteractionSet:
         """Build from ``(user, item)`` pairs in any order.
 
         ``timestamps``, if given, holds one per pair. A repeated pair counts
-        once, with its first timestamp. The maps default to the identity
-        over string indices.
+        once, with its first timestamp.
         """
         pairs = np.asarray(pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64)
         pairs = pairs.reshape(-1, 2)
@@ -111,8 +103,6 @@ class InteractionSet:
             num_items=num_items,
             indptr=indptr,
             indices=items,
-            user_map=user_map if user_map is not None else {str(u): u for u in range(num_users)},
-            item_map=item_map if item_map is not None else {str(i): i for i in range(num_items)},
             timestamps=None if timestamps is None else np.asarray(timestamps, float)[first],
         )
 
@@ -130,15 +120,10 @@ class InteractionSet:
 @dataclass
 class SplitDataset:
     train: InteractionSet
-    test: list[tuple[int, int]]
+    # one (user, held-out item) row per test user, an (n_test, 2) int64 array
+    test: np.ndarray
     # each test user's frozen candidates: their row of one (n_test, n_cand) int64 array
     eval_candidates: dict[int, np.ndarray] | None = None
-
-
-def _normalize_rng(rng) -> np.random.Generator:
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def read_text(path: str, error: type[Exception]) -> str:
@@ -150,14 +135,24 @@ def read_text(path: str, error: type[Exception]) -> str:
             raise error(f"{path}: not UTF-8 text: {exc}") from None
 
 
-def load_interactions(path: str) -> list[RawRating]:
-    """Parse a tab-separated rating file.
+def load_interactions(
+    path: str, user_codes: dict[str, int]
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Parse a tab-separated rating file into integer codes.
 
     Format: ``user_key<TAB>item_key<TAB>rating[<TAB>timestamp]``. Lines
     starting with ``#`` and blank lines are skipped. Ratings and timestamps
-    must be numbers, and a timestamp must not be NaN.
+    must be numbers, and a timestamp must not be NaN; the rating is checked
+    and then dropped. Returns ``(users, items, timestamps)``, one entry per
+    record: item keys are numbered in order of first appearance in this
+    file, user keys through ``user_codes``, which grows with every new key,
+    so calls that share it give a user the same code in each file.
+    ``timestamps`` is ``None`` unless every record carries one.
     """
-    records: list[RawRating] = []
+    item_codes: dict[str, int] = {}
+    users: list[int] = []
+    items: list[int] = []
+    timestamps: list[float | None] = []
     for line_no, line in enumerate(read_text(path, ParseError).split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
@@ -168,35 +163,20 @@ def load_interactions(path: str) -> list[RawRating]:
         if not user_key or not item_key:
             raise ParseError(f"{path}:{line_no}: empty user or item key")
         try:
-            rating = float(parts[2])
+            float(parts[2])  # checked, then dropped: every record is one interaction
             timestamp = float(parts[3]) if len(parts) == 4 else None
         except ValueError as exc:
             raise ParseError(f"{path}:{line_no}: {exc}") from exc
         # NaN has no place in a recency order
         if timestamp is not None and math.isnan(timestamp):
             raise ParseError(f"{path}:{line_no}: timestamp is NaN")
-        records.append(RawRating(user_key, item_key, rating, timestamp))
-    return records
-
-
-def encode_ratings(
-    raw: list[RawRating],
-) -> tuple[np.ndarray, np.ndarray, list[str], list[str], list[float] | None]:
-    """The records as integer codes, the arguments of :func:`binarize_and_filter`.
-
-    Returns ``(users, items, user_keys, item_keys, timestamps)``: record
-    ``r`` is ``user_keys[users[r]]`` with ``item_keys[items[r]]``, keys are
-    numbered in order of first appearance, and ``timestamps`` is ``None``
-    unless every record carries one.
-    """
-    user_codes: dict[str, int] = {}
-    item_codes: dict[str, int] = {}
-    users = np.array([user_codes.setdefault(r.user_key, len(user_codes)) for r in raw], np.int64)
-    items = np.array([item_codes.setdefault(r.item_key, len(item_codes)) for r in raw], np.int64)
-    timestamps = [r.timestamp for r in raw]
-    if not raw or None in timestamps:
+        users.append(user_codes.setdefault(user_key, len(user_codes)))
+        items.append(item_codes.setdefault(item_key, len(item_codes)))
+        timestamps.append(timestamp)
+    if not timestamps or None in timestamps:
         timestamps = None
-    return users, items, list(user_codes), list(item_codes), timestamps
+    users, items = np.array(users, dtype=np.int64), np.array(items, dtype=np.int64)
+    return users, items, None if timestamps is None else np.array(timestamps, dtype=np.float64)
 
 
 def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -211,33 +191,35 @@ def _first_appearance(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def binarize_and_filter(
     users: np.ndarray,
     items: np.ndarray,
-    user_keys: list[str],
-    item_keys: list[str],
-    timestamps: list[float] | np.ndarray | None = None,
+    timestamps: np.ndarray | None = None,
     min_count: int = 5,
-) -> InteractionSet:
+) -> tuple[InteractionSet, np.ndarray]:
     """Turn records into binary interactions and drop sparse users/items.
 
-    Record ``r`` pairs ``user_keys[users[r]]`` with ``item_keys[items[r]]``
-    (see :func:`encode_ratings`); ``timestamps``, when given, holds one per
-    record. A repeated pair is one interaction with the latest of its
-    timestamps. Every record counts, whatever its rating. Removal is
-    iterated to a fixed point: deleting a user can push an item below the
-    threshold and vice versa. Surviving keys are re-densified in the order
-    they first appear in the records.
+    Record ``r`` pairs user code ``users[r]`` with item code ``items[r]``
+    (non-negative integers, as :func:`load_interactions` gives them);
+    ``timestamps``, when given, holds one per record. A repeated pair is one
+    interaction with the latest of its timestamps. Every record counts,
+    whatever its rating. Removal is iterated to a fixed point: deleting a
+    user can push an item below the threshold and vice versa. Surviving
+    users and items are re-densified in the order they first appear in the
+    records, so the code values never matter. Returns the set and the code
+    of each of its users, in index order.
     """
     if min_count < 1:
         raise ConfigError("min_count must be >= 1")
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
+    num_user_codes = int(users.max(initial=-1)) + 1
+    num_item_codes = int(items.max(initial=-1)) + 1
     keys, first, inverse = np.unique(
-        users * len(item_keys) + items, return_index=True, return_inverse=True
+        users * num_item_codes + items, return_index=True, return_inverse=True
     )
     pair_users, pair_items = users[first], items[first]
     active = np.ones(keys.size, dtype=bool)
     while True:
-        user_deg = np.bincount(pair_users[active], minlength=len(user_keys))
-        item_deg = np.bincount(pair_items[active], minlength=len(item_keys))
+        user_deg = np.bincount(pair_users[active], minlength=num_user_codes)
+        item_deg = np.bincount(pair_items[active], minlength=num_item_codes)
         kept = active & (user_deg[pair_users] >= min_count) & (item_deg[pair_items] >= min_count)
         if np.array_equal(kept, active):
             break
@@ -254,47 +236,47 @@ def binarize_and_filter(
         latest = np.full(keys.size, -np.inf)
         np.maximum.at(latest, inverse, np.asarray(timestamps, dtype=np.float64))
         latest = latest[survivors]
-    return InteractionSet.from_pairs(
-        user_codes.size,
-        item_codes.size,
-        np.column_stack([new_users, new_items]),
-        user_map={user_keys[c]: u for u, c in enumerate(user_codes.tolist())},
-        item_map={item_keys[c]: i for i, c in enumerate(item_codes.tolist())},
-        timestamps=latest,
+    iset = InteractionSet.from_pairs(
+        user_codes.size, item_codes.size, np.column_stack([new_users, new_items]), timestamps=latest
     )
+    return iset, user_codes
 
 
-def _restrict_to_users(iset: InteractionSet, common: list[str]) -> InteractionSet:
-    """The rows of the users ``common`` names, in that order, over the items they keep."""
+def _restrict_to_users(iset: InteractionSet, users: np.ndarray) -> InteractionSet:
+    """The rows of the user indices ``users``, in that order, over the items they keep."""
     new_users = np.full(iset.num_users, -1, dtype=np.int64)
-    new_users[[iset.user_map[k] for k in common]] = np.arange(len(common))
+    new_users[users] = np.arange(users.size)
     pairs = iset.interactions
     kept = new_users[pairs[:, 0]] >= 0
     kept_items = np.unique(pairs[kept, 1])  # new item indices follow the old order
-    rev_items = {idx: key for key, idx in iset.item_map.items()}
     return InteractionSet.from_pairs(
-        len(common),
+        users.size,
         kept_items.size,
         np.column_stack([new_users[pairs[kept, 0]], np.searchsorted(kept_items, pairs[kept, 1])]),
-        user_map={k: idx for idx, k in enumerate(common)},
-        item_map={rev_items[old]: new for new, old in enumerate(kept_items.tolist())},
         timestamps=None if iset.timestamps is None else iset.timestamps[kept],
     )
 
 
-def align_common_users(a: InteractionSet, b: InteractionSet) -> tuple[InteractionSet, InteractionSet]:
+def align_common_users(
+    a: InteractionSet, users_a: np.ndarray, b: InteractionSet, users_b: np.ndarray
+) -> tuple[InteractionSet, InteractionSet, np.ndarray]:
     """Restrict both domains to users present in each, with one shared index space.
 
-    Common users are ordered by their index in domain A; items are
-    re-densified per domain in original index order.
+    ``users_a`` and ``users_b`` hold the code of each domain's users, in
+    index order, as :func:`binarize_and_filter` returns them; a code names
+    the same user in both. Common users are ordered by their index in
+    domain A; items are re-densified per domain in original index order.
+    Returns both sets and the code of each common user, in index order.
     """
     if not a.indices.size or not b.indices.size:
         raise AlignmentError("cannot align an empty domain")
-    common = [k for k in a.user_map if k in b.user_map]
-    if not common:
+    rows_a = np.flatnonzero(np.isin(users_a, users_b))
+    if not rows_a.size:
         raise AlignmentError("no common users between the two domains")
-    common.sort(key=lambda k: a.user_map[k])
-    return _restrict_to_users(a, common), _restrict_to_users(b, common)
+    common = users_a[rows_a]
+    by_code = np.argsort(users_b)
+    rows_b = by_code[np.searchsorted(users_b, common, sorter=by_code)]
+    return _restrict_to_users(a, rows_a), _restrict_to_users(b, rows_b), common
 
 
 def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
@@ -305,7 +287,7 @@ def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
     drawn uniformly from the user's interactions under the given seed, with
     one ``integers`` draw per user in user order.
     """
-    gen = _normalize_rng(rng)
+    gen = np.random.default_rng(rng)
     counts = np.diff(iset.indptr)
     if (counts < 2).any():
         u = int(np.argmax(counts < 2))
@@ -323,11 +305,9 @@ def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
         iset,
         indptr=iset.indptr - np.arange(iset.num_users + 1),
         indices=iset.indices[kept],
-        user_map=dict(iset.user_map),
-        item_map=dict(iset.item_map),
         timestamps=None if iset.timestamps is None else iset.timestamps[kept],
     )
-    test = list(zip(range(iset.num_users), iset.indices[held].tolist()))
+    test = np.column_stack([np.arange(iset.num_users), iset.indices[held]])
     return SplitDataset(train=train, test=test)
 
 
@@ -337,8 +317,7 @@ def filter_cold_items(split: SplitDataset) -> SplitDataset:
     Runs before candidates are frozen, so the result carries none.
     """
     warm = np.bincount(split.train.indices, minlength=split.train.num_items) > 0
-    kept = [(u, i) for u, i in split.test if warm[i]]
-    return SplitDataset(train=split.train, test=kept)
+    return SplitDataset(train=split.train, test=split.test[warm[split.test[:, 1]]])
 
 
 def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> np.ndarray:
@@ -371,7 +350,7 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
         raise ValueError(
             f"negative sampling draws from at most 2**32 items, got {train.num_items}"
         )
-    gen = _normalize_rng(rng)
+    gen = np.random.default_rng(rng)
     if not isinstance(gen.bit_generator, np.random.PCG64):
         raise ValueError(
             f"negative sampling needs a PCG64 generator, got {type(gen.bit_generator).__name__}"
@@ -507,12 +486,12 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
     """
     if n < 1:
         raise ConfigError("candidates must be >= 1")
-    gen = _normalize_rng(rng)
+    gen = np.random.default_rng(rng)
     indptr, indices = split.train.indptr, split.train.indices
     all_items = np.arange(split.train.num_items)
     unseen = np.ones(split.train.num_items, dtype=bool)
     rows = np.empty((len(split.test), n), dtype=np.int64)
-    for row, (u, held) in zip(rows, split.test):
+    for row, (u, held) in zip(rows, split.test.tolist()):
         seen = indices[indptr[u] : indptr[u + 1]]
         unseen[seen] = False
         unseen[held] = False
@@ -524,8 +503,8 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
                 f"user {u}: only {pool.size} unseen items, need {n} candidates"
             )
         row[:] = gen.choice(pool, size=n, replace=False)
-    candidates = dict(zip((u for u, _ in split.test), rows))
-    return SplitDataset(train=split.train, test=list(split.test), eval_candidates=candidates)
+    candidates = dict(zip(split.test[:, 0].tolist(), rows))
+    return SplitDataset(train=split.train, test=split.test, eval_candidates=candidates)
 
 
 def file_checksum(path: str) -> str:
@@ -565,9 +544,10 @@ def prepare_datasets(
     n_candidates: int = 999,
 ) -> tuple[SplitDataset, SplitDataset, dict[str, object]]:
     """Run the full two-domain preprocessing pipeline on two rating files."""
-    set_a = binarize_and_filter(*encode_ratings(load_interactions(path_a)), min_count=min_count)
-    set_b = binarize_and_filter(*encode_ratings(load_interactions(path_b)), min_count=min_count)
-    set_a, set_b = align_common_users(set_a, set_b)
+    user_codes: dict[str, int] = {}  # one numbering of user keys across both files
+    set_a, users_a = binarize_and_filter(*load_interactions(path_a, user_codes), min_count)
+    set_b, users_b = binarize_and_filter(*load_interactions(path_b, user_codes), min_count)
+    set_a, set_b, _ = align_common_users(set_a, users_a, set_b, users_b)
     split_a, split_b = freeze_splits(set_a, set_b, seed, n_candidates)
     meta: dict[str, object] = {
         "num_users": set_a.num_users,
@@ -609,13 +589,12 @@ def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, obj
     full_meta.setdefault("num_users", train.num_users)
     full_meta.setdefault("num_items", train.num_items)
     decimal = np.array(list(map(str, range(max(train.num_users, train.num_items)))), dtype=object)
-    test = np.array(split.test, dtype=np.int64).reshape(-1, 2)
     files = {
         "train.tsv": map("\t".join, decimal[train.interactions].tolist()),
-        "test.tsv": map("\t".join, decimal[test].tolist()),
+        "test.tsv": map("\t".join, decimal[split.test].tolist()),
         "candidates.tsv": (
             f"{decimal[u]}\t{','.join(decimal[split.eval_candidates[u]].tolist())}"
-            for u in test[:, 0].tolist()
+            for u in split.test[:, 0].tolist()
         ),
         "meta": (f"{k} = {v}" for k, v in full_meta.items()),
     }
@@ -626,9 +605,9 @@ def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, obj
 def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     """Load a prepared-dataset directory back into a SplitDataset.
 
-    Opaque keys are not stored in artifacts; maps are rebuilt as the identity
-    over string indices. Raises ArtifactError when a file is missing or
-    malformed, when a train or test index lies outside the meta's
+    Raises ArtifactError when a file is missing or malformed, when the
+    meta's ``num_users`` or ``num_items`` is below 1 or their product
+    reaches 2**63, when a train or test index lies outside the meta's
     ``num_users`` x ``num_items``, or when a candidate line would corrupt the
     ranking: a count other than the meta's ``n_candidates``, a repeated or
     out-of-range item, the user's held-out item or one of their train
@@ -650,6 +629,12 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
         n_candidates = int(meta["n_candidates"]) if "n_candidates" in meta else None
     except (KeyError, ValueError) as exc:
         raise ArtifactError(f"meta lacks usable num_users/num_items/n_candidates: {exc}") from exc
+    # every pair key ``user * num_items + item`` must fit in int64
+    if num_users < 1 or num_items < 1 or num_users * num_items >= 1 << 63:
+        raise ArtifactError(
+            f"{paths['meta']}: num_users = {num_users} and num_items = {num_items} must each "
+            "be >= 1, with num_users x num_items below 2**63"
+        )
 
     train_pairs = _read_pairs(paths["train.tsv"], num_users, num_items)
     test_pairs = _read_pairs(paths["test.tsv"], num_users, num_items)
@@ -664,9 +649,8 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
         paths["candidates.tsv"], cand_users, cands, train_pairs, test_pairs, num_users, num_items
     )
     train = InteractionSet.from_pairs(num_users, num_items, train_pairs)
-    test = list(zip(*test_pairs.T.tolist()))
     candidates = dict(zip(cand_users.tolist(), cands))
-    return SplitDataset(train=train, test=test, eval_candidates=candidates), meta
+    return SplitDataset(train=train, test=test_pairs, eval_candidates=candidates), meta
 
 
 def _read_lines(path: str) -> list[str]:

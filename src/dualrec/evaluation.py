@@ -100,9 +100,9 @@ def evaluate_domain(
     """Rank every test user of one domain."""
     if split.eval_candidates is None:
         raise ProtocolError("evaluation requires frozen candidate lists")
-    if not split.test:
+    if not len(split.test):
         return DomainMetrics(hr=0.0, ndcg=0.0, num_test=0, ranks={})
-    users, held = np.asarray(split.test, dtype=np.int64).T
+    users, held = split.test.T
     cands = np.array([split.eval_candidates[u] for u in users.tolist()], dtype=np.int64)
     scores = _normalize_rows(s[users]) @ _normalize_rows(t).T
     pos = np.take_along_axis(scores, held[:, None], axis=1)[:, 0]

@@ -17,8 +17,7 @@ def sample_lambda(alpha: float, rng) -> float:
     """Draw lambda ~ Beta(alpha, alpha) as g1 / (g1 + g2), g ~ Gamma(alpha, 1)."""
     if alpha <= 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
+    rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     g1 = rng.standard_gamma(alpha)
     g2 = rng.standard_gamma(alpha)
     total = g1 + g2

@@ -10,7 +10,9 @@ one: a safeguarded Newton iteration brackets the bias in a few sweeps over
 the logits, then a replay of an 80-step bisection on [-30, 30] that
 evaluates only midpoints inside that bracket returns the bisection's exact
 bits. The generated hits then go through the same min-count filter and
-alignment as real data, as integer codes with no per-hit string keys.
+alignment as real data. Their codes are generator indices: a user's code is
+their generator row, the same in both domains, so the users that alignment
+keeps are generator rows.
 """
 
 from __future__ import annotations
@@ -212,7 +214,6 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionSet, Interaction
     specific_a = _unit_rows(rng.standard_normal((spec.num_users, d)))
     specific_b = _unit_rows(rng.standard_normal((spec.num_users, d)))
 
-    user_keys = [f"u{u}" for u in range(spec.num_users)]
     encoded = []
     for domain, specific, num_items, rate in (
         ("a", specific_a, spec.num_items_a, spec.rate_a),
@@ -222,11 +223,13 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionSet, Interaction
         bias = _calibrate_bias(logits, rate)
         _check_reachable(logits, rate, bias, domain)
         prob = expit(logits + bias)
-        users, items = np.nonzero(rng.random(prob.shape) < prob)
-        encoded.append((users, items, user_keys, [f"{domain}{i}" for i in range(num_items)]))
+        encoded.append(np.nonzero(rng.random(prob.shape) < prob))
 
     try:
-        set_a, set_b = (binarize_and_filter(*codes, min_count=spec.min_count) for codes in encoded)
-        return align_common_users(set_a, set_b)
+        (set_a, users_a), (set_b, users_b) = (
+            binarize_and_filter(users, items, min_count=spec.min_count) for users, items in encoded
+        )
+        set_a, set_b, _ = align_common_users(set_a, users_a, set_b, users_b)
+        return set_a, set_b
     except (EmptyDatasetError, AlignmentError) as exc:
         raise GenerationError(f"synthetic spec produced unusable data: {exc}") from exc

@@ -39,13 +39,7 @@ from pairsets import pair_set
 
 
 def make_set(pairs, num_users, num_items):
-    return InteractionSet.from_pairs(
-        num_users,
-        num_items,
-        pairs,
-        user_map={f"u{i}": i for i in range(num_users)},
-        item_map={f"i{i}": i for i in range(num_items)},
-    )
+    return InteractionSet.from_pairs(num_users, num_items, pairs)
 
 
 def toy_adjacencies():
@@ -308,6 +302,7 @@ class TestOverfitSanity:
             pool = np.setdiff1d(all_items, np.asarray(items, dtype=np.int64))
             candidates[u] = draw.choice(pool, size=n_candidates, replace=False).tolist()
             test.append((u, held))
+        test = np.array(test, dtype=np.int64).reshape(-1, 2)
         return SplitDataset(train=train, test=test, eval_candidates=candidates)
 
     def test_overfits_two_block_data(self):
@@ -363,10 +358,10 @@ def assert_split_invariants(split, n_candidates):
     and warm held-out items per the set-membership oracle."""
     train_pairs = pair_set(split.train)
     train_items = {i for _, i in train_pairs}
-    test_users = [u for u, _ in split.test]
+    test_users = split.test[:, 0].tolist()
     assert len(test_users) == len(set(test_users))
     assert split.eval_candidates is not None
-    for u, held in split.test:
+    for u, held in split.test.tolist():
         assert (u, held) not in train_pairs
         assert held in train_items  # cold-start removal left only warm items
         cands = split.eval_candidates[u]
@@ -414,8 +409,8 @@ class TestProtocolInvariants:
             raw = leave_one_out_split(iset, np.random.default_rng([9, domain_id]))
             kept = filter_cold_items(raw)
             warm = {i for _, i in pair_set(raw.train)}
-            expected = [(u, i) for u, i in raw.test if i in warm]
-            assert kept.test == expected
+            expected = [[u, i] for u, i in raw.test.tolist() if i in warm]
+            assert kept.test.tolist() == expected
             assert pair_set(kept.train) == pair_set(raw.train)
 
 

@@ -385,6 +385,20 @@ class TestBadArtifacts:
         self.corrupt(data_dir, "train.tsv", edit)
         self.assert_artifact_error(tmp_path, data_dir, capsys, "number outside the int64 range")
 
+    @pytest.mark.parametrize("key,value", [
+        # num_users x num_items reaches 2**63, where a pair key overflows int64
+        ("num_items", "9223372036854775807"),
+        ("num_items", "0"),
+        ("num_users", "-1"),
+    ])
+    def test_meta_count_rejected(self, tmp_path, data_dir, capsys, key, value):
+        def edit(lines):
+            assert any(line.startswith(f"{key} = ") for line in lines)
+            return [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+
+        self.corrupt(data_dir, "meta", edit)
+        self.assert_artifact_error(tmp_path, data_dir, capsys, f"{key} = {value} ")
+
     def test_eval_rejects_bad_candidates(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")
         assert run_train(data_dir, run_dir) == cli.EXIT_OK

@@ -4,13 +4,17 @@ The filtering and cold-item tests compare against brute-force oracles that
 re-scan the full record list instead of updating incrementally. The array
 samplers are checked bit for bit against the per-positive loops over sets
 they replaced, kept here as reference oracles. In the same way the artifact
-writer is checked against per-integer formatting, and the reader against the
-per-line reader and the ``np.isin`` candidate check it replaced.
+writer is checked against per-integer formatting, the reader against the
+per-line reader and the ``np.isin`` candidate check it replaced, and ingest,
+filtering and alignment on integer codes against the keyed pipeline of
+records and key maps they replaced.
 """
 
 import logging
+import math
 import pathlib
 import tempfile
+from dataclasses import dataclass
 from unittest import mock
 
 import numpy as np
@@ -31,48 +35,79 @@ def write_ratings(path, rows):
 class TestLoadInteractions:
     def test_single_row(self, tmp_path):
         p = write_ratings(tmp_path / "r.tsv", [("u1", "i9", 4.5)])
-        recs = d.load_interactions(p)
-        assert len(recs) == 1
-        assert (recs[0].user_key, recs[0].item_key, recs[0].rating) == ("u1", "i9", 4.5)
-        assert recs[0].timestamp is None
+        users, items, timestamps = d.load_interactions(p, {})
+        assert users.dtype == items.dtype == np.int64
+        assert users.tolist() == [0] and items.tolist() == [0]
+        assert timestamps is None
 
     def test_comment_and_blank_lines_skipped(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("# user item rating\nu1\ti1\t3\n\nu2\ti2\t5\n", encoding="utf-8")
-        recs = d.load_interactions(str(p))
-        assert len(recs) == 2
+        users, items, _ = d.load_interactions(str(p), {})
+        assert users.tolist() == [0, 1] and items.tolist() == [0, 1]
 
     def test_timestamp_column(self, tmp_path):
         p = write_ratings(tmp_path / "r.tsv", [("u1", "i1", 3, 1000)])
-        recs = d.load_interactions(p)
-        assert recs[0].timestamp == 1000.0
+        _, _, timestamps = d.load_interactions(p, {})
+        assert timestamps.dtype == np.float64 and timestamps.tolist() == [1000.0]
+
+    def test_timestamps_dropped_unless_universal(self, tmp_path):
+        p = write_ratings(tmp_path / "r.tsv", [("u0", "i0", 3, 1000), ("u0", "i1", 3)])
+        assert d.load_interactions(p, {})[2] is None
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("", encoding="utf-8")
-        assert d.load_interactions(str(p)) == []
+        users, items, timestamps = d.load_interactions(str(p), {})
+        assert users.shape == items.shape == (0,) and timestamps is None
+
+    def test_keys_numbered_by_first_appearance(self, tmp_path):
+        p = write_ratings(tmp_path / "r.tsv", [("x", "p", 1), ("y", "q", 1), ("x", "q", 1)])
+        users, items, _ = d.load_interactions(p, {})
+        assert users.tolist() == [0, 1, 0] and items.tolist() == [0, 1, 1]
+
+    def test_user_codes_shared_across_files(self, tmp_path):
+        # a shared user keeps its code in the second file; items are numbered per file
+        pa = write_ratings(tmp_path / "a.tsv", [("x", "p", 1), ("y", "p", 1)])
+        pb = write_ratings(tmp_path / "b.tsv", [("z", "p", 1), ("y", "q", 1)])
+        user_codes = {}
+        users_a, items_a, _ = d.load_interactions(pa, user_codes)
+        users_b, items_b, _ = d.load_interactions(pb, user_codes)
+        assert users_a.tolist() == [0, 1] and items_a.tolist() == [0, 0]
+        assert users_b.tolist() == [2, 1] and items_b.tolist() == [0, 1]
+        assert user_codes == {"x": 0, "y": 1, "z": 2}
 
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("u1\ti1\t3\nu2\ti2\n", encoding="utf-8")
         with pytest.raises(d.ParseError, match=":2:"):
-            d.load_interactions(str(p))
+            d.load_interactions(str(p), {})
 
     def test_nan_timestamp_rejected(self, tmp_path):
         p = write_ratings(tmp_path / "r.tsv", [("u1", "i1", 3, 1000), ("u1", "i2", 3, "nan")])
         with pytest.raises(d.ParseError, match=":2: timestamp is NaN"):
-            d.load_interactions(p)
+            d.load_interactions(p, {})
 
     def test_non_numeric_rating(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("u1\ti1\thigh\n", encoding="utf-8")
         with pytest.raises(d.ParseError):
-            d.load_interactions(str(p))
+            d.load_interactions(str(p), {})
 
 
-def binarize(raw, min_count):
-    """``binarize_and_filter`` on the encoded records, as ``prepare`` runs it."""
-    return d.binarize_and_filter(*d.encode_ratings(raw), min_count=min_count)
+def binarize(rows, min_count, user_codes=None):
+    """``binarize_and_filter`` on a rating file of ``(user key, item key[, timestamp])``
+    rows, rated 1, as ``prepare`` runs it: the set and its users' codes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_ratings(pathlib.Path(tmp) / "r.tsv", [(r[0], r[1], 1, *r[2:]) for r in rows])
+        codes = d.load_interactions(path, {} if user_codes is None else user_codes)
+    return d.binarize_and_filter(*codes, min_count=min_count)
+
+
+def keys_of(user_codes, codes):
+    """The keys that ``user_codes`` numbered as ``codes``."""
+    keys = list(user_codes)
+    return [keys[c] for c in codes.tolist()]
 
 
 def brute_force_filter(pairs, min_count):
@@ -96,27 +131,28 @@ def brute_force_filter(pairs, min_count):
 class TestBinarizeAndFilter:
     def test_exactly_at_threshold_retained(self):
         # 5 users x 5 items, fully crossed: every degree is exactly 5
-        raw = [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(5) for i in range(5)]
-        iset = binarize(raw, 5)
+        iset, _ = binarize(crossed(range(5), range(5)), 5)
         assert iset.num_users == 5 and iset.num_items == 5
         assert len(iset.interactions) == 25
 
     def test_below_threshold_cascades(self):
         # u0 fully crossed with 5 items shared by 4 other users; u5 has 4 of them
-        raw = [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(5) for i in range(5)]
-        raw += [d.RawRating("u5", f"i{i}", 1.0) for i in range(4)]
-        iset = binarize(raw, 5)
-        assert "u5" not in iset.user_map
+        rows = crossed(range(5), range(5)) + crossed([5], range(4))
+        user_codes = {}
+        _, kept = binarize(rows, 5, user_codes)
+        assert keys_of(user_codes, kept) == [f"u{u}" for u in range(5)]
 
     def test_duplicates_collapse(self):
-        raw = [d.RawRating("u", "i", 1.0)] * 3
-        iset = binarize(raw, 1)
+        iset, _ = binarize([("u", "i")] * 3, 1)
         assert len(iset.interactions) == 1
 
     def test_everything_filtered_raises(self):
-        raw = [d.RawRating("u", "i", 1.0)]
         with pytest.raises(d.EmptyDatasetError):
-            binarize(raw, 2)
+            binarize([("u", "i")], 2)
+
+    def test_no_records_raises(self):
+        with pytest.raises(d.EmptyDatasetError):
+            d.binarize_and_filter(np.array([], np.int64), np.array([], np.int64), min_count=1)
 
     def test_matches_brute_force_oracle(self):
         # a dense core plus a sparse tail, so filtering actually cascades
@@ -127,179 +163,198 @@ class TestBinarizeAndFilter:
         pairs |= {
             (f"u{rng.integers(100)}", f"i{rng.integers(100)}") for _ in range(900)
         }
-        raw = [d.RawRating(u, i, 1.0) for u, i in sorted(pairs)]
-        iset = binarize(raw, 5)
+        rows = sorted(pairs)
+        user_codes = {}
+        iset, kept = binarize(rows, 5, user_codes)
         expected = brute_force_filter(pairs, 5)
         assert expected  # sanity: the oracle keeps something
         assert len(expected) < len(pairs)  # and drops something
-        rev_u = {v: k for k, v in iset.user_map.items()}
-        rev_i = {v: k for k, v in iset.item_map.items()}
-        got = {(rev_u[u], rev_i[i]) for u, i in pair_set(iset)}
-        assert got == expected
+        # survivors are numbered in the order they first appear in the records
+        users, items = {}, {}
+        for u, i in (p for p in rows if p in expected):
+            users.setdefault(u, len(users))
+            items.setdefault(i, len(items))
+        assert keys_of(user_codes, kept) == list(users)
+        assert pair_set(iset) == {(users[u], items[i]) for u, i in expected}
 
     def test_idempotent(self):
         rng = np.random.default_rng(7)
         pairs = {(f"u{rng.integers(40)}", f"i{rng.integers(40)}") for _ in range(400)}
-        raw = [d.RawRating(u, i, 1.0) for u, i in sorted(pairs)]
-        once = binarize(raw, 5)
-        rev_u = {v: k for k, v in once.user_map.items()}
-        rev_i = {v: k for k, v in once.item_map.items()}
-        again = binarize(
-            [d.RawRating(rev_u[u], rev_i[i], 1.0) for u, i in sorted(pair_set(once))], 5
-        )
+        once, _ = binarize(sorted(pairs), 5)
+        pairs = once.interactions
+        again, kept = d.binarize_and_filter(pairs[:, 0], pairs[:, 1], min_count=5)
         assert len(again.interactions) == len(once.interactions)
         assert again.num_users == once.num_users
         assert again.num_items == once.num_items
+        np.testing.assert_array_equal(kept, np.arange(once.num_users))
 
     def test_indices_dense(self):
-        raw = [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(6) for i in range(6)]
-        iset = binarize(raw, 5)
-        assert sorted(iset.user_map.values()) == list(range(iset.num_users))
-        assert sorted(iset.item_map.values()) == list(range(iset.num_items))
+        user_codes = {}
+        iset, kept = binarize(crossed(range(6), range(6)), 5, user_codes)
+        assert kept.dtype == np.int64
+        assert keys_of(user_codes, kept) == [f"u{u}" for u in range(6)]
+        np.testing.assert_array_equal(np.unique(iset.indices), np.arange(iset.num_items))
 
-    def test_timestamps_dropped_unless_universal(self):
-        raw = [
-            d.RawRating("u0", f"i{i}", 1.0, timestamp=float(i) if i else None)
-            for i in range(5)
-        ]
-        raw += [d.RawRating(f"u{u}", f"i{i}", 1.0) for u in range(1, 5) for i in range(5)]
-        iset = binarize(raw, 5)
-        assert iset.timestamps is None
+    def test_code_values_do_not_matter(self):
+        # any injective renumbering of the codes gives the same set, and the
+        # kept users' codes in the new numbering
+        rng = np.random.default_rng(3)
+        users, items = rng.integers(0, 12, 150), rng.integers(0, 15, 150)
+        iset, kept = d.binarize_and_filter(users, items, min_count=3)
+        user_perm, item_perm = rng.permutation(1000)[:12], rng.permutation(50)[:15]
+        again, kept_again = d.binarize_and_filter(user_perm[users], item_perm[items], min_count=3)
+        np.testing.assert_array_equal(again.indptr, iset.indptr)
+        np.testing.assert_array_equal(again.indices, iset.indices)
+        np.testing.assert_array_equal(kept_again, user_perm[kept])
 
-    def test_timestamps_kept_when_universal(self):
-        raw = [
-            d.RawRating(f"u{u}", f"i{i}", 1.0, timestamp=float(10 * u + i))
-            for u in range(5)
-            for i in range(5)
-        ]
-        iset = binarize(raw, 5)
+    def test_timestamps_kept_when_given(self):
+        rows = [(f"u{u}", f"i{i}", float(10 * u + i)) for u in range(5) for i in range(5)]
+        iset, _ = binarize(rows, 5)
         assert iset.timestamps is not None
         assert len(iset.timestamps) == 25
 
+    def test_repeated_pair_keeps_latest_timestamp(self):
+        iset, _ = binarize([("u", "i", 3.0), ("u", "j", 1.0), ("u", "i", 7.0), ("u", "i", 5.0)], 1)
+        assert iset.timestamps.tolist() == [7.0, 1.0]
+
 
 def crossed(users, items, user_prefix="u", item_prefix="i"):
-    return [
-        d.RawRating(f"{user_prefix}{u}", f"{item_prefix}{i}", 1.0)
-        for u in users
-        for i in items
-    ]
+    return [(f"{user_prefix}{u}", f"{item_prefix}{i}") for u in users for i in items]
+
+
+def align(rows_a, rows_b, min_count=1):
+    """Both domains ingested with one user numbering, filtered and aligned.
+
+    Returns the aligned sets and the keys of their users.
+    """
+    user_codes = {}
+    a, users_a = binarize(rows_a, min_count, user_codes)
+    b, users_b = binarize(rows_b, min_count, user_codes)
+    a2, b2, common = d.align_common_users(a, users_a, b, users_b)
+    return a2, b2, keys_of(user_codes, common)
 
 
 class TestAlignCommonUsers:
     def test_partial_overlap(self):
-        a = binarize(crossed(["x", "y"], range(5)), 1)
-        b = binarize(crossed(["y", "z"], range(5), item_prefix="j"), 1)
-        a2, b2 = d.align_common_users(a, b)
-        assert a2.user_map == {"uy": 0}
-        assert b2.user_map == {"uy": 0}
+        a2, b2, common = align(crossed(["x", "y"], range(5)),
+                               crossed(["y", "z"], range(5), item_prefix="j"))
+        assert common == ["uy"]
         assert a2.num_users == b2.num_users == 1
 
     def test_identity_when_user_sets_match(self):
-        a = binarize(crossed(range(3), range(5)), 1)
-        b = binarize(crossed(range(3), range(5), item_prefix="j"), 1)
-        a2, b2 = d.align_common_users(a, b)
+        a, users_a = binarize(crossed(range(3), range(5)), 1)
+        b, users_b = binarize(crossed(range(3), range(5), item_prefix="j"), 1)
+        a2, b2, common = d.align_common_users(a, users_a, b, users_b)
         assert a2.num_users == 3
         assert len(a2.interactions) == len(a.interactions)
-        assert a2.user_map == b2.user_map
+        np.testing.assert_array_equal(common, users_a)
+
+    def test_common_users_follow_domain_a_index_order(self):
+        # A's first record, r's, is filtered out, so r's code (0) is below p's
+        # (1) while r's index (2) is above p's (0); B lists the shared users in
+        # the other order and has one that A lacks
+        user_codes = {}
+        rows_a = [("r", "x")] + crossed(["p", "q", "r"], range(2), user_prefix="")
+        rows_b = [("s", "j0"), ("r", "j1"), ("r", "j2"), ("p", "j2"), ("p", "j3")]
+        a, users_a = binarize(rows_a, 2, user_codes)
+        b, users_b = binarize(rows_b, 1, user_codes)
+        a2, b2, common = d.align_common_users(a, users_a, b, users_b)
+        assert keys_of(user_codes, users_a) == ["p", "q", "r"]
+        assert users_a[0] > users_a[2]
+        assert keys_of(user_codes, common) == ["p", "r"]
+        assert items_by_user(a2) == {0: {0, 1}, 1: {0, 1}}
+        # B's items j1, j2, j3 are its kept items 0, 1, 2
+        assert items_by_user(b2) == {0: {1, 2}, 1: {0, 1}}
 
     def test_no_overlap_raises(self):
-        a = binarize(crossed(["x"], range(5)), 1)
-        b = binarize(crossed(["z"], range(5)), 1)
         with pytest.raises(d.AlignmentError):
-            d.align_common_users(a, b)
+            align(crossed(["x"], range(5)), crossed(["z"], range(5)))
 
     def test_items_redensified(self):
         # user "a" is the only one touching items 5..9; dropping it must
         # compact domain-A item indices
-        raw = crossed(["a"], range(5, 10)) + crossed(["b"], range(5))
-        a = binarize(raw, 1)
-        b = binarize(crossed(["b"], range(5), item_prefix="j"), 1)
-        a2, _ = d.align_common_users(a, b)
+        a2, _, _ = align(crossed(["a"], range(5, 10)) + crossed(["b"], range(5)),
+                         crossed(["b"], range(5), item_prefix="j"))
         assert a2.num_items == 5
-        assert sorted(a2.item_map.values()) == list(range(5))
+        np.testing.assert_array_equal(np.unique(a2.indices), np.arange(5))
 
-
-    def test_pairs_keep_their_keys(self):
-        def keyed(iset):
-            rev_u = {v: k for k, v in iset.user_map.items()}
-            rev_i = {v: k for k, v in iset.item_map.items()}
-            return {(rev_u[u], rev_i[i]) for u, i in pair_set(iset)}
-
-        raw = crossed(["a"], range(5, 10)) + crossed(["b"], [8, 1]) + crossed(["c"], [6, 3, 1])
-        a = binarize(raw, 1)
-        b = binarize(crossed(["c", "b"], range(3), item_prefix="j"), 1)
-        a2, b2 = d.align_common_users(a, b)
-        assert keyed(a2) == {(u, i) for u, i in keyed(a) if u != "ua"}
-        assert keyed(b2) == keyed(b)
+    def test_pairs_keep_their_keys(self, tmp_path):
+        # the keyed reference keeps each pair's keys; the code pipeline gives its arrays
+        rows_a = crossed(["a"], range(5, 10)) + crossed(["b"], [8, 1]) + crossed(["c"], [6, 3, 1])
+        rows_b = crossed(["c", "b"], range(3), item_prefix="j")
+        paths = [write_ratings(tmp_path / f"{t}.tsv", [(*r, 1) for r in rows])
+                 for t, rows in (("a", rows_a), ("b", rows_b))]
+        sets = [reference_binarize(*reference_encode(reference_records(p)), min_count=1)
+                for p in paths]
+        ref_a2, ref_b2 = reference_align(*sets)
+        assert keyed(ref_a2) == {(u, i) for u, i in keyed(sets[0]) if u != "ua"}
+        assert keyed(ref_b2) == keyed(sets[1])
+        a2, b2, common = align(rows_a, rows_b)
+        assert common == list(ref_a2.user_map)
+        for got, ref in ((a2, ref_a2), (b2, ref_b2)):
+            np.testing.assert_array_equal(got.indptr, ref.iset.indptr)
+            np.testing.assert_array_equal(got.indices, ref.iset.indices)
 
 
 class TestLeaveOneOutSplit:
     def small_set(self, users=2, items=5):
-        raw = crossed(range(users), range(items))
-        return binarize(raw, 1)
+        return binarize(crossed(range(users), range(items)), 1)[0]
 
     def test_cardinalities(self):
         split = d.leave_one_out_split(self.small_set(), rng=0)
-        assert len(split.test) == 2
+        assert split.test.dtype == np.int64 and split.test.shape == (2, 2)
         assert len(split.train.interactions) == 8
-        for u, i in split.test:
+        for u, i in split.test.tolist():
             assert (u, i) not in pair_set(split.train)
 
     def test_deterministic(self):
         s1 = d.leave_one_out_split(self.small_set(), rng=3)
         s2 = d.leave_one_out_split(self.small_set(), rng=3)
-        assert s1.test == s2.test
+        np.testing.assert_array_equal(s1.test, s2.test)
         assert pair_set(s1.train) == pair_set(s2.train)
 
     def test_single_interaction_user_rejected(self):
-        iset = d.InteractionSet.from_pairs(
-            1, 1, {(0, 0)}, user_map={"u": 0}, item_map={"i": 0},
-        )
+        iset = d.InteractionSet.from_pairs(1, 1, {(0, 0)})
         with pytest.raises(d.DatasetError):
             d.leave_one_out_split(iset, rng=0)
 
     def test_timestamp_rule_picks_latest(self):
-        raw = [d.RawRating("u", f"i{i}", 1.0, timestamp=float(100 - i)) for i in range(5)]
-        iset = binarize(raw, 1)
+        iset, _ = binarize([("u", f"i{i}", float(100 - i)) for i in range(5)], 1)
         split = d.leave_one_out_split(iset, rng=0)
-        # i0 has the largest timestamp
-        assert split.test == [(0, iset.item_map["i0"])]
+        # i0, the first item seen and so item 0, has the largest timestamp
+        assert split.test.tolist() == [[0, 0]]
 
     def test_timestamp_tie_broken_by_larger_item_index(self):
-        raw = [d.RawRating("u", f"i{i}", 1.0, timestamp=7.0) for i in range(4)]
-        iset = binarize(raw, 1)
+        iset, _ = binarize([("u", f"i{i}", 7.0) for i in range(4)], 1)
         split = d.leave_one_out_split(iset, rng=0)
-        assert split.test == [(0, 3)]
+        assert split.test.tolist() == [[0, 3]]
 
 
 class TestFilterColdItems:
     def test_shared_item_kept(self):
         # user 0 holds out item 2, which user 1 still trains on
-        train = d.InteractionSet.from_pairs(
-            2, 3,
-            {(0, 0), (0, 1), (1, 1), (1, 2)},
-            user_map={"u0": 0, "u1": 1},
-            item_map={f"i{i}": i for i in range(3)},
-        )
-        split = d.SplitDataset(train=train, test=[(0, 2)])
-        assert d.filter_cold_items(split).test == [(0, 2)]
+        train = d.InteractionSet.from_pairs(2, 3, {(0, 0), (0, 1), (1, 1), (1, 2)})
+        split = d.SplitDataset(train=train, test=np.array([[0, 2]]))
+        assert d.filter_cold_items(split).test.tolist() == [[0, 2]]
 
     def test_unique_item_dropped(self):
-        raw = crossed(range(2), range(4)) + [d.RawRating("u0", "solo", 1.0)]
-        iset = binarize(raw, 1)
-        solo = iset.item_map["solo"]
+        iset, _ = binarize(crossed(range(2), range(4)) + [("u0", "solo")], 1)
+        solo = 4  # the last item to appear
         split = d.SplitDataset(
             train=d.InteractionSet.from_pairs(
                 iset.num_users,
                 iset.num_items,
                 {(u, i) for u, i in pair_set(iset) if i != solo},
-                user_map=iset.user_map,
-                item_map=iset.item_map,
             ),
-            test=[(0, solo), (1, 0)],
+            test=np.array([[0, solo], [1, 0]]),
         )
         filtered = d.filter_cold_items(split)
-        assert filtered.test == [(1, 0)]
+        assert filtered.test.tolist() == [[1, 0]]
+
+    def test_no_test_users(self):
+        split = d.SplitDataset(train=d.InteractionSet.from_pairs(1, 2, [(0, 0)]),
+                               test=np.empty((0, 2), dtype=np.int64))
+        assert d.filter_cold_items(split).test.shape == (0, 2)
 
     def test_matches_membership_oracle(self):
         rng = np.random.default_rng(11)
@@ -307,25 +362,18 @@ class TestFilterColdItems:
         for u in range(50):  # every user needs >= 2 interactions to split
             pairs.add((u, 0))
             pairs.add((u, 1))
-        iset = d.InteractionSet.from_pairs(
-            50, 80, pairs,
-            user_map={str(u): u for u in range(50)},
-            item_map={str(i): i for i in range(80)},
-        )
+        iset = d.InteractionSet.from_pairs(50, 80, pairs)
         split = d.leave_one_out_split(iset, rng=5)
         filtered = d.filter_cold_items(split)
         trained_items = {i for _, i in pair_set(split.train)}
-        expected = [(u, i) for u, i in split.test if i in trained_items]
-        assert filtered.test == expected
+        expected = [[u, i] for u, i in split.test.tolist() if i in trained_items]
+        assert filtered.test.tolist() == expected
 
 
 class TestSampleTrainNegatives:
     def base_train(self, num_items=100, seen=(0, 1, 2)):
         inter = {(0, i) for i in seen}
-        return d.InteractionSet.from_pairs(
-            1, num_items, inter,
-            user_map={"u": 0}, item_map={str(i): i for i in range(num_items)},
-        )
+        return d.InteractionSet.from_pairs(1, num_items, inter)
 
     def test_excludes_seen(self):
         train = self.base_train()
@@ -352,10 +400,7 @@ class TestSampleTrainNegatives:
 
     def test_two_item_pool_frequencies(self):
         # 10k draws at ratio 1 over a 2-item unseen pool
-        train = d.InteractionSet.from_pairs(
-            1, 4, {(0, 0), (0, 1)},
-            user_map={"u": 0}, item_map={str(i): i for i in range(4)},
-        )
+        train = d.InteractionSet.from_pairs(1, 4, {(0, 0), (0, 1)})
         counts = {2: 0, 3: 0}
         rng = np.random.default_rng(123)
         for _ in range(5000):
@@ -376,7 +421,7 @@ class TestSampleTrainNegatives:
             d.sample_train_negatives(self.base_train(), ratio=7, rng=gen)
 
     def test_more_than_2_to_the_32_items_raises(self):
-        train = d.InteractionSet.from_pairs(1, (1 << 32) + 1, [(0, 0)], user_map={}, item_map={})
+        train = d.InteractionSet.from_pairs(1, (1 << 32) + 1, [(0, 0)])
         with pytest.raises(ValueError, match=r"2\*\*32"):
             d.sample_train_negatives(train, ratio=7, rng=0)
 
@@ -411,17 +456,15 @@ class TestSampleTrainNegatives:
 
 class TestSampleEvalCandidates:
     def make_split(self, num_items=30):
-        iset = binarize(crossed(range(2), range(5)), 1)
+        iset, _ = binarize(crossed(range(2), range(5)), 1)
         iset.num_items = num_items
-        for j in range(5, num_items):
-            iset.item_map[f"i{j}"] = j
         return d.leave_one_out_split(iset, rng=0)
 
     def test_counts_and_exclusions(self):
         split = self.make_split()
         done = d.sample_eval_candidates(split, n=10, rng=0)
         per_user = items_by_user(done.train)
-        held = dict(done.test)
+        held = dict(done.test.tolist())
         for u, cands in done.eval_candidates.items():
             assert len(cands) == 10
             assert len(set(cands)) == 10
@@ -442,13 +485,10 @@ class TestSampleEvalCandidates:
 
     def test_single_candidate_pool(self):
         # user saw 3 of 5 items; after holding one out the unseen pool is 2
-        iset = d.InteractionSet.from_pairs(
-            1, 5, {(0, 0), (0, 1), (0, 2)},
-            user_map={"u": 0}, item_map={str(i): i for i in range(5)},
-        )
+        iset = d.InteractionSet.from_pairs(1, 5, {(0, 0), (0, 1), (0, 2)})
         split = d.leave_one_out_split(iset, rng=0)
         done = d.sample_eval_candidates(split, n=1, rng=0)
-        (u, held), = done.test
+        (u, held), = done.test.tolist()
         cand, = done.eval_candidates[u]
         assert cand in (3, 4)
         assert (u, cand) not in pair_set(done.train)
@@ -501,7 +541,7 @@ def reference_eval_candidates(split, n, rng):
     per_user = items_by_user(split.train)
     all_items = np.arange(split.train.num_items)
     candidates = {}
-    for u, held in split.test:
+    for u, held in split.test.tolist():
         excluded = set(per_user[u]) | {held}
         pool = np.setdiff1d(all_items, np.fromiter(excluded, dtype=int))
         candidates[u] = [int(x) for x in gen.choice(pool, size=n, replace=False)]
@@ -514,11 +554,7 @@ def random_train(num_users, num_items, rng, max_per_user):
     for u in range(num_users):
         k = int(rng.integers(0, max_per_user + 1))
         inter.update((u, int(i)) for i in rng.choice(num_items, size=k, replace=False))
-    return d.InteractionSet.from_pairs(
-        num_users, num_items, inter,
-        user_map={f"u{u}": u for u in range(num_users)},
-        item_map={f"i{i}": i for i in range(num_items)},
-    )
+    return d.InteractionSet.from_pairs(num_users, num_items, inter)
 
 
 class TestInteractionCsr:
@@ -558,11 +594,7 @@ class TestSamplersMatchReference:
         # users 0 and 2 leave fewer than 7 unseen items; user 1 does not
         inter = {(0, i) for i in range(15)} | {(1, i) for i in range(3)}
         inter |= {(2, i) for i in range(2, 20)}
-        train = d.InteractionSet.from_pairs(
-            4, 20, inter,
-            user_map={f"u{u}": u for u in range(4)},
-            item_map={f"i{i}": i for i in range(20)},
-        )
+        train = d.InteractionSet.from_pairs(4, 20, inter)
         expected, warned = reference_train_negatives(train, 7, 5)
         with caplog.at_level(logging.WARNING, logger="dualrec.data"):
             got = d.sample_train_negatives(train, 7, 5)
@@ -651,7 +683,7 @@ class TestSamplersMatchReference:
         train = random_train(30, 80, rng, 20)
         split = d.SplitDataset(
             train=train,
-            test=[(u, int(rng.integers(80))) for u in range(30) if u % 4],
+            test=np.array([(u, int(rng.integers(80))) for u in range(30) if u % 4]),
         )
         # a held-out item may be a train positive here; both are excluded
         got = d.sample_eval_candidates(split, n=25, rng=seed).eval_candidates
@@ -677,11 +709,7 @@ class TestArtifacts:
     def complete_split(self):
         # 3 users x 4 items inside a 12-item universe, leaving room for candidates
         inter = {(u, i) for u in range(3) for i in range(u, u + 4)}
-        iset = d.InteractionSet.from_pairs(
-            3, 12, inter,
-            user_map={f"u{u}": u for u in range(3)},
-            item_map={f"i{i}": i for i in range(12)},
-        )
+        iset = d.InteractionSet.from_pairs(3, 12, inter)
         split = d.leave_one_out_split(iset, rng=0)
         return d.sample_eval_candidates(split, n=3, rng=0)
 
@@ -691,7 +719,8 @@ class TestArtifacts:
         d.write_split_artifact(str(out), split, {"seed": 0})
         loaded, meta = d.read_split_artifact(str(out))
         assert pair_set(loaded.train) == pair_set(split.train)
-        assert loaded.test == split.test
+        assert loaded.test.dtype == np.int64
+        np.testing.assert_array_equal(loaded.test, split.test)
         assert_same_candidates(loaded.eval_candidates, split.eval_candidates)
         assert meta["seed"] == "0"
         assert int(meta["num_users"]) == 3
@@ -702,7 +731,7 @@ class TestArtifacts:
         d.write_split_artifact(str(out), split, {})
         loaded, _ = d.read_split_artifact(str(out))
         for cands in (split.eval_candidates, loaded.eval_candidates):
-            rows = [cands[u] for u, _ in split.test]
+            rows = [cands[u] for u in split.test[:, 0].tolist()]
             assert all(row.dtype == np.int64 and row.shape == (3,) for row in rows)
             assert rows[0].base is not None
             assert all(row.base is rows[0].base for row in rows)
@@ -738,9 +767,10 @@ def reference_artifact_text(split):
     """The three index files as formatting each integer on its own writes them."""
     lines = {
         "train.tsv": [f"{u}\t{i}" for u, i in split.train.interactions.tolist()],
-        "test.tsv": [f"{u}\t{i}" for u, i in split.test],
+        "test.tsv": [f"{u}\t{i}" for u, i in split.test.tolist()],
         "candidates.tsv": [
-            f"{u}\t{','.join(map(str, split.eval_candidates[u].tolist()))}" for u, _ in split.test
+            f"{u}\t{','.join(map(str, split.eval_candidates[u].tolist()))}"
+            for u in split.test[:, 0].tolist()
         ],
     }
     return {name: "\n".join(rows) + "\n" for name, rows in lines.items()}
@@ -751,8 +781,8 @@ def spread_split(num_users, num_items, width, seed):
     rng = np.random.default_rng(seed)
     pairs = {(u, int(i)) for u in range(num_users) for i in rng.choice(num_items, 2, replace=False)}
     train = d.InteractionSet.from_pairs(num_users, num_items, pairs)
-    test = [(u, int(rng.integers(num_items))) for u in range(num_users)]
-    cands = {u: rng.choice(num_items, width, replace=False) for u, _ in test}
+    test = np.column_stack([np.arange(num_users), rng.integers(num_items, size=num_users)])
+    cands = {u: rng.choice(num_items, width, replace=False) for u in range(num_users)}
     return d.SplitDataset(train=train, test=test, eval_candidates=cands)
 
 
@@ -767,7 +797,7 @@ def artifact_splits(draw):
     row = st.lists(item, min_size=width, max_size=width, unique=True)
     return d.SplitDataset(
         train=d.InteractionSet.from_pairs(num_users, num_items, sorted(pairs)),
-        test=[(u, draw(item)) for u in test_users],
+        test=np.array([(u, draw(item)) for u in test_users], dtype=np.int64).reshape(-1, 2),
         eval_candidates={u: np.array(draw(row), dtype=np.int64) for u in test_users},
     )
 
@@ -781,7 +811,9 @@ class TestArtifactWriter:
 
     def test_no_test_users(self, tmp_path):
         split = TestArtifacts().complete_split()
-        bare = d.SplitDataset(train=split.train, test=[], eval_candidates={})
+        bare = d.SplitDataset(
+            train=split.train, test=np.empty((0, 2), np.int64), eval_candidates={}
+        )
         d.write_split_artifact(str(tmp_path), bare, {})
         assert (tmp_path / "test.tsv").read_bytes() == b"\n"
         assert (tmp_path / "candidates.tsv").read_bytes() == b"\n"
@@ -797,7 +829,7 @@ class TestArtifactWriter:
 
     def test_candidates_keep_their_drawn_order(self, tmp_path):
         split = TestArtifacts().complete_split()
-        users = [u for u, _ in split.test]
+        users = split.test[:, 0].tolist()
         split.eval_candidates = {u: np.array([11, 2, 7 + u]) for u in users}
         d.write_split_artifact(str(tmp_path), split, {})
         lines = (tmp_path / "candidates.tsv").read_text().splitlines()
@@ -848,7 +880,7 @@ class TestArtifactValidation:
     def candidate_edit(self, art, make):
         """Replace user 0's candidates with make(held item, train positives)."""
         out, split = art
-        held = dict(split.test)[0]
+        held = dict(split.test.tolist())[0]
         seen = sorted(i for u, i in pair_set(split.train) if u == 0)
         cands = make(held, seen)
         self.rewrite(out / "candidates.tsv", lambda lines: [
@@ -903,7 +935,7 @@ class TestArtifactValidation:
     def assert_loads_as_written(self, out, split):
         loaded, _ = d.read_split_artifact(str(out))
         assert pair_set(loaded.train) == pair_set(split.train)
-        assert loaded.test == split.test
+        np.testing.assert_array_equal(loaded.test, split.test)
         assert_same_candidates(loaded.eval_candidates, split.eval_candidates)
 
     def test_blank_lines_between_rows_are_skipped(self, art):
@@ -935,7 +967,7 @@ class TestArtifactValidation:
         path = out / name
         numbers = 2 * len(path.read_text(encoding="utf-8").splitlines())
         self.rewrite(path, lambda lines: lines[:-1] + [edit(lines[-1])])
-        expected = message.format(user=split.test[-1][0], numbers=numbers, read=numbers - 1)
+        expected = message.format(user=split.test[-1, 0], numbers=numbers, read=numbers - 1)
         with pytest.raises(d.ArtifactError) as caught:
             d.read_split_artifact(str(out))
         assert str(caught.value) == f"{path}: {expected}"
@@ -1012,7 +1044,8 @@ def read_outcome(dir_path):
     except Exception as exc:  # any outcome is compared, not only ArtifactError
         return type(exc).__name__, str(exc)
     cands = {u: row.tolist() for u, row in split.eval_candidates.items()}
-    return split.train.indptr.tolist(), split.train.indices.tolist(), split.test, cands, meta
+    train = split.train
+    return train.indptr.tolist(), train.indices.tolist(), split.test.tolist(), cands, meta
 
 
 def reference_read_outcome(dir_path):
@@ -1129,12 +1162,240 @@ class TestPrepareDatasets:
         assert meta["num_users"] == split_a.train.num_users
         for split in (split_a, split_b):
             per_user = items_by_user(split.train)
-            held = dict(split.test)
+            held = dict(split.test.tolist())
             for u, cands in split.eval_candidates.items():
                 assert len(cands) == 5
                 assert not set(cands) & per_user[u]
                 assert held[u] not in cands
 
     def test_density_matches_ratio(self):
-        iset = binarize(crossed(range(5), range(5)), 5)
+        iset, _ = binarize(crossed(range(5), range(5)), 5)
         assert iset.density == 1.0
+
+
+@dataclass
+class RawRating:
+    user_key: str
+    item_key: str
+    rating: float
+    timestamp: float | None = None
+
+
+@dataclass
+class KeyedSet:
+    """An InteractionSet with maps from each user's and item's key to its index."""
+
+    iset: d.InteractionSet
+    user_map: dict[str, int]
+    item_map: dict[str, int]
+
+
+def keyed(ks):
+    """The ``(user key, item key)`` pairs of a KeyedSet."""
+    rev_u = {v: k for k, v in ks.user_map.items()}
+    rev_i = {v: k for k, v in ks.item_map.items()}
+    return {(rev_u[u], rev_i[i]) for u, i in pair_set(ks.iset)}
+
+
+def reference_records(path):
+    """The keyed reader: one RawRating per rating line."""
+    records = []
+    for line_no, line in enumerate(d.read_text(path, d.ParseError).split("\n"), start=1):
+        if not line.strip() or line.startswith("#"):
+            continue
+        parts = line.split("\t")
+        if len(parts) not in (3, 4):
+            raise d.ParseError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(parts)}")
+        user_key, item_key = parts[0], parts[1]
+        if not user_key or not item_key:
+            raise d.ParseError(f"{path}:{line_no}: empty user or item key")
+        try:
+            rating = float(parts[2])
+            timestamp = float(parts[3]) if len(parts) == 4 else None
+        except ValueError as exc:
+            raise d.ParseError(f"{path}:{line_no}: {exc}") from exc
+        if timestamp is not None and math.isnan(timestamp):
+            raise d.ParseError(f"{path}:{line_no}: timestamp is NaN")
+        records.append(RawRating(user_key, item_key, rating, timestamp))
+    return records
+
+
+def reference_encode(raw):
+    """The records as per-file codes, with each code's key."""
+    user_codes, item_codes = {}, {}
+    users = np.array([user_codes.setdefault(r.user_key, len(user_codes)) for r in raw], np.int64)
+    items = np.array([item_codes.setdefault(r.item_key, len(item_codes)) for r in raw], np.int64)
+    timestamps = [r.timestamp for r in raw]
+    if not raw or None in timestamps:
+        timestamps = None
+    return users, items, list(user_codes), list(item_codes), timestamps
+
+
+def reference_first_appearance(codes):
+    distinct, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty(order.size, dtype=np.int64)
+    rank[order] = np.arange(order.size)
+    return distinct[order], rank[inverse]
+
+
+def reference_binarize(users, items, user_keys, item_keys, timestamps=None, min_count=5):
+    """The keyed filter: survivors re-densified in record order, with their key maps."""
+    if min_count < 1:
+        raise d.ConfigError("min_count must be >= 1")
+    keys, first, inverse = np.unique(
+        users * len(item_keys) + items, return_index=True, return_inverse=True
+    )
+    pair_users, pair_items = users[first], items[first]
+    active = np.ones(keys.size, dtype=bool)
+    while True:
+        user_deg = np.bincount(pair_users[active], minlength=len(user_keys))
+        item_deg = np.bincount(pair_items[active], minlength=len(item_keys))
+        kept = active & (user_deg[pair_users] >= min_count) & (item_deg[pair_items] >= min_count)
+        if np.array_equal(kept, active):
+            break
+        active = kept
+    if not active.any():
+        raise d.EmptyDatasetError("no interactions survive the minimum-count filter")
+    survivors = np.flatnonzero(active)
+    survivors = survivors[np.argsort(first[survivors])]
+    user_codes, new_users = reference_first_appearance(pair_users[survivors])
+    item_codes, new_items = reference_first_appearance(pair_items[survivors])
+    latest = None
+    if timestamps is not None:
+        latest = np.full(keys.size, -np.inf)
+        np.maximum.at(latest, inverse, np.asarray(timestamps, dtype=np.float64))
+        latest = latest[survivors]
+    iset = d.InteractionSet.from_pairs(
+        user_codes.size, item_codes.size, np.column_stack([new_users, new_items]), timestamps=latest
+    )
+    return KeyedSet(
+        iset,
+        {user_keys[c]: u for u, c in enumerate(user_codes.tolist())},
+        {item_keys[c]: i for i, c in enumerate(item_codes.tolist())},
+    )
+
+
+def reference_restrict(ks, common):
+    """The rows of the users ``common`` names, in that order, over the items they keep."""
+    new_users = np.full(ks.iset.num_users, -1, dtype=np.int64)
+    new_users[[ks.user_map[k] for k in common]] = np.arange(len(common))
+    pairs = ks.iset.interactions
+    kept = new_users[pairs[:, 0]] >= 0
+    kept_items = np.unique(pairs[kept, 1])
+    rev_items = {idx: key for key, idx in ks.item_map.items()}
+    iset = d.InteractionSet.from_pairs(
+        len(common),
+        kept_items.size,
+        np.column_stack([new_users[pairs[kept, 0]], np.searchsorted(kept_items, pairs[kept, 1])]),
+        timestamps=None if ks.iset.timestamps is None else ks.iset.timestamps[kept],
+    )
+    return KeyedSet(
+        iset,
+        {k: idx for idx, k in enumerate(common)},
+        {rev_items[old]: new for new, old in enumerate(kept_items.tolist())},
+    )
+
+
+def reference_align(a, b):
+    """The keyed alignment: common user keys, in domain A's index order."""
+    if not a.iset.indices.size or not b.iset.indices.size:
+        raise d.AlignmentError("cannot align an empty domain")
+    common = [k for k in a.user_map if k in b.user_map]
+    if not common:
+        raise d.AlignmentError("no common users between the two domains")
+    common.sort(key=lambda k: a.user_map[k])
+    return reference_restrict(a, common), reference_restrict(b, common)
+
+
+def prepare_outcome(prepare, path_a, path_b, min_count, out):
+    """``prepare`` on two files, with its splits written under ``out``: the
+    arrays, or the exception's type and text."""
+    try:
+        splits = prepare(path_a, path_b, min_count=min_count, seed=1, n_candidates=1)
+    except Exception as exc:  # any outcome is compared, not only DatasetError
+        return type(exc).__name__, str(exc)
+    outcome = []
+    for tag, split in zip("ab", splits[:2]):
+        d.write_split_artifact(str(out / tag), split, splits[2])
+        train = split.train
+        stamps = None if train.timestamps is None else train.timestamps.tolist()
+        cands = {u: row.tolist() for u, row in split.eval_candidates.items()}
+        files = {p.name: p.read_bytes() for p in sorted((out / tag).iterdir())}
+        outcome.append((train.indptr.tolist(), train.indices.tolist(), stamps,
+                        split.test.tolist(), cands, files))
+    return outcome
+
+
+def reference_prepare_datasets(path_a, path_b, min_count=5, seed=0, n_candidates=999):
+    """``prepare_datasets`` on keyed records, key maps and key alignment.
+
+    Also returns the aligned KeyedSets.
+    """
+    set_a = reference_binarize(*reference_encode(reference_records(path_a)), min_count=min_count)
+    set_b = reference_binarize(*reference_encode(reference_records(path_b)), min_count=min_count)
+    keyed_a, keyed_b = reference_align(set_a, set_b)
+    set_a, set_b = keyed_a.iset, keyed_b.iset
+    split_a, split_b = d.freeze_splits(set_a, set_b, seed, n_candidates)
+    meta = {
+        "num_users": set_a.num_users,
+        "num_items_a": set_a.num_items,
+        "num_items_b": set_b.num_items,
+        "interactions_a": set_a.indices.size,
+        "interactions_b": set_b.indices.size,
+        "density_a": set_a.density,
+        "density_b": set_b.density,
+        "min_count": min_count,
+        "seed": seed,
+        "n_candidates": n_candidates,
+        "checksum_a": d.file_checksum(path_a),
+        "checksum_b": d.file_checksum(path_b),
+    }
+    return split_a, split_b, meta, (keyed_a, keyed_b)
+
+
+# keys that a rating line can hold: no tab, no line end, not a comment
+KEY = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"),
+    min_size=1, max_size=3,
+).filter(lambda key: not key.startswith("#"))
+
+
+@st.composite
+def rating_file_pair(draw):
+    """Two rating files' rows over one pool of user keys, with repeated pairs,
+    users in either domain only, and all, some or no timestamps, tied often."""
+    users = draw(st.lists(KEY, min_size=3, max_size=6, unique=True))
+    files = []
+    for _ in "ab":
+        items = draw(st.lists(KEY, min_size=4, max_size=10, unique=True))
+        present = draw(st.lists(st.sampled_from(users), min_size=3, unique=True))
+        stamped = draw(st.sampled_from(["all", "some", "none"]))
+        rows = draw(st.lists(
+            st.tuples(st.sampled_from(present), st.sampled_from(items),
+                      st.sampled_from(["1", "4.5", "-2", "nan"]), st.integers(0, 3),
+                      st.booleans() if stamped == "some" else st.just(stamped == "all")),
+            min_size=10, max_size=35,
+        ))
+        files.append([(u, i, rating, t)[: 3 + with_t] for u, i, rating, t, with_t in rows])
+    return files
+
+
+class TestPrepareMatchesKeyedReference:
+    """``prepare_datasets`` on integer codes gives what it gave with the keyed
+    records, key maps and key alignment: the same arrays, test pairs,
+    candidates and artifact bytes, or the same error."""
+
+    @given(files=rating_file_pair(), min_count=st.integers(1, 3))
+    @settings(max_examples=150, deadline=None)
+    def test_same_splits_and_bytes(self, files, min_count):
+        with tempfile.TemporaryDirectory() as tmp:
+            out = pathlib.Path(tmp)
+            paths = [write_ratings(out / f"{tag}.tsv", rows) for tag, rows in zip("ab", files)]
+            got = prepare_outcome(d.prepare_datasets, *paths, min_count, out / "got")
+            expected = prepare_outcome(reference_prepare_datasets, *paths, min_count, out / "ref")
+            assert got == expected
+            if not isinstance(got, tuple):  # both prepared: each kept pair is a pair of its file
+                keyed_sets = reference_prepare_datasets(*paths, min_count, 1, 1)[3]
+                for ks, rows in zip(keyed_sets, files):
+                    assert keyed(ks) <= {row[:2] for row in rows}

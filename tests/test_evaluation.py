@@ -37,7 +37,7 @@ def reference_evaluate_domain(s, t, split, top_k):
 
     s_hat, t_hat = normalize(s), normalize(t)
     ranks, hr_sum, ndcg_sum = {}, 0.0, 0.0
-    for u, held in split.test:
+    for u, held in split.test.tolist():
         user_vec = s_hat[u]
         neg = t_hat[np.asarray(split.eval_candidates[u], dtype=np.int64)] @ user_vec
         pos = float(t_hat[held] @ user_vec)
@@ -56,13 +56,7 @@ def make_set(num_users, num_items, per_user, seed):
     for u in range(num_users):
         for i in rng.choice(num_items, size=per_user, replace=False):
             pairs.add((u, int(i)))
-    return InteractionSet.from_pairs(
-        num_users,
-        num_items,
-        pairs,
-        user_map={f"u{i}": i for i in range(num_users)},
-        item_map={f"i{i}": i for i in range(num_items)},
-    )
+    return InteractionSet.from_pairs(num_users, num_items, pairs)
 
 
 class TestRankWithTies:
@@ -126,7 +120,7 @@ class TestEvaluateDomain:
         train = make_set(3, 6, 2, seed=0)
         split = SplitDataset(
             train=train,
-            test=[(0, 0), (1, 1), (2, 2)],
+            test=np.array([(0, 0), (1, 1), (2, 2)]),
             eval_candidates={0: [3, 4], 1: [3, 5], 2: [4, 5]},
         )
         s = np.eye(3, 4)
@@ -168,6 +162,7 @@ def random_split(rng, num_users, num_items, n_test, n_cands):
         test.append((u, drawn[0]))
         candidates[u] = drawn[1:]
     train = make_set(num_users, num_items, 1, seed=int(rng.integers(1 << 16)))
+    test = np.array(test, dtype=np.int64).reshape(-1, 2)
     return SplitDataset(train=train, test=test, eval_candidates=candidates)
 
 
@@ -225,7 +220,7 @@ class TestEvaluateModel:
         assert r1.domain_a.ranks == r2.domain_a.ranks
         assert r1.domain_b.ranks == r2.domain_b.ranks
         assert r1.domain_a.num_test == len(split_a.test)
-        assert set(r1.domain_a.ranks) == {u for u, _ in split_a.test}
+        assert set(r1.domain_a.ranks) == set(split_a.test[:, 0].tolist())
         assert 0.0 <= r1.domain_a.hr <= 1.0 and r1.domain_a.ndcg <= r1.domain_a.hr + 1e-12
 
     def test_eval_path_uses_midpoint_lambda(self):

@@ -15,13 +15,7 @@ from dualrec.data import InteractionSet
 
 
 def make_set(pairs, num_users, num_items):
-    return InteractionSet.from_pairs(
-        num_users,
-        num_items,
-        pairs,
-        user_map={f"u{i}": i for i in range(num_users)},
-        item_map={f"i{i}": i for i in range(num_items)},
-    )
+    return InteractionSet.from_pairs(num_users, num_items, pairs)
 
 
 def dense_oracle(pairs, m, n):

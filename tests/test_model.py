@@ -22,13 +22,7 @@ from dualrec.training import _noise_rngs
 
 
 def make_set(pairs, num_users, num_items):
-    return InteractionSet.from_pairs(
-        num_users,
-        num_items,
-        pairs,
-        user_map={f"u{i}": i for i in range(num_users)},
-        item_map={f"i{i}": i for i in range(num_items)},
-    )
+    return InteractionSet.from_pairs(num_users, num_items, pairs)
 
 
 PAIRS_A = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 0), (3, 5), (3, 1)]

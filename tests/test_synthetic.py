@@ -57,18 +57,36 @@ def small_spec(**overrides):
     return SyntheticSpec(**base)
 
 
+def generate_with_users(spec, monkeypatch):
+    """``generate_synthetic``'s two sets and the codes of their users, which
+    are generator rows, as alignment returns them."""
+    kept = []
+    align = synthetic.align_common_users
+
+    def capture(*args):
+        out = align(*args)
+        kept.append(out[2])
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(synthetic, "align_common_users", capture)
+        set_a, set_b = generate_synthetic(spec)
+    return set_a, set_b, kept[0]
+
+
 class TestGenerateSynthetic:
-    def test_deterministic(self):
-        a1, b1 = generate_synthetic(small_spec())
-        a2, b2 = generate_synthetic(small_spec())
+    def test_deterministic(self, monkeypatch):
+        a1, b1, users1 = generate_with_users(small_spec(), monkeypatch)
+        a2, b2, users2 = generate_with_users(small_spec(), monkeypatch)
         assert pair_set(a1) == pair_set(a2)
         assert pair_set(b1) == pair_set(b2)
-        assert a1.user_map == a2.user_map
+        np.testing.assert_array_equal(users1, users2)
 
-    def test_aligned_and_filtered(self):
-        a, b = generate_synthetic(small_spec())
-        assert a.num_users == b.num_users
-        assert a.user_map == b.user_map
+    def test_aligned_and_filtered(self, monkeypatch):
+        a, b, users = generate_with_users(small_spec(), monkeypatch)
+        assert a.num_users == b.num_users == users.size
+        # users keep the generator's row order, and some rows are dropped
+        assert (np.diff(users) > 0).all() and users.size < small_spec().num_users
         for iset in (a, b):
             by_user = items_by_user(iset)
             assert all(len(v) >= 5 for v in by_user.values())

@@ -40,13 +40,7 @@ def make_set(num_users, num_items, per_user, seed):
     for u in range(num_users):
         for i in rng.choice(num_items, size=per_user, replace=False):
             pairs.add((u, int(i)))
-    return InteractionSet.from_pairs(
-        num_users,
-        num_items,
-        pairs,
-        user_map={f"u{i}": i for i in range(num_users)},
-        item_map={f"i{i}": i for i in range(num_items)},
-    )
+    return InteractionSet.from_pairs(num_users, num_items, pairs)
 
 
 def tiny_splits(seed=0):
