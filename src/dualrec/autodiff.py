@@ -10,8 +10,9 @@ gradients accumulate by summation over fan-out.
 Each backward closure captures exactly the arrays it reads, or only a
 shape where it reads no array:
 
-- ``matmul`` keeps both operands; ``scale_rows``, ``row_cosine`` and
-  ``frobenius_sq`` keep their inputs;
+- ``matmul`` keeps both operands and ``affine`` its input and weight (not
+  its bias); ``weighted_sum``, ``row_cosine`` and ``frobenius_sq`` keep
+  their inputs;
 - ``exp`` and ``softmax_rows`` keep their own output;
 - ``relu``, ``clamp`` and ``square`` keep a local derivative array (a
   mask or ``2x``), not their input; ``leaky_relu`` keeps its bool
@@ -19,14 +20,14 @@ shape where it reads no array:
   the backward;
 - ``cross_entropy`` and ``kl_div`` keep the clipped probabilities, their
   band mask and the constant targets;
-- ``add``, ``add_rowvec``, ``concat_cols``, ``spmm``, ``mul_const`` and
-  ``affine_const`` keep no input or output array, only their constants;
-  ``gather_rows``, ``slice_cols`` and ``mean_all`` keep only a shape.
+- ``add``, ``concat_cols``, ``spmm``, ``mul_const`` and ``affine_const``
+  keep no input or output array, only their constants; ``gather_rows`` and
+  ``mean_all`` keep only a shape.
 
 So a forward intermediate is freed as soon as the forward code drops its
 Value, unless some backward reads it; in ``relu(affine(spmm(A, E), W, b))``
-the matmul and bias outputs go at once, and the ``spmm`` output lives on in
-the matmul backward.
+the ``affine`` output goes at once, and the ``spmm`` output lives on in the
+``affine`` backward.
 
 A graph is consumed by its sweep: each node drops its closure, and with it
 the arrays the closure kept, and its parent links once its own backward has
@@ -334,22 +335,23 @@ def matmul(a: Value, b: Value) -> Value:
     return _output(lhs @ rhs, "matmul", (an, bn), bw)
 
 
-def add_rowvec(x: Value, b: Value) -> Value:
-    """x + b with the 1-row vector b broadcast over rows of x."""
-    if b.shape[0] != 1 or b.shape[1] != x.shape[1]:
-        raise ShapeError(f"add_rowvec: x {x.shape}, b {b.shape}")
-    xn, bn = x.node, b.node
+def affine(x: Value, w: Value, b: Value) -> Value:
+    """x @ w + b, with the 1-row bias b broadcast over the rows."""
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"affine: {x.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"affine: bias {b.shape} for width {w.shape[1]}")
+    lhs, rhs = x.data, w.data
+    xn, wn, bn = x.node, w.node, b.node
 
     def bw(g):
-        _accum(xn, g, shared=True)
+        _accum(xn, g @ rhs.T)
+        _accum(wn, lhs.T @ g)
         _accum(bn, g.sum(axis=0, keepdims=True))
 
-    return _output(x.data + b.data, "add_rowvec", (xn, bn), bw)
-
-
-def affine(x: Value, w: Value, b: Value) -> Value:
-    """x @ w + b (bias broadcast over rows)."""
-    return add_rowvec(matmul(x, w), b)
+    out = lhs @ rhs
+    out += b.data
+    return _output(out, "affine", (xn, wn, bn), bw)
 
 
 def spmm(a: sp.spmatrix | sp.sparray, x: Value) -> Value:
@@ -406,19 +408,6 @@ def concat_cols(parts: list[Value]) -> Value:
     return _output(np.hstack([p.data for p in parts]), "concat_cols", nodes, bw)
 
 
-def slice_cols(x: Value, start: int, stop: int) -> Value:
-    if not (0 <= start < stop <= x.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] of {x.shape}")
-    xn, shape = x.node, x.shape
-
-    def bw(g):
-        if xn.grad is None:
-            xn.grad = np.zeros(shape)
-        xn.grad[:, start:stop] += g
-
-    return _output(x.data[:, start:stop].copy(), "slice_cols", (xn,), bw)
-
-
 def relu(x: Value) -> Value:
     # subgradient at 0 is 0
     return _elementwise(x, np.maximum(x.data, 0.0), "relu", lambda: x.data > 0.0)
@@ -471,18 +460,30 @@ def softmax_rows(x: Value) -> Value:
     return _output(p, "softmax_rows", (xn,), bw)
 
 
-def scale_rows(x: Value, c: Value) -> Value:
-    """x * c with the single-column c broadcast across columns of x."""
-    if c.shape != (x.shape[0], 1):
-        raise ShapeError(f"scale_rows: x {x.shape}, c {c.shape}")
-    xd, cd = x.data, c.data
-    xn, cn = x.node, c.node
+def weighted_sum(parts: list[Value], weights: Value) -> Value:
+    """Per-row mix sum_c weights[:, c] * parts[c] of same-shape parts, added in part order."""
+    if not parts:
+        raise ShapeError("weighted_sum: empty input")
+    shape = parts[0].shape
+    if any(p.shape != shape for p in parts) or weights.shape != (shape[0], len(parts)):
+        raise ShapeError(
+            f"weighted_sum: parts {[p.shape for p in parts]}, weights {weights.shape}"
+        )
+    datas, wd = [p.data for p in parts], weights.data
+    nodes, wn = tuple(p.node for p in parts), weights.node
 
     def bw(g):
-        _accum(xn, g * cd)
-        _accum(cn, (g * xd).sum(axis=1, keepdims=True))
+        # each column sum is added onto zeros, so a -0.0 sum is stored as +0.0
+        wg = np.zeros(wd.shape)
+        for c, (node, xd) in enumerate(zip(nodes, datas)):
+            _accum(node, g * wd[:, c:c + 1])
+            wg[:, c] += (g * xd).sum(axis=1)
+        _accum(wn, wg)
 
-    return _output(xd * cd, "scale_rows", (xn, cn), bw)
+    out = datas[0] * wd[:, :1]
+    for c in range(1, len(parts)):
+        out += datas[c] * wd[:, c:c + 1]
+    return _output(out, "weighted_sum", (*nodes, wn), bw)
 
 
 def row_cosine(s: Value, t: Value) -> Value:

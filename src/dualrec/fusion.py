@@ -66,12 +66,7 @@ def fuse(
     if strategy == "attention":
         if params is None or f"{name}.ws" not in params:
             raise ConfigError("attention fusion requires fusion weights")
-        attn = attention_weights(codes, params, name)
-        out = None
-        for c, code in enumerate(codes):
-            weighted = ad.scale_rows(code, ad.slice_cols(attn, c, c + 1))
-            out = weighted if out is None else ad.add(out, weighted)
-        return out
+        return ad.weighted_sum(codes, attention_weights(codes, params, name))
     raise ConfigError(f"unknown fusion strategy {strategy!r}")
 
 

@@ -42,14 +42,17 @@ _UNIFORM = np.full((4, 2), 0.5)
 PRIMITIVE_CASES = [
     ("matmul", lambda ls: ad.mean_all(ad.matmul(*ls)), [(3, 4), (4, 2)]),
     ("add", lambda ls: ad.mean_all(ad.add(*ls)), [(3, 3), (3, 3)]),
-    ("add_rowvec", lambda ls: ad.mean_all(ad.add_rowvec(*ls)), [(3, 4), (1, 4)]),
+    ("affine", lambda ls: ad.mean_all(ad.square(ad.affine(*ls))), [(3, 4), (4, 2), (1, 2)]),
     ("leaky_relu", lambda ls: ad.mean_all(ad.leaky_relu(ls[0])), [(3, 4)]),
     ("exp", lambda ls: ad.mean_all(ad.exp(ls[0])), [(3, 3)]),
     ("square", lambda ls: ad.mean_all(ad.square(ls[0])), [(3, 3)]),
     ("softmax", lambda ls: ad.mean_all(ad.square(ad.softmax_rows(ls[0]))), [(3, 4)]),
     ("frobenius", lambda ls: ad.frobenius_sq(ls[0]), [(3, 3)]),
-    ("scale_rows", lambda ls: ad.mean_all(ad.scale_rows(*ls)), [(3, 4), (3, 1)]),
-    ("slice_cols", lambda ls: ad.mean_all(ad.slice_cols(ls[0], 1, 3)), [(3, 4)]),
+    ("weighted_sum",
+     lambda ls: ad.mean_all(ad.square(ad.weighted_sum(ls[:3], ls[3]))),
+     [(3, 4), (3, 4), (3, 4), (3, 3)]),
+    ("weighted_sum_one_part",
+     lambda ls: ad.mean_all(ad.square(ad.weighted_sum(ls[:1], ls[1]))), [(3, 4), (3, 1)]),
     # the elbo reconstruction's form: mean((x - target)^2)
     ("mse", lambda ls: ad.mean_all(ad.square(ad.affine_const(ls[0], 1.0, -0.25))), [(3, 3)]),
     ("mul_const", lambda ls: ad.mean_all(ad.mul_const(ls[0], 1.7)), [(3, 3)]),

@@ -1,7 +1,8 @@
 """Wrong gradient rules, for tests that check the gradient checks.
 
 Bind one with ``monkeypatch.setattr(autodiff, "matmul", faulty_matmul)`` (or
-``"spmm"``, ``transposeless_spmm``; ``"exp"``, ``untaped_drift_exp``): every
+``"affine"``, ``faulty_affine``; ``"spmm"``, ``transposeless_spmm``; ``"exp"``,
+``untaped_drift_exp``): every
 caller looks the op up on the module at call time, so while it is bound every
 gradient check that reaches the op must fail. ``nan_gradient_backward``,
 bound as ``"backward"``, leaves a NaN in one parameter gradient of every sweep,
@@ -13,6 +14,7 @@ import numpy as np
 from dualrec import autodiff as ad
 
 _matmul = ad.matmul
+_affine = ad.affine
 _spmm = ad.spmm
 _exp = ad.exp
 _backward = ad.backward
@@ -26,6 +28,20 @@ def faulty_matmul(a, b):
     def bw(g):
         ad._accum(an, g @ rhs.T)
         ad._accum(bn, (lhs.T @ g) * 1.01)
+
+    out._backward = bw
+    return out
+
+
+def faulty_affine(x, w, b):
+    """``affine`` whose weight-gradient rule is 1% off."""
+    out = _affine(x, w, b)
+    lhs, rhs, xn, wn, bn = x.data, w.data, x.node, w.node, b.node
+
+    def bw(g):
+        ad._accum(xn, g @ rhs.T)
+        ad._accum(wn, (lhs.T @ g) * 1.01)
+        ad._accum(bn, g.sum(axis=0, keepdims=True))
 
     out._backward = bw
     return out

@@ -70,6 +70,72 @@ class TestAffine:
             ad.matmul(Value(np.ones((2, 3))), Value(np.ones((2, 3))))
 
 
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+class TestFusedOpsEqualTheirComposition:
+    """``affine`` and ``weighted_sum`` give, forward and backward, the bits of
+    the compositions they replace, in numpy: a matmul plus a bias add, and
+    per part a column slice, a row scale and an add."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_affine(self, seed):
+        rng = np.random.default_rng([80, seed])
+        m, n, k = rng.integers(1, 40, size=3)
+        x, w, b = (rng.standard_normal(s) for s in [(m, n), (n, k), (1, k)])
+        readout = rng.standard_normal((m, k))
+        leaves = [Value(a.copy()) for a in (x, w, b)]
+        out = ad.affine(*leaves)
+        ad.backward(ad.mean_all(ad.mul_const(out, readout)))
+        g = np.full((m, k), 1.0 / readout.size) * readout  # what reaches the affine
+        want = [x @ w + b, g @ w.T, x.T @ g, g.sum(axis=0, keepdims=True)]
+        got = [out.data] + [leaf.grad for leaf in leaves]
+        assert [_bits(a) for a in got] == [_bits(a) for a in want]
+
+    @pytest.mark.parametrize("num_parts", [1, 2, 3, 4])
+    def test_weighted_sum(self, num_parts):
+        rng = np.random.default_rng([81, num_parts])
+        for _ in range(3):
+            m, k = rng.integers(1, 40, size=2)
+            parts = [rng.standard_normal((m, k)) for _ in range(num_parts)]
+            weights = rng.standard_normal((m, num_parts))
+            readout, side = rng.standard_normal((m, k)), rng.standard_normal((m, k))
+            part_leaves = [Value(p.copy()) for p in parts]
+            weight_leaf = Value(weights.copy())
+            out = ad.weighted_sum(part_leaves, weight_leaf)
+            # the first part feeds a second consumer, so its gradient is a sum
+            ad.backward(ad.add(
+                ad.mean_all(ad.mul_const(out, readout)),
+                ad.mean_all(ad.mul_const(part_leaves[0], side)),
+            ))
+            g = np.full((m, k), 1.0 / readout.size) * readout
+            columns = [weights[:, c:c + 1].copy() for c in range(num_parts)]
+            want = parts[0] * columns[0]
+            for part, column in zip(parts[1:], columns[1:]):
+                want = want + part * column
+            part_grads = [g * column for column in columns]
+            part_grads[0] = part_grads[0] + np.full((m, k), 1.0 / side.size) * side
+            weight_grad = np.zeros((m, num_parts))
+            for c, part in enumerate(parts):
+                weight_grad[:, c:c + 1] += (g * part).sum(axis=1, keepdims=True)
+            got = [out.data, weight_leaf.grad] + [leaf.grad for leaf in part_leaves]
+            assert [_bits(a) for a in got] == [_bits(a) for a in [want, weight_grad, *part_grads]]
+
+    def test_shape_errors(self):
+        x, w = Value(np.ones((2, 3))), Value(np.ones((3, 4)))
+        with pytest.raises(ad.ShapeError):
+            ad.affine(x, w, Value(np.ones((1, 3))))
+        with pytest.raises(ad.ShapeError):
+            ad.affine(x, w, Value(np.ones((2, 4))))
+        with pytest.raises(ad.ShapeError):
+            ad.weighted_sum([], Value(np.ones((2, 0))))
+        with pytest.raises(ad.ShapeError):
+            ad.weighted_sum([x, w], Value(np.ones((2, 2))))
+        with pytest.raises(ad.ShapeError):
+            ad.weighted_sum([x, x], Value(np.ones((2, 1))))
+
+
 class TestSpmm:
     def test_sparse_identity(self):
         a = sp.identity(3, format="csr")
@@ -320,9 +386,9 @@ class TestAccumOwnership:
         rng = np.random.default_rng(0)
         a = Value(rng.standard_normal((3, 4)))
         b = Value(rng.standard_normal((3, 4)))
-        r = Value(rng.standard_normal((1, 4)))
+        r = Value(rng.standard_normal((3, 4)))
         s = ad.add(a, b)            # same g to a and b
-        t = ad.add_rowvec(s, r)     # g itself to s
+        t = ad.add(s, r)            # same g to s and r
         c = ad.concat_cols([t, a])  # column views of g to t and a
         u = ad.add(c, c)            # the same parent twice
         loss = ad.mean_all(ad.square(u))
@@ -338,7 +404,7 @@ class TestAccumOwnership:
         np.testing.assert_allclose(s.grad, dc[:, :4], rtol=1e-12)
         np.testing.assert_allclose(b.grad, dc[:, :4], rtol=1e-12)
         np.testing.assert_allclose(a.grad, dc[:, :4] + dc[:, 4:], rtol=1e-12)
-        np.testing.assert_allclose(r.grad, dc[:, :4].sum(axis=0, keepdims=True), rtol=1e-12)
+        np.testing.assert_allclose(r.grad, dc[:, :4], rtol=1e-12)
 
 
 class TestGatherConcatSlice:
@@ -360,11 +426,12 @@ class TestGatherConcatSlice:
         b = Value(np.full((2, 3), 2.0))
         cat = ad.concat_cols([a, b])
         assert cat.shape == (2, 5)
-        right = ad.slice_cols(cat, 2, 5)
-        np.testing.assert_array_equal(right.data, b.data)
-        ad.backward(ad.mean_all(right))
-        assert not a.grad.any()
-        np.testing.assert_allclose(b.grad, np.full((2, 3), 1.0 / 6))
+        np.testing.assert_array_equal(cat.data[:, 2:], b.data)
+        readout = np.arange(10.0).reshape(2, 5)
+        ad.backward(ad.mean_all(ad.mul_const(cat, readout)))
+        g = np.full((2, 5), 0.1) * readout  # what reaches the concat
+        np.testing.assert_array_equal(a.grad, g[:, :2])
+        np.testing.assert_array_equal(b.grad, g[:, 2:])
 
     def test_gather_backward_bitwise_equals_add_at(self):
         rng = np.random.default_rng(40)
@@ -474,10 +541,10 @@ class TestElementwiseOps:
 # every op a benchmark trace times: the module's functions annotated to
 # return a Value; helpers such as _elementwise must stay outside this set
 TAPE_OPS = {
-    "add", "add_rowvec", "affine", "affine_const", "clamp", "concat_cols",
-    "cross_entropy", "exp", "frobenius_sq", "gather_rows", "kl_div", "leaky_relu",
-    "matmul", "mean_all", "mul_const", "relu", "row_cosine", "scale_rows",
-    "slice_cols", "softmax_rows", "spmm", "square", "sub",
+    "add", "affine", "affine_const", "clamp", "concat_cols", "cross_entropy",
+    "exp", "frobenius_sq", "gather_rows", "kl_div", "leaky_relu", "matmul",
+    "mean_all", "mul_const", "relu", "row_cosine", "softmax_rows", "spmm",
+    "square", "sub", "weighted_sum",
 }
 
 
@@ -495,11 +562,11 @@ def _random_leaves(rng, shapes):
 
 
 def test_primitive_cases_cover_every_primitive_op():
-    # affine and sub build their graphs from other ops
+    # sub builds its graph from other ops
     ops = set()
     for name, fn, shapes in PRIMITIVE_CASES:
         ops.update(node.op for node in ad._toposort(fn(case_leaves(name, shapes))))
-    assert TAPE_OPS - {"affine", "sub"} <= ops
+    assert TAPE_OPS - {"sub"} <= ops
 
 
 class TestTapeRelease:
@@ -540,7 +607,7 @@ _EPS = _TAPE_RNG.standard_normal((6, 3))
 HELD_ARRAY_CASES = [
     ("gcn_layer", lambda ls: ad.relu(ad.affine(ad.spmm(_ADJACENCY, ls[0]), ls[1], ls[2])),
      [(6, 4), (4, 3), (1, 3)],
-     {"spmm": True, "matmul": False, "add_rowvec": False, "relu": True}),
+     {"spmm": True, "affine": False, "relu": True}),
     ("reparameterised_head",
      lambda ls: ad.add(ls[0], ad.mul_const(ad.exp(ad.clamp(ls[1], -2.0, 2.0)), _EPS)),
      [(6, 3), (6, 3)],

@@ -18,7 +18,7 @@ from dualrec import cli
 from dualrec import training as tr
 from dualrec.config import RunConfig
 from dualrec.training import NumericalAbortError
-from faults import faulty_matmul, nan_gradient_backward, transposeless_spmm
+from faults import faulty_affine, faulty_matmul, nan_gradient_backward, transposeless_spmm
 
 TINY_SPEC = """\
 num_users = 40
@@ -767,6 +767,12 @@ class TestUsageAndSelfcheck:
         monkeypatch.setattr(ad, "matmul", faulty_matmul)
         assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
         assert "selfcheck FAILED" in capsys.readouterr().out
+
+    def test_selfcheck_catches_wrong_affine_gradient(self, capsys, monkeypatch):
+        monkeypatch.setattr(ad, "affine", faulty_affine)
+        assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
+        out = capsys.readouterr().out
+        assert "FAIL gradients:" in out and "(affine)" in out
 
     def test_selfcheck_catches_missing_spmm_transpose(self, capsys, monkeypatch):
         monkeypatch.setattr(ad, "spmm", transposeless_spmm)

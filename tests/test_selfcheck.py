@@ -4,7 +4,7 @@ import numpy as np
 
 from dualrec import autodiff as ad
 from dualrec import selfcheck as sc
-from faults import faulty_matmul, transposeless_spmm, untaped_drift_exp
+from faults import faulty_affine, faulty_matmul, transposeless_spmm, untaped_drift_exp
 
 
 class TestIndividualChecks:
@@ -29,6 +29,12 @@ class TestIndividualChecks:
         ok, detail = sc.check_gradients()
         assert not ok
         assert detail.endswith("(spmm), tolerance 1e-04"), detail
+
+    def test_gradients_catch_a_wrong_affine_weight_gradient(self, monkeypatch):
+        monkeypatch.setattr(ad, "affine", faulty_affine)
+        ok, detail = sc.check_gradients()
+        assert not ok
+        assert detail.endswith("(affine), tolerance 1e-04"), detail
 
     def test_gradients_catch_an_untaped_branch_that_differs(self, monkeypatch):
         monkeypatch.setattr(ad, "exp", untaped_drift_exp)

@@ -563,6 +563,40 @@ class TestFirstStepGolden:
             assert parts[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
 
+class TestTapeSize:
+    """Tape nodes of the first step's loss on the 150-user spec, leaves
+    included (58 on ``full``, 18 on ``base``); each affine layer is one node,
+    and so is each attention mix. The counts are pinned, so a change that
+    adds nodes to a step has to re-pin them and say why. The setup is
+    ``TestFirstStepGolden``'s."""
+
+    NODES = {"full": 222, "base": 87}
+
+    @pytest.mark.parametrize("variant", sorted(NODES))
+    def test_nodes_per_step(self, leak_splits, variant):
+        split_a, split_b = leak_splits
+        cfg = RunConfig(k=8, batch_size=256, neg_ratio=1, eval_negatives=20,
+                        variant=variant, seed=3)
+        assert cfg.fusion == "attention"
+        model = md.build_model(
+            build_bipartite_adjacency(split_a.train),
+            build_bipartite_adjacency(split_b.train),
+            cfg,
+        )
+        batch_a, batch_b = (
+            next(tr._batches(*tr._epoch_arrays(split.train, 0, d, cfg), cfg, 0, d))
+            for d, split in enumerate((split_a, split_b))
+        )
+        fwd = md.forward(
+            model,
+            np.union1d(batch_a[0], batch_b[0]),
+            tr._step_lambda(cfg, 0, 0),
+            noise_rngs=tr._noise_rngs(cfg, 0, 0),
+        )
+        total, _ = tr.step_losses(model, fwd, {"a": batch_a, "b": batch_b})
+        assert len(ad._toposort(total.node)) == self.NODES[variant]
+
+
 class TestTrainedBitsPinned:
     """sha256 over every parameter's name and bits after three ``fit`` steps.
 
