@@ -30,7 +30,6 @@ from .experiments import ablate, sweep
 from .graph import build_bipartite_adjacency
 from .model import DOMAINS, load_model, save_model
 from .selfcheck import run_selfcheck
-from .synthetic import SyntheticSpec, generate_synthetic
 from .training import NumericalAbortError, keep_freed_heap, train_model
 
 EXIT_OK = 0
@@ -113,6 +112,9 @@ def _cmd_prepare(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    # imported here: only synth needs scipy.special, which every command would load
+    from .synthetic import SyntheticSpec, generate_synthetic
+
     spec = _with_flags(_load_fields(SyntheticSpec, args.spec, "spec"), args)
     set_a, set_b = generate_synthetic(spec)
     split_a, split_b = freeze_splits(set_a, set_b, spec.seed, args.candidates)

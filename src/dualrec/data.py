@@ -321,9 +321,9 @@ def filter_cold_items(split: SplitDataset) -> SplitDataset:
 
 
 def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> np.ndarray:
-    """Draw ``ratio`` unseen items per observed interaction, label 0.
+    """Draw ``ratio`` unseen items per observed interaction.
 
-    Returns an int64 array with one row ``(user, item, 0)`` per draw. The
+    Returns an (N, 2) int64 array with one row ``(user, item)`` per draw. The
     positives are visited by user, then item. A user's pool is their unseen
     items, ascending. A user whose pool is smaller than ``ratio`` contributes
     the whole pool per positive, with one warning. Every other positive gets
@@ -377,7 +377,7 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     stride = train.num_items + 1
     keys = indices - (np.arange(indices.size) - indptr[pos_user]) + pos_user * stride
     row_user = np.repeat(pos_user, width)
-    out = np.zeros((picks.size, 3), dtype=np.int64)
+    out = np.empty((picks.size, 2), dtype=np.int64)
     out[:, 0] = row_user
     seen = np.searchsorted(keys, picks + row_user * stride, side="right") - indptr[row_user]
     out[:, 1] = picks + seen

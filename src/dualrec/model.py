@@ -15,7 +15,9 @@ ForwardPass keeps its per-domain outputs in dicts keyed by domain tag.
 for training and eval alike. It builds the towered rows of the pass's users
 (``s``) and of each scored domain's items (``t``), and no others: a training
 step scores its batches' distinct items, eval every item. ``score_pairs``
-then only looks rows up.
+then only looks rows up. A pass keeps the encoder heads' statistics (mu and
+log sigma) and inputs only on ``elbo``, whose objective reads them; on every
+other variant they are dropped once the codes are taken.
 """
 
 from __future__ import annotations
@@ -105,7 +107,9 @@ def build_model(
 
 @dataclass
 class ForwardPass:
-    """Everything a loss or an evaluation needs from one forward sweep."""
+    """Everything a loss or an evaluation needs from one forward sweep, and
+    nothing more: ``codes`` are empty on ``base``, and ``enc_results`` and
+    ``enc_inputs`` are empty on every variant but ``elbo``."""
 
     users: np.ndarray  # sorted union of user indices the pass covers
     lam: float
@@ -113,8 +117,8 @@ class ForwardPass:
     s: dict[str, Value]  # per scored domain: towered user representations aligned with `users`
     t: dict[str, Value]  # per scored domain: towered item representations aligned with `items`
     codes: dict[str, Value] = field(default_factory=dict)
-    enc_results: dict[str, dis.EncodeResult] = field(default_factory=dict)
-    enc_inputs: dict[str, Value] = field(default_factory=dict)
+    enc_results: dict[str, dis.EncodeResult] = field(default_factory=dict)  # elbo only
+    enc_inputs: dict[str, Value] = field(default_factory=dict)  # elbo only
 
 
 def forward(
@@ -170,6 +174,10 @@ def forward(
         "sha": enc_results["aug"].z1,
         "spe_aug": enc_results["aug"].z2,
     }
+    if cfg.variant != "elbo":
+        # only the ELBO objective reads the heads' mu and log sigma: drop
+        # them now, so that they die before fusion and the towers run
+        enc_results, enc_inputs = {}, {}
 
     def fused_user_rep(tag: str) -> Value:
         other = "b" if tag == "a" else "a"

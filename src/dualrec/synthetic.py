@@ -9,10 +9,12 @@ domain calibrated so the expected interaction rate matches the requested
 one: a safeguarded Newton iteration brackets the bias in a few sweeps over
 the logits, then a replay of an 80-step bisection on [-30, 30] that
 evaluates only midpoints inside that bracket returns the bisection's exact
-bits. The generated hits then go through the same min-count filter and
-alignment as real data. Their codes are generator indices: a user's code is
-their generator row, the same in both domains, so the users that alignment
-keeps are generator rows.
+bits. A domain's logits are built and turned into probabilities in place,
+and its hits are drawn in row blocks, so it holds at most two full-size
+float arrays, freed before the next domain starts. The generated hits then
+go through the same min-count filter and alignment as real data. Their codes
+are generator indices: a user's code is their generator row, the same in
+both domains, so the users that alignment keeps are generator rows.
 """
 
 from __future__ import annotations
@@ -81,6 +83,8 @@ def _unit_rows(m: np.ndarray) -> np.ndarray:
 _NEWTON_SWEEPS = 12
 # The calibrated bias lies in [-_BIAS_BOUND, _BIAS_BOUND].
 _BIAS_BOUND = 30.0
+# Rows of uniform draws made at once when the hits are drawn.
+_DRAW_ROWS = 256
 
 
 def _calibrate_bias(logits: np.ndarray, rate: float) -> float:
@@ -116,8 +120,7 @@ def _calibrate_bias(logits: np.ndarray, rate: float) -> float:
     buf = np.empty(np.shape(logits), np.result_type(logits, 0.0))
 
     def sweep(b: float) -> np.ndarray:
-        np.add(logits, b, out=buf)
-        return expit(buf)
+        return expit(np.add(logits, b, out=buf), out=buf)
 
     below, above = -_BIAS_BOUND, _BIAS_BOUND
     target = math.log(rate) - math.log1p(-rate)
@@ -194,9 +197,13 @@ def _domain_logits(
     q_spe = rng.standard_normal((num_items, d)) / np.sqrt(d)
     q_ind = rng.standard_normal((num_items, d)) / np.sqrt(d)
     proj = _random_orthogonal(d, rng)
-    logits = spec.shared_strength * (shared @ q_sha.T)
-    logits += spec.specific_strength * (specific @ q_spe.T)
-    logits += spec.independent_strength * ((independent @ proj) @ q_ind.T)
+    # in place: one full-size temporary besides the logits
+    logits = shared @ q_sha.T
+    logits *= spec.shared_strength
+    term = np.matmul(specific, q_spe.T)
+    logits += np.multiply(spec.specific_strength, term, out=term)
+    np.matmul(independent @ proj, q_ind.T, out=term)
+    logits += np.multiply(spec.independent_strength, term, out=term)
     return logits
 
 
@@ -222,8 +229,14 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionSet, Interaction
         logits = _domain_logits(spec, rng, shared, specific, independent, num_items)
         bias = _calibrate_bias(logits, rate)
         _check_reachable(logits, rate, bias, domain)
-        prob = expit(logits + bias)
-        encoded.append(np.nonzero(rng.random(prob.shape) < prob))
+        prob = expit(np.add(logits, bias, out=logits), out=logits)
+        # row blocks of uniforms read the PCG64 stream as one full-size draw does
+        hits = np.empty(prob.shape, dtype=bool)
+        for start in range(0, len(prob), _DRAW_ROWS):
+            rows = slice(start, start + _DRAW_ROWS)
+            np.less(rng.random(prob[rows].shape), prob[rows], out=hits[rows])
+        encoded.append(np.nonzero(hits))
+        del logits, prob, hits  # domain B must not build on top of domain A's arrays
 
     try:
         (set_a, users_a), (set_b, users_b) = (

@@ -6,12 +6,15 @@ optimizes the summed objective (prediction losses plus the weighted
 disentanglement losses). Every random decision is keyed to (seed, stream,
 epoch, step, ...) so reruns are bit-identical.
 
-An epoch's samples are built as arrays: the positives from the train set's
-CSR rows, then the negatives that ``sample_train_negatives`` draws for them
-(looked up on this module at call time, once per domain and epoch). Each
-domain's samples feed a ``_batches`` generator; a step's batches travel as
-one dict keyed by domain tag, and ``step_losses`` scores each batch it is
-given. A non-finite loss or gradient aborts before the optimizer moves.
+An epoch's samples are one (n, 2) int32 array of (user, item) rows per
+domain: the positives from the train set's CSR rows, then the negatives that
+``sample_train_negatives`` draws for them (looked up on this module at call
+time, once per domain and epoch), plus the positive count. No label or
+int64 copy is stored: each domain's samples feed a ``_batches`` generator,
+which keeps its shuffle order as int32 and gives a batch's labels as
+``row < positive count``. A step's batches travel as one dict keyed by domain
+tag, and ``step_losses`` scores each batch it is given. A non-finite loss or
+gradient aborts before the optimizer moves.
 """
 
 from __future__ import annotations
@@ -105,39 +108,37 @@ class TrainResult:
     history: list[dict]
 
 
-def _epoch_arrays(
-    train, epoch: int, domain_id: int, config: RunConfig
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Positives plus freshly drawn negatives for one domain's epoch."""
+def _epoch_arrays(train, epoch: int, domain_id: int, config: RunConfig) -> tuple[np.ndarray, int]:
+    """One domain's epoch samples: (n, 2) int32 (user, item) rows, the
+    positives first and then freshly drawn negatives, and the positive count."""
+    n_pos = len(train.interactions)
+    bound = max(train.num_users, train.num_items, n_pos * (config.neg_ratio + 1))
+    if bound >= 1 << 31:
+        raise ValueError(f"int32 epoch samples need counts below 2**31, got {bound}")
     rng = np.random.default_rng([config.seed, _STREAM_NEGATIVES, epoch, domain_id])
     negatives = sample_train_negatives(train, config.neg_ratio, rng)
-    positives = train.interactions
-    users = np.concatenate([positives[:, 0], negatives[:, 0]])
-    items = np.concatenate([positives[:, 1], negatives[:, 1]])
-    labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
-    return users, items, labels
+    pairs = np.empty((n_pos + len(negatives), 2), dtype=np.int32)
+    pairs[:n_pos] = train.interactions
+    pairs[n_pos:] = negatives
+    return pairs, n_pos
 
 
-def _batches(
-    users: np.ndarray,
-    items: np.ndarray,
-    labels: np.ndarray,
-    config: RunConfig,
-    epoch: int,
-    domain_id: int,
-):
-    """Shuffled batches over one domain's epoch samples, recycling on demand.
+def _batches(pairs: np.ndarray, n_pos: int, config: RunConfig, epoch: int, domain_id: int):
+    """Shuffled (users, items, labels) batches over one domain's epoch
+    samples, recycling on demand.
 
-    When a pass runs out before the paired (larger) domain finishes its
-    epoch, the same samples are reshuffled under the next cycle key. An empty
-    domain yields empty batches.
+    A sample is a positive iff its row lies below ``n_pos``, so a batch's
+    labels are a bool array (``loss_prd`` reads them as 1.0 and 0.0). When a
+    pass runs out before the paired (larger) domain finishes its epoch, the
+    same samples are reshuffled under the next cycle key. An empty domain
+    yields empty batches.
     """
     for cycle in itertools.count():
         rng = np.random.default_rng([config.seed, _STREAM_SHUFFLE, epoch, domain_id, cycle])
-        order = rng.permutation(users.size)
+        order = rng.permutation(len(pairs)).astype(np.int32)
         for start in range(0, max(order.size, 1), config.batch_size):
             sel = order[start : start + config.batch_size]
-            yield users[sel], items[sel], labels[sel]
+            yield pairs[sel, 0], pairs[sel, 1], sel < n_pos
 
 
 def _noise_rngs(config: RunConfig, epoch: int, step: int, offset: int = 0):
@@ -284,9 +285,10 @@ def fit(
         # the larger domain sets the epoch's steps; the other recycles its samples
         streams, steps = {}, 1
         for domain_id, tag in enumerate(DOMAINS):
-            samples = _epoch_arrays(trains[tag], epoch, domain_id, cfg)
-            streams[tag] = _batches(*samples, cfg, epoch, domain_id)
-            steps = max(steps, math.ceil(samples[0].size / cfg.batch_size))
+            pairs, n_pos = _epoch_arrays(trains[tag], epoch, domain_id, cfg)
+            streams[tag] = _batches(pairs, n_pos, cfg, epoch, domain_id)
+            steps = max(steps, math.ceil(len(pairs) / cfg.batch_size))
+        del pairs  # the streams hold the samples; the next epoch's prep must not
         sums = {"total": 0.0, "prd_a": 0.0, "prd_b": 0.0, "cls1": 0.0, "cls2": 0.0}
         lam_sum = 0.0
 

@@ -7,12 +7,15 @@ Every pinned exit code is exercised: 0 success, 1 usage/config, 2 data,
 import argparse
 import hashlib
 import os
+import subprocess
+import sys
 import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+import dualrec
 from dualrec import autodiff as ad
 from dualrec import cli
 from dualrec import training as tr
@@ -784,3 +787,14 @@ class TestUsageAndSelfcheck:
         assert cli.main(["selfcheck", "--inject-gradient-fault"]) == cli.EXIT_USAGE
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("usage error:")
+
+
+class TestImports:
+    def test_cli_import_leaves_scipy_special_unloaded(self):
+        # only `synth` calls scipy.special; every other command starts without it
+        code = "import sys, dualrec.cli; print('scipy.special' in sys.modules)"
+        src = os.path.dirname(os.path.dirname(dualrec.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"

@@ -378,16 +378,15 @@ class TestSampleTrainNegatives:
     def test_excludes_seen(self):
         train = self.base_train()
         negs = d.sample_train_negatives(train, ratio=7, rng=0)
-        assert len(negs) == 3 * 7
-        for u, i, label in negs:
-            assert label == 0
+        assert negs.shape == (3 * 7, 2)
+        for u, i in negs:
             assert (u, i) not in pair_set(train)
 
     def test_distinct_within_one_positive(self):
         train = self.base_train()
         negs = d.sample_train_negatives(train, ratio=7, rng=1)
         for start in range(0, len(negs), 7):
-            block = [i for _, i, _ in negs[start:start + 7]]
+            block = [i for _, i in negs[start:start + 7]]
             assert len(set(block)) == 7
 
     def test_exhausted_pool_takes_all_and_warns(self, caplog):
@@ -404,7 +403,7 @@ class TestSampleTrainNegatives:
         counts = {2: 0, 3: 0}
         rng = np.random.default_rng(123)
         for _ in range(5000):
-            for _, i, _ in d.sample_train_negatives(train, ratio=1, rng=rng):
+            for _, i in d.sample_train_negatives(train, ratio=1, rng=rng):
                 counts[i] += 1
         total = sum(counts.values())
         assert total == 10000
@@ -431,7 +430,7 @@ class TestSampleTrainNegatives:
         seen = (0, 5000, 10003)
         train = self.base_train(num_items=10004, seen=seen)
         negs = d.sample_train_negatives(train, ratio=201, rng=3)
-        assert negs.shape == (3 * 201, 3)
+        assert negs.shape == (3 * 201, 2)
         for block in negs[:, 1].reshape(3, 201):
             assert len(set(block.tolist())) == 201
             assert not set(block.tolist()) & set(seen)
@@ -445,7 +444,7 @@ class TestSampleTrainNegatives:
         counts = np.zeros(23)
         rng = np.random.default_rng(99)
         for _ in range(epochs):
-            for _, i, _ in d.sample_train_negatives(train, ratio=7, rng=rng):
+            for _, i in d.sample_train_negatives(train, ratio=7, rng=rng):
                 counts[i] += 1
         draws = epochs * 3 * 7
         p = 1 / pool
@@ -518,7 +517,7 @@ def reference_train_negatives(train, ratio, rng):
             chosen = pool
         else:
             chosen = gen.choice(pool, size=ratio, replace=False)
-        out.extend((u, int(item), 0) for item in chosen)
+        out.extend((u, int(item)) for item in chosen)
     return out, warned
 
 
@@ -531,7 +530,7 @@ def assert_negatives_match_reference(train, ratio, make_rng):
     expected, _ = reference_train_negatives(train, ratio, ref_gen)
     got = d.sample_train_negatives(train, ratio, gen)
     assert got.dtype == np.int64
-    np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 3))
+    np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 2))
     assert gen.bit_generator.state == ref_gen.bit_generator.state
 
 
@@ -587,8 +586,8 @@ class TestSamplersMatchReference:
         train = random_train(40, 60, rng, 25)
         expected, _ = reference_train_negatives(train, ratio, [seed, 7])
         got = d.sample_train_negatives(train, ratio, np.random.default_rng([seed, 7]))
-        assert got.dtype == np.int64 and got.shape == (len(expected), 3)
-        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 3))
+        assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 2))
 
     def test_exhausted_pools_bitwise_and_warned_once_per_user(self, caplog):
         # users 0 and 2 leave fewer than 7 unseen items; user 1 does not
@@ -598,7 +597,7 @@ class TestSamplersMatchReference:
         expected, warned = reference_train_negatives(train, 7, 5)
         with caplog.at_level(logging.WARNING, logger="dualrec.data"):
             got = d.sample_train_negatives(train, 7, 5)
-        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 3))
+        np.testing.assert_array_equal(got, np.array(expected, dtype=np.int64).reshape(-1, 2))
         warnings = [r.getMessage() for r in caplog.records if "unseen" in r.getMessage()]
         assert warned == {0, 2}
         assert len(warnings) == 2
@@ -607,7 +606,7 @@ class TestSamplersMatchReference:
     def test_no_positives_draws_nothing(self):
         train = random_train(3, 5, np.random.default_rng(0), 0)
         got = d.sample_train_negatives(train, 7, 0)
-        assert got.shape == (0, 3) and got.dtype == np.int64
+        assert got.shape == (0, 2) and got.dtype == np.int64
 
     def test_pool_exactly_ratio_wide(self):
         # user 0's pool is 7 items: its first Floyd bound is 0 and draws nothing

@@ -209,7 +209,7 @@ class TestForward:
 
     def test_lambda_endpoints_reproduce_pure_domains(self):
         adj_a, adj_b = adjacencies()
-        m = md.build_model(adj_a, adj_b, config())
+        m = md.build_model(adj_a, adj_b, config(variant="elbo"))  # keeps enc_inputs
         users = np.arange(4)
         at_one = md.forward(m, users, 1.0)
         at_zero = md.forward(m, users, 0.0)
@@ -231,12 +231,23 @@ class TestForward:
 
     def test_deterministic_path_equals_mu(self):
         adj_a, adj_b = adjacencies()
-        m = md.build_model(adj_a, adj_b, config())
+        m = md.build_model(adj_a, adj_b, config(variant="elbo"))
         fwd = md.forward(m, np.arange(4), 0.5)
         for branch in md.BRANCHES:
             res = fwd.enc_results[branch]
             np.testing.assert_array_equal(res.z1.data, res.mu1.data)
             np.testing.assert_array_equal(res.z2.data, res.mu2.data)
+
+    @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "base"])
+    def test_only_elbo_keeps_encoder_statistics(self, variant):
+        adj_a, adj_b = adjacencies()
+        m = md.build_model(adj_a, adj_b, config(variant=variant))
+        fwd = md.forward(m, np.arange(4), 0.5, noise_rngs=_noise_rngs(m.config, 0, 0))
+        assert len(fwd.codes) == 6
+        if variant == "elbo":
+            assert set(fwd.enc_results) == set(fwd.enc_inputs) == set(md.BRANCHES)
+        else:
+            assert fwd.enc_results == {} and fwd.enc_inputs == {}
 
 
 class TestScorePairs:

@@ -9,6 +9,7 @@ import gc
 import hashlib
 import io
 import math
+import tracemalloc
 import weakref
 from types import SimpleNamespace
 
@@ -60,22 +61,31 @@ class TestEpochArrays:
     def test_composition_and_negative_validity(self):
         split_a, _ = tiny_splits()
         cfg = config(neg_ratio=3)
-        users, items, labels = tr._epoch_arrays(split_a.train, 2, 0, cfg)
-        n_pos = len(split_a.train.interactions)
-        assert users.size == items.size == labels.size == n_pos * 4
-        assert np.all(labels[:n_pos] == 1.0) and np.all(labels[n_pos:] == 0.0)
-        for u, i, y in zip(users, items, labels):
-            if y == 0.0:
-                assert (int(u), int(i)) not in pair_set(split_a.train)
+        pairs, n_pos = tr._epoch_arrays(split_a.train, 2, 0, cfg)
+        assert n_pos == len(split_a.train.interactions)
+        assert pairs.shape == (n_pos * 4, 2)
+        np.testing.assert_array_equal(pairs[:n_pos], split_a.train.interactions)
+        for u, i in pairs[n_pos:]:
+            assert (int(u), int(i)) not in pair_set(split_a.train)
 
     def test_epoch_key_changes_negatives(self):
         split_a, _ = tiny_splits()
         cfg = config()
-        _, items_e0, _ = tr._epoch_arrays(split_a.train, 0, 0, cfg)
-        _, items_e1, _ = tr._epoch_arrays(split_a.train, 1, 0, cfg)
-        _, items_e0_again, _ = tr._epoch_arrays(split_a.train, 0, 0, cfg)
+        items_e0 = tr._epoch_arrays(split_a.train, 0, 0, cfg)[0][:, 1]
+        items_e1 = tr._epoch_arrays(split_a.train, 1, 0, cfg)[0][:, 1]
+        items_e0_again = tr._epoch_arrays(split_a.train, 0, 0, cfg)[0][:, 1]
         np.testing.assert_array_equal(items_e0, items_e0_again)
         assert not np.array_equal(items_e0, items_e1)
+
+    @pytest.mark.parametrize("num_users,num_items,n_pos", [
+        (1 << 31, 5, 1), (5, 1 << 31, 1), (5, 5, 1 << 30),
+    ])
+    def test_counts_reaching_2_to_the_31_raise(self, num_users, num_items, n_pos):
+        # at ratio 1, 2**30 positives make 2**31 samples; the stand-in holds no bytes
+        train = SimpleNamespace(num_users=num_users, num_items=num_items,
+                                interactions=np.empty((n_pos, 0)))
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            tr._epoch_arrays(train, 0, 0, config(neg_ratio=1))
 
 
 def reference_epoch_arrays(train, epoch, domain_id, cfg):
@@ -83,19 +93,25 @@ def reference_epoch_arrays(train, epoch, domain_id, cfg):
     rng = np.random.default_rng([cfg.seed, tr._STREAM_NEGATIVES, epoch, domain_id])
     negatives, _ = reference_train_negatives(train, cfg.neg_ratio, rng)
     positives = sorted(pair_set(train))
-    users = np.array([u for u, _ in positives] + [u for u, _, _ in negatives], dtype=np.int64)
-    items = np.array([i for _, i in positives] + [i for _, i, _ in negatives], dtype=np.int64)
+    users = np.array([u for u, _ in positives + negatives], dtype=np.int64)
+    items = np.array([i for _, i in positives + negatives], dtype=np.int64)
     labels = np.concatenate([np.ones(len(positives)), np.zeros(len(negatives))])
     return users, items, labels
 
 
 class TestEpochArraysMatchReference:
+    """The int32 (user, item) rows, and the bool labels that their positive
+    count gives, hold the reference's values."""
+
     def assert_bitwise(self, train, epoch, domain_id, cfg):
-        got = tr._epoch_arrays(train, epoch, domain_id, cfg)
-        expected = reference_epoch_arrays(train, epoch, domain_id, cfg)
-        for g, e in zip(got, expected):
-            assert g.dtype == e.dtype and g.shape == e.shape
-            np.testing.assert_array_equal(g, e)
+        pairs, n_pos = tr._epoch_arrays(train, epoch, domain_id, cfg)
+        labels = np.arange(len(pairs)) < n_pos
+        users, items, ref_labels = reference_epoch_arrays(train, epoch, domain_id, cfg)
+        assert pairs.dtype == np.int32 and pairs.shape == (users.size, 2)
+        assert labels.dtype == np.bool_
+        np.testing.assert_array_equal(pairs[:, 0], users)
+        np.testing.assert_array_equal(pairs[:, 1], items)
+        np.testing.assert_array_equal(labels, ref_labels)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     @pytest.mark.parametrize("neg_ratio", [1, 3, 7])
@@ -132,11 +148,11 @@ class TestSamplerLookup:
         splits = tiny_splits()
         cfg = config(neg_ratio=3)
         for domain_id, split in enumerate(splits):
-            _, _, labels = tr._epoch_arrays(split.train, 0, domain_id, cfg)
+            pairs, n_pos = tr._epoch_arrays(split.train, 0, domain_id, cfg)
             assert len(calls) == domain_id + 1
             train, drawn = calls[-1]
             assert train is split.train
-            assert drawn == int((labels == 0.0).sum()) == 3 * len(split.train.interactions)
+            assert drawn == len(pairs) - n_pos == 3 * len(split.train.interactions)
 
     def test_fit_draws_once_per_domain_per_epoch(self, calls):
         split_a, split_b = tiny_splits()
@@ -210,18 +226,32 @@ class TestHookLookup:
         }
 
 
+def sample_pairs(users, items):
+    return np.stack([users, items], axis=1).astype(np.int32)
+
+
 class TestBatchStream:
     def test_cycle_covers_every_sample(self):
         users = np.arange(10)
-        stream = tr._batches(users, users * 2, np.ones(10), config(batch_size=4), 0, 0)
+        stream = tr._batches(sample_pairs(users, users * 2), 10, config(batch_size=4), 0, 0)
         cycle = [next(stream) for _ in range(3)]
         assert [b[0].size for b in cycle] == [4, 4, 2]
         seen = np.concatenate([b[0] for b in cycle])
         assert sorted(seen.tolist()) == list(range(10))
+        for users_b, items_b, _ in cycle:
+            np.testing.assert_array_equal(items_b, users_b * 2)
+
+    def test_labels_mark_rows_below_the_positive_count(self):
+        users = np.arange(10)
+        stream = tr._batches(sample_pairs(users, users), 4, config(batch_size=4), 0, 0)
+        for _ in range(6):
+            users_b, _, labels = next(stream)
+            assert labels.dtype == np.bool_
+            np.testing.assert_array_equal(labels, users_b < 4)
 
     def test_recycles_with_fresh_shuffle(self):
         users = np.arange(10)
-        stream = tr._batches(users, users, np.ones(10), config(batch_size=4), 0, 0)
+        stream = tr._batches(sample_pairs(users, users), 10, config(batch_size=4), 0, 0)
         first_cycle = [next(stream)[0] for _ in range(3)]
         second_cycle = [next(stream)[0] for _ in range(3)]
         assert sorted(np.concatenate(second_cycle).tolist()) == list(range(10))
@@ -229,15 +259,22 @@ class TestBatchStream:
 
     def test_empty_domain_yields_empty_batches(self):
         empty = np.arange(0)
-        stream = tr._batches(empty, empty, np.ones(0), config(batch_size=4), 0, 0)
+        stream = tr._batches(sample_pairs(empty, empty), 0, config(batch_size=4), 0, 0)
         assert [next(stream)[0].size for _ in range(3)] == [0, 0, 0]
 
     def test_stream_is_deterministic(self):
         users = np.arange(7)
-        a = tr._batches(users, users, np.ones(7), config(batch_size=3), 1, 1)
-        b = tr._batches(users, users, np.ones(7), config(batch_size=3), 1, 1)
+        a = tr._batches(sample_pairs(users, users), 7, config(batch_size=3), 1, 1)
+        b = tr._batches(sample_pairs(users, users), 7, config(batch_size=3), 1, 1)
         for _ in range(5):
             np.testing.assert_array_equal(next(a)[0], next(b)[0])
+
+    def test_order_is_the_int64_permutation(self):
+        # the shuffle draws rng.permutation(n) and only then narrows it to int32
+        users = np.arange(9)
+        stream = tr._batches(sample_pairs(users, users), 9, config(batch_size=9), 2, 1)
+        rng = np.random.default_rng([0, tr._STREAM_SHUFFLE, 2, 1, 0])
+        np.testing.assert_array_equal(next(stream)[0], rng.permutation(9))
 
 
 class TestStepLambda:
@@ -595,6 +632,52 @@ class TestTapeSize:
         )
         total, _ = tr.step_losses(model, fwd, {"a": batch_a, "b": batch_b})
         assert len(ad._toposort(total.node)) == self.NODES[variant]
+
+
+class TestStepMemory:
+    """tracemalloc peak of the second ``fit`` step on the 150-user spec,
+    ``TestTapeSize``'s config: the most that numpy arrays and Python objects
+    allocated since ``fit`` began held at once between the first and the
+    second optimizer update. That covers the epoch's samples, the batch
+    streams, Adam's moments and the step's own arrays and tape. The peaks
+    are pinned as upper bounds with 3% slack, so a change that makes a step
+    hold more has to re-pin them and say why."""
+
+    PEAK_BYTES = {"full": 1_126_400, "base": 684_300}
+    SLACK = 1.03
+
+    class Stop(Exception):
+        pass
+
+    @pytest.mark.parametrize("variant", sorted(PEAK_BYTES))
+    def test_second_step_peak(self, leak_splits, monkeypatch, variant):
+        split_a, split_b = leak_splits
+        cfg = RunConfig(k=8, batch_size=256, neg_ratio=1, eval_negatives=20,
+                        variant=variant, seed=3)
+        assert cfg.fusion == "attention"
+        model = md.build_model(
+            build_bipartite_adjacency(split_a.train),
+            build_bipartite_adjacency(split_b.train),
+            cfg,
+        )
+        peaks = []
+        adam_step = optim.Adam.step
+
+        def step(optimizer):
+            adam_step(optimizer)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.reset_peak()
+            if len(peaks) == 2:
+                raise self.Stop
+
+        monkeypatch.setattr(optim.Adam, "step", step)
+        tracemalloc.start()
+        try:
+            with pytest.raises(self.Stop):
+                tr.fit(model, split_a, split_b)
+        finally:
+            tracemalloc.stop()
+        assert peaks[1] <= self.PEAK_BYTES[variant] * self.SLACK
 
 
 class TestTrainedBitsPinned:
