@@ -16,7 +16,9 @@ and every stage works on those arrays. Training negatives are drawn for a
 whole epoch at once on the generator's uint32 stream, as ``Generator.choice``
 would draw them one positive at a time. Candidate freezing takes each test
 user's pool from a boolean mask over all items and makes one
-``Generator.choice`` call per test user. Writing an artifact turns
+``Generator.choice`` call per test user; a domain's frozen candidates are
+one (n_test, n_candidates) int32 array, from freezing through the artifact
+to ranking, so a domain has fewer than 2**31 items. Writing an artifact turns
 index arrays into text through one table of decimal strings; reading one
 parses its numbers in bulk and rejects out-of-range indices, repeated lines
 and unusable candidate lists with :class:`ArtifactError`.
@@ -122,7 +124,7 @@ class SplitDataset:
     train: InteractionSet
     # one (user, held-out item) row per test user, an (n_test, 2) int64 array
     test: np.ndarray
-    # each test user's frozen candidates: their row of one (n_test, n_cand) int64 array
+    # each test user's frozen candidates: their row of one (n_test, n_cand) int32 array
     eval_candidates: dict[int, np.ndarray] | None = None
 
 
@@ -433,8 +435,11 @@ def _floyd_picks(pool: np.ndarray, ratio: int, stream: _Uint32Stream) -> np.ndar
     span[:, :ratio] = (pool - ratio + 1)[:, None] + np.arange(ratio)
     span[:, ratio:] = np.arange(ratio, 1, -1)
     drawn = np.zeros_like(span)
-    live = span > 1  # only a pool exactly ``ratio`` wide has a span of 1
-    drawn[live] = _lemire(span[live], stream)
+    if (pool > ratio).all():  # every span is at least 2: draw straight into ``drawn``
+        _lemire(span.reshape(-1), stream, drawn.reshape(-1))
+    else:
+        live = span > 1  # only a pool exactly ``ratio`` wide has a span of 1
+        drawn[live] = _lemire(span[live], stream, np.empty(np.count_nonzero(live), np.uint64))
     picks = drawn[:, :ratio]
     for t in range(1, ratio):
         pick = picks[:, t]
@@ -451,25 +456,27 @@ def _floyd_picks(pool: np.ndarray, ratio: int, stream: _Uint32Stream) -> np.ndar
     return picks
 
 
-def _lemire(span: np.ndarray, stream: _Uint32Stream) -> np.ndarray:
+def _lemire(span: np.ndarray, stream: _Uint32Stream, out: np.ndarray) -> np.ndarray:
     """One draw in ``[0, s)`` for each ``s`` of ``span`` (uint64, 2 to 2**32), in order.
 
     Each draw is Lemire's ``(x * s) >> 32`` on the next uint32 ``x``, taken
     again while the product's low word is below ``2**32 mod s``. Every draw
     gets its word at once; a rejection (under ``s / 2**32`` per draw) shifts
-    the later draws by one word and recomputes them.
+    the later draws by one word and recomputes them. The products are formed
+    in ``out`` (uint64, as long as ``span``), which ends up holding the
+    draws and is returned.
     """
     word = stream.take(span.size)
-    out = np.empty(span.size, dtype=np.uint64)
     start = 0
     while True:
-        product = word[start:] * span[start:]
+        product = np.multiply(word[start:], span[start:], out=out[start:])
         low = product & 0xFFFFFFFF
         check = np.flatnonzero(low < span[start:])
         s = span[start:][check]
         rejected = check[low[check] < (2**32 - s) % s]
+        del low  # freed before a rejection's next pass makes its own
         stop = rejected[0] if rejected.size else product.size
-        out[start : start + stop] = product[:stop] >> 32
+        product[:stop] >>= 32
         if not rejected.size:
             return out
         start += stop
@@ -481,16 +488,21 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
     """Freeze ``n`` negative candidates per test user for ranking.
 
     A user's pool is every item outside their train positives and their
-    held-out item, in ascending order. The draws fill one (n_test, n) int64
-    array in test order, and each test user maps to their row of it.
+    held-out item, in ascending order. The draws fill one (n_test, n) int32
+    array in test order, and each test user maps to their row of it; 2**31
+    items or more raise ``ValueError``.
     """
     if n < 1:
         raise ConfigError("candidates must be >= 1")
+    if split.train.num_items >= 1 << 31:
+        raise ValueError(
+            f"candidates are int32 item indices, below 2**31 items, got {split.train.num_items}"
+        )
     gen = np.random.default_rng(rng)
     indptr, indices = split.train.indptr, split.train.indices
     all_items = np.arange(split.train.num_items)
     unseen = np.ones(split.train.num_items, dtype=bool)
-    rows = np.empty((len(split.test), n), dtype=np.int64)
+    rows = np.empty((len(split.test), n), dtype=np.int32)
     for row, (u, held) in zip(rows, split.test.tolist()):
         seen = indices[indptr[u] : indptr[u + 1]]
         unseen[seen] = False
@@ -606,14 +618,14 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     """Load a prepared-dataset directory back into a SplitDataset.
 
     Raises ArtifactError when a file is missing or malformed, when the
-    meta's ``num_users`` or ``num_items`` is below 1 or their product
-    reaches 2**63, when a train or test index lies outside the meta's
-    ``num_users`` x ``num_items``, or when a candidate line would corrupt the
+    meta's ``num_users`` or ``num_items`` is below 1, ``num_items`` reaches
+    2**31 or their product reaches 2**63, when a train or test index lies
+    outside the meta's ``num_users`` x ``num_items``, or when a candidate line would corrupt the
     ranking: a count other than the meta's ``n_candidates``, a repeated or
     out-of-range item, the user's held-out item or one of their train
     positives, or a test user without a line. A train pair or a test user
     that appears on two lines is rejected too. Each test user's candidates
-    are their row of the one parsed (n_test, n_cand) int64 array.
+    are their row of one (n_test, n_cand) int32 array.
     """
     paths = {name: os.path.join(dir_path, name) for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta")}
     for name, p in paths.items():
@@ -629,11 +641,16 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
         n_candidates = int(meta["n_candidates"]) if "n_candidates" in meta else None
     except (KeyError, ValueError) as exc:
         raise ArtifactError(f"meta lacks usable num_users/num_items/n_candidates: {exc}") from exc
-    # every pair key ``user * num_items + item`` must fit in int64
-    if num_users < 1 or num_items < 1 or num_users * num_items >= 1 << 63:
+    # candidates are int32 item indices, and every pair key
+    # ``user * num_items + item`` must fit in int64
+    if (
+        num_users < 1
+        or not 1 <= num_items < 1 << 31
+        or num_users * num_items >= 1 << 63
+    ):
         raise ArtifactError(
             f"{paths['meta']}: num_users = {num_users} and num_items = {num_items} must each "
-            "be >= 1, with num_users x num_items below 2**63"
+            "be >= 1, with num_items below 2**31 and num_users x num_items below 2**63"
         )
 
     train_pairs = _read_pairs(paths["train.tsv"], num_users, num_items)
@@ -649,7 +666,7 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
         paths["candidates.tsv"], cand_users, cands, train_pairs, test_pairs, num_users, num_items
     )
     train = InteractionSet.from_pairs(num_users, num_items, train_pairs)
-    candidates = dict(zip(cand_users.tolist(), cands))
+    candidates = dict(zip(cand_users.tolist(), cands.astype(np.int32)))
     return SplitDataset(train=train, test=test_pairs, eval_candidates=candidates), meta
 
 
@@ -742,8 +759,7 @@ def _check_candidates(
     There must be one row per test user; its items must be distinct, in
     range, and neither the user's held-out item nor a train positive. What
     each (user, item) pair is comes from one byte table over all users and
-    items, an eighth of the float64 score matrix ranking builds over the
-    test users and items.
+    items, the only users x items array the pipeline still builds.
     """
     if not np.array_equal(np.sort(users), np.sort(test_pairs[:, 0])):
         raise ArtifactError(f"{path}: candidate users differ from the test users")

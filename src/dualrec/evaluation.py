@@ -5,13 +5,18 @@ It is the training ``model.forward``, called without ``item_indices`` so it
 covers every item of both domains, and run under ``autodiff.no_grad``, so it
 records no tape and each intermediate is freed once the next layer no longer
 needs it. ``model_representations`` returns its (``s``, ``t``) pair per
-domain, keyed by domain tag. Each domain is then scored in one product of
-the row-normalised test-user and item representations; every user's
-candidate scores and held-out score are read out of it, and all users are
-ranked at once. A domain's frozen candidates are int64 rows (one per test
-user), stacked into one index array for that read-out. Ties rank the
-held-out item last within its tie class, so a degenerate model that scores
-everything equally earns rank 1000, not rank 1.
+domain, keyed by domain tag. Each domain's item representations are then
+row-normalised once, and its test users are scored in blocks of consecutive
+users, each block one product of its row-normalised user representations
+with the items, at most ``BLOCK_SCORES`` scores. A block's candidate scores
+and held-out scores are read out of its product, and its users are ranked
+at once; no users x items array is built. A domain's frozen candidates are
+int32 rows (one per test user), stacked per block into one index array for
+that read-out. The default ``synth`` spec fits each domain in one block, so
+its scores are the single product's; a gemm over a different row block may
+round differently in the last bit. Ties rank the held-out item last within
+its tie class, so a degenerate model that scores everything equally earns
+rank 1000, not rank 1.
 """
 
 from __future__ import annotations
@@ -27,6 +32,7 @@ from .data import ProtocolError, SplitDataset
 from .model import DOMAINS, ModelState, forward
 
 EVAL_LAMBDA = 0.5  # midpoint interpolation for the deterministic eval path
+BLOCK_SCORES = 1 << 22  # most scores of one ranking block: 32 MiB of float64
 
 
 def rank_with_ties(neg_scores: np.ndarray, pos_score: float | np.ndarray) -> int | np.ndarray:
@@ -97,16 +103,22 @@ def evaluate_domain(
     split: SplitDataset,
     top_k: int,
 ) -> DomainMetrics:
-    """Rank every test user of one domain."""
+    """Rank every test user of one domain, a block of users at a time."""
     if split.eval_candidates is None:
         raise ProtocolError("evaluation requires frozen candidate lists")
     if not len(split.test):
         return DomainMetrics(hr=0.0, ndcg=0.0, num_test=0, ranks={})
     users, held = split.test.T
-    cands = np.array([split.eval_candidates[u] for u in users.tolist()], dtype=np.int64)
-    scores = _normalize_rows(s[users]) @ _normalize_rows(t).T
-    pos = np.take_along_axis(scores, held[:, None], axis=1)[:, 0]
-    ranks = rank_with_ties(np.take_along_axis(scores, cands, axis=1), pos)
+    items = _normalize_rows(t).T
+    rows = max(1, BLOCK_SCORES // items.shape[1])
+    ranks = np.empty(users.size, dtype=np.int64)
+    for start in range(0, users.size, rows):
+        block = slice(start, start + rows)
+        cands = np.array([split.eval_candidates[u] for u in users[block].tolist()])
+        scores = _normalize_rows(s[users[block]]) @ items
+        pos = np.take_along_axis(scores, held[block, None], axis=1)[:, 0]
+        ranks[block] = rank_with_ties(np.take_along_axis(scores, cands, axis=1), pos)
+        del scores  # the next block's product must not meet this one
     hr, ndcg = metrics_at_k(ranks, top_k)
     # sequential sums in test order; np.sum's pairwise order can move ndcg by an ulp
     return DomainMetrics(

@@ -391,6 +391,8 @@ class TestBadArtifacts:
     @pytest.mark.parametrize("key,value", [
         # num_users x num_items reaches 2**63, where a pair key overflows int64
         ("num_items", "9223372036854775807"),
+        # candidates are int32 item indices
+        ("num_items", "2147483648"),
         ("num_items", "0"),
         ("num_users", "-1"),
     ])

@@ -482,6 +482,12 @@ class TestSampleEvalCandidates:
         with pytest.raises(d.ProtocolError):
             d.sample_eval_candidates(split, n=10, rng=0)
 
+    def test_2_to_the_31_items_raises(self):
+        # candidates are int32 item indices; the check comes before any array is made
+        split = self.make_split(num_items=1 << 31)
+        with pytest.raises(ValueError, match=r"2\*\*31"):
+            d.sample_eval_candidates(split, n=10, rng=0)
+
     def test_single_candidate_pool(self):
         # user saw 3 of 5 items; after holding one out the unseen pool is 2
         iset = d.InteractionSet.from_pairs(1, 5, {(0, 0), (0, 1), (0, 2)})
@@ -688,7 +694,7 @@ class TestSamplersMatchReference:
         got = d.sample_eval_candidates(split, n=25, rng=seed).eval_candidates
         expected = reference_eval_candidates(split, 25, seed)
         assert_same_candidates(got, expected)
-        assert {row.dtype for row in got.values()} == {np.dtype(np.int64)}
+        assert {row.dtype for row in got.values()} == {np.dtype(np.int32)}
 
     def test_default_spec_matches_reference(self):
         from dualrec.synthetic import SyntheticSpec, generate_synthetic
@@ -724,14 +730,14 @@ class TestArtifacts:
         assert meta["seed"] == "0"
         assert int(meta["num_users"]) == 3
 
-    def test_candidate_rows_are_int64_rows_of_one_array(self, tmp_path):
+    def test_candidate_rows_are_int32_rows_of_one_array(self, tmp_path):
         split = self.complete_split()
         out = tmp_path / "domain_a"
         d.write_split_artifact(str(out), split, {})
         loaded, _ = d.read_split_artifact(str(out))
         for cands in (split.eval_candidates, loaded.eval_candidates):
             rows = [cands[u] for u in split.test[:, 0].tolist()]
-            assert all(row.dtype == np.int64 and row.shape == (3,) for row in rows)
+            assert all(row.dtype == np.int32 and row.shape == (3,) for row in rows)
             assert rows[0].base is not None
             assert all(row.base is rows[0].base for row in rows)
 

@@ -6,6 +6,7 @@ evaluate_domain against the per-user loop it replaced.
 """
 
 import contextlib
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -48,6 +49,12 @@ def reference_evaluate_domain(s, t, split, top_k):
             ndcg_sum += float(1.0 / np.log2(rank + 1))
     n = max(1, len(split.test))
     return ranks, hr_sum / n, ndcg_sum / n
+
+
+@pytest.fixture(scope="module")
+def synth_splits():
+    set_a, set_b = generate_synthetic(SyntheticSpec(seed=1))
+    return freeze_splits(set_a, set_b, seed=1, n_candidates=400)
 
 
 def make_set(num_users, num_items, per_user, seed):
@@ -200,6 +207,75 @@ class TestEvaluateDomainMatchesReference:
         self.assert_matches(s, t, split, top_k=2)
 
 
+class TestBlockedRanking:
+    """Test users are scored and ranked in blocks of at most
+    ``BLOCK_SCORES`` scores. A gemm over a different row block may round
+    differently in the last bit, so scores are not compared across block
+    sizes; on continuous scores the ranks agree."""
+
+    @staticmethod
+    def count_blocks(monkeypatch):
+        blocks = []
+        rank = ev.rank_with_ties
+
+        def counting_rank(neg, pos):
+            blocks.append(len(pos))
+            return rank(neg, pos)
+
+        monkeypatch.setattr(ev, "rank_with_ties", counting_rank)
+        return blocks
+
+    @pytest.mark.parametrize("block_scores, sizes", [
+        (1, [1] * 20),                 # fewer scores than items still ranks a row
+        (3 * 50 + 49, [3] * 6 + [2]),  # a last block that is not full
+        (7 * 50, [7, 7, 6]),
+    ])
+    def test_blocks_rank_as_one_block(self, monkeypatch, block_scores, sizes):
+        rng = np.random.default_rng(block_scores)
+        split = random_split(rng, 30, 50, 20, 12)
+        s, t = rng.normal(size=(30, 6)), rng.normal(size=(50, 6))
+        blocks = self.count_blocks(monkeypatch)
+        one = ev.evaluate_domain(s, t, split, top_k=5)
+        assert blocks == [20]
+        monkeypatch.setattr(ev, "BLOCK_SCORES", block_scores)
+        blocks.clear()
+        blocked = ev.evaluate_domain(s, t, split, top_k=5)
+        assert blocks == sizes
+        assert blocked.ranks == one.ranks
+        assert list(blocked.ranks) == list(one.ranks)  # test order
+        assert blocked.hr == one.hr and blocked.ndcg == one.ndcg
+
+    def test_peak_memory_is_bounded_by_the_block(self, monkeypatch):
+        # one product of 2,000 test users x 1,000 items would be 16 MB of float64
+        rng = np.random.default_rng(0)
+        num_users, num_items = 2000, 1000
+        cands = rng.integers(num_items, size=(num_users, 100), dtype=np.int32)
+        split = SplitDataset(
+            train=make_set(num_users, num_items, 1, seed=0),
+            test=np.column_stack([np.arange(num_users), rng.integers(num_items, size=num_users)]),
+            eval_candidates=dict(zip(range(num_users), cands)),
+        )
+        s, t = rng.normal(size=(num_users, 16)), rng.normal(size=(num_items, 16))
+        monkeypatch.setattr(ev, "BLOCK_SCORES", 1 << 16)
+        tracemalloc.start()
+        try:
+            dm = ev.evaluate_domain(s, t, split, top_k=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert dm.num_test == num_users
+        assert peak < 2_000_000
+
+    def test_default_synth_spec_ranks_each_domain_in_one_block(self, monkeypatch, synth_splits):
+        blocks = self.count_blocks(monkeypatch)
+        rng = np.random.default_rng(1)
+        for split in synth_splits:
+            s = rng.normal(size=(split.train.num_users, 8))
+            t = rng.normal(size=(split.train.num_items, 8))
+            ev.evaluate_domain(s, t, split, top_k=10)
+        assert blocks == [len(split.test) for split in synth_splits]
+
+
 class TestEvaluateModel:
     def splits(self):
         return freeze_splits(make_set(8, 14, 5, seed=100),
@@ -257,11 +333,6 @@ class TestEvaluateModel:
 class TestUntapedEvaluation:
     """Evaluation runs the forward under no_grad; its reports equal those of a
     taped forward byte for byte, apart from the wall clock."""
-
-    @pytest.fixture(scope="class")
-    def synth_splits(self):
-        set_a, set_b = generate_synthetic(SyntheticSpec(seed=1))
-        return freeze_splits(set_a, set_b, seed=1, n_candidates=400)
 
     @staticmethod
     def report_text(model, split_a, split_b):
