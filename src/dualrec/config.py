@@ -11,16 +11,21 @@ class ConfigError(ValueError):
     pass
 
 
-VARIANTS = (
-    "full",
-    "fixed_lambda",
-    "base",
-    "elbo",
-    "wo_sha",
-    "wo_spe",
-    "wo_ind",
-    "transfer_ind",
-)
+# The one table of model variants, in the order ``ablate`` trains them: each
+# name maps to the codes its user towers fuse, per domain. "spe" and "ind"
+# are the domain's specific and independent codes, "sha" is the shared code
+# and "ind_other" the other domain's independent code (the transfer_ind
+# probe). An empty tuple (base) puts the towers on the raw graph embeddings.
+VARIANTS: dict[str, tuple[str, ...]] = {
+    "full": ("spe", "ind", "sha"),
+    "fixed_lambda": ("spe", "ind", "sha"),
+    "base": (),
+    "elbo": ("spe", "ind", "sha"),
+    "wo_sha": ("spe", "ind"),
+    "wo_spe": ("ind", "sha"),
+    "wo_ind": ("spe", "sha"),
+    "transfer_ind": ("spe", "ind", "sha", "ind_other"),
+}
 
 FUSIONS = ("concat", "sum", "attention")
 

@@ -286,8 +286,9 @@ def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
 
     When every record carries a timestamp the most recent one is withheld
     (ties broken by the larger item index); otherwise the withheld record is
-    drawn uniformly from the user's interactions under the given seed, with
-    one ``integers`` draw per user in user order.
+    drawn uniformly from the user's interactions under the given seed: one
+    ``integers`` call over the count vector, which draws as one call per user
+    in user order would.
     """
     gen = np.random.default_rng(rng)
     counts = np.diff(iset.indptr)
@@ -299,8 +300,7 @@ def leave_one_out_split(iset: InteractionSet, rng) -> SplitDataset:
         order = np.lexsort((iset.indices, iset.timestamps, iset.interactions[:, 0]))
         held = order[iset.indptr[1:] - 1]
     else:
-        draws = [gen.integers(n) for n in counts.tolist()]
-        held = iset.indptr[:-1] + np.array(draws, dtype=np.int64)
+        held = iset.indptr[:-1] + gen.integers(counts)
     kept = np.ones(iset.indices.size, dtype=bool)
     kept[held] = False
     train = replace(

@@ -3,9 +3,16 @@
 One ModelState holds the two adjacencies and one ``ad.Params`` with every
 trainable weight of both domains, named where it is drawn and kept in draw
 order. Layers, optimizers and save/load use the weights by these names, which
-are also the ``model.npz`` member names (the README tabulates them). Ablation
-variants reshape the structure here (which codes are fused, what the user
-tower consumes) so the training loop stays variant-agnostic.
+are also the ``model.npz`` member names (the README tabulates them).
+
+A variant reaches this module as its row of ``config.VARIANTS``, the codes
+its user towers fuse: ``build_model`` draws encoder, classifier and fusion
+weights only for a non-empty row and sizes each user tower by it, and
+``forward`` fuses those codes or, on the empty row (``base``), runs the
+towers on the raw graph embeddings. ``elbo`` is the one name read here (its
+decoders and encoder statistics). ``training`` reads the same row to skip
+λ, noise and the auxiliary losses on ``base``, and branches on ``elbo`` (its
+objective) and ``fixed_lambda`` (λ pinned at 0.5).
 
 Both domains run the same steps, so each step is one loop over ``DOMAINS``:
 a domain's weights carry its tag (``gcn_<tag>``, ``tow_<tag>.user``), and a
@@ -33,34 +40,12 @@ from . import disentangle as dis
 from . import fusion as fu
 from . import graph as gr
 from .autodiff import Value
-from .config import ConfigError, RunConfig, config_lines, parse_fields
+from .config import VARIANTS, ConfigError, RunConfig, config_lines, parse_fields
 from .data import ArtifactError, atomic_write
 from .mixup import interpolate
 
 DOMAINS = ("a", "b")
 BRANCHES = DOMAINS + ("aug",)
-
-# fusion component lists per variant, per domain; "ind_other" is the other
-# domain's independent code (the transfer_ind probe)
-_COMPONENTS = {
-    "full": ("spe", "ind", "sha"),
-    "fixed_lambda": ("spe", "ind", "sha"),
-    "elbo": ("spe", "ind", "sha"),
-    "wo_sha": ("spe", "ind"),
-    "wo_spe": ("ind", "sha"),
-    "wo_ind": ("spe", "sha"),
-    "transfer_ind": ("spe", "ind", "sha", "ind_other"),
-}
-
-
-def variant_components(variant: str) -> tuple[str, ...]:
-    if variant == "base":
-        return ()
-    try:
-        return _COMPONENTS[variant]
-    except KeyError:
-        raise ConfigError(f"unknown variant {variant!r}") from None
-
 
 @dataclass
 class ModelState:
@@ -84,7 +69,7 @@ def build_model(
     params = ad.Params(np.random.default_rng([config.seed, 0]), config.init_std)
     k, l = config.k, config.l
     gw = (l + 1) * k
-    components = variant_components(config.variant)
+    components = VARIANTS[config.variant]
 
     for tag, adjacency in zip(DOMAINS, (adjacency_a, adjacency_b)):
         gr.init_gcn_weights(params, f"gcn_{tag}", adjacency.size, k, l)
@@ -140,7 +125,7 @@ def forward(
     if item_indices is None:
         item_indices = {tag: np.arange(model.adjacency(tag).num_items) for tag in DOMAINS}
     items = {tag: np.asarray(idx, dtype=np.int64) for tag, idx in item_indices.items()}
-    components = variant_components(cfg.variant)
+    components = VARIANTS[cfg.variant]
     eu: dict[str, Value] = {}
     t: dict[str, Value] = {}
     # the encoders read both domains' users; base reads only the scored domains

@@ -6,6 +6,10 @@ import numpy as np
 
 from .autodiff import ContractError, Value
 
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to the root of the second moment
+
 
 class Adam:
     """Standard Adam with bias correction.
@@ -15,21 +19,17 @@ class Adam:
     update is deterministic given (params, grads, state).
     """
 
-    def __init__(self, params: dict[str, Value], lr: float = 0.001,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
+    def __init__(self, params: dict[str, Value], lr: float = 0.001):
         self.params = dict(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = {name: np.zeros_like(p.data) for name, p in self.params.items()}
         self.v = {name: np.zeros_like(p.data) for name, p in self.params.items()}
 
     def step(self) -> None:
         self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
+        bc1 = 1.0 - BETA1 ** self.t
+        bc2 = 1.0 - BETA2 ** self.t
         for name, p in self.params.items():
             g = p.grad
             if g is None:
@@ -39,11 +39,11 @@ class Adam:
                     f"gradient shape {g.shape} != parameter shape {p.data.shape} for {name!r}")
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + EPS)
 
     def zero_grad(self) -> None:
         for p in self.params.values():

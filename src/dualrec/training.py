@@ -32,18 +32,10 @@ from . import disentangle as dis
 from . import fusion as fu
 from . import graph as gr
 from .autodiff import Value
-from .config import RunConfig
+from .config import VARIANTS, RunConfig
 from .data import SplitDataset, sample_train_negatives
 from .mixup import sample_lambda
-from .model import (
-    BRANCHES,
-    DOMAINS,
-    ModelState,
-    build_model,
-    forward,
-    score_pairs,
-    variant_components,
-)
+from .model import BRANCHES, DOMAINS, ModelState, build_model, forward, score_pairs
 from .optim import Adam
 
 LOG_HEADER = "epoch\tloss_total\tloss_prd_A\tloss_prd_B\tloss_cls1\tloss_cls2\tlambda_mean"
@@ -155,7 +147,7 @@ def _step_lambda(config: RunConfig, epoch: int, step: int) -> float:
         return 0.5
     if config.fixed_lambda is not None:
         return config.fixed_lambda
-    if not variant_components(config.variant):
+    if not VARIANTS[config.variant]:
         return 0.5  # base variant never mixes; value is only logged
     rng = np.random.default_rng([config.seed, _STREAM_LAMBDA, epoch, step])
     return sample_lambda(config.mixup_alpha, rng)
@@ -210,7 +202,7 @@ def step_losses(
         weighted.append(prd)
         parts[f"prd_{tag}"] = prd.data.item()
 
-    if variant_components(cfg.variant):
+    if VARIANTS[cfg.variant]:
         if cfg.variant == "elbo":
             kl, recon = _elbo_terms(model, fwd)
             weighted.extend([kl, recon])
@@ -276,7 +268,7 @@ def fit(
         log_sink.write(LOG_HEADER + "\n")
     history: list[dict] = []
     trains = dict(zip(DOMAINS, (split_a.train, split_b.train)))
-    noisy = bool(variant_components(cfg.variant))  # base never encodes
+    noisy = bool(VARIANTS[cfg.variant])  # base never encodes
     # (noise offset, domains) per optimizer step; alternating updates A then B
     passes = ((0, ("a",)), (3, ("b",))) if cfg.alternating else ((0, DOMAINS),)
     last_grad = 0.0
@@ -356,10 +348,9 @@ def train_model(
     split_a: SplitDataset,
     split_b: SplitDataset,
     config: RunConfig,
-    log_sink=None,
 ) -> TrainResult:
     """Build adjacencies and a fresh model, then fit it."""
     adjacency_a = gr.build_bipartite_adjacency(split_a.train)
     adjacency_b = gr.build_bipartite_adjacency(split_b.train)
     model = build_model(adjacency_a, adjacency_b, config)
-    return fit(model, split_a, split_b, log_sink=log_sink)
+    return fit(model, split_a, split_b)

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from dualrec.config import ConfigError, RunConfig, config_lines, parse_fields
+from dualrec.config import VARIANTS, ConfigError, RunConfig, config_lines, parse_fields
 
 NON_FINITE_FIELDS = ("mixup_alpha", "mu1", "mu2", "gamma", "lr", "init_std", "fixed_lambda")
 
@@ -65,3 +65,23 @@ class TestValidate:
     def test_zero_eval_threads_rejected(self):
         with pytest.raises(ConfigError, match="eval_threads"):
             parse_fields(RunConfig, "eval_threads = 0")
+
+    @pytest.mark.parametrize("field", ["variant", "fusion"])
+    def test_unknown_name_rejected(self, field):
+        with pytest.raises(ConfigError, match="'nope'"):
+            parse_fields(RunConfig, f"{field} = nope")
+
+
+class TestVariants:
+    def test_component_lists(self):
+        # names in ablate order, each with the codes its user towers fuse
+        assert list(VARIANTS.items()) == [
+            ("full", ("spe", "ind", "sha")),
+            ("fixed_lambda", ("spe", "ind", "sha")),
+            ("base", ()),
+            ("elbo", ("spe", "ind", "sha")),
+            ("wo_sha", ("spe", "ind")),
+            ("wo_spe", ("ind", "sha")),
+            ("wo_ind", ("spe", "sha")),
+            ("transfer_ind", ("spe", "ind", "sha", "ind_other")),
+        ]

@@ -329,6 +329,21 @@ class TestLeaveOneOutSplit:
         split = d.leave_one_out_split(iset, rng=0)
         assert split.test.tolist() == [[0, 3]]
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 12345])
+    def test_draws_match_per_user_loop(self, seed):
+        shape = np.random.default_rng([seed, 99])
+        num_users, num_items = int(shape.integers(1, 60)), 400
+        pairs = {(u, int(i)) for u in range(num_users)
+                 for i in shape.choice(num_items, size=int(shape.integers(2, 300)), replace=False)}
+        iset = d.InteractionSet.from_pairs(num_users, num_items, pairs)
+        gen = np.random.default_rng(seed)
+        split = d.leave_one_out_split(iset, gen)
+        # the reference: one integers draw per user, in user order
+        ref = np.random.default_rng(seed)
+        held = [iset.indptr[u] + ref.integers(n) for u, n in enumerate(np.diff(iset.indptr))]
+        assert split.test.tolist() == [[u, int(iset.indices[h])] for u, h in enumerate(held)]
+        assert gen.bit_generator.state == ref.bit_generator.state
+
 
 class TestFilterColdItems:
     def test_shared_item_kept(self):

@@ -6,6 +6,8 @@ import pytest
 from dualrec import experiments as ex
 from dualrec.config import VARIANTS, ConfigError, RunConfig
 from dualrec.data import InteractionSet, freeze_splits
+from dualrec.evaluation import evaluate_model
+from dualrec.training import train_model
 
 
 def make_set(num_users, num_items, per_user, seed):
@@ -30,38 +32,32 @@ def config(**kw):
     return RunConfig(**base)
 
 
-class TestRunVariant:
-    def test_overrides_variant_and_keeps_rest(self):
-        split_a, split_b = tiny_splits()
-        report = ex.run_variant("wo_spe", split_a, split_b, config(variant="full"))
-        assert report.config.variant == "wo_spe"
-        assert report.config.k == 4
-
-    def test_rejects_unknown_tag(self):
-        split_a, split_b = tiny_splits()
-        with pytest.raises(ConfigError):
-            ex.run_variant("bogus", split_a, split_b, config())
-
-
 class TestAblate:
+    def test_rows_match_one_run_per_variant(self):
+        split_a, split_b = tiny_splits()
+        rows, _ = ex.ablate(split_a, split_b, config(variant="wo_spe"))
+        expected = []
+        for variant in VARIANTS:
+            model = train_model(split_a, split_b, config(variant=variant)).model
+            report = evaluate_model(model, split_a, split_b)
+            expected.append({"tag": variant,
+                             "hr_a": report.domain_a.hr, "ndcg_a": report.domain_a.ndcg,
+                             "hr_b": report.domain_b.hr, "ndcg_b": report.domain_b.ndcg})
+        assert rows == expected
+
     def test_eight_rows_in_variant_order(self):
         split_a, split_b = tiny_splits()
         rows, table = ex.ablate(split_a, split_b, config())
         assert len(rows) == len(VARIANTS) == 8
         assert [row["tag"] for row in rows] == list(VARIANTS)
         lines = table.strip().split("\n")
-        assert lines[0] == ex.ABLATION_HEADER
+        assert lines[0] == "variant\thr_a\tndcg_a\thr_b\tndcg_b"
         assert len(lines) == 1 + 8
         for row, line in zip(rows, lines[1:]):
             fields = line.split("\t")
             assert fields[0] == row["tag"]
             np.testing.assert_allclose(float(fields[1]), row["hr_a"], atol=5e-7)
             assert 0.0 <= row["hr_a"] <= 1.0 and 0.0 <= row["hr_b"] <= 1.0
-
-    def test_subset_of_variants(self):
-        split_a, split_b = tiny_splits()
-        rows, _ = ex.ablate(split_a, split_b, config(), variants=("base", "full"))
-        assert [row["tag"] for row in rows] == ["base", "full"]
 
 
 class TestSweep:

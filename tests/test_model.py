@@ -83,20 +83,6 @@ def params_digest(params) -> str:
     return h.hexdigest()
 
 
-class TestVariantComponents:
-    def test_component_lists(self):
-        assert md.variant_components("full") == ("spe", "ind", "sha")
-        assert md.variant_components("wo_sha") == ("spe", "ind")
-        assert md.variant_components("wo_spe") == ("ind", "sha")
-        assert md.variant_components("wo_ind") == ("spe", "sha")
-        assert md.variant_components("transfer_ind") == ("spe", "ind", "sha", "ind_other")
-        assert md.variant_components("base") == ()
-
-    def test_unknown_variant_raises(self):
-        with pytest.raises(ConfigError):
-            md.variant_components("nope")
-
-
 class TestBuildModel:
     def test_census_deterministic(self):
         adj_a, adj_b = adjacencies()

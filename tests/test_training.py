@@ -306,7 +306,9 @@ class TestFit:
     def test_log_lines_match_header(self):
         split_a, split_b = tiny_splits()
         sink = io.StringIO()
-        result = tr.train_model(split_a, split_b, config(epochs=3), log_sink=sink)
+        adjacencies = (build_bipartite_adjacency(split.train) for split in (split_a, split_b))
+        model = md.build_model(*adjacencies, config(epochs=3))
+        result = tr.fit(model, split_a, split_b, log_sink=sink)
         assert result.log_lines[0] == tr.LOG_HEADER
         assert len(result.log_lines) == 1 + 3
         n_cols = len(tr.LOG_HEADER.split("\t"))
