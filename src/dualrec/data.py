@@ -13,7 +13,7 @@ code of each kept user, alignment matches the domains on those codes, and
 no later stage holds a key. Interactions are stored as sorted CSR rows
 (:class:`InteractionSet`), a split's test pairs as one (n, 2) int64 array,
 and every stage works on those arrays. Training negatives are drawn for a
-whole epoch at once on the generator's uint32 stream, as ``Generator.choice``
+whole epoch at once on the generator's uint32 words, as ``Generator.choice``
 would draw them one positive at a time. Candidate freezing takes each test
 user's pool from a boolean mask over all items and makes one
 ``Generator.choice`` call per test user; a domain's frozen candidates are
@@ -333,18 +333,17 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     on the generator would give, one call per positive in this order, and
     the generator is left where those calls would leave it.
 
-    The whole epoch is drawn at once on the generator's uint32 stream, as
+    The whole epoch is drawn at once on the generator's uint32 words, as
     ``choice`` draws: Floyd's algorithm, then a shuffle of the picks, each
-    draw one Lemire bounded integer (see :func:`_floyd_picks`). NumPy does
-    otherwise in one regime, a pool of more than 10,000 items with
-    ``ratio > pool // 50``, where it shuffles the pool's tail; there the
-    draws differ from ``choice``'s but are still ``ratio`` distinct unseen
-    items, uniform over the pool. Resting on the stream is at least as
-    stable as resting on ``choice``: NumPy keeps bit-generator streams fixed
-    across versions but lets ``Generator`` methods change (NEP 19). These
-    stream facts hold for PCG64, the bit generator of
-    ``np.random.default_rng``, so another bit generator raises
-    ``ValueError``, as do ``ratio < 1`` and more than 2**32 items.
+    draw one Lemire bounded integer (see :func:`_floyd_picks`). The words are
+    the bit generator's ``next_uint32`` sequence, so this holds for any bit
+    generator. NumPy does otherwise in one regime, a pool of more than
+    10,000 items with ``ratio > pool // 50``, where it shuffles the pool's
+    tail; there the draws differ from ``choice``'s but are still ``ratio``
+    distinct unseen items, uniform over the pool. Like every other draw in
+    the program, this rests on NumPy ``Generator`` methods, so a NumPy change
+    to them moves the draws. ``ratio < 1`` and more than 2**32 items raise
+    ``ValueError``.
     """
     if ratio < 1:
         raise ValueError(f"negative ratio must be >= 1, got {ratio}")
@@ -353,10 +352,6 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
             f"negative sampling draws from at most 2**32 items, got {train.num_items}"
         )
     gen = np.random.default_rng(rng)
-    if not isinstance(gen.bit_generator, np.random.PCG64):
-        raise ValueError(
-            f"negative sampling needs a PCG64 generator, got {type(gen.bit_generator).__name__}"
-        )
     indptr, indices = train.indptr, train.indices
     degree = np.diff(indptr)
     for u in np.flatnonzero(degree > max(train.num_items - ratio, 0)).tolist():
@@ -370,9 +365,7 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     # each draw's index into its user's pool: 0, 1, ... for a whole pool
     picks = np.arange(width.sum()) - np.repeat(np.cumsum(width) - width, width)
     full = pos_pool >= ratio
-    stream = _Uint32Stream(gen.bit_generator)
-    picks[np.repeat(full, width)] = _floyd_picks(pos_pool[full], ratio, stream).ravel()
-    stream.close()
+    picks[np.repeat(full, width)] = _floyd_picks(pos_pool[full], ratio, gen).ravel()
     # pool index q of user u is item q + #(u's seen items at or below it): the
     # count of row u's ``indices - rank`` at or below q, each row offset to
     # its own stretch of one sorted array
@@ -386,48 +379,14 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     return out
 
 
-class _Uint32Stream:
-    """A PCG64 generator's ``next_uint32`` sequence, read in blocks.
-
-    PCG64 serves each 64-bit word as two uint32, the low half first, and
-    keeps the high half in its state (``has_uint32``, ``uinteger``) for the
-    next call. This reads whole words with ``random_raw`` and keeps the half
-    the same way, so after :meth:`close` the generator stands where as many
-    ``next_uint32`` calls would have left it.
-    """
-
-    def __init__(self, bit_generator: np.random.PCG64):
-        self._bits = bit_generator
-        state = bit_generator.state
-        self._has, self._half = state["has_uint32"], state["uinteger"]
-
-    def take(self, n: int) -> np.ndarray:
-        """The next ``n`` uint32 of the stream, widened to uint64."""
-        out = np.empty(n, dtype=np.uint64)
-        held = min(self._has, n)
-        out[:held] = self._half
-        self._has -= held
-        rest = n - held
-        if rest:
-            halves = self._bits.random_raw((rest + 1) // 2).astype("<u8", copy=False).view("<u4")
-            out[held:] = halves[:rest]
-            self._has, self._half = rest % 2, int(halves[-1])
-        return out
-
-    def close(self) -> None:
-        state = self._bits.state
-        state["has_uint32"], state["uinteger"] = self._has, self._half
-        self._bits.state = state
-
-
-def _floyd_picks(pool: np.ndarray, ratio: int, stream: _Uint32Stream) -> np.ndarray:
+def _floyd_picks(pool: np.ndarray, ratio: int, gen: np.random.Generator) -> np.ndarray:
     """Pool indices of ``choice(pool[p], ratio, replace=False)`` for each row p, in order.
 
     Row p makes Floyd's draws, one in ``[0, j]`` for each ``j = pool[p] - ratio
     ... pool[p] - 1`` (none when ``j`` is 0), taking ``j`` itself when the draw
     repeats an earlier pick; then it swaps pick ``i`` with a draw in
-    ``[0, i]`` for ``i = ratio - 1 ... 1``. Rows draw one after another on the
-    stream, so every row's draws are made at once and the rules are applied
+    ``[0, i]`` for ``i = ratio - 1 ... 1``. Rows draw one after another on
+    ``gen``, so every row's draws are made at once and the rules are applied
     one column at a time, across all rows.
     """
     width = 2 * ratio - 1
@@ -436,10 +395,10 @@ def _floyd_picks(pool: np.ndarray, ratio: int, stream: _Uint32Stream) -> np.ndar
     span[:, ratio:] = np.arange(ratio, 1, -1)
     drawn = np.zeros_like(span)
     if (pool > ratio).all():  # every span is at least 2: draw straight into ``drawn``
-        _lemire(span.reshape(-1), stream, drawn.reshape(-1))
+        _lemire(span.reshape(-1), gen, drawn.reshape(-1))
     else:
         live = span > 1  # only a pool exactly ``ratio`` wide has a span of 1
-        drawn[live] = _lemire(span[live], stream, np.empty(np.count_nonzero(live), np.uint64))
+        drawn[live] = _lemire(span[live], gen, np.empty(np.count_nonzero(live), np.uint64))
     picks = drawn[:, :ratio]
     for t in range(1, ratio):
         pick = picks[:, t]
@@ -456,17 +415,18 @@ def _floyd_picks(pool: np.ndarray, ratio: int, stream: _Uint32Stream) -> np.ndar
     return picks
 
 
-def _lemire(span: np.ndarray, stream: _Uint32Stream, out: np.ndarray) -> np.ndarray:
+def _lemire(span: np.ndarray, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     """One draw in ``[0, s)`` for each ``s`` of ``span`` (uint64, 2 to 2**32), in order.
 
-    Each draw is Lemire's ``(x * s) >> 32`` on the next uint32 ``x``, taken
-    again while the product's low word is below ``2**32 mod s``. Every draw
-    gets its word at once; a rejection (under ``s / 2**32`` per draw) shifts
-    the later draws by one word and recomputes them. The products are formed
-    in ``out`` (uint64, as long as ``span``), which ends up holding the
-    draws and is returned.
+    Each draw is Lemire's ``(x * s) >> 32`` on the next uint32 ``x`` of
+    ``gen``, the bit generator's ``next_uint32`` as ``integers(0, 2**32,
+    dtype=np.uint32)`` serves it, taken again while the product's low word
+    is below ``2**32 mod s``. Every draw gets its word at once; a rejection
+    (under ``s / 2**32`` per draw) shifts the later draws by one word and
+    recomputes them. The products are formed in ``out`` (uint64, as long as
+    ``span``), which ends up holding the draws and is returned.
     """
-    word = stream.take(span.size)
+    word = gen.integers(0, 1 << 32, size=span.size, dtype=np.uint32)
     start = 0
     while True:
         product = np.multiply(word[start:], span[start:], out=out[start:])
@@ -481,7 +441,7 @@ def _lemire(span: np.ndarray, stream: _Uint32Stream, out: np.ndarray) -> np.ndar
             return out
         start += stop
         word[start:-1] = word[start + 1 :]
-        word[-1:] = stream.take(1)
+        word[-1:] = gen.integers(0, 1 << 32, size=1, dtype=np.uint32)
 
 
 def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> SplitDataset:
@@ -769,6 +729,7 @@ def _check_candidates(
         raise ArtifactError(f"{path}: candidate item outside 0..{num_items - 1}")
     ordered = np.sort(cands, axis=1)
     repeated = (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+    del ordered  # freed before the table and the keys are built
     if repeated.any():
         raise ArtifactError(f"{path}: user {users[repeated.argmax()]} has a repeated candidate")
     kind = np.zeros((num_users, num_items), dtype=np.uint8)

@@ -103,7 +103,7 @@ class TrainResult:
 def _epoch_arrays(train, epoch: int, domain_id: int, config: RunConfig) -> tuple[np.ndarray, int]:
     """One domain's epoch samples: (n, 2) int32 (user, item) rows, the
     positives first and then freshly drawn negatives, and the positive count."""
-    n_pos = len(train.interactions)
+    n_pos = train.indices.size
     bound = max(train.num_users, train.num_items, n_pos * (config.neg_ratio + 1))
     if bound >= 1 << 31:
         raise ValueError(f"int32 epoch samples need counts below 2**31, got {bound}")

@@ -83,7 +83,7 @@ class TestEpochArrays:
     def test_counts_reaching_2_to_the_31_raise(self, num_users, num_items, n_pos):
         # at ratio 1, 2**30 positives make 2**31 samples; the stand-in holds no bytes
         train = SimpleNamespace(num_users=num_users, num_items=num_items,
-                                interactions=np.empty((n_pos, 0)))
+                                indices=np.broadcast_to(np.int64(0), (n_pos,)))
         with pytest.raises(ValueError, match=r"2\*\*31"):
             tr._epoch_arrays(train, 0, 0, config(neg_ratio=1))
 
