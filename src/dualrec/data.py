@@ -13,12 +13,12 @@ code of each kept user, alignment matches the domains on those codes, and
 no later stage holds a key. Interactions are stored as sorted CSR rows
 (:class:`InteractionSet`), a split's test pairs as one (n, 2) int64 array,
 and every stage works on those arrays. Training negatives are drawn for a
-whole epoch at once on the generator's uint32 words, as ``Generator.choice``
-would draw them one positive at a time. Candidate freezing takes each test
-user's pool from a boolean mask over all items and makes one
-``Generator.choice`` call per test user; a domain's frozen candidates are
-one (n_test, n_candidates) int32 array, from freezing through the artifact
-to ranking, so a domain has fewer than 2**31 items. Writing an artifact turns
+whole epoch at once with one ``Generator.integers`` call, as
+``Generator.choice`` would draw them one positive at a time. Candidate
+freezing takes each test user's pool from a boolean mask over all items and
+makes one ``Generator.choice`` call per test user; a domain's frozen
+candidates are one (n_test, n_candidates) int32 array, from freezing through
+the artifact to ranking, so a domain has fewer than 2**31 items. Writing an artifact turns
 index arrays into text through one table of decimal strings; reading one
 parses its numbers in bulk and rejects out-of-range indices, repeated lines
 and unusable candidate lists with :class:`ArtifactError`.
@@ -333,24 +333,18 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     on the generator would give, one call per positive in this order, and
     the generator is left where those calls would leave it.
 
-    The whole epoch is drawn at once on the generator's uint32 words, as
-    ``choice`` draws: Floyd's algorithm, then a shuffle of the picks, each
-    draw one Lemire bounded integer (see :func:`_floyd_picks`). The words are
-    the bit generator's ``next_uint32`` sequence, so this holds for any bit
+    The whole epoch is drawn at once, as ``choice`` draws: Floyd's
+    algorithm, then a shuffle of the picks, all of whose bounded draws are
+    one ``Generator.integers`` call (see :func:`_floyd_picks`), on any bit
     generator. NumPy does otherwise in one regime, a pool of more than
     10,000 items with ``ratio > pool // 50``, where it shuffles the pool's
     tail; there the draws differ from ``choice``'s but are still ``ratio``
     distinct unseen items, uniform over the pool. Like every other draw in
     the program, this rests on NumPy ``Generator`` methods, so a NumPy change
-    to them moves the draws. ``ratio < 1`` and more than 2**32 items raise
-    ``ValueError``.
+    to them moves the draws. ``ratio < 1`` raises ``ValueError``.
     """
     if ratio < 1:
         raise ValueError(f"negative ratio must be >= 1, got {ratio}")
-    if train.num_items > 1 << 32:
-        raise ValueError(
-            f"negative sampling draws from at most 2**32 items, got {train.num_items}"
-        )
     gen = np.random.default_rng(rng)
     indptr, indices = train.indptr, train.indices
     degree = np.diff(indptr)
@@ -383,22 +377,18 @@ def _floyd_picks(pool: np.ndarray, ratio: int, gen: np.random.Generator) -> np.n
     """Pool indices of ``choice(pool[p], ratio, replace=False)`` for each row p, in order.
 
     Row p makes Floyd's draws, one in ``[0, j]`` for each ``j = pool[p] - ratio
-    ... pool[p] - 1`` (none when ``j`` is 0), taking ``j`` itself when the draw
-    repeats an earlier pick; then it swaps pick ``i`` with a draw in
-    ``[0, i]`` for ``i = ratio - 1 ... 1``. Rows draw one after another on
-    ``gen``, so every row's draws are made at once and the rules are applied
-    one column at a time, across all rows.
+    ... pool[p] - 1``, taking ``j`` itself when the draw repeats an earlier
+    pick; then it swaps pick ``i`` with a draw in ``[0, i]`` for ``i = ratio -
+    1 ... 1``. Every row's draws are one ``gen.integers(0, span)`` call, which
+    makes each bounded draw as ``choice`` does, in row order (a span of 1
+    draws 0 and consumes nothing, as ``choice`` does for ``j = 0``); the rules
+    are then applied one column at a time, across all rows.
     """
     width = 2 * ratio - 1
-    span = np.empty((pool.size, width), dtype=np.uint64)  # each draw's j + 1
+    span = np.empty((pool.size, width), dtype=np.int64)  # each draw's j + 1
     span[:, :ratio] = (pool - ratio + 1)[:, None] + np.arange(ratio)
     span[:, ratio:] = np.arange(ratio, 1, -1)
-    drawn = np.zeros_like(span)
-    if (pool > ratio).all():  # every span is at least 2: draw straight into ``drawn``
-        _lemire(span.reshape(-1), gen, drawn.reshape(-1))
-    else:
-        live = span > 1  # only a pool exactly ``ratio`` wide has a span of 1
-        drawn[live] = _lemire(span[live], gen, np.empty(np.count_nonzero(live), np.uint64))
+    drawn = gen.integers(0, span)
     picks = drawn[:, :ratio]
     for t in range(1, ratio):
         pick = picks[:, t]
@@ -406,42 +396,13 @@ def _floyd_picks(pool: np.ndarray, ratio: int, gen: np.random.Generator) -> np.n
         for s in range(1, t):
             repeat |= picks[:, s] == pick
         np.subtract(span[:, t], 1, out=pick, where=repeat)
-    flat, row_start = drawn.reshape(-1), np.arange(0, drawn.size, width, dtype=np.uint64)
+    flat, row_start = drawn.reshape(-1), np.arange(0, drawn.size, width)
     for i in range(ratio - 1, 0, -1):
         at = row_start + drawn[:, width - i]
         swap = flat[at]
         flat[at] = picks[:, i]
         picks[:, i] = swap
     return picks
-
-
-def _lemire(span: np.ndarray, gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """One draw in ``[0, s)`` for each ``s`` of ``span`` (uint64, 2 to 2**32), in order.
-
-    Each draw is Lemire's ``(x * s) >> 32`` on the next uint32 ``x`` of
-    ``gen``, the bit generator's ``next_uint32`` as ``integers(0, 2**32,
-    dtype=np.uint32)`` serves it, taken again while the product's low word
-    is below ``2**32 mod s``. Every draw gets its word at once; a rejection
-    (under ``s / 2**32`` per draw) shifts the later draws by one word and
-    recomputes them. The products are formed in ``out`` (uint64, as long as
-    ``span``), which ends up holding the draws and is returned.
-    """
-    word = gen.integers(0, 1 << 32, size=span.size, dtype=np.uint32)
-    start = 0
-    while True:
-        product = np.multiply(word[start:], span[start:], out=out[start:])
-        low = product & 0xFFFFFFFF
-        check = np.flatnonzero(low < span[start:])
-        s = span[start:][check]
-        rejected = check[low[check] < (2**32 - s) % s]
-        del low  # freed before a rejection's next pass makes its own
-        stop = rejected[0] if rejected.size else product.size
-        product[:stop] >>= 32
-        if not rejected.size:
-            return out
-        start += stop
-        word[start:-1] = word[start + 1 :]
-        word[-1:] = gen.integers(0, 1 << 32, size=1, dtype=np.uint32)
 
 
 def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> SplitDataset:
@@ -580,9 +541,10 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     Raises ArtifactError when a file is missing or malformed, when the
     meta's ``num_users`` or ``num_items`` is below 1, ``num_items`` reaches
     2**31 or their product reaches 2**63, when a train or test index lies
-    outside the meta's ``num_users`` x ``num_items``, or when a candidate line would corrupt the
-    ranking: a count other than the meta's ``n_candidates``, a repeated or
-    out-of-range item, the user's held-out item or one of their train
+    outside the meta's ``num_users`` x ``num_items``, when ``num_users`` is
+    not 1 + the largest train user, or when a candidate line would corrupt
+    the ranking: a count other than the meta's ``n_candidates``, a repeated
+    or out-of-range item, the user's held-out item or one of their train
     positives, or a test user without a line. A train pair or a test user
     that appears on two lines is rejected too. Each test user's candidates
     are their row of one (n_test, n_cand) int32 array.
@@ -614,6 +576,13 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
         )
 
     train_pairs = _read_pairs(paths["train.tsv"], num_users, num_items)
+    # a split leaves every user a train pair, so the largest train user is the last
+    spanned = int(train_pairs[:, 0].max()) + 1 if train_pairs.size else 0
+    if num_users != spanned:
+        raise ArtifactError(
+            f"{paths['meta']}: num_users = {num_users}, but {paths['train.tsv']} "
+            f"spans {spanned} users"
+        )
     test_pairs = _read_pairs(paths["test.tsv"], num_users, num_items)
     pair = _repeated(train_pairs[:, 0] * num_items + train_pairs[:, 1])
     if pair is not None:

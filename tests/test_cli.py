@@ -340,7 +340,7 @@ class TestBadArtifacts:
         with open(path) as fh:
             lines = fh.read().splitlines()
         with open(path, "w") as fh:
-            fh.write("\n".join(edit(lines)) + "\n")
+            fh.write("".join(line + "\n" for line in edit(lines)))
 
     def assert_artifact_error(self, tmp_path, data_dir, capsys, match):
         capsys.readouterr()
@@ -403,6 +403,32 @@ class TestBadArtifacts:
 
         self.corrupt(data_dir, "meta", edit)
         self.assert_artifact_error(tmp_path, data_dir, capsys, f"{key} = {value} ")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("name,edit", [
+        # a users x items table this wide would not fit in memory
+        ("meta", lambda lines: [
+            "num_users = 1000000000000000" if line.startswith("num_users = ") else line
+            for line in lines
+        ]),
+        ("train.tsv", lambda lines: []),
+    ], ids=["huge_meta_num_users", "empty_train"])
+    def test_num_users_must_match_train(self, tmp_path, data_dir, capsys, command, name, edit):
+        run_dir = str(tmp_path / "run")
+        if command == "eval":
+            assert run_train(data_dir, run_dir) == cli.EXIT_OK
+        self.corrupt(data_dir, name, edit)
+        capsys.readouterr()
+        if command == "train":
+            code = run_train(data_dir, run_dir)
+        else:
+            code = cli.main(["eval", "--data", data_dir,
+                             "--model", os.path.join(run_dir, "model.npz"),
+                             "--out", str(tmp_path / "rep.txt")])
+        assert code == cli.EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("artifact error: ")
+        assert "num_users = " in err and "Traceback" not in err
 
     def test_eval_rejects_bad_candidates(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")

@@ -429,10 +429,16 @@ class TestSampleTrainNegatives:
         with pytest.raises(ValueError, match="ratio must be >= 1"):
             d.sample_train_negatives(self.base_train(), ratio=ratio, rng=0)
 
-    def test_more_than_2_to_the_32_items_raises(self):
-        train = d.InteractionSet.from_pairs(1, (1 << 32) + 1, [(0, 0)])
-        with pytest.raises(ValueError, match=r"2\*\*32"):
-            d.sample_train_negatives(train, ratio=7, rng=0)
+    def test_more_than_2_to_the_32_items_draws_as_choice(self):
+        # a pool of 2**32 + 1 items takes choice's 64-bit bounded draws
+        train = d.InteractionSet.from_pairs(1, (1 << 32) + 2, [(0, 0)])
+        gen, reference = np.random.default_rng(0), np.random.default_rng(0)
+        negs = d.sample_train_negatives(train, ratio=7, rng=gen)
+        np.testing.assert_array_equal(negs[:, 0], 0)
+        np.testing.assert_array_equal(
+            negs[:, 1], reference.choice((1 << 32) + 1, 7, replace=False) + 1
+        )
+        assert gen.bit_generator.state == reference.bit_generator.state
 
     def test_tail_shuffle_regime_draws_distinct_unseen_items(self):
         # a 10,001-item pool at ratio 201, where Generator.choice would shuffle
