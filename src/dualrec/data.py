@@ -542,12 +542,15 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     meta's ``num_users`` or ``num_items`` is below 1, ``num_items`` reaches
     2**31 or their product reaches 2**63, when a train or test index lies
     outside the meta's ``num_users`` x ``num_items``, when ``num_users`` is
-    not 1 + the largest train user, or when a candidate line would corrupt
-    the ranking: a count other than the meta's ``n_candidates``, a repeated
-    or out-of-range item, the user's held-out item or one of their train
-    positives, or a test user without a line. A train pair or a test user
-    that appears on two lines is rejected too. Each test user's candidates
-    are their row of one (n_test, n_cand) int32 array.
+    not 1 + the largest train user or exceeds the train lines, when
+    ``num_items`` exceeds the train lines plus ``num_users`` (every item was
+    seen, and the split moves at most one pair per user out of train), or
+    when a candidate line would corrupt the ranking: a count other than the
+    meta's ``n_candidates``, a repeated or out-of-range item, the user's
+    held-out item or one of their train positives, or a test user without a
+    line. A train pair or a test user that appears on two lines is rejected
+    too. Each test user's candidates are their row of one (n_test, n_cand)
+    int32 array.
     """
     paths = {name: os.path.join(dir_path, name) for name in ("train.tsv", "test.tsv", "candidates.tsv", "meta")}
     for name, p in paths.items():
@@ -582,6 +585,18 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
         raise ArtifactError(
             f"{paths['meta']}: num_users = {num_users}, but {paths['train.tsv']} "
             f"spans {spanned} users"
+        )
+    # every user keeps a train pair, and every item was seen by some user,
+    # of whom the split moved at most one pair each out of train
+    if num_users > len(train_pairs):
+        raise ArtifactError(
+            f"{paths['meta']}: num_users = {num_users} exceeds the "
+            f"{len(train_pairs)} lines of {paths['train.tsv']}"
+        )
+    if num_items > len(train_pairs) + num_users:
+        raise ArtifactError(
+            f"{paths['meta']}: num_items = {num_items} exceeds the {len(train_pairs)} lines "
+            f"of {paths['train.tsv']} plus num_users = {num_users}"
         )
     test_pairs = _read_pairs(paths["test.tsv"], num_users, num_items)
     pair = _repeated(train_pairs[:, 0] * num_items + train_pairs[:, 1])

@@ -33,14 +33,14 @@ SIGMA_BIAS_INIT = -2.0
 @dataclass
 class EncodeResult:
     """Codes plus the distribution parameters behind them (needed by the
-    ELBO objective)."""
+    ELBO objective); log sigma is ``None`` on a pass that draws no noise."""
 
     z1: Value
     z2: Value
     mu1: Value
-    log_sigma1: Value
+    log_sigma1: Value | None
     mu2: Value
-    log_sigma2: Value
+    log_sigma2: Value | None
 
 
 def init_disentangle_weights(params: ad.Params, name: str, in_width: int, k: int) -> None:
@@ -62,22 +62,21 @@ def init_domain_classifier(params: ad.Params, name: str, k: int) -> None:
 def encode(
     e: Value, params: dict[str, Value], name: str, rng: np.random.Generator | None = None
 ) -> EncodeResult:
-    """Two reparameterized codes from one branch input; noise is drawn iff ``rng`` is given."""
+    """Two reparameterized codes from one branch input; noise and log sigma iff ``rng`` is given."""
     h = ad.relu(ad.affine(e, params[f"{name}.w0"], params[f"{name}.b0"]))
 
-    def run_head(head: str) -> tuple[Value, Value, Value]:
+    def run_head(head: str) -> tuple[Value, Value, Value | None]:
         prefix = f"{name}.{head}"
         mu = ad.affine(h, params[f"{prefix}.w_mu"], params[f"{prefix}.b_mu"])
+        if rng is None:
+            return mu, mu, None
         log_sigma = ad.clamp(
             ad.affine(h, params[f"{prefix}.w_sigma"], params[f"{prefix}.b_sigma"]),
             -ad.LOG_SIGMA_BOUND,
             ad.LOG_SIGMA_BOUND,
         )
-        if rng is not None:
-            eps = rng.standard_normal(mu.shape)
-            z = ad.add(mu, ad.mul_const(ad.exp(log_sigma), eps))
-        else:
-            z = mu
+        eps = rng.standard_normal(mu.shape)
+        z = ad.add(mu, ad.mul_const(ad.exp(log_sigma), eps))
         return z, mu, log_sigma
 
     z1, mu1, ls1 = run_head("h1")

@@ -298,6 +298,7 @@ def pinned_rows(tag, num_users, num_items):
     return rows
 
 
+@pytest.mark.pins
 class TestArtifactBytes:
     """``synth`` and ``prepare`` write byte-for-byte the pinned artifacts."""
 
@@ -348,6 +349,25 @@ class TestBadArtifacts:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("artifact error: ")
         assert match in err
+
+    def assert_rejected_under(self, command, tmp_path, data_dir, capsys, edits, match):
+        """``command`` on the data after ``edits`` exits 3 with one line naming ``match``."""
+        run_dir = str(tmp_path / "run")
+        if command == "eval":
+            assert run_train(data_dir, run_dir) == cli.EXIT_OK
+        for name, edit in edits:
+            self.corrupt(data_dir, name, edit)
+        capsys.readouterr()
+        if command == "train":
+            code = run_train(data_dir, run_dir)
+        else:
+            code = cli.main(["eval", "--data", data_dir,
+                             "--model", os.path.join(run_dir, "model.npz"),
+                             "--out", str(tmp_path / "rep.txt")])
+        assert code == cli.EXIT_ARTIFACT
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("artifact error: ")
+        assert match in err and "Traceback" not in err
 
     def test_train_item_out_of_range(self, tmp_path, data_dir, capsys):
         def edit(lines):
@@ -414,21 +434,26 @@ class TestBadArtifacts:
         ("train.tsv", lambda lines: []),
     ], ids=["huge_meta_num_users", "empty_train"])
     def test_num_users_must_match_train(self, tmp_path, data_dir, capsys, command, name, edit):
-        run_dir = str(tmp_path / "run")
-        if command == "eval":
-            assert run_train(data_dir, run_dir) == cli.EXIT_OK
-        self.corrupt(data_dir, name, edit)
-        capsys.readouterr()
-        if command == "train":
-            code = run_train(data_dir, run_dir)
-        else:
-            code = cli.main(["eval", "--data", data_dir,
-                             "--model", os.path.join(run_dir, "model.npz"),
-                             "--out", str(tmp_path / "rep.txt")])
-        assert code == cli.EXIT_ARTIFACT
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("artifact error: ")
-        assert "num_users = " in err and "Traceback" not in err
+        self.assert_rejected_under(command, tmp_path, data_dir, capsys, [(name, edit)],
+                                   "num_users = ")
+
+    @pytest.mark.parametrize("command", ["train", "eval"])
+    @pytest.mark.parametrize("edits,match", [
+        # no train line names most of these items, yet each sizes the tables
+        ([("meta", lambda lines: [
+            "num_items = 2000000000" if line.startswith("num_items = ") else line
+            for line in lines
+        ])], "num_items = 2000000000 "),
+        # one train line spans 10**15 users that keep no train pair
+        ([("train.tsv", lambda lines: lines + ["1000000000000000\t0"]),
+          ("meta", lambda lines: [
+              "num_users = 1000000000000001" if line.startswith("num_users = ") else line
+              for line in lines
+          ])], "num_users = 1000000000000001 "),
+    ], ids=["huge_meta_num_items", "huge_train_user"])
+    def test_meta_count_beyond_train_lines(self, tmp_path, data_dir, capsys, command, edits,
+                                           match):
+        self.assert_rejected_under(command, tmp_path, data_dir, capsys, edits, match)
 
     def test_eval_rejects_bad_candidates(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")

@@ -600,6 +600,7 @@ class TestInteractionCsr:
         assert train.interactions.shape == (0, 2)
 
 
+@pytest.mark.pins
 class TestSamplersMatchReference:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     @pytest.mark.parametrize("ratio", [1, 7])

@@ -60,12 +60,18 @@ class TestEncode:
         assert np.array_equal(o1.z1.data, o2.z1.data)
         assert np.array_equal(o1.z2.data, o2.z2.data)
 
+    def test_noise_free_pass_forms_no_log_sigma(self):
+        weights = zero_weights(6, 3)
+        out = dis.encode(Value(np.ones((4, 6))), weights, "enc")
+        assert out.log_sigma1 is None and out.log_sigma2 is None
+        assert out.z1 is out.mu1 and out.z2 is out.mu2
+
     def test_monte_carlo_mean_matches_mu(self):
         rng = np.random.default_rng(1)
         weights = ad.Params(rng, 0.5)
         dis.init_disentangle_weights(weights, "enc", 4, 2)
         e = Value(rng.standard_normal((1, 4)))
-        det = dis.encode(e, weights, "enc")
+        det = dis.encode(e, weights, "enc", rng=np.random.default_rng(0))
         draws = 10_000
         noise_rng = np.random.default_rng(2)
         acc = np.zeros((1, 2))
@@ -79,7 +85,7 @@ class TestEncode:
         weights = zero_weights(4, 2)
         weights["enc.b0"].data[:] = 0.0
         weights["enc.h1.b_sigma"].data[:] = 50.0
-        out = dis.encode(Value(np.zeros((2, 4))), weights, "enc")
+        out = dis.encode(Value(np.zeros((2, 4))), weights, "enc", rng=np.random.default_rng(0))
         assert (out.log_sigma1.data == ad.LOG_SIGMA_BOUND).all()
 
 

@@ -94,6 +94,7 @@ class TestBuildModel:
         with pytest.raises(ad.ContractError, match="gcn_a.e0"):
             m1.params.new("gcn_a.e0", (1, 1))
 
+    @pytest.mark.pins
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_initial_parameters_pinned(self, variant, fusion):
@@ -223,6 +224,17 @@ class TestForward:
             res = fwd.enc_results[branch]
             np.testing.assert_array_equal(res.z1.data, res.mu1.data)
             np.testing.assert_array_equal(res.z2.data, res.mu2.data)
+
+    def test_noise_free_pass_forms_no_log_sigma(self, monkeypatch):
+        # 2 GCN layers per domain, 3 encoder trunks and their 6 mu heads
+        adj_a, adj_b = adjacencies()
+        m = md.build_model(adj_a, adj_b, config(variant="full", l=2))
+        calls = []
+        for op in ("affine", "clamp"):
+            real = getattr(ad, op)
+            monkeypatch.setattr(ad, op, lambda *a, op=op, real=real: calls.append(op) or real(*a))
+        model_representations(m)
+        assert calls == ["affine"] * 13
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "base"])
     def test_only_elbo_keeps_encoder_statistics(self, variant):

@@ -557,6 +557,7 @@ def test_fit_leaves_malloc_alone(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.pins
 class TestFirstStepGolden:
     """First-step loss parts on the 150-user spec, pinned at 1e-12 relative.
 
@@ -602,6 +603,7 @@ class TestFirstStepGolden:
             assert parts[key] == pytest.approx(want, rel=1e-12, abs=0.0), key
 
 
+@pytest.mark.pins
 class TestTapeSize:
     """Tape nodes of the first step's loss on the 150-user spec, leaves
     included (58 on ``full``, 18 on ``base``); each affine layer is one node,
@@ -682,6 +684,7 @@ class TestStepMemory:
         assert peaks[1] <= self.PEAK_BYTES[variant] * self.SLACK
 
 
+@pytest.mark.pins
 class TestTrainedBitsPinned:
     """sha256 over every parameter's name and bits after three ``fit`` steps.
 
