@@ -150,7 +150,10 @@ def _cmd_eval(args) -> int:
     adjacency_b = build_bipartite_adjacency(split_b.train)
     model = load_model(args.model, adjacency_a, adjacency_b)
     model.config = _with_flags(model.config, args)
-    report = evaluate_model(model, split_a, split_b)
+    try:
+        report = evaluate_model(model, split_a, split_b)
+    except ArtifactError as exc:
+        raise ArtifactError(f"model file {args.model}: {exc}") from None
     atomic_write(args.out, report.to_text())
     print(f"hr_a = {report.domain_a.hr:.6f}, ndcg_a = {report.domain_a.ndcg:.6f}")
     print(f"hr_b = {report.domain_b.hr:.6f}, ndcg_b = {report.domain_b.ndcg:.6f}")

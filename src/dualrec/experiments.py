@@ -2,9 +2,10 @@
 
 Both are one sweep over a ``RunConfig`` field: ``ablate`` over ``variant``,
 in the order of ``config.VARIANTS``, and ``sweep`` over the field that a
-``SWEEPABLE`` parameter names. Every config is checked before the first
-model trains. Every run in a table shares the same frozen splits and
-candidate lists, so rows differ only in the model under test.
+``SWEEPABLE`` parameter names. Every config, and its ``top_k`` against the
+candidates of each split, is checked before the first model trains. Every
+run in a table shares the same frozen splits and candidate lists, so rows
+differ only in the model under test.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import replace
 
 from .config import SWEEPABLE, VARIANTS, ConfigError, RunConfig, parse_field
 from .data import SplitDataset
-from .evaluation import evaluate_model
+from .evaluation import check_top_k, evaluate_model
 from .training import train_model
 
 
@@ -30,6 +31,8 @@ def _sweep_field(
     configs = [replace(config, **{field: value}) for value in values]
     for cfg in configs:
         cfg.validate()
+        for split in (split_a, split_b):
+            check_top_k(split, cfg.top_k)
     rows = []
     lines = [f"{column}\thr_a\tndcg_a\thr_b\tndcg_b"]
     for cfg in configs:

@@ -18,6 +18,7 @@ import pytest
 import dualrec
 from dualrec import autodiff as ad
 from dualrec import cli
+from dualrec import experiments
 from dualrec import training as tr
 from dualrec.config import RunConfig
 from dualrec.training import NumericalAbortError
@@ -549,6 +550,20 @@ class TestBadModelFiles:
         err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
         assert "tow_a.item.1 holds non-finite values" in err
 
+    @pytest.mark.parametrize("tower", ["user", "item"])
+    def test_finite_weights_that_overflow_a_norm(self, tmp_path, data_dir, capsys, tower):
+        # every value stays finite, but a representation's norm overflows to inf
+        def edit(arrays):
+            for tag in ("a", "b"):
+                arrays[f"tow_{tag}.{tower}.1"] *= 1e300
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # a warning would print lines of its own
+            err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        assert [str(w.message) for w in caught] == []
+        assert os.path.join(str(tmp_path / "run"), "model.npz") in err
+        assert f"a {tower} representation has a non-finite norm" in err
+
 
 class TestTrainEval:
     def test_train_then_eval(self, tmp_path, data_dir):
@@ -683,6 +698,22 @@ class TestTrainEval:
         assert code == cli.EXIT_NUMERIC
         assert not run_dir.exists()
 
+    def test_eval_top_k_above_the_candidates_is_one_line_data_error(self, tmp_path, data_dir,
+                                                                    capsys):
+        # 20 candidates: ranks run 1..21, so top_k = 21 would make every rank a hit
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top_k = 21\n")
+        run_dir = str(tmp_path / "run")
+        assert run_train(data_dir, run_dir, ("--config", str(cfg))) == cli.EXIT_OK
+        report = tmp_path / "rep.txt"
+        capsys.readouterr()
+        code = cli.main(["eval", "--data", data_dir,
+                         "--model", os.path.join(run_dir, "model.npz"), "--out", str(report)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user\n"
+        assert not report.exists()
+
     def test_eval_threads_below_one_is_one_line_usage_error(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")
         assert run_train(data_dir, run_dir) == cli.EXIT_OK
@@ -717,6 +748,20 @@ class TestAblateSweep:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("usage error: ")
         assert not out.exists()
+
+    def test_ablate_top_k_above_the_candidates_trains_nothing(self, tmp_path, data_dir,
+                                                              capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top_k = 21\n")
+        out = tmp_path / "ablation.tsv"
+        trained = []
+        monkeypatch.setattr(experiments, "train_model", lambda *args: trained.append(args))
+        capsys.readouterr()
+        code = cli.main(["ablate", "--data", data_dir, "--out", str(out), "--config", str(cfg)])
+        assert code == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user\n"
+        assert trained == [] and not out.exists()
 
     def test_sweep_grid(self, tmp_path, data_dir):
         out = str(tmp_path / "sweep.tsv")

@@ -2,10 +2,12 @@
 
 rank_with_ties is validated against a sort-based oracle that breaks ties by
 placing the held-out item after every equal-scoring candidate, and
-evaluate_domain against the per-user loop it replaced.
+evaluate_domain against the per-user loop it replaced. rank_domain, the one
+ranking path, is also checked through the popularity and item-kNN scorers.
 """
 
 import contextlib
+import hashlib
 import tracemalloc
 from dataclasses import replace
 
@@ -16,7 +18,7 @@ from dualrec import evaluation as ev
 from dualrec import model as md
 from dualrec.autodiff import NORM_EPS
 from dualrec.config import RunConfig
-from dualrec.data import InteractionSet, ProtocolError, SplitDataset, freeze_splits
+from dualrec.data import ArtifactError, InteractionSet, ProtocolError, SplitDataset, freeze_splits
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import train_model
@@ -157,6 +159,22 @@ class TestEvaluateDomain:
         with pytest.raises(ProtocolError):
             ev.evaluate_domain(s, t, bare, top_k=2)
 
+    def test_top_k_above_the_candidates_is_rejected(self):
+        # two candidates: ranks run 1..3, so top_k = 3 would make every rank a hit
+        split, s, t = self.hand_fixture()
+        with pytest.raises(ProtocolError, match="top_k = 3 exceeds the 2 candidates"):
+            ev.evaluate_domain(s, t, split, top_k=3)
+
+    @pytest.mark.parametrize("scale_rows", ["s", "t"])
+    def test_overflowing_norm_is_rejected(self, scale_rows):
+        # finite rows whose norm overflows would normalise to zeros and tie everything
+        split, s, t = self.hand_fixture()
+        reps = {"s": s, "t": t}
+        reps[scale_rows] = reps[scale_rows] * 1e300
+        with np.errstate(all="raise"):  # a floating-point warning would fail here
+            with pytest.raises(ArtifactError, match="non-finite norm"):
+                ev.evaluate_domain(reps["s"], reps["t"], split, top_k=2)
+
 
 
 def random_split(rng, num_users, num_items, n_test, n_cands):
@@ -276,6 +294,62 @@ class TestBlockedRanking:
         assert blocks == [len(split.test) for split in synth_splits]
 
 
+class TestRankDomain:
+    """``rank_domain`` with scorers other than the model's."""
+
+    # the 100-epoch reference rows of ROADMAP's rung S table: HR@10, NDCG@10 per domain
+    REFERENCE = {
+        "popularity": ((0.035, 0.014), (0.029, 0.014)),
+        "item_knn": ((0.057, 0.028), (0.039, 0.016)),
+    }
+
+    @pytest.mark.parametrize("scorer", sorted(REFERENCE))
+    def test_reference_rows(self, synth_splits, scorer):
+        for split, row in zip(synth_splits, self.REFERENCE[scorer]):
+            dm = ev.rank_domain(getattr(ev, f"{scorer}_scorer")(split), split, top_k=10)
+            assert dm.num_test == 488
+            assert (round(dm.hr, 3), round(dm.ndcg, 3)) == row
+
+    def test_constant_scorer_ranks_every_held_out_item_last(self, synth_splits):
+        for split in synth_splits:
+            dm = ev.rank_domain(lambda users: np.ones((len(users), split.train.num_items)),
+                                split, top_k=10)
+            assert set(dm.ranks.values()) == {400 + 1}
+            assert dm.hr == 0.0 and dm.ndcg == 0.0
+
+    def test_popularity_ranks_equal_across_block_sizes(self, monkeypatch, synth_splits):
+        split = synth_splits[0]
+        one = ev.rank_domain(ev.popularity_scorer(split), split, top_k=10)
+        monkeypatch.setattr(ev, "BLOCK_SCORES", 37 * split.train.num_items)
+        blocks = TestBlockedRanking.count_blocks(monkeypatch)
+        blocked = ev.rank_domain(ev.popularity_scorer(split), split, top_k=10)
+        assert len(blocks) == -(-len(split.test) // 37)
+        assert list(blocked.ranks.items()) == list(one.ranks.items())
+        assert blocked.hr == one.hr and blocked.ndcg == one.ndcg
+
+    def test_item_knn_similarity(self):
+        # cosines: items 0 and 1 share both their users (1), each shares one of
+        # its two with item 2 (1/2); item 3 has no user, so it scores 0
+        pairs = [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 2)]
+        split = SplitDataset(train=InteractionSet.from_pairs(3, 4, pairs),
+                             test=np.zeros((0, 2), dtype=np.int64), eval_candidates={})
+        scores = ev.item_knn_scorer(split)(np.arange(3))
+        np.testing.assert_allclose(scores, [[1.5, 1.5, 1, 0], [1, 1, 1, 0], [0.5, 0.5, 0, 0]],
+                                   rtol=1e-15)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_score_is_rejected(self, synth_splits, bad):
+        split = synth_splits[0]
+
+        def scorer(users):
+            scores = ev.popularity_scorer(split)(users).copy()
+            scores[-1] = bad
+            return scores
+
+        with pytest.raises(ArtifactError, match="non-finite score"):
+            ev.rank_domain(scorer, split, top_k=10)
+
+
 class TestEvaluateModel:
     def splits(self):
         return freeze_splits(make_set(8, 14, 5, seed=100),
@@ -358,3 +432,26 @@ class TestUntapedEvaluation:
         taped_report = self.report_text(model, split_a, split_b)
         assert taped == [False, True]
         assert taped_report == untaped_report
+
+
+@pytest.mark.pins
+class TestEvalReportPinned:
+    """The eval report of untrained models on seed-1 synth data keeps its
+    bytes, but for ``wallclock_s``: sha256 of the report lines, recorded
+    before the model's ranking moved onto ``rank_domain``."""
+
+    DIGESTS = {
+        "full": "81e24355cc5c8f1d503b818338473ad807f59d7806929c850f110c36c957196f",
+        "base": "9650907aadf6047724f0592d1c5dcee0f19e3e2bbffcdc2d49486f4ae42674e7",
+        "elbo": "70bd8befd5630e49b9a3aea94c84539bd276ec6246517d395085f6e262a08492",
+    }
+
+    @pytest.mark.parametrize("variant", sorted(DIGESTS))
+    def test_report_digest(self, synth_splits, variant):
+        split_a, split_b = synth_splits
+        model = md.build_model(build_bipartite_adjacency(split_a.train),
+                               build_bipartite_adjacency(split_b.train),
+                               RunConfig(variant=variant, seed=1))
+        lines = TestUntapedEvaluation.report_text(model, split_a, split_b)
+        digest = hashlib.sha256(("\n".join(lines) + "\n").encode()).hexdigest()
+        assert digest == self.DIGESTS[variant]

@@ -201,7 +201,7 @@ class TestHookLookup:
         split_a, split_b = tiny_splits()
         for stage in ("leave_one_out_split", "filter_cold_items", "sample_eval_candidates"):
             assert calls.pop(f"data.{stage}") == 2, stage
-        cfg = config(epochs=1)
+        cfg = config(epochs=1, top_k=3)  # at most the 3 candidates
         model = md.build_model(
             build_bipartite_adjacency(split_a.train),
             build_bipartite_adjacency(split_b.train),
