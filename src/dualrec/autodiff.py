@@ -157,10 +157,6 @@ class Value:
         self.node.grad = grad
 
     @property
-    def _parents(self) -> tuple[Node, ...]:
-        return self.node._parents
-
-    @property
     def _backward(self):
         return self.node._backward
 
@@ -368,6 +364,8 @@ def spmm(a: sp.spmatrix | sp.sparray, x: Value) -> Value:
 
 
 def gather_rows(x: Value, idx) -> Value:
+    """Rows ``idx`` of ``x``; the backward writes by rows when ``idx`` is
+    strictly increasing and otherwise scatter-adds, bitwise as ``np.add.at``."""
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
         raise ShapeError("gather_rows: index must be 1-D")

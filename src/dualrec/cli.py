@@ -1,14 +1,16 @@
 """Command-line entry point.
 
 Exit codes are part of the contract:
-  0 success, 1 usage or config error, 2 data or alignment error,
-  3 missing or malformed artifact, 4 numerical abort during training,
-  5 selfcheck failure.
+  0 success, 1 usage or config error (or an OS or memory error, such as an
+  unwritable output or an allocation that cannot be met), 2 data or
+  alignment error, 3 missing or malformed artifact, 4 numerical abort during
+  training, 5 selfcheck failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from dataclasses import fields, replace
@@ -25,7 +27,7 @@ from .data import (
     read_text,
     write_split_artifact,
 )
-from .evaluation import evaluate_model
+from .evaluation import check_top_k, evaluate_model
 from .experiments import ablate, sweep
 from .graph import build_bipartite_adjacency
 from .model import DOMAINS, load_model, save_model
@@ -77,6 +79,13 @@ def _load_data_dir(data_dir: str) -> tuple[SplitDataset, SplitDataset]:
     if split_a.train.num_users != split_b.train.num_users:
         raise ArtifactError("domain artifacts disagree on the aligned user count")
     return split_a, split_b
+
+
+def _check_out_dir(path: str) -> None:
+    """Fail before any work when the directory the ``--out`` file goes in is missing."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise FileNotFoundError(errno.ENOENT, "output directory not found", directory)
 
 
 def _write_prepared(out_dir: str, split_a, split_b, meta: dict) -> None:
@@ -134,6 +143,8 @@ def _cmd_train(args) -> int:
     keep_freed_heap()
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
+    for split in (split_a, split_b):
+        check_top_k(split, cfg.top_k)
     result = train_model(split_a, split_b, cfg)
     os.makedirs(args.out, exist_ok=True)  # after training: an abort leaves no run directory
     save_model(os.path.join(args.out, "model.npz"), result.model)
@@ -145,6 +156,7 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_out_dir(args.out)
     split_a, split_b = _load_data_dir(args.data)
     adjacency_a = build_bipartite_adjacency(split_a.train)
     adjacency_b = build_bipartite_adjacency(split_b.train)
@@ -163,6 +175,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_ablate(args) -> int:
     keep_freed_heap()
+    _check_out_dir(args.out)
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     _, table = ablate(split_a, split_b, cfg)
@@ -173,6 +186,7 @@ def _cmd_ablate(args) -> int:
 
 def _cmd_sweep(args) -> int:
     keep_freed_heap()
+    _check_out_dir(args.out)
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     values = [v for v in (piece.strip() for piece in args.grid.split(",")) if v]
@@ -279,6 +293,12 @@ def main(argv=None) -> int:
     except NumericalAbortError as exc:
         print(f"numerical abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
+    except OSError as exc:
+        print(f"os error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"out of memory: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -6,6 +6,11 @@ domain-shared) code; head 2 yields the domain-specific code. A single
 classifier is shared across branches: the specific codes are trained to be
 identifiable, the independent and shared codes to be indistinguishable.
 
+A head forms log sigma only on a pass that draws noise (``encode`` given an
+``rng``), since sigma only scales the noise: every noise-free pass, eval's
+among them, takes each code as its mu. So eval's ``full`` forward runs 13
+affine layers at ``l = 2``: 4 GCN, 3 encoder trunks and 6 mu heads.
+
 Both read their weights by name from a parameter dict: an encoder named
 ``enc_a`` reads ``enc_a.w0``, ``enc_a.b0`` and, per head ``h1``/``h2``,
 ``enc_a.h1.w_mu``, ``.b_mu``, ``.w_sigma`` and ``.b_sigma``; the classifier

@@ -6,7 +6,8 @@ of test users. It scores consecutive test users in blocks of at most
 ``BLOCK_SCORES`` scores, so no users x items array is built, reads each
 block's candidate and held-out scores out of them (a domain's frozen
 candidates are int32 rows, stacked per block into one index array) and ranks
-the block at once. Ties rank the held-out item last within its tie class, so
+the block at once (on rung M, 6,000 items, domain A takes 6 blocks of 699
+users). Ties rank the held-out item last within its tie class, so
 a scorer that scores everything equally earns rank 1000, not rank 1. A
 ``top_k`` above the candidates per test user, which makes every rank a hit,
 raises ``ProtocolError`` (CLI exit 2); a non-finite score raises

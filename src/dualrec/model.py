@@ -3,7 +3,8 @@
 One ModelState holds the two adjacencies and one ``ad.Params`` with every
 trainable weight of both domains, named where it is drawn and kept in draw
 order. Layers, optimizers and save/load use the weights by these names, which
-are also the ``model.npz`` member names (the README tabulates them).
+are also the ``model.npz`` member names (the README tabulates them, and
+``tests/test_readme.py`` checks that table against ``build_model``).
 
 A variant reaches this module as its row of ``config.VARIANTS``, the codes
 its user towers fuse: ``build_model`` draws encoder, classifier and fusion

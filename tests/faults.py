@@ -1,5 +1,8 @@
 """Wrong gradient rules, for tests that check the gradient checks.
 
+The shipped code has no fault switch: these rules reach it only through
+pytest's ``monkeypatch``.
+
 Bind one with ``monkeypatch.setattr(autodiff, "matmul", faulty_matmul)`` (or
 ``"affine"``, ``faulty_affine``; ``"spmm"``, ``transposeless_spmm``; ``"exp"``,
 ``untaped_drift_exp``): every

@@ -699,12 +699,16 @@ class TestTrainEval:
         assert not run_dir.exists()
 
     def test_eval_top_k_above_the_candidates_is_one_line_data_error(self, tmp_path, data_dir,
-                                                                    capsys):
-        # 20 candidates: ranks run 1..21, so top_k = 21 would make every rank a hit
+                                                                    spec_file, capsys):
+        # 20 candidates: ranks run 1..21, so top_k = 21 would make every rank a hit.
+        # The model trains on the same split frozen with 25 candidates, where
+        # top_k = 21 is valid.
+        wide = str(tmp_path / "wide")
+        assert cli.main(["synth", "--spec", spec_file, "--out", wide, "--candidates", "25"]) == 0
         cfg = tmp_path / "run.cfg"
         cfg.write_text("top_k = 21\n")
         run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir, ("--config", str(cfg))) == cli.EXIT_OK
+        assert run_train(wide, run_dir, ("--config", str(cfg))) == cli.EXIT_OK
         report = tmp_path / "rep.txt"
         capsys.readouterr()
         code = cli.main(["eval", "--data", data_dir,
@@ -713,6 +717,19 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert err == "data error: top_k = 21 exceeds the 20 candidates per test user\n"
         assert not report.exists()
+
+    def test_train_top_k_above_the_candidates_trains_nothing(self, tmp_path, data_dir,
+                                                             capsys, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("top_k = 21\n")
+        run_dir = tmp_path / "run"
+        trained = []
+        monkeypatch.setattr(cli, "train_model", lambda *args: trained.append(args))
+        capsys.readouterr()
+        assert run_train(data_dir, str(run_dir), ("--config", str(cfg))) == cli.EXIT_DATA
+        err = capsys.readouterr().err
+        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user\n"
+        assert trained == [] and not run_dir.exists()
 
     def test_eval_threads_below_one_is_one_line_usage_error(self, tmp_path, data_dir, capsys):
         run_dir = str(tmp_path / "run")
@@ -804,6 +821,51 @@ class TestAblateSweep:
         code = cli.main(["sweep", "--data", data_dir, "--param", "k",
                          "--grid", "4", "--out", str(tmp_path / "s.tsv")])
         assert code == cli.EXIT_USAGE
+
+
+class TestOsAndMemoryErrors:
+    """An output that cannot be written or an allocation that cannot be met
+    exits 1 with one line; a missing ``--out`` directory is found before any
+    model trains."""
+
+    def assert_one_line(self, capsys, argv, prefix):
+        capsys.readouterr()
+        assert cli.main(argv) == cli.EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(prefix), err
+
+    @pytest.mark.parametrize("command", ["ablate", "sweep"])
+    def test_missing_out_directory_trains_nothing(self, tmp_path, data_dir, capsys,
+                                                   monkeypatch, command):
+        trained = []
+        monkeypatch.setattr(experiments, "train_model", lambda *args: trained.append(args))
+        grid = ["--param", "lr", "--grid", "0.01"] if command == "sweep" else []
+        out = tmp_path / "missing" / "table.tsv"
+        self.assert_one_line(capsys, [command, "--data", data_dir, "--out", str(out), *grid],
+                             "os error: ")
+        assert trained == [] and not out.parent.exists()
+
+    def test_eval_missing_out_directory(self, tmp_path, data_dir, capsys):
+        run_dir = str(tmp_path / "run")
+        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+        out = tmp_path / "missing" / "report.txt"
+        self.assert_one_line(capsys, ["eval", "--data", data_dir, "--model",
+                                      os.path.join(run_dir, "model.npz"), "--out", str(out)],
+                             "os error: ")
+
+    def test_synth_out_below_a_file(self, tmp_path, spec_file, capsys):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        self.assert_one_line(capsys, ["synth", "--spec", spec_file, "--out", str(blocker / "x"),
+                                      "--candidates", "20"], "os error: ")
+
+    def test_synth_allocation_beyond_any_address_space(self, tmp_path, capsys):
+        # 10**16 users x 8 latent floats is 640 PB: no allocator can meet it
+        spec = tmp_path / "spec.txt"
+        spec.write_text("num_users = 10000000000000000\n")
+        self.assert_one_line(capsys, ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")],
+                             "out of memory: ")
+        assert not (tmp_path / "o").exists()
 
 
 # a value for each train option that sets a RunConfig field; None marks a switch

@@ -5,28 +5,17 @@ lists every default with trailing ``# ...`` notes and must parse to the
 defaults.
 """
 
-import re
-from pathlib import Path
-
 import pytest
 
 from dualrec.config import VARIANTS, ConfigError, RunConfig, config_lines, parse_fields
+from readme import readme_block
 
 NON_FINITE_FIELDS = ("mixup_alpha", "mu1", "mu2", "gamma", "lr", "init_std", "fixed_lambda")
-
-README = Path(__file__).resolve().parent.parent / "README.md"
-
-
-def readme_config_block() -> str:
-    text = README.read_text(encoding="utf-8")
-    match = re.search(r"`--config FILE` uses the same.*?\n```\n(.*?)```", text, re.S)
-    assert match, "README lost its config example"
-    return match.group(1)
 
 
 class TestParseConfigText:
     def test_readme_example_parses_to_defaults(self):
-        cfg = parse_fields(RunConfig, readme_config_block())
+        cfg = parse_fields(RunConfig, readme_block("Run config"))
         assert cfg.fixed_lambda is None
         assert cfg.fusion == "attention"
         assert cfg == RunConfig()
