@@ -81,11 +81,15 @@ def _load_data_dir(data_dir: str) -> tuple[SplitDataset, SplitDataset]:
     return split_a, split_b
 
 
-def _check_out_dir(path: str) -> None:
-    """Fail before any work when the directory the ``--out`` file goes in is missing."""
-    directory = os.path.dirname(path) or "."
-    if not os.path.isdir(directory):
-        raise FileNotFoundError(errno.ENOENT, "output directory not found", directory)
+def _check_out_dir(path: str, is_dir: bool = False) -> None:
+    """Fail before any work when ``--out`` has no directory to go in: an
+    ``--out`` file's directory must exist, and the nearest existing ancestor
+    of an ``--out`` directory (``is_dir``, made on demand) must be one."""
+    nearest = os.path.abspath(path if is_dir else os.path.dirname(path))
+    while is_dir and not os.path.lexists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise FileNotFoundError(errno.ENOENT, "output directory not found", nearest)
 
 
 def _write_prepared(out_dir: str, split_a, split_b, meta: dict) -> None:
@@ -141,6 +145,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_train(args) -> int:
     keep_freed_heap()
+    _check_out_dir(args.out, is_dir=True)
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
     for split in (split_a, split_b):

@@ -26,6 +26,7 @@ and unusable candidate lists with :class:`ArtifactError`.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import math
@@ -504,9 +505,14 @@ def prepare_datasets(
 def atomic_write(path: str, payload: str | bytes) -> None:
     """Write ``payload`` (text as UTF-8) so ``path`` never holds a partial file."""
     tmp = path + ".tmp"
-    with open(tmp, "wb") as fh:
-        fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(payload.encode("utf-8") if isinstance(payload, str) else payload)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise
 
 
 def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, object]) -> None:

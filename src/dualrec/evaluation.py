@@ -44,27 +44,19 @@ EVAL_LAMBDA = 0.5  # midpoint interpolation for the deterministic eval path
 BLOCK_SCORES = 1 << 22  # most scores of one ranking block: 32 MiB of float64
 
 
-def rank_with_ties(neg_scores: np.ndarray, pos_score: float | np.ndarray) -> int | np.ndarray:
-    """1-based rank of the held-out item, placed last among equal scores.
+def rank_with_ties(neg_scores: np.ndarray, pos_scores: np.ndarray) -> np.ndarray:
+    """1-based rank of each row's held-out item, placed last among equal scores.
 
-    Row-wise: ``neg_scores`` may be a block of rows with one ``pos_score``
-    per row, giving one rank per row; a single row gives an ``int``.
+    ``neg_scores`` is a block of candidate rows, ``pos_scores`` the held-out
+    score of each row.
     """
-    neg = np.asarray(neg_scores, dtype=np.float64)
-    pos = np.asarray(pos_score, dtype=np.float64)
-    ranks = 1 + (neg >= pos[..., None]).sum(axis=-1)
-    return int(ranks) if ranks.ndim == 0 else ranks
+    return 1 + (neg_scores >= pos_scores[:, None]).sum(axis=1)
 
 
-def metrics_at_k(rank: int | np.ndarray, k: int) -> tuple:
-    """(HR@k, NDCG@k) of a rank, or of an array of ranks element-wise."""
-    ranks = np.asarray(rank)
+def metrics_at_k(ranks: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(HR@k, NDCG@k) of each rank in ``ranks``."""
     hit = ranks <= k
-    hr = hit.astype(np.float64)
-    ndcg = np.where(hit, 1.0 / np.log2(ranks + 1), 0.0)
-    if ranks.ndim == 0:
-        return float(hr), float(ndcg)
-    return hr, ndcg
+    return hit.astype(np.float64), np.where(hit, 1.0 / np.log2(ranks + 1), 0.0)
 
 
 @dataclass

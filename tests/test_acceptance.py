@@ -2,8 +2,10 @@
 
 One test class per acceptance property, each asserting the substantive
 check at its stated tolerance plus the stated runtime budget where one
-applies. Slow directional experiments sit at the bottom of the file so the
-fast integrity checks fail first when something is broken.
+applies. Properties 2-4 are ``selfcheck``'s oracle checks, which the CLI's
+passing ``dualrec selfcheck`` test runs. Slow directional experiments sit at
+the bottom of the file so the fast integrity checks fail first when something
+is broken.
 """
 
 import math
@@ -16,10 +18,8 @@ import pytest
 
 from dualrec import autodiff as ad
 from dualrec import model as md
-from dualrec import selfcheck as sc
 from dualrec.config import RunConfig
 from dualrec.data import (
-    InteractionSet,
     SplitDataset,
     filter_cold_items,
     freeze_splits,
@@ -27,39 +27,21 @@ from dualrec.data import (
     prepare_datasets,
 )
 from dualrec.disentangle import loss_cls1, loss_cls2
-from dualrec.evaluation import evaluate_model, metrics_at_k, rank_with_ties
-from dualrec.graph import build_bipartite_adjacency
-from dualrec.mixup import interpolate, sample_lambda
+from dualrec.evaluation import evaluate_model
+from dualrec.mixup import interpolate
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import _noise_rngs, step_losses, train_model
 from pairsets import pair_set
-
-
-# ---------------------------------------------------------------- helpers
-
-
-def make_set(pairs, num_users, num_items):
-    return InteractionSet.from_pairs(num_users, num_items, pairs)
-
-
-def toy_adjacencies():
-    pairs_a = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 0), (3, 5), (3, 1)]
-    pairs_b = [(0, 5), (0, 4), (1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 2)]
-    return (
-        build_bipartite_adjacency(make_set(pairs_a, 4, 6)),
-        build_bipartite_adjacency(make_set(pairs_b, 4, 6)),
-    )
+from toy import toy_adjacencies
 
 
 # ------------------------------------------------- 1. gradient integrity
 
 
 class TestGradientIntegrity:
-    """FD check over every case of ``selfcheck.PRIMITIVE_CASES`` (the table
-    ``dualrec selfcheck`` and the autodiff tests run, on each case's
-    name-seeded leaves) and over the composed training loss, max relative
-    error < 1e-4 against the five-point stencil at its default step, under
-    30 s."""
+    """FD check over the composed training loss of each loss family, max
+    relative error < 1e-4 against the five-point stencil at its default step,
+    under 30 s. The per-primitive cases are ``selfcheck.check_gradients``."""
 
     def end_to_end_error(self, variant):
         adj_a, adj_b = toy_adjacencies()
@@ -80,95 +62,18 @@ class TestGradientIntegrity:
 
         return ad.finite_diff_check(fn, list(model.params.values()))
 
-    def test_primitives_and_composed_graph(self):
+    def test_composed_graph(self):
         start = time.perf_counter()
-        for name, fn, shapes in sc.PRIMITIVE_CASES:
-            err = ad.finite_diff_check(fn, sc.case_leaves(name, shapes))
-            assert err < 1e-4, f"primitive {name}: FD error {err:.3e}"
         for variant in ("full", "elbo", "base"):
             err = self.end_to_end_error(variant)
             assert err < 1e-4, f"end-to-end ({variant}): FD error {err:.3e}"
         assert time.perf_counter() - start < 30.0
 
 
-# ----------------------------------------------------- 2. sampler moments
-
-
-class TestBetaSamplerMoments:
-    """1e5 draws per alpha in {0.5, 1, 5}: mean within 0.5 +- 0.005,
-    variance within 1/(4(2a+1)) +- 0.003, under 5 s."""
-
-    def test_moments(self):
-        start = time.perf_counter()
-        for idx, alpha in enumerate((0.5, 1.0, 5.0)):
-            rng = np.random.default_rng([41, idx])
-            draws = np.array([sample_lambda(alpha, rng) for _ in range(100_000)])
-            assert abs(draws.mean() - 0.5) <= 0.005
-            assert abs(draws.var() - 1.0 / (4.0 * (2.0 * alpha + 1.0))) <= 0.003
-        assert time.perf_counter() - start < 5.0
-
-
-# ---------------------------------------------------- 3. adjacency oracle
-
-
-class TestAdjacencyOracle:
-    """50 random graphs up to 20+20 nodes: sparse result equals the dense
-    D^-1/2 (A+I) D^-1/2 oracle to 1e-12, symmetry exact, spectral radius
-    at most 1 + 1e-10."""
-
-    def test_against_dense_oracle(self):
-        rng = np.random.default_rng(17)
-        for _ in range(50):
-            m = int(rng.integers(2, 21))
-            n = int(rng.integers(2, 21))
-            pairs = {(u, i) for u in range(m) for i in range(n) if rng.random() < 0.3}
-            pairs.add((0, 0))
-            dense = build_bipartite_adjacency(make_set(pairs, m, n)).matrix.toarray()
-
-            r = np.zeros((m, n))
-            for u, i in pairs:
-                r[u, i] = 1.0
-            a_tilde = np.eye(m + n)
-            a_tilde[:m, m:] = r
-            a_tilde[m:, :m] = r.T
-            d_inv_sqrt = 1.0 / np.sqrt(a_tilde.sum(axis=1))
-            oracle = a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
-
-            assert np.abs(dense - oracle).max() <= 1e-12
-            assert np.abs(dense - dense.T).max() == 0.0
-            assert np.abs(np.linalg.eigvalsh(dense)).max() <= 1.0 + 1e-10
-
-
-# ------------------------------------------------------- 4. metric oracle
-
-
-class TestMetricOracle:
-    """HR@10/NDCG@10 equal brute-force ranking on 200 random 1000-candidate
-    vectors, ties included, pessimistic rule; NDCG@10 <= HR@10 always."""
-
-    @staticmethod
-    def brute_force_rank(neg_scores, pos_score):
-        keyed = sorted([(-float(s), 0) for s in neg_scores] + [(-float(pos_score), 1)])
-        return 1 + [tag for _, tag in keyed].index(1)
-
-    def test_exact_on_random_vectors(self):
-        rng = np.random.default_rng(23)
-        for case in range(200):
-            if case % 2 == 0:
-                neg = rng.normal(size=999)
-                pos = float(rng.normal())
-            else:  # coarse grid forces ties, including against the held-out score
-                neg = rng.integers(0, 25, size=999) / 8.0
-                pos = float(rng.integers(0, 25)) / 8.0
-            rank = rank_with_ties(neg, pos)
-            assert rank == self.brute_force_rank(neg, pos)
-            hr, ndcg = metrics_at_k(rank, 10)
-            assert ndcg <= hr
-
-    def test_fully_tied_vector_misses(self):
-        rank = rank_with_ties(np.zeros(999), 0.0)
-        assert rank == 1000
-        assert metrics_at_k(rank, 10) == (0.0, 0.0)
+# ------------------------ 2-4. sampler moments, adjacency and metric oracles
+#
+# ``selfcheck.check_mixing_moments``, ``check_adjacency`` and ``check_metrics``:
+# ``test_cli``'s passing ``dualrec selfcheck`` runs each once.
 
 
 # --------------------------------------------------- 5. loss fixed points

@@ -1,9 +1,10 @@
 """Tests for ranking, metrics, and the evaluation driver.
 
-rank_with_ties is validated against a sort-based oracle that breaks ties by
-placing the held-out item after every equal-scoring candidate, and
-evaluate_domain against the per-user loop it replaced. rank_domain, the one
-ranking path, is also checked through the popularity and item-kNN scorers.
+The tie rule is checked here on hand cases; ``selfcheck.check_metrics``
+checks random blocks against the sort oracle ``selfcheck.rank_by_sorting``.
+evaluate_domain is checked against the per-user loop it replaced, and
+rank_domain, the one ranking path, through the popularity and item-kNN
+scorers.
 """
 
 import contextlib
@@ -22,13 +23,7 @@ from dualrec.data import ArtifactError, InteractionSet, ProtocolError, SplitData
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import train_model
-
-
-def rank_by_sorting(neg_scores, pos_score):
-    """Oracle: sort descending, held-out item loses every tie."""
-    keyed = [(-s, 0) for s in neg_scores] + [(-pos_score, 1)]
-    keyed.sort()
-    return 1 + [tag for _, tag in keyed].index(1)
+from toy import config, random_set, tiny_splits
 
 
 def reference_evaluate_domain(s, t, split, top_k):
@@ -59,74 +54,32 @@ def synth_splits():
     return freeze_splits(set_a, set_b, seed=1, n_candidates=400)
 
 
-def make_set(num_users, num_items, per_user, seed):
-    rng = np.random.default_rng(seed)
-    pairs = set()
-    for u in range(num_users):
-        for i in rng.choice(num_items, size=per_user, replace=False):
-            pairs.add((u, int(i)))
-    return InteractionSet.from_pairs(num_users, num_items, pairs)
-
-
 class TestRankWithTies:
-    def test_matches_sorting_oracle_on_random_vectors(self):
-        rng = np.random.default_rng(3)
-        for _ in range(100):
-            neg = rng.normal(size=50)
-            pos = float(rng.normal())
-            assert ev.rank_with_ties(neg, pos) == rank_by_sorting(neg, pos)
-
-    def test_matches_oracle_with_forced_ties(self):
-        rng = np.random.default_rng(4)
-        for _ in range(100):
-            neg = rng.integers(0, 5, size=30).astype(np.float64)
-            pos = float(rng.integers(0, 5))
-            assert ev.rank_with_ties(neg, pos) == rank_by_sorting(neg, pos)
+    """Hand cases on one-row blocks."""
 
     def test_all_tied_ranks_last(self):
-        neg = np.zeros(999)
-        assert ev.rank_with_ties(neg, 0.0) == 1000
+        ranks = ev.rank_with_ties(np.zeros((1, 999)), np.zeros(1))
+        assert ranks.tolist() == [1000]
+        hr, ndcg = ev.metrics_at_k(ranks, 10)
+        assert hr.tolist() == [0.0] and ndcg.tolist() == [0.0]
 
     def test_unique_best_ranks_first(self):
-        assert ev.rank_with_ties(np.array([0.1, 0.5, -0.2]), 0.9) == 1
-
-
-class TestRowWise:
-    def test_block_matches_scalar_calls(self):
-        rng = np.random.default_rng(5)
-        neg = rng.integers(0, 6, size=(40, 25)).astype(np.float64)
-        pos = rng.integers(0, 6, size=40).astype(np.float64)
-        ranks = ev.rank_with_ties(neg, pos)
-        assert ranks.tolist() == [rank_by_sorting(n, p) for n, p in zip(neg, pos)]
-        hr, ndcg = ev.metrics_at_k(ranks, 10)
-        for r, h, g in zip(ranks.tolist(), hr.tolist(), ndcg.tolist()):
-            assert (h, g) == ev.metrics_at_k(r, 10)
-
-    def test_scalar_calls_return_python_numbers(self):
-        assert type(ev.rank_with_ties(np.array([0.3, 0.1]), 0.2)) is int
-        hr, ndcg = ev.metrics_at_k(3, 10)
-        assert type(hr) is float and type(ndcg) is float
+        assert ev.rank_with_ties(np.array([[0.1, 0.5, -0.2]]), np.array([0.9])).tolist() == [1]
 
 
 class TestMetricsAtK:
     def test_boundary_values(self):
-        assert ev.metrics_at_k(1, 10) == (1.0, 1.0)
-        hr, ndcg = ev.metrics_at_k(10, 10)
-        assert hr == 1.0
-        np.testing.assert_allclose(ndcg, 1.0 / np.log2(11))
-        assert ev.metrics_at_k(11, 10) == (0.0, 0.0)
-
-    def test_ndcg_never_exceeds_hr(self):
-        for rank in range(1, 30):
-            hr, ndcg = ev.metrics_at_k(rank, 10)
-            assert ndcg <= hr
+        hr, ndcg = ev.metrics_at_k(np.arange(1, 30), 10)
+        assert hr.tolist() == [1.0] * 10 + [0.0] * 19
+        assert ndcg[0] == 1.0 and not ndcg[10:].any() and (ndcg <= hr).all()
+        np.testing.assert_allclose(ndcg[9], 1.0 / np.log2(11))
 
 
 class TestEvaluateDomain:
     def hand_fixture(self):
         # One-hot user vectors make every score an exact t_hat entry, so the
         # engineered ties hold bit-for-bit.
-        train = make_set(3, 6, 2, seed=0)
+        train = random_set(3, 6, 2, seed=0)
         split = SplitDataset(
             train=train,
             test=np.array([(0, 0), (1, 1), (2, 2)]),
@@ -186,7 +139,7 @@ def random_split(rng, num_users, num_items, n_test, n_cands):
         drawn = rng.choice(num_items, size=n_cands + 1, replace=False).tolist()
         test.append((u, drawn[0]))
         candidates[u] = drawn[1:]
-    train = make_set(num_users, num_items, 1, seed=int(rng.integers(1 << 16)))
+    train = random_set(num_users, num_items, 1, seed=int(rng.integers(1 << 16)))
     test = np.array(test, dtype=np.int64).reshape(-1, 2)
     return SplitDataset(train=train, test=test, eval_candidates=candidates)
 
@@ -269,7 +222,7 @@ class TestBlockedRanking:
         num_users, num_items = 2000, 1000
         cands = rng.integers(num_items, size=(num_users, 100), dtype=np.int32)
         split = SplitDataset(
-            train=make_set(num_users, num_items, 1, seed=0),
+            train=random_set(num_users, num_items, 1, seed=0),
             test=np.column_stack([np.arange(num_users), rng.integers(num_items, size=num_users)]),
             eval_candidates=dict(zip(range(num_users), cands)),
         )
@@ -351,20 +304,9 @@ class TestRankDomain:
 
 
 class TestEvaluateModel:
-    def splits(self):
-        return freeze_splits(make_set(8, 14, 5, seed=100),
-                             make_set(8, 12, 4, seed=200),
-                             seed=0, n_candidates=3)
-
-    def config(self, **kw):
-        base = dict(k=4, l=1, epochs=2, lr=0.02, batch_size=32, neg_ratio=2,
-                    eval_negatives=3, top_k=3, seed=0, init_std=0.2)
-        base.update(kw)
-        return RunConfig(**base)
-
     def test_report_is_deterministic_and_complete(self):
-        split_a, split_b = self.splits()
-        result = train_model(split_a, split_b, self.config())
+        split_a, split_b = tiny_splits()
+        result = train_model(split_a, split_b, config())
         r1 = ev.evaluate_model(result.model, split_a, split_b)
         r2 = ev.evaluate_model(result.model, split_a, split_b)
         assert r1.domain_a.ranks == r2.domain_a.ranks
@@ -374,8 +316,8 @@ class TestEvaluateModel:
         assert 0.0 <= r1.domain_a.hr <= 1.0 and r1.domain_a.ndcg <= r1.domain_a.hr + 1e-12
 
     def test_eval_path_uses_midpoint_lambda(self):
-        split_a, split_b = self.splits()
-        result = train_model(split_a, split_b, self.config())
+        split_a, split_b = tiny_splits()
+        result = train_model(split_a, split_b, config())
         model = result.model
         s_a, t_a = ev.model_representations(model)["a"]
         fwd = md.forward(model, np.arange(split_a.train.num_users), ev.EVAL_LAMBDA)
@@ -384,8 +326,8 @@ class TestEvaluateModel:
         assert ev.EVAL_LAMBDA == 0.5
 
     def test_thread_invariance(self):
-        split_a, split_b = self.splits()
-        model = train_model(split_a, split_b, self.config()).model
+        split_a, split_b = tiny_splits()
+        model = train_model(split_a, split_b, config()).model
         reports = []
         for threads in (1, 6):
             model.config = replace(model.config, eval_threads=threads)
@@ -396,8 +338,8 @@ class TestEvaluateModel:
             assert one.hr == other.hr and one.ndcg == other.ndcg
 
     def test_report_text_fields(self):
-        split_a, split_b = self.splits()
-        result = train_model(split_a, split_b, self.config())
+        split_a, split_b = tiny_splits()
+        result = train_model(split_a, split_b, config())
         text = ev.evaluate_model(result.model, split_a, split_b).to_text()
         for key in ("hr_a", "ndcg_a", "hr_b", "ndcg_b", "num_test_a",
                     "seed", "config.variant", "ranks_a", "ranks_b"):

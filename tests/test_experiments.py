@@ -4,32 +4,10 @@ import numpy as np
 import pytest
 
 from dualrec import experiments as ex
-from dualrec.config import VARIANTS, ConfigError, RunConfig
-from dualrec.data import InteractionSet, freeze_splits
+from dualrec.config import VARIANTS, ConfigError
 from dualrec.evaluation import evaluate_model
 from dualrec.training import train_model
-
-
-def make_set(num_users, num_items, per_user, seed):
-    rng = np.random.default_rng(seed)
-    pairs = set()
-    for u in range(num_users):
-        for i in rng.choice(num_items, size=per_user, replace=False):
-            pairs.add((u, int(i)))
-    return InteractionSet.from_pairs(num_users, num_items, pairs)
-
-
-def tiny_splits():
-    return freeze_splits(make_set(8, 14, 5, seed=100),
-                         make_set(8, 12, 4, seed=200),
-                         seed=0, n_candidates=3)
-
-
-def config(**kw):
-    base = dict(k=4, l=1, epochs=2, lr=0.02, batch_size=32, neg_ratio=2,
-                eval_negatives=3, top_k=3, seed=0, init_std=0.2)
-    base.update(kw)
-    return RunConfig(**base)
+from toy import config, tiny_splits
 
 
 class TestAblate:

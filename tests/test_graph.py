@@ -1,7 +1,9 @@
 """Tests for adjacency construction and GCN propagation.
 
-The normalization is checked against a dense oracle built with plain numpy,
-and gradient flow through propagation against finite differences.
+The normalization is checked on hand-picked graphs against
+``selfcheck.adjacency_oracle``, the dense oracle that ``dualrec selfcheck``
+runs on random graphs, and gradient flow through propagation against finite
+differences.
 """
 
 import numpy as np
@@ -11,22 +13,8 @@ import scipy.sparse as sp
 from dualrec import autodiff as ad
 from dualrec import graph
 from dualrec.autodiff import Value
-from dualrec.data import InteractionSet
-
-
-def make_set(pairs, num_users, num_items):
-    return InteractionSet.from_pairs(num_users, num_items, pairs)
-
-
-def dense_oracle(pairs, m, n):
-    a = np.zeros((m + n, m + n))
-    for u, i in pairs:
-        a[u, m + i] = 1.0
-        a[m + i, u] = 1.0
-    a += np.eye(m + n)
-    d = a.sum(axis=1)
-    dinv = 1.0 / np.sqrt(d)
-    return a * dinv[:, None] * dinv[None, :]
+from dualrec.selfcheck import adjacency_oracle
+from toy import PAIRS_A, make_set
 
 
 class TestBuildAdjacency:
@@ -34,32 +22,22 @@ class TestBuildAdjacency:
         adj = graph.build_bipartite_adjacency(make_set([(0, 0)], 1, 1))
         np.testing.assert_allclose(adj.matrix.toarray(), [[0.5, 0.5], [0.5, 0.5]])
 
-    def test_matches_dense_oracle(self):
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            m, n = int(rng.integers(2, 8)), int(rng.integers(2, 10))
-            pairs = {(int(rng.integers(m)), int(rng.integers(n))) for _ in range(m * n // 2)}
-            adj = graph.build_bipartite_adjacency(make_set(pairs, m, n))
-            np.testing.assert_allclose(adj.matrix.toarray(), dense_oracle(pairs, m, n), atol=1e-12)
-
-    def test_exactly_symmetric(self):
-        rng = np.random.default_rng(1)
-        pairs = {(int(rng.integers(6)), int(rng.integers(8))) for _ in range(20)}
-        adj = graph.build_bipartite_adjacency(make_set(pairs, 6, 8))
-        diff = (adj.matrix - adj.matrix.T).tocoo()
-        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+    @pytest.mark.parametrize("pairs, m, n", [
+        ([(0, 0), (1, 0), (1, 2)], 3, 4),                      # an isolated user and item
+        ([(u, i) for u in range(3) for i in range(4)], 3, 4),  # complete
+        ([(0, i) for i in range(5)], 2, 5),                    # a star and an isolated user
+        (PAIRS_A, 4, 6),
+    ], ids=["isolated", "complete", "star", "toy"])
+    def test_hand_graphs_match_the_dense_oracle(self, pairs, m, n):
+        dense = graph.build_bipartite_adjacency(make_set(pairs, m, n)).matrix.toarray()
+        np.testing.assert_allclose(dense, adjacency_oracle(pairs, m, n), rtol=0, atol=1e-12)
+        assert np.array_equal(dense, dense.T)
+        assert np.abs(np.linalg.eigvalsh(dense)).max() <= 1 + 1e-10
 
     def test_diagonal_positive(self):
         pairs = {(0, 0), (0, 1), (1, 0)}
         adj = graph.build_bipartite_adjacency(make_set(pairs, 2, 2))
         assert (adj.matrix.diagonal() > 0).all()
-
-    def test_spectral_radius_at_most_one(self):
-        rng = np.random.default_rng(2)
-        pairs = {(int(rng.integers(5)), int(rng.integers(7))) for _ in range(15)}
-        adj = graph.build_bipartite_adjacency(make_set(pairs, 5, 7))
-        eigs = np.linalg.eigvalsh(adj.matrix.toarray())
-        assert np.abs(eigs).max() <= 1 + 1e-10
 
     def test_isolated_item_gets_self_loop_only(self):
         # items can lose all interactions to the held-out split; they keep

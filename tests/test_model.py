@@ -5,6 +5,7 @@ against an independent numpy cosine on the evaluation-path representations.
 """
 
 import dataclasses
+import functools
 import hashlib
 
 import numpy as np
@@ -15,32 +16,15 @@ from dualrec import fusion as fu
 from dualrec import graph as gr
 from dualrec import model as md
 from dualrec.config import FUSIONS, VARIANTS, ConfigError, RunConfig
-from dualrec.data import ArtifactError, InteractionSet
+from dualrec.data import ArtifactError
 from dualrec.evaluation import model_representations
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.training import _noise_rngs
+from toy import make_set, toy_adjacencies
 
 
-def make_set(pairs, num_users, num_items):
-    return InteractionSet.from_pairs(num_users, num_items, pairs)
-
-
-PAIRS_A = [(0, 0), (0, 1), (1, 2), (1, 3), (2, 4), (2, 0), (3, 5), (3, 1)]
-PAIRS_B = [(0, 5), (0, 4), (1, 0), (1, 1), (2, 2), (2, 3), (3, 4), (3, 2)]
-
-
-def adjacencies():
-    return (
-        build_bipartite_adjacency(make_set(PAIRS_A, 4, 6)),
-        build_bipartite_adjacency(make_set(PAIRS_B, 4, 6)),
-    )
-
-
-def config(**kw):
-    base = dict(k=3, l=2, epochs=1, lr=0.01, batch_size=8, eval_negatives=10,
-                seed=0, init_std=0.3)
-    base.update(kw)
-    return RunConfig(**base)
+config = functools.partial(RunConfig, k=3, l=2, epochs=1, lr=0.01, batch_size=8,
+                           eval_negatives=10, seed=0, init_std=0.3)
 
 
 # sha256 over the sorted (name, shape, bytes) of each build's initial
@@ -85,7 +69,7 @@ def params_digest(params) -> str:
 
 class TestBuildModel:
     def test_census_deterministic(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m1 = md.build_model(adj_a, adj_b, config())
         m2 = md.build_model(adj_a, adj_b, config())
         assert list(m1.params) == list(m2.params)
@@ -98,14 +82,14 @@ class TestBuildModel:
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_initial_parameters_pinned(self, variant, fusion):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant=variant, fusion=fusion))
         assert params_digest(m.params) == INITIAL_DIGESTS[variant, fusion]
 
     @pytest.mark.parametrize("fusion", FUSIONS)
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_name_prefixes_per_variant_and_fusion(self, variant, fusion):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant=variant, fusion=fusion))
         fuses = variant != "base" and fusion == "attention"
         expected = []
@@ -121,12 +105,12 @@ class TestBuildModel:
         assert towers == {"tow_a.user", "tow_a.item", "tow_b.user", "tow_b.item"}
 
     def test_base_variant_has_no_encoders(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="base"))
         assert not any(name.startswith(("enc_", "clf", "dec_", "fus_")) for name in m.params)
 
     def test_fusion_weights_only_for_attention(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         att = md.build_model(adj_a, adj_b, config(fusion="attention"))
         cat = md.build_model(adj_a, adj_b, config(fusion="concat"))
         assert {n for n in att.params if n.startswith("fus_a.")} == {
@@ -135,7 +119,7 @@ class TestBuildModel:
         assert not any(name.startswith("fus_") for name in cat.params)
 
     def test_elbo_variant_carries_decoders(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="elbo"))
         decoders = sorted(n[len("dec_"):-len(".w")] for n in m.params if n.startswith("dec_")
                           and n.endswith(".w"))
@@ -149,7 +133,7 @@ class TestBuildModel:
             "config", "adjacency_a", "adjacency_b", "params"]
 
     def test_every_variant_builds_and_runs(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         users = np.arange(4)
         for variant in VARIANTS:
             m = md.build_model(adj_a, adj_b, config(variant=variant))
@@ -157,7 +141,7 @@ class TestBuildModel:
             assert fwd.s["a"].shape == (4, 3) and fwd.s["b"].shape == (4, 3)
 
     def test_mismatched_user_sets_rejected(self):
-        adj_a, _ = adjacencies()
+        adj_a, _ = toy_adjacencies()
         adj_other = build_bipartite_adjacency(make_set([(0, 0), (1, 1)], 2, 2))
         with pytest.raises(ConfigError):
             md.build_model(adj_a, adj_other, config())
@@ -165,7 +149,7 @@ class TestBuildModel:
 
 class TestForward:
     def test_scored_rows_equal_eval_rows(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         users, items = np.array([0, 2, 3]), np.array([1, 2, 5])
         for variant in VARIANTS:
             m = md.build_model(adj_a, adj_b, config(variant=variant))
@@ -175,7 +159,7 @@ class TestForward:
             np.testing.assert_array_equal(fwd.t["a"].data, t_a[items], err_msg=variant)
 
     def test_one_domain_pass_builds_that_domain_only(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         for variant in ("full", "base"):
             m = md.build_model(adj_a, adj_b, config(variant=variant))
             fwd = md.forward(m, np.arange(4), 0.5, item_indices={"b": np.array([0, 3])})
@@ -183,19 +167,19 @@ class TestForward:
             assert fwd.t["b"].shape == (2, 3)
 
     def test_base_path_has_no_codes(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="base"))
         fwd = md.forward(m, np.arange(4), 0.5)
         assert fwd.codes == {} and fwd.enc_results == {}
 
     def test_full_codes_keys(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         fwd = md.forward(m, np.arange(4), 0.5)
         assert sorted(fwd.codes) == ["ind_a", "ind_b", "sha", "spe_a", "spe_aug", "spe_b"]
 
     def test_lambda_endpoints_reproduce_pure_domains(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="elbo"))  # keeps enc_inputs
         users = np.arange(4)
         at_one = md.forward(m, users, 1.0)
@@ -206,7 +190,7 @@ class TestForward:
                                       at_zero.enc_inputs["b"].data)
 
     def test_stochastic_draws_repeat_under_same_rngs(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         users = np.arange(4)
         cfg = m.config
@@ -217,7 +201,7 @@ class TestForward:
         assert np.abs(f1.codes["sha"].data - f3.codes["sha"].data).max() > 0
 
     def test_deterministic_path_equals_mu(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="elbo"))
         fwd = md.forward(m, np.arange(4), 0.5)
         for branch in md.BRANCHES:
@@ -227,7 +211,7 @@ class TestForward:
 
     def test_noise_free_pass_forms_no_log_sigma(self, monkeypatch):
         # 2 GCN layers per domain, 3 encoder trunks and their 6 mu heads
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="full", l=2))
         calls = []
         for op in ("affine", "clamp"):
@@ -238,7 +222,7 @@ class TestForward:
 
     @pytest.mark.parametrize("variant", [v for v in VARIANTS if v != "base"])
     def test_only_elbo_keeps_encoder_statistics(self, variant):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant=variant))
         fwd = md.forward(m, np.arange(4), 0.5, noise_rngs=_noise_rngs(m.config, 0, 0))
         assert len(fwd.codes) == 6
@@ -250,7 +234,7 @@ class TestForward:
 
 class TestScorePairs:
     def test_matches_eval_path_cosine(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         rng = np.random.default_rng(7)
         users = rng.integers(0, 4, size=30)
@@ -264,7 +248,7 @@ class TestScorePairs:
         np.testing.assert_allclose(y.data, manual, atol=1e-12)
 
     def test_distinct_item_tower_matches_per_pair_tower(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="base"))
         rng = np.random.default_rng(9)
         users = rng.integers(0, 4, size=40)
@@ -295,14 +279,14 @@ class TestScorePairs:
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_scores_lie_in_cosine_range(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="wo_ind"))
         fwd = md.forward(m, np.arange(4), 0.3)
         y, _, _ = md.score_pairs(fwd, "b", np.array([0, 1, 2, 3]), np.array([0, 1, 2, 3]))
         assert np.all(np.abs(y.data) <= 1 + 1e-12)
 
     def test_user_missing_from_pass_raises(self):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         fwd = md.forward(m, np.array([0, 2]), 0.5)
         with pytest.raises(ad.ContractError):
@@ -310,7 +294,7 @@ class TestScorePairs:
 
     def test_pair_beyond_the_pass_raises(self):
         # searchsorted puts an index above every covered one past the end
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         fwd = md.forward(m, np.array([0, 2]), 0.5, item_indices={"a": np.array([1, 4])})
         for users, items in (([3], [1]), ([0], [5]), ([0], [2]), ([2, 0], [4, 0])):
@@ -323,7 +307,7 @@ class TestScorePairs:
 
 class TestPersistence:
     def test_roundtrip_bitwise(self, tmp_path):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config(variant="elbo"))
         path = str(tmp_path / "model.npz")
         md.save_model(path, m)
@@ -340,26 +324,26 @@ class TestPersistence:
             assert loaded.config == m.config
 
     def test_missing_file_raises_artifact_error(self, tmp_path):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         with pytest.raises(ArtifactError):
             md.load_model(str(tmp_path / "absent.npz"), adj_a, adj_b)
 
     def test_corrupt_file_raises_artifact_error(self, tmp_path):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         path = tmp_path / "junk.npz"
         path.write_bytes(b"not a zip archive")
         with pytest.raises(ArtifactError):
             md.load_model(str(path), adj_a, adj_b)
 
     def test_missing_config_entry_raises(self, tmp_path):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         path = tmp_path / "noconf.npz"
         np.savez(path, stray=np.zeros((2, 2)))
         with pytest.raises(ArtifactError):
             md.load_model(str(path), adj_a, adj_b)
 
     def test_shape_tamper_raises(self, tmp_path):
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         path = str(tmp_path / "model.npz")
         md.save_model(path, m)
@@ -372,7 +356,7 @@ class TestPersistence:
 
     def test_mismatched_names_raise(self, tmp_path):
         # the names are the only layout: a missing or a stray member is refused
-        adj_a, adj_b = adjacencies()
+        adj_a, adj_b = toy_adjacencies()
         m = md.build_model(adj_a, adj_b, config())
         path = str(tmp_path / "model.npz")
         md.save_model(path, m)

@@ -5,6 +5,7 @@ The ELBO terms are re-derived in numpy from the same forward pass so the
 graph-built loss has an independent reference.
 """
 
+import functools
 import gc
 import hashlib
 import io
@@ -26,35 +27,18 @@ from dualrec import model as md
 from dualrec import optim
 from dualrec import training as tr
 from dualrec.config import VARIANTS, RunConfig
-from dualrec.data import InteractionSet, freeze_splits
+from dualrec.data import freeze_splits
 from dualrec.evaluation import evaluate_model
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from faults import nan_gradient_backward
 from pairsets import pair_set
 from test_data import reference_train_negatives
+from toy import config as toy_config
+from toy import tiny_splits
 
 
-def make_set(num_users, num_items, per_user, seed):
-    rng = np.random.default_rng(seed)
-    pairs = set()
-    for u in range(num_users):
-        for i in rng.choice(num_items, size=per_user, replace=False):
-            pairs.add((u, int(i)))
-    return InteractionSet.from_pairs(num_users, num_items, pairs)
-
-
-def tiny_splits(seed=0):
-    set_a = make_set(8, 14, 5, seed=seed + 100)
-    set_b = make_set(8, 12, 4, seed=seed + 200)
-    return freeze_splits(set_a, set_b, seed=seed, n_candidates=3)
-
-
-def config(**kw):
-    base = dict(k=4, l=1, epochs=3, lr=0.02, batch_size=32, neg_ratio=2,
-                eval_negatives=5, top_k=5, seed=0, init_std=0.2)
-    base.update(kw)
-    return RunConfig(**base)
+config = functools.partial(toy_config, epochs=3, eval_negatives=5, top_k=5)
 
 
 class TestEpochArrays:
