@@ -108,6 +108,7 @@ def _print_summary(split_a, split_b) -> None:
 
 
 def _cmd_prepare(args) -> int:
+    _check_out_dir(args.out, is_dir=True)
     for path in (args.domain_a, args.domain_b):
         if not os.path.isfile(path):
             raise DatasetError(f"input ratings file not found: {path}")
@@ -128,6 +129,7 @@ def _cmd_synth(args) -> int:
     # imported here: only synth needs scipy.special, which every command would load
     from .synthetic import SyntheticSpec, generate_synthetic
 
+    _check_out_dir(args.out, is_dir=True)
     spec = _with_flags(_load_fields(SyntheticSpec, args.spec, "spec"), args)
     set_a, set_b = generate_synthetic(spec)
     split_a, split_b = freeze_splits(set_a, set_b, spec.seed, args.candidates)

@@ -2,8 +2,10 @@
 
 One test class per acceptance property, each asserting the substantive
 check at its stated tolerance plus the stated runtime budget where one
-applies. Properties 2-4 are ``selfcheck``'s oracle checks, which the CLI's
-passing ``dualrec selfcheck`` test runs. Slow directional experiments sit at
+applies. Properties 2-4 have their random-input checks in ``selfcheck``,
+which the CLI's passing ``dualrec selfcheck`` test runs; properties 3 and 4
+are also checked here on the 999-candidate dataset against ``selfcheck``'s
+oracles. Slow directional experiments sit at
 the bottom of the file so the fast integrity checks fail first when something
 is broken.
 """
@@ -27,8 +29,10 @@ from dualrec.data import (
     prepare_datasets,
 )
 from dualrec.disentangle import loss_cls1, loss_cls2
-from dualrec.evaluation import evaluate_model
+from dualrec.evaluation import evaluate_model, rank_domain
+from dualrec.graph import build_bipartite_adjacency
 from dualrec.mixup import interpolate
+from dualrec.selfcheck import adjacency_oracle, rank_by_sorting
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import _noise_rngs, step_losses, train_model
 from pairsets import pair_set
@@ -70,10 +74,61 @@ class TestGradientIntegrity:
         assert time.perf_counter() - start < 30.0
 
 
-# ------------------------ 2-4. sampler moments, adjacency and metric oracles
+# ----------------------------------------------------- 2. sampler moments
 #
-# ``selfcheck.check_mixing_moments``, ``check_adjacency`` and ``check_metrics``:
-# ``test_cli``'s passing ``dualrec selfcheck`` runs each once.
+# ``selfcheck.check_mixing_moments``, which ``test_cli``'s passing ``dualrec
+# selfcheck`` runs; ``test_mixup`` checks the draws against the Beta CDF.
+
+
+# ---------------------------------------------------- 3. adjacency oracle
+
+
+class TestAdjacencyOracle:
+    """The adjacency of each train split of the 999-candidate dataset, with
+    its isolated items, equals ``selfcheck.adjacency_oracle`` to 1e-12 and is
+    exactly symmetric. ``selfcheck.check_adjacency`` checks 50 random graphs
+    up to 20+20 nodes."""
+
+    def test_against_dense_oracle(self, null_dataset):
+        for split in null_dataset:
+            train = split.train
+            dense = build_bipartite_adjacency(train).matrix.toarray()
+            oracle = adjacency_oracle(pair_set(train), train.num_users, train.num_items)
+            assert np.abs(dense - oracle).max() <= 1e-12
+            assert np.array_equal(dense, dense.T)
+
+
+# ------------------------------------------------------- 4. metric oracle
+
+
+class TestMetricOracle:
+    """``rank_domain`` on the 999-candidate dataset gives each test user the
+    rank ``selfcheck.rank_by_sorting`` gives, ties included, pessimistic rule,
+    and HR@10/NDCG@10 are the means of those ranks' terms, NDCG@10 <= HR@10.
+    ``selfcheck.check_metrics`` checks ``rank_with_ties`` on 200 random blocks."""
+
+    def test_exact_on_random_vectors(self, null_dataset):
+        split = null_dataset[0]
+        rng = np.random.default_rng(23)
+        shape = (split.train.num_users, split.train.num_items)
+        table = rng.normal(size=shape)
+        # every other user scores on a coarse grid, which forces ties,
+        # including against the held-out item
+        table[1::2] = rng.integers(0, 25, size=shape)[1::2] / 8.0
+        dm = rank_domain(lambda users: table[users], split, 10)
+        ranks = {u: rank_by_sorting(table[u, split.eval_candidates[u]], table[u, held])
+                 for u, held in split.test.tolist()}
+        assert dm.ranks == ranks and list(dm.ranks) == list(ranks)
+        terms = [1.0 / np.log2(r + 1) if r <= 10 else 0.0 for r in ranks.values()]
+        assert dm.hr == sum(r <= 10 for r in ranks.values()) / len(ranks)
+        np.testing.assert_allclose(dm.ndcg, sum(terms) / len(ranks), rtol=1e-12)
+        assert dm.ndcg <= dm.hr
+
+    def test_fully_tied_vector_misses(self, null_dataset):
+        split = null_dataset[0]
+        dm = rank_domain(lambda users: np.zeros((users.size, split.train.num_items)), split, 10)
+        assert set(dm.ranks.values()) == {1000}
+        assert (dm.hr, dm.ndcg) == (0.0, 0.0)
 
 
 # --------------------------------------------------- 5. loss fixed points

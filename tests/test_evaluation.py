@@ -1,7 +1,8 @@
 """Tests for ranking, metrics, and the evaluation driver.
 
-The tie rule is checked here on hand cases; ``selfcheck.check_metrics``
-checks random blocks against the sort oracle ``selfcheck.rank_by_sorting``.
+The tie rule is checked on hand cases and on small random blocks against
+``selfcheck.rank_by_sorting``, the sort oracle that ``selfcheck.check_metrics``
+runs on 200 blocks of 999 candidates.
 evaluate_domain is checked against the per-user loop it replaced, and
 rank_domain, the one ranking path, through the popularity and item-kNN
 scorers.
@@ -23,6 +24,7 @@ from dualrec.data import ArtifactError, InteractionSet, ProtocolError, SplitData
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import train_model
+from dualrec.selfcheck import rank_by_sorting
 from toy import config, random_set, tiny_splits
 
 
@@ -55,7 +57,21 @@ def synth_splits():
 
 
 class TestRankWithTies:
-    """Hand cases on one-row blocks."""
+    """Blocks of shapes other than ``check_metrics``' 200 x 999 against the
+    sort oracle, and hand cases on one-row blocks."""
+
+    def test_matches_sorting_oracle_on_random_vectors(self):
+        rng = np.random.default_rng(3)
+        neg, pos = rng.normal(size=(100, 50)), rng.normal(size=100)
+        ranks = ev.rank_with_ties(neg, pos)
+        assert ranks.tolist() == [rank_by_sorting(n, p) for n, p in zip(neg, pos)]
+
+    def test_matches_oracle_with_forced_ties(self):
+        rng = np.random.default_rng(4)
+        neg = rng.integers(0, 5, size=(100, 30)).astype(np.float64)
+        pos = rng.integers(0, 5, size=100).astype(np.float64)
+        ranks = ev.rank_with_ties(neg, pos)
+        assert ranks.tolist() == [rank_by_sorting(n, p) for n, p in zip(neg, pos)]
 
     def test_all_tied_ranks_last(self):
         ranks = ev.rank_with_ties(np.zeros((1, 999)), np.zeros(1))
@@ -67,12 +83,31 @@ class TestRankWithTies:
         assert ev.rank_with_ties(np.array([[0.1, 0.5, -0.2]]), np.array([0.9])).tolist() == [1]
 
 
+class TestRowWise:
+    def test_block_matches_one_row_blocks(self):
+        rng = np.random.default_rng(5)
+        neg = rng.integers(0, 6, size=(40, 25)).astype(np.float64)
+        pos = rng.integers(0, 6, size=40).astype(np.float64)
+        ranks = ev.rank_with_ties(neg, pos)
+        hr, ndcg = ev.metrics_at_k(ranks, 10)
+        for row in range(40):
+            one = ev.rank_with_ties(neg[row:row + 1], pos[row:row + 1])
+            assert one.tolist() == [ranks[row]]
+            one_hr, one_ndcg = ev.metrics_at_k(one, 10)
+            assert (one_hr[0], one_ndcg[0]) == (hr[row], ndcg[row])
+
+
 class TestMetricsAtK:
     def test_boundary_values(self):
         hr, ndcg = ev.metrics_at_k(np.arange(1, 30), 10)
         assert hr.tolist() == [1.0] * 10 + [0.0] * 19
-        assert ndcg[0] == 1.0 and not ndcg[10:].any() and (ndcg <= hr).all()
+        assert ndcg[0] == 1.0 and not ndcg[10:].any()
         np.testing.assert_allclose(ndcg[9], 1.0 / np.log2(11))
+
+    def test_ndcg_never_exceeds_hr(self):
+        for k in (1, 3, 10):
+            hr, ndcg = ev.metrics_at_k(np.arange(1, 30), k)
+            assert (ndcg <= hr).all()
 
 
 class TestEvaluateDomain:

@@ -2,8 +2,8 @@
 
 The normalization is checked on hand-picked graphs against
 ``selfcheck.adjacency_oracle``, the dense oracle that ``dualrec selfcheck``
-runs on random graphs, and gradient flow through propagation against finite
-differences.
+runs on random graphs; symmetry and the spectral radius also on two random
+graphs; and gradient flow through propagation against finite differences.
 """
 
 import numpy as np
@@ -33,6 +33,20 @@ class TestBuildAdjacency:
         np.testing.assert_allclose(dense, adjacency_oracle(pairs, m, n), rtol=0, atol=1e-12)
         assert np.array_equal(dense, dense.T)
         assert np.abs(np.linalg.eigvalsh(dense)).max() <= 1 + 1e-10
+
+    def test_exactly_symmetric(self):
+        rng = np.random.default_rng(1)
+        pairs = {(int(rng.integers(6)), int(rng.integers(8))) for _ in range(20)}
+        adj = graph.build_bipartite_adjacency(make_set(pairs, 6, 8))
+        diff = (adj.matrix - adj.matrix.T).tocoo()
+        assert diff.nnz == 0 or np.abs(diff.data).max() == 0.0
+
+    def test_spectral_radius_at_most_one(self):
+        rng = np.random.default_rng(2)
+        pairs = {(int(rng.integers(5)), int(rng.integers(7))) for _ in range(15)}
+        adj = graph.build_bipartite_adjacency(make_set(pairs, 5, 7))
+        eigs = np.linalg.eigvalsh(adj.matrix.toarray())
+        assert np.abs(eigs).max() <= 1 + 1e-10
 
     def test_diagonal_positive(self):
         pairs = {(0, 0), (0, 1), (1, 0)}

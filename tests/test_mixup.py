@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import betainc
 
 from dualrec import autodiff as ad
 from dualrec.autodiff import Value
@@ -9,11 +10,22 @@ from dualrec.mixup import interpolate, sample_lambda
 
 
 class TestSampleLambda:
-    """The moments of 1e5 draws per alpha are ``selfcheck.check_mixing_moments``."""
+    """The moments of 1e5 draws per alpha are ``selfcheck.check_mixing_moments``;
+    here the whole distribution of the draws is checked."""
 
     def draws(self, alpha, n, seed=0):
         rng = np.random.default_rng(seed)
         return np.array([sample_lambda(alpha, rng) for _ in range(n)])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 5.0])
+    def test_draws_follow_the_beta_cdf(self, alpha):
+        # Kolmogorov-Smirnov distance to the Beta(alpha, alpha) CDF, below
+        # its 0.1% critical value 1.95 / sqrt(n)
+        xs = np.sort(self.draws(alpha, 20_000))
+        n = xs.size
+        cdf = betainc(alpha, alpha, xs)
+        distance = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+        assert distance < 1.95 / np.sqrt(n)
 
     def test_range(self):
         xs = self.draws(0.5, 2000, seed=5)
