@@ -1,10 +1,11 @@
 """Command-line entry point.
 
-Exit codes are part of the contract:
-  0 success, 1 usage or config error (or an OS or memory error, such as an
-  unwritable output or an allocation that cannot be met), 2 data or
-  alignment error, 3 missing or malformed artifact, 4 numerical abort during
-  training, 5 selfcheck failure.
+Exit codes are part of the contract: 0 success, 5 selfcheck failure, and for
+a failed command the code that ``FAILURES``, the one map from a failure to
+its exit code and stderr prefix, gives it: 1 usage or config error (or an OS
+or memory error, such as an unwritable output or an allocation that cannot
+be met), 2 data or alignment error, 3 missing or malformed artifact, 4
+numerical abort during training.
 """
 
 from __future__ import annotations
@@ -51,6 +52,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# (exception class, stderr prefix, exit code) of each failure, matched in
+# order, so that ArtifactError comes before its base class DatasetError
+FAILURES = (
+    (_UsageError, "usage error", EXIT_USAGE),
+    (ConfigError, "config error", EXIT_USAGE),
+    (ArtifactError, "artifact error", EXIT_ARTIFACT),
+    (DatasetError, "data error", EXIT_DATA),
+    (NumericalAbortError, "numerical abort", EXIT_NUMERIC),
+    (OSError, "os error", EXIT_USAGE),
+    (MemoryError, "out of memory", EXIT_USAGE),
+)
+
+
 def _load_fields(cls, path: str | None, what: str):
     """``cls`` as set by the ``key = value`` file at ``path``, validated; defaults without one."""
     if not path:
@@ -93,18 +107,17 @@ def _check_out_dir(path: str, is_dir: bool = False) -> None:
 
 
 def _write_prepared(out_dir: str, split_a, split_b, meta: dict) -> None:
+    """Write both domains' artifacts, then print their summary."""
     # write_split_artifact adds each domain's own num_items to the meta
     for tag, split in zip(DOMAINS, (split_a, split_b)):
         write_split_artifact(os.path.join(out_dir, f"domain_{tag}"), split, meta)
-
-
-def _print_summary(split_a, split_b) -> None:
     print(f"users = {split_a.train.num_users}")
     for tag, split in zip(DOMAINS, (split_a, split_b)):
         print(
             f"domain_{tag}: items = {split.train.num_items}, "
             f"train = {split.train.indices.size}, test = {len(split.test)}"
         )
+    print(f"artifacts written to {out_dir}")
 
 
 def _cmd_prepare(args) -> int:
@@ -120,8 +133,6 @@ def _cmd_prepare(args) -> int:
         n_candidates=args.candidates,
     )
     _write_prepared(args.out, split_a, split_b, meta)
-    _print_summary(split_a, split_b)
-    print(f"artifacts written to {args.out}")
     return EXIT_OK
 
 
@@ -140,8 +151,6 @@ def _cmd_synth(args) -> int:
         "source": "synthetic",
     }
     _write_prepared(args.out, split_a, split_b, meta)
-    _print_summary(split_a, split_b)
-    print(f"artifacts written to {args.out}")
     return EXIT_OK
 
 
@@ -280,32 +289,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if not hasattr(args, "func"):
-        parser.print_usage(sys.stderr)
-        return EXIT_USAGE
-    try:
+        if not hasattr(args, "func"):
+            parser.print_usage(sys.stderr)
+            return EXIT_USAGE
         return args.func(args)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except ArtifactError as exc:
-        print(f"artifact error: {exc}", file=sys.stderr)
-        return EXIT_ARTIFACT
-    except DatasetError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NumericalAbortError as exc:
-        print(f"numerical abort: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
-    except OSError as exc:
-        print(f"os error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except MemoryError as exc:
-        print(f"out of memory: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(row[0] for row in FAILURES) as exc:
+        prefix, code = next(row[1:] for row in FAILURES if isinstance(exc, row[0]))
+        print(f"{prefix}: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

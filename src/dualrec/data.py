@@ -548,10 +548,11 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
     """Load a prepared-dataset directory back into a SplitDataset.
 
     Raises ArtifactError when a file is missing or malformed, when the
-    meta's ``num_users`` or ``num_items`` is below 1, ``num_items`` reaches
-    2**31 or their product reaches 2**63, when a train or test index lies
-    outside the meta's ``num_users`` x ``num_items``, when ``num_users`` is
-    not 1 + the largest train user or exceeds the train lines, when
+    meta's ``num_users``, ``num_items`` or stated ``n_candidates`` is below
+    1, ``num_items`` or ``n_candidates`` reaches 2**31 or users x items
+    reaches 2**63, when a train or test index lies outside the meta's
+    ``num_users`` x ``num_items``, when ``num_users`` is not 1 + the
+    largest train user or exceeds the train lines, when
     ``num_items`` exceeds the train lines plus ``num_users`` (every item was
     seen, and the split moves at most one pair per user out of train), or
     when a candidate line would corrupt the ranking: a count other than the
@@ -585,6 +586,10 @@ def read_split_artifact(dir_path: str) -> tuple[SplitDataset, dict[str, str]]:
         raise ArtifactError(
             f"{paths['meta']}: num_users = {num_users} and num_items = {num_items} must each "
             "be >= 1, with num_items below 2**31 and num_users x num_items below 2**63"
+        )
+    if n_candidates is not None and not 1 <= n_candidates < 1 << 31:
+        raise ArtifactError(
+            f"{paths['meta']}: n_candidates = {n_candidates} must be >= 1 and below 2**31"
         )
 
     train_pairs = _read_pairs(paths["train.tsv"], num_users, num_items)

@@ -226,23 +226,27 @@ def load_model(
 ) -> ModelState:
     if not os.path.exists(path):
         raise ArtifactError(f"model file not found: {path}")
-    try:
-        archive = np.load(path)
+    try:  # every member is read here, so that a corrupt one is caught too
+        loaded = np.load(path)
+        if isinstance(loaded, np.ndarray):  # a plain .npy file has no members
+            members = {}
+        else:
+            with loaded as archive:
+                members = dict(archive)
     except Exception as exc:
         raise ArtifactError(f"unreadable model file {path}: {exc}") from exc
-    if "__config__" not in archive:
+    if "__config__" not in members:
         raise ArtifactError(f"model file {path} lacks a config record")
     try:
-        config = parse_fields(RunConfig, "\n".join(archive["__config__"].tolist()))
+        config = parse_fields(RunConfig, "\n".join(np.asarray(members.pop("__config__")).tolist()))
     except (TypeError, ValueError) as exc:  # ConfigError is a ValueError
         raise ArtifactError(f"model file {path} has a bad config record: {exc}") from exc
     model = build_model(adjacency_a, adjacency_b, config)
-    saved = set(archive.files) - {"__config__"}
-    if saved != set(model.params):
+    if set(members) != set(model.params):
         raise ArtifactError(f"model file {path} has mismatched parameter names")
     for name, value in model.params.items():
-        try:  # an object array cannot load; a string or complex one cannot cast
-            data = archive[name].astype(np.float64, casting="same_kind")
+        try:  # a string or complex array cannot cast, nor a member numpy left as raw bytes
+            data = np.asarray(members[name]).astype(np.float64, casting="same_kind")
         except (TypeError, ValueError) as exc:
             raise ArtifactError(f"parameter {name} is not a real array: {exc}") from exc
         if data.shape != value.data.shape:

@@ -558,6 +558,33 @@ def test_value_annotated_callables_are_the_tape_ops():
     assert found == TAPE_OPS
 
 
+# a call, and the message, for each ShapeError guard in autodiff that no other
+# test trips; without add's guard, (3, 1) + (3, 4) would broadcast silently
+SHAPE_GUARDS = {
+    "as_matrix": (lambda: Value(np.ones((2, 2, 2))), "expected a 2-D matrix"),
+    "add": (lambda: ad.add(Value(np.ones((3, 1))), Value(np.ones((3, 4)))), "add:"),
+    "mul_const": (lambda: ad.mul_const(Value(np.ones((1, 3))), np.ones((2, 3))), "mul_const:"),
+    "affine": (lambda: ad.affine(Value(np.ones((2, 3))), Value(np.ones((4, 2))),
+                                 Value(np.ones((1, 2)))), r"affine: \(2, 3\) @"),
+    "spmm": (lambda: ad.spmm(sp.csr_matrix((3, 4)), Value(np.ones((3, 2)))), "spmm:"),
+    "gather_rows": (lambda: ad.gather_rows(Value(np.ones((3, 2))), [[0, 1]]), "gather_rows:"),
+    "concat_empty": (lambda: ad.concat_cols([]), "concat_cols: empty"),
+    "concat_rows": (lambda: ad.concat_cols([Value(np.ones((2, 1))), Value(np.ones((3, 1)))]),
+                    "concat_cols: row counts"),
+    "row_cosine": (lambda: ad.row_cosine(Value(np.ones((2, 3))), Value(np.ones((2, 4)))),
+                   "row_cosine:"),
+    "cross_entropy": (lambda: ad.cross_entropy(Value(np.full((2, 2), 0.5)), np.ones((2, 3))),
+                      "cross_entropy:"),
+    "kl_div": (lambda: ad.kl_div(np.ones((2, 3)), Value(np.full((2, 2), 0.5))), "kl_div:"),
+}
+
+
+@pytest.mark.parametrize("call,match", SHAPE_GUARDS.values(), ids=SHAPE_GUARDS)
+def test_shape_guard_fires(call, match):
+    with pytest.raises(ad.ShapeError, match=match):
+        call()
+
+
 def _random_leaves(rng, shapes):
     return [Value(rng.standard_normal(s)) for s in shapes]
 

@@ -1,16 +1,23 @@
 """End-to-end CLI tests, run in process through main().
 
 Every pinned exit code is exercised: 0 success, 1 usage/config, 2 data,
-3 artifact, 4 numerical abort, 5 selfcheck failure.
+3 artifact, 4 numerical abort, 5 selfcheck failure. Each failed command but a
+bare ``dualrec`` runs through ``fails``, which checks it against
+``cli.FAILURES``: the exit code of its stderr prefix, one stderr line and no
+traceback.
 """
 
 import argparse
 import hashlib
 import os
+import shutil
+import struct
 import subprocess
 import sys
 import warnings
+import zipfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -55,12 +62,63 @@ def data_dir(tmp_path, spec_file):
     return out
 
 
+# the exit code of each stderr prefix, as cli.FAILURES maps it
+CODES = {prefix: code for _, prefix, code in cli.FAILURES}
+
+
+def fails(capsys, argv, prefix):
+    """Run ``argv``, assert that it exits with the code ``cli.FAILURES`` gives
+    ``prefix`` and one stderr line ``prefix: ...`` without a traceback, and
+    return that line without its line end."""
+    capsys.readouterr()
+    code = cli.main(argv)
+    err = capsys.readouterr().err
+    assert code == CODES[prefix], err
+    assert err.count("\n") == 1 and err.endswith("\n") and err.startswith(prefix + ": "), err
+    assert "Traceback" not in err
+    return err[:-1]
+
+
+def train_argv(data_dir, out, extra=()):
+    return ["train", "--data", data_dir, "--out", out,
+            "--k", "4", "--l", "1", "--epochs", "2", "--lr", "0.02", *extra]
+
+
 def run_train(data_dir, out, extra=()):
-    return cli.main([
-        "train", "--data", data_dir, "--out", out,
-        "--k", "4", "--l", "1", "--epochs", "2", "--lr", "0.02",
-        *extra,
-    ])
+    return cli.main(train_argv(data_dir, out, extra))
+
+
+def eval_argv(data_dir, run_dir, out, *extra):
+    """eval's argv on the model that ``train`` wrote to ``run_dir``."""
+    return ["eval", "--data", data_dir, "--model", os.path.join(run_dir, "model.npz"),
+            "--out", str(out), *extra]
+
+
+@pytest.fixture()
+def trained(tmp_path, data_dir):
+    """The run directory of a model trained on ``data_dir``."""
+    run_dir = str(tmp_path / "run")
+    assert run_train(data_dir, run_dir) == cli.EXIT_OK
+    return run_dir
+
+
+def text_file(path, text):
+    """``path`` as a string, once ``text`` is written to it."""
+    path.write_text(text)
+    return str(path)
+
+
+def first_item(item):
+    """An edit of a train file's lines that sets the first line's item to ``item``."""
+    return lambda lines: [lines[0].split("\t")[0] + "\t" + item] + lines[1:]
+
+
+def set_meta(key, value):
+    """An edit of a meta file's lines that sets its ``key`` to ``value``."""
+    def edit(lines):
+        assert any(line.startswith(f"{key} = ") for line in lines)
+        return [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+    return edit
 
 
 def subcommand(name):
@@ -84,59 +142,49 @@ class TestSynthAndPrepare:
                 assert os.path.isfile(os.path.join(data_dir, domain, name))
 
     def test_synth_is_deterministic(self, tmp_path, spec_file):
-        out1, out2 = str(tmp_path / "d1"), str(tmp_path / "d2")
-        assert cli.main(["synth", "--spec", spec_file, "--out", out1,
-                         "--candidates", "20"]) == 0
-        assert cli.main(["synth", "--spec", spec_file, "--out", out2,
-                         "--candidates", "20"]) == 0
+        out1, out2 = tmp_path / "d1", tmp_path / "d2"
+        for out in (out1, out2):
+            assert cli.main(["synth", "--spec", spec_file, "--out", str(out),
+                             "--candidates", "20"]) == 0
         for domain in ("domain_a", "domain_b"):
             for name in ("train.tsv", "test.tsv", "candidates.tsv"):
-                p1 = os.path.join(out1, domain, name)
-                p2 = os.path.join(out2, domain, name)
-                assert open(p1).read() == open(p2).read()
+                assert (out1 / domain / name).read_text() == (out2 / domain / name).read_text()
 
-    def test_synth_missing_spec_is_artifact_error(self, tmp_path):
-        code = cli.main(["synth", "--spec", str(tmp_path / "none.txt"),
-                         "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_ARTIFACT
+    def test_synth_missing_spec_is_artifact_error(self, tmp_path, capsys):
+        spec = str(tmp_path / "none.txt")
+        err = fails(capsys, ["synth", "--spec", spec, "--out", str(tmp_path / "out")],
+                    "artifact error")
+        assert err == f"artifact error: spec file not found: {spec}"
 
     def test_spec_inline_comment(self, tmp_path, data_dir):
-        spec = tmp_path / "commented.txt"
-        spec.write_text(TINY_SPEC.replace("num_users = 40", "num_users = 40  # small"))
+        spec = text_file(tmp_path / "commented.txt",
+                         TINY_SPEC.replace("num_users = 40", "num_users = 40  # small"))
         out = str(tmp_path / "commented")
-        assert cli.main(["synth", "--spec", str(spec), "--out", out,
+        assert cli.main(["synth", "--spec", spec, "--out", out,
                          "--candidates", "20"]) == cli.EXIT_OK
         for name in ARTIFACT_FILES:  # the same data as the spec without the comment
-            assert open(os.path.join(out, name)).read() == open(os.path.join(data_dir, name)).read()
+            assert Path(out, name).read_text() == Path(data_dir, name).read_text()
 
-    def test_synth_bad_spec_is_usage_error(self, tmp_path):
-        bad = tmp_path / "bad.txt"
-        bad.write_text("num_users = 40\nwhatever = 3\n")
-        code = cli.main(["synth", "--spec", str(bad), "--out", str(tmp_path / "out")])
-        assert code == cli.EXIT_USAGE
+    def test_synth_bad_spec_is_usage_error(self, tmp_path, capsys):
+        bad = text_file(tmp_path / "bad.txt", "num_users = 40\nwhatever = 3\n")
+        err = fails(capsys, ["synth", "--spec", bad, "--out", str(tmp_path / "o")], "config error")
+        assert err == "config error: line 2: unknown key 'whatever'"
 
     @pytest.mark.parametrize("line,bad", [
         ("shared_strength = 3.0", "shared_strength = nan"),
         ("specific_strength = 0.8", "specific_strength = inf"),
     ], ids=["shared-nan", "specific-inf"])
     def test_synth_non_finite_strength_is_usage_error(self, tmp_path, capsys, line, bad):
-        spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC.replace(line, bad))
+        spec = text_file(tmp_path / "spec.txt", TINY_SPEC.replace(line, bad))
         out = tmp_path / "out"
-        capsys.readouterr()
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == "config error: strengths must be finite and >= 0\n"
-        assert not out.exists()
+        err = fails(capsys, ["synth", "--spec", spec, "--out", str(out)], "config error")
+        assert err == "config error: strengths must be finite and >= 0" and not out.exists()
 
     def test_synth_unreachable_rate_is_usage_error(self, tmp_path, capsys):
-        spec = tmp_path / "spec.txt"
-        spec.write_text("shared_strength = 100\nseed = 1\n")
+        spec = text_file(tmp_path / "spec.txt", "shared_strength = 100\nseed = 1\n")
         out = tmp_path / "out"
-        capsys.readouterr()
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(out)]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
+        err = fails(capsys, ["synth", "--spec", spec, "--out", str(out)], "config error")
         assert err.startswith("config error: domain a: rate_a = 0.025 is out of reach")
-        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_prepare_from_rating_files(self, tmp_path):
@@ -157,24 +205,26 @@ class TestSynthAndPrepare:
         assert code == cli.EXIT_OK
         assert os.path.isfile(os.path.join(out, "domain_a", "train.tsv"))
 
-    def test_prepare_missing_input_is_data_error(self, tmp_path):
-        code = cli.main([
-            "prepare", "--domain-a", str(tmp_path / "missing.tsv"),
-            "--domain-b", str(tmp_path / "missing.tsv"),
-            "--out", str(tmp_path / "out"),
-        ])
-        assert code == cli.EXIT_DATA
+    def test_prepare_missing_input_is_data_error(self, tmp_path, capsys):
+        missing = str(tmp_path / "missing.tsv")
+        err = fails(capsys, ["prepare", "--domain-a", missing, "--domain-b", missing,
+                             "--out", str(tmp_path / "out")], "data error")
+        assert err == f"data error: input ratings file not found: {missing}"
 
-    def test_prepare_disjoint_users_is_data_error(self, tmp_path):
+    def test_prepare_disjoint_users_is_data_error(self, tmp_path, capsys):
         for tag, prefix in (("a", "left"), ("b", "right")):
             lines = [f"{prefix}{u}\t{tag}{i}\t5" for u in range(8) for i in range(6)]
             (tmp_path / f"r_{tag}.tsv").write_text("\n".join(lines) + "\n")
-        code = cli.main([
-            "prepare", "--domain-a", str(tmp_path / "r_a.tsv"),
-            "--domain-b", str(tmp_path / "r_b.tsv"),
-            "--out", str(tmp_path / "out"), "--min-count", "2", "--candidates", "2",
-        ])
-        assert code == cli.EXIT_DATA
+        fails(capsys, ["prepare", "--domain-a", str(tmp_path / "r_a.tsv"),
+                       "--domain-b", str(tmp_path / "r_b.tsv"), "--out", str(tmp_path / "out"),
+                       "--min-count", "2", "--candidates", "2"], "data error")
+
+    def test_prepare_empty_user_key_is_data_error(self, tmp_path, capsys):
+        argv = ["prepare", *rating_files(tmp_path), "--out", str(tmp_path / "out")]
+        with open(tmp_path / "r_a.tsv", "a") as fh:
+            fh.write("\ta0\t5\n")
+        err = fails(capsys, argv, "data error")
+        assert err == f"data error: {tmp_path / 'r_a.tsv'}:49: empty user or item key"
 
     @pytest.mark.parametrize("argv,match", [
         (["prepare", "--min-count", "0"], "min_count must be >= 1"),
@@ -187,38 +237,33 @@ class TestSynthAndPrepare:
         else:
             argv = argv + ["--spec", spec_file]
         out = tmp_path / "out"
-        capsys.readouterr()
-        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err == f"config error: {match}\n"
-        assert not out.exists()
+        err = fails(capsys, argv + ["--out", str(out)], "config error")
+        assert err == f"config error: {match}" and not out.exists()
+
+
+SEED_ERROR = "config error: seed must be >= 0"
 
 
 class TestNegativeSeed:
     """numpy rejects a negative seed entry; every way in says so in one line first."""
 
-    def assert_seed_error(self, capsys, argv, out):
-        capsys.readouterr()
-        assert cli.main(argv + ["--out", str(out)]) == cli.EXIT_USAGE
-        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
-        assert not out.exists()
-
     def test_train_flag(self, tmp_path, data_dir, capsys):
-        self.assert_seed_error(capsys, ["train", "--data", data_dir, "--seed", "-1"],
-                               tmp_path / "run")
+        argv = ["train", "--data", data_dir, "--seed", "-1", "--out", str(tmp_path / "out")]
+        assert fails(capsys, argv, "config error") == SEED_ERROR and not (tmp_path / "out").exists()
 
     def test_synth_flag(self, tmp_path, spec_file, capsys):
-        self.assert_seed_error(capsys, ["synth", "--spec", spec_file, "--seed", "-1"],
-                               tmp_path / "out")
+        argv = ["synth", "--spec", spec_file, "--seed", "-1", "--out", str(tmp_path / "out")]
+        assert fails(capsys, argv, "config error") == SEED_ERROR and not (tmp_path / "out").exists()
 
     def test_spec_file(self, tmp_path, capsys):
-        spec = tmp_path / "spec.txt"
-        spec.write_text(TINY_SPEC.replace("seed = 0", "seed = -2"))
-        self.assert_seed_error(capsys, ["synth", "--spec", str(spec)], tmp_path / "out")
+        spec = text_file(tmp_path / "spec.txt", TINY_SPEC.replace("seed = 0", "seed = -2"))
+        argv = ["synth", "--spec", spec, "--out", str(tmp_path / "out")]
+        assert fails(capsys, argv, "config error") == SEED_ERROR and not (tmp_path / "out").exists()
 
     def test_prepare_flag(self, tmp_path, capsys):
-        argv = ["prepare", *rating_files(tmp_path), "--min-count", "2", "--seed", "-1"]
-        self.assert_seed_error(capsys, argv, tmp_path / "out")
+        argv = ["prepare", *rating_files(tmp_path), "--min-count", "2", "--seed", "-1",
+                "--out", str(tmp_path / "out")]
+        assert fails(capsys, argv, "config error") == SEED_ERROR and not (tmp_path / "out").exists()
 
 
 ARTIFACT_FILES = [
@@ -306,7 +351,7 @@ class TestArtifactBytes:
 
     def assert_pinned(self, out, case):
         got = tuple(
-            hashlib.sha256(open(os.path.join(out, name), "rb").read()).hexdigest()
+            hashlib.sha256(Path(out, name).read_bytes()).hexdigest()
             for name in ARTIFACT_FILES
         )
         for name, g, e in zip(ARTIFACT_FILES, got, PINNED_DIGESTS[case]):
@@ -339,45 +384,23 @@ class TestBadArtifacts:
     """A corrupted artifact stops train and eval with exit 3 and one line."""
 
     def corrupt(self, data_dir, name, edit):
-        path = os.path.join(data_dir, "domain_a", name)
-        with open(path) as fh:
-            lines = fh.read().splitlines()
-        with open(path, "w") as fh:
-            fh.write("".join(line + "\n" for line in edit(lines)))
+        path = Path(data_dir, "domain_a", name)
+        path.write_text("".join(line + "\n" for line in edit(path.read_text().splitlines())))
 
-    def assert_artifact_error(self, tmp_path, data_dir, capsys, match):
-        capsys.readouterr()
-        assert run_train(data_dir, str(tmp_path / "run")) == cli.EXIT_ARTIFACT
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("artifact error: ")
-        assert match in err
-
-    def assert_rejected_under(self, command, tmp_path, data_dir, capsys, edits, match):
-        """``command`` on the data after ``edits`` exits 3 with one line naming ``match``."""
+    def edited_argv(self, command, tmp_path, data_dir, edits):
+        """``command``'s argv on the data after ``edits``; for eval, a model trains first."""
         run_dir = str(tmp_path / "run")
         if command == "eval":
             assert run_train(data_dir, run_dir) == cli.EXIT_OK
         for name, edit in edits:
             self.corrupt(data_dir, name, edit)
-        capsys.readouterr()
         if command == "train":
-            code = run_train(data_dir, run_dir)
-        else:
-            code = cli.main(["eval", "--data", data_dir,
-                             "--model", os.path.join(run_dir, "model.npz"),
-                             "--out", str(tmp_path / "rep.txt")])
-        assert code == cli.EXIT_ARTIFACT
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("artifact error: ")
-        assert match in err and "Traceback" not in err
+            return train_argv(data_dir, run_dir)
+        return eval_argv(data_dir, run_dir, tmp_path / "rep.txt")
 
     def test_train_item_out_of_range(self, tmp_path, data_dir, capsys):
-        def edit(lines):
-            u = lines[0].split("\t")[0]
-            return [f"{u}\t100000"] + lines[1:]
-
-        self.corrupt(data_dir, "train.tsv", edit)
-        self.assert_artifact_error(tmp_path, data_dir, capsys, "is outside")
+        argv = self.edited_argv("train", tmp_path, data_dir, [("train.tsv", first_item("100000"))])
+        assert "is outside" in fails(capsys, argv, "artifact error")
 
     @pytest.mark.parametrize("items,match", [
         (lambda old: ["5", "5", "5"], "has 3 candidates, expected 20"),
@@ -388,27 +411,23 @@ class TestBadArtifacts:
             u, old = lines[0].split("\t")
             return [f"{u}\t{','.join(items(old.split(',')))}"] + lines[1:]
 
-        self.corrupt(data_dir, "candidates.tsv", edit)
-        self.assert_artifact_error(tmp_path, data_dir, capsys, match)
+        argv = self.edited_argv("train", tmp_path, data_dir, [("candidates.tsv", edit)])
+        assert match in fails(capsys, argv, "artifact error")
 
     @pytest.mark.parametrize("names,match", [
         (("train.tsv",), "is on two lines"),
         (("test.tsv", "candidates.tsv"), "is on two lines"),
     ])
     def test_repeated_line_rejected(self, tmp_path, data_dir, capsys, names, match):
-        for name in names:
-            self.corrupt(data_dir, name, lambda lines: lines + lines[:1])
-        self.assert_artifact_error(tmp_path, data_dir, capsys, match)
+        edits = [(name, lambda lines: lines + lines[:1]) for name in names]
+        argv = self.edited_argv("train", tmp_path, data_dir, edits)
+        assert match in fails(capsys, argv, "artifact error")
 
     @pytest.mark.parametrize("number", ["99999999999999999999", "-99999999999999999999"])
     def test_number_outside_int64_rejected(self, tmp_path, data_dir, capsys, number):
         # numpy reads either sign as the int64 maximum, a number the file does not hold
-        def edit(lines):
-            u = lines[0].split("\t")[0]
-            return [f"{u}\t{number}"] + lines[1:]
-
-        self.corrupt(data_dir, "train.tsv", edit)
-        self.assert_artifact_error(tmp_path, data_dir, capsys, "number outside the int64 range")
+        argv = self.edited_argv("train", tmp_path, data_dir, [("train.tsv", first_item(number))])
+        assert "number outside the int64 range" in fails(capsys, argv, "artifact error")
 
     @pytest.mark.parametrize("key,value", [
         # num_users x num_items reaches 2**63, where a pair key overflows int64
@@ -417,56 +436,68 @@ class TestBadArtifacts:
         ("num_items", "2147483648"),
         ("num_items", "0"),
         ("num_users", "-1"),
+        # a candidate row is int32 wide, and holds at least one item
+        ("n_candidates", "-1"),
+        ("n_candidates", "0"),
+        ("n_candidates", "2147483648"),
+        ("n_candidates", str(10**30)),
     ])
     def test_meta_count_rejected(self, tmp_path, data_dir, capsys, key, value):
-        def edit(lines):
-            assert any(line.startswith(f"{key} = ") for line in lines)
-            return [f"{key} = {value}" if line.startswith(f"{key} = ") else line for line in lines]
+        argv = self.edited_argv("train", tmp_path, data_dir, [("meta", set_meta(key, value))])
+        assert f"{key} = {value} " in fails(capsys, argv, "artifact error")
 
-        self.corrupt(data_dir, "meta", edit)
-        self.assert_artifact_error(tmp_path, data_dir, capsys, f"{key} = {value} ")
+    @pytest.mark.parametrize("value", ["-1", str(10**30)])
+    def test_n_candidates_out_of_range_without_test_users(self, tmp_path, data_dir, capsys,
+                                                          value):
+        # no candidate line states a count, so only the meta's count could size the rows
+        edits = [("test.tsv", lambda lines: []), ("candidates.tsv", lambda lines: []),
+                 ("meta", set_meta("n_candidates", value))]
+        err = fails(capsys, self.edited_argv("eval", tmp_path, data_dir, edits), "artifact error")
+        assert err.endswith(f"meta: n_candidates = {value} must be >= 1 and below 2**31")
+
+    def test_meta_without_num_users(self, tmp_path, data_dir, capsys):
+        edit = [("meta", lambda lines: [line for line in lines
+                                        if not line.startswith("num_users = ")])]
+        err = fails(capsys, self.edited_argv("train", tmp_path, data_dir, edit), "artifact error")
+        assert err == ("artifact error: meta lacks usable num_users/num_items/n_candidates: "
+                       "'num_users'")
+
+    def test_domains_disagree_on_the_user_count(self, tmp_path, data_dir, capsys):
+        other = tmp_path / "other"
+        spec = text_file(tmp_path / "s.txt", TINY_SPEC.replace("num_users = 40", "num_users = 30"))
+        assert cli.main(["synth", "--spec", spec, "--out", str(other),
+                         "--candidates", "20"]) == cli.EXIT_OK
+        shutil.copytree(other / "domain_b", Path(data_dir, "domain_b"), dirs_exist_ok=True)
+        err = fails(capsys, train_argv(data_dir, str(tmp_path / "run")), "artifact error")
+        assert err == "artifact error: domain artifacts disagree on the aligned user count"
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("name,edit", [
         # a users x items table this wide would not fit in memory
-        ("meta", lambda lines: [
-            "num_users = 1000000000000000" if line.startswith("num_users = ") else line
-            for line in lines
-        ]),
+        ("meta", set_meta("num_users", "1000000000000000")),
         ("train.tsv", lambda lines: []),
     ], ids=["huge_meta_num_users", "empty_train"])
     def test_num_users_must_match_train(self, tmp_path, data_dir, capsys, command, name, edit):
-        self.assert_rejected_under(command, tmp_path, data_dir, capsys, [(name, edit)],
-                                   "num_users = ")
+        argv = self.edited_argv(command, tmp_path, data_dir, [(name, edit)])
+        assert "num_users = " in fails(capsys, argv, "artifact error")
 
     @pytest.mark.parametrize("command", ["train", "eval"])
     @pytest.mark.parametrize("edits,match", [
         # no train line names most of these items, yet each sizes the tables
-        ([("meta", lambda lines: [
-            "num_items = 2000000000" if line.startswith("num_items = ") else line
-            for line in lines
-        ])], "num_items = 2000000000 "),
+        ([("meta", set_meta("num_items", "2000000000"))], "num_items = 2000000000 "),
         # one train line spans 10**15 users that keep no train pair
         ([("train.tsv", lambda lines: lines + ["1000000000000000\t0"]),
-          ("meta", lambda lines: [
-              "num_users = 1000000000000001" if line.startswith("num_users = ") else line
-              for line in lines
-          ])], "num_users = 1000000000000001 "),
+          ("meta", set_meta("num_users", "1000000000000001"))], "num_users = 1000000000000001 "),
     ], ids=["huge_meta_num_items", "huge_train_user"])
     def test_meta_count_beyond_train_lines(self, tmp_path, data_dir, capsys, command, edits,
                                            match):
-        self.assert_rejected_under(command, tmp_path, data_dir, capsys, edits, match)
+        argv = self.edited_argv(command, tmp_path, data_dir, edits)
+        assert match in fails(capsys, argv, "artifact error")
 
     def test_eval_rejects_bad_candidates(self, tmp_path, data_dir, capsys):
-        run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir) == cli.EXIT_OK
-        self.corrupt(data_dir, "candidates.tsv", lambda lines: lines[1:])
-        capsys.readouterr()
-        code = cli.main(["eval", "--data", data_dir,
-                         "--model", os.path.join(run_dir, "model.npz"),
-                         "--out", str(tmp_path / "rep.txt")])
-        assert code == cli.EXIT_ARTIFACT
-        assert capsys.readouterr().err.startswith("artifact error: ")
+        argv = self.edited_argv("eval", tmp_path, data_dir,
+                                [("candidates.tsv", lambda lines: lines[1:])])
+        fails(capsys, argv, "artifact error")
 
 
 class TestNonUtf8Input:
@@ -494,76 +525,105 @@ class TestNonUtf8Input:
             path = str(tmp_path / "r_a.tsv")
         with open(path, "ab") as fh:
             fh.write(b"\xff\n")
-        capsys.readouterr()
-        assert cli.main(argv) == code
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(prefix)
-        assert f"{path}: not UTF-8 text" in err
+        prefix = prefix.removesuffix(": ")
+        assert code == CODES[prefix]  # the ids name each input's exit code
+        assert f"{path}: not UTF-8 text" in fails(capsys, argv, prefix)
 
 
 class TestBadModelFiles:
-    """A malformed model file stops eval with exit 3 and one line."""
+    """A malformed model file stops eval with exit 3 and one line, and no report."""
 
-    def eval_edited_model(self, tmp_path, data_dir, capsys, edit):
-        run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir) == cli.EXIT_OK
-        path = os.path.join(run_dir, "model.npz")
+    def eval_edited_model(self, data_dir, trained, edit, save=np.savez):
+        """eval's argv, to write ``rep.txt``, on the trained model after ``save``
+        wrote ``edit`` of its arrays."""
+        path = os.path.join(trained, "model.npz")
         with np.load(path) as archive:
             arrays = {name: archive[name] for name in archive.files}
         edit(arrays)
-        np.savez(path, **arrays)
-        capsys.readouterr()
-        report = tmp_path / "rep.txt"
-        code = cli.main(["eval", "--data", data_dir, "--model", path, "--out", str(report)])
-        assert code == cli.EXIT_ARTIFACT
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("artifact error: ")
-        assert not report.exists()
-        return err
+        save(path, **arrays)
+        return eval_argv(data_dir, trained, Path(trained).parent / "rep.txt")
 
-    def test_invalid_config_record(self, tmp_path, data_dir, capsys):
+    def test_invalid_config_record(self, tmp_path, data_dir, trained, capsys):
         def edit(arrays):
             lines = [line for line in arrays["__config__"] if not line.startswith("variant")]
             arrays["__config__"] = np.array(lines + ["variant = bogus"])
 
-        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        err = fails(capsys, self.eval_edited_model(data_dir, trained, edit), "artifact error")
         assert "bad config record" in err and "bogus" in err
+        assert not (tmp_path / "rep.txt").exists()
 
-    def test_negative_seed_in_config_record(self, tmp_path, data_dir, capsys):
+    def test_negative_seed_in_config_record(self, tmp_path, data_dir, trained, capsys):
         def edit(arrays):
             lines = [line for line in arrays["__config__"] if not line.startswith("seed")]
             arrays["__config__"] = np.array(lines + ["seed = -1"])
 
-        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        err = fails(capsys, self.eval_edited_model(data_dir, trained, edit), "artifact error")
         assert "bad config record" in err and "seed must be >= 0" in err
+        assert not (tmp_path / "rep.txt").exists()
 
-    def test_non_numeric_parameter(self, tmp_path, data_dir, capsys):
+    def test_non_numeric_parameter(self, tmp_path, data_dir, trained, capsys):
         def edit(arrays):
             arrays["tow_a.item.1"] = np.full(arrays["tow_a.item.1"].shape, "x")
 
-        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
-        assert "tow_a.item.1" in err
+        err = fails(capsys, self.eval_edited_model(data_dir, trained, edit), "artifact error")
+        assert "tow_a.item.1" in err and not (tmp_path / "rep.txt").exists()
 
-    def test_nan_parameter(self, tmp_path, data_dir, capsys):
+    def test_nan_parameter(self, tmp_path, data_dir, trained, capsys):
         def edit(arrays):
             arrays["tow_a.item.1"][0, 0] = np.nan
 
-        err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+        err = fails(capsys, self.eval_edited_model(data_dir, trained, edit), "artifact error")
         assert "tow_a.item.1 holds non-finite values" in err
+        assert not (tmp_path / "rep.txt").exists()
 
     @pytest.mark.parametrize("tower", ["user", "item"])
-    def test_finite_weights_that_overflow_a_norm(self, tmp_path, data_dir, capsys, tower):
+    def test_finite_weights_that_overflow_a_norm(self, tmp_path, data_dir, trained, capsys,
+                                                 tower):
         # every value stays finite, but a representation's norm overflows to inf
         def edit(arrays):
             for tag in ("a", "b"):
                 arrays[f"tow_{tag}.{tower}.1"] *= 1e300
 
+        argv = self.eval_edited_model(data_dir, trained, edit)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # a warning would print lines of its own
-            err = self.eval_edited_model(tmp_path, data_dir, capsys, edit)
+            err = fails(capsys, argv, "artifact error")
         assert [str(w.message) for w in caught] == []
-        assert os.path.join(str(tmp_path / "run"), "model.npz") in err
+        assert os.path.join(trained, "model.npz") in err
         assert f"a {tower} representation has a non-finite norm" in err
+        assert not (tmp_path / "rep.txt").exists()
+
+    @pytest.mark.parametrize("save,offset,change,match", [
+        # a stored member's changed byte fails its CRC-32
+        (np.savez, -1, lambda byte: byte ^ 0xFF, "Bad CRC-32 for file 'tow_a.user.1.npy'"),
+        # a deflated member whose first block has the reserved type 11 fails in zlib
+        (np.savez_compressed, 0, lambda byte: byte | 0b110, "while decompressing data"),
+    ], ids=["stored", "deflated"])
+    def test_corrupt_member_bytes(self, tmp_path, data_dir, trained, capsys, save, offset,
+                                  change, match):
+        argv = self.eval_edited_model(data_dir, trained, lambda arrays: None, save)
+        path = Path(trained, "model.npz")
+        with zipfile.ZipFile(path) as archive:
+            info = archive.getinfo("tow_a.user.1.npy")
+        raw = bytearray(path.read_bytes())
+        # a member's bytes follow its 30-byte local header, its name and its extra field
+        name_len, extra_len = struct.unpack_from("<HH", raw, info.header_offset + 26)
+        at = info.header_offset + 30 + name_len + extra_len + offset % info.compress_size
+        raw[at] = change(raw[at])
+        path.write_bytes(raw)
+        err = fails(capsys, argv, "artifact error")
+        assert f"unreadable model file {path}: " in err and match in err
+
+    def test_member_without_npy_magic(self, tmp_path, data_dir, trained, capsys):
+        # numpy hands such a member back as raw bytes
+        path = Path(trained, "model.npz")
+        with zipfile.ZipFile(path) as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        with zipfile.ZipFile(path, "w") as archive:
+            for name, data in members.items():  # one member loses its .npy magic
+                archive.writestr(name, b"NOTNPY" + data[6:] if name == "tow_a.user.1.npy" else data)
+        err = fails(capsys, eval_argv(data_dir, trained, tmp_path / "rep.txt"), "artifact error")
+        assert "artifact error: parameter tow_a.user.1 is not a real array: " in err
 
 
 class TestTrainEval:
@@ -571,50 +631,40 @@ class TestTrainEval:
         run_dir = str(tmp_path / "run")
         assert run_train(data_dir, run_dir) == cli.EXIT_OK
         assert os.path.isfile(os.path.join(run_dir, "model.npz"))
-        log = open(os.path.join(run_dir, "train.log")).read().splitlines()
+        log = Path(run_dir, "train.log").read_text().splitlines()
         assert log[0].startswith("epoch\tloss_total")
         assert len(log) == 1 + 2
 
-        report_path = str(tmp_path / "report.txt")
-        code = cli.main(["eval", "--data", data_dir,
-                         "--model", os.path.join(run_dir, "model.npz"),
-                         "--out", report_path])
-        assert code == cli.EXIT_OK
-        text = open(report_path).read()
+        assert cli.main(eval_argv(data_dir, run_dir, tmp_path / "report.txt")) == cli.EXIT_OK
+        text = (tmp_path / "report.txt").read_text()
         assert "hr_a = " in text and "ranks_b = " in text
 
     def test_train_is_deterministic(self, tmp_path, data_dir):
         r1, r2 = str(tmp_path / "r1"), str(tmp_path / "r2")
         assert run_train(data_dir, r1) == 0
         assert run_train(data_dir, r2) == 0
-        m1 = np.load(os.path.join(r1, "model.npz"))
-        m2 = np.load(os.path.join(r2, "model.npz"))
-        assert sorted(m1.files) == sorted(m2.files)
-        for name in m1.files:
-            np.testing.assert_array_equal(m1[name], m2[name])
-        log1 = open(os.path.join(r1, "train.log")).read()
-        assert log1 == open(os.path.join(r2, "train.log")).read()
+        with np.load(os.path.join(r1, "model.npz")) as m1, \
+                np.load(os.path.join(r2, "model.npz")) as m2:
+            assert sorted(m1.files) == sorted(m2.files)
+            for name in m1.files:
+                np.testing.assert_array_equal(m1[name], m2[name])
+        assert Path(r1, "train.log").read_text() == Path(r2, "train.log").read_text()
 
-    def test_eval_threads_do_not_change_metrics(self, tmp_path, data_dir):
-        run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir) == 0
+    def test_eval_threads_do_not_change_metrics(self, tmp_path, data_dir, trained):
         reports = []
         for threads, name in ((1, "t1.txt"), (5, "t5.txt")):
-            path = str(tmp_path / name)
-            code = cli.main(["eval", "--data", data_dir,
-                             "--model", os.path.join(run_dir, "model.npz"),
-                             "--out", path, "--threads", str(threads)])
-            assert code == cli.EXIT_OK
-            keep = [line for line in open(path).read().splitlines()
+            path = tmp_path / name
+            assert cli.main(eval_argv(data_dir, trained, path, "--threads", str(threads))) == 0
+            keep = [line for line in path.read_text().splitlines()
                     if not line.startswith(("wallclock_s", "config.eval_threads"))]
             reports.append(keep)
         assert reports[0] == reports[1]
 
-    def test_eval_missing_model_is_artifact_error(self, tmp_path, data_dir):
-        code = cli.main(["eval", "--data", data_dir,
-                         "--model", str(tmp_path / "none.npz"),
-                         "--out", str(tmp_path / "rep.txt")])
-        assert code == cli.EXIT_ARTIFACT
+    def test_eval_missing_model_is_artifact_error(self, tmp_path, data_dir, capsys):
+        model = str(tmp_path / "none.npz")
+        err = fails(capsys, ["eval", "--data", data_dir, "--model", model,
+                             "--out", str(tmp_path / "rep.txt")], "artifact error")
+        assert err == f"artifact error: model file not found: {model}"
 
     def test_train_sets_both_malloc_thresholds(self, tmp_path, data_dir, monkeypatch):
         calls = []
@@ -626,77 +676,67 @@ class TestTrainEval:
         monkeypatch.setattr(tr, "_mallopt", None)
         tr.keep_freed_heap()
 
-    def test_train_missing_data_is_artifact_error(self, tmp_path):
-        code = run_train(str(tmp_path / "nowhere"), str(tmp_path / "run"))
-        assert code == cli.EXIT_ARTIFACT
+    def test_train_missing_data_is_artifact_error(self, tmp_path, capsys):
+        argv = train_argv(str(tmp_path / "nowhere"), str(tmp_path / "run"))
+        assert "missing artifact file: " in fails(capsys, argv, "artifact error")
 
-    def test_bad_config_value_is_usage_error(self, tmp_path, data_dir):
-        code = cli.main(["train", "--data", data_dir, "--out", str(tmp_path / "run"),
-                         "--k", "0"])
-        assert code == cli.EXIT_USAGE
+    def test_bad_config_value_is_usage_error(self, tmp_path, data_dir, capsys):
+        argv = ["train", "--data", data_dir, "--out", str(tmp_path / "run"), "--k", "0"]
+        assert fails(capsys, argv, "config error") == "config error: k and l must be >= 1"
 
-    @pytest.mark.parametrize("line", ["mixup_alpha = nan", "lr = inf", "init_std = -1"])
+    @pytest.mark.parametrize("line", [
+        "mixup_alpha = nan", "lr = inf", "init_std = -1",
+        # each RunConfig.validate rule, and a switch that is not a boolean
+        "mixup_alpha = 0", "neg_ratio = 0", "eval_negatives = 9", "gamma = -1", "lr = 0",
+        "alternating = maybe",
+    ])
     def test_bad_config_file_value_is_one_line(self, tmp_path, data_dir, capsys, line):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(line + "\n")
-        capsys.readouterr()
-        code = cli.main(["train", "--data", data_dir, "--out", str(tmp_path / "run"),
-                         "--config", str(cfg)])
-        assert code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("config error: ")
-        assert line.split(" =")[0] in err
+        cfg = text_file(tmp_path / "run.cfg", line + "\n")
+        argv = ["train", "--data", data_dir, "--out", str(tmp_path / "run"), "--config", cfg]
+        assert line.split(" =")[0] in fails(capsys, argv, "config error")
 
     def test_config_file_and_override(self, tmp_path, data_dir):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("k = 4\nl = 1\nepochs = 1\nlr = 0.02\nvariant = base\n")
+        cfg = text_file(tmp_path / "run.cfg", "k = 4\nl = 1\nepochs = 1\nlr = 0.02\nvariant = base")
         run_dir = str(tmp_path / "run")
         code = cli.main(["train", "--data", data_dir, "--out", run_dir,
-                         "--config", str(cfg), "--epochs", "2"])
+                         "--config", cfg, "--epochs", "2"])
         assert code == cli.EXIT_OK
-        log = open(os.path.join(run_dir, "train.log")).read().splitlines()
+        log = Path(run_dir, "train.log").read_text().splitlines()
         assert len(log) == 1 + 2  # flag overrides the file value
 
-    def test_numerical_abort_maps_to_exit_4(self, tmp_path, data_dir, monkeypatch):
+    def test_numerical_abort_maps_to_exit_4(self, tmp_path, data_dir, monkeypatch, capsys):
         def explode(*args, **kwargs):
             raise NumericalAbortError("non-finite training loss at epoch 0 step 0",
                                       {"epoch": 0, "step": 0})
         monkeypatch.setattr(cli, "train_model", explode)
-        code = run_train(data_dir, str(tmp_path / "run"))
-        assert code == cli.EXIT_NUMERIC
+        err = fails(capsys, train_argv(data_dir, str(tmp_path / "run")), "numerical abort")
+        assert err == "numerical abort: non-finite training loss at epoch 0 step 0"
 
     def test_non_finite_gradient_exits_4_without_a_model(self, tmp_path, data_dir,
                                                          monkeypatch, capsys):
         monkeypatch.setattr(ad, "backward", nan_gradient_backward)
         run_dir = str(tmp_path / "run")
-        capsys.readouterr()
         # one epoch of one step, so the poisoned sweep is the last one
         extra = ("--epochs", "1", "--batch-size", "65536")
-        assert run_train(data_dir, run_dir, extra) == cli.EXIT_NUMERIC
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("numerical abort: non-finite training gradient")
+        err = fails(capsys, train_argv(data_dir, run_dir, extra), "numerical abort")
+        assert err.startswith("numerical abort: non-finite training gradient")
         assert not os.path.exists(os.path.join(run_dir, "model.npz"))
 
     def test_overflow_exits_4_with_one_line(self, tmp_path, data_dir, capsys):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("init_std = 1e300\n")
         run_dir = str(tmp_path / "run")
-        capsys.readouterr()
+        cfg = text_file(tmp_path / "run.cfg", "init_std = 1e300\n")
+        argv = train_argv(data_dir, run_dir, ("--config", cfg, "--epochs", "1"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")  # a warning would print lines of its own
-            code = run_train(data_dir, run_dir, ("--config", str(cfg), "--epochs", "1"))
-        assert code == cli.EXIT_NUMERIC
+            fails(capsys, argv, "numerical abort")
         assert [str(w.message) for w in caught] == []
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("numerical abort: ")
         assert not os.path.exists(os.path.join(run_dir, "model.npz"))
 
-    def test_abort_leaves_no_run_directory(self, tmp_path, data_dir):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("init_std = 1e300\n")
+    def test_abort_leaves_no_run_directory(self, tmp_path, data_dir, capsys):
+        cfg = text_file(tmp_path / "run.cfg", "init_std = 1e300\n")
         run_dir = tmp_path / "run_abort"
-        code = run_train(data_dir, str(run_dir), ("--config", str(cfg), "--epochs", "1"))
-        assert code == cli.EXIT_NUMERIC
+        fails(capsys, train_argv(data_dir, str(run_dir), ("--config", cfg, "--epochs", "1")),
+              "numerical abort")
         assert not run_dir.exists()
 
     def test_eval_top_k_above_the_candidates_is_one_line_data_error(self, tmp_path, data_dir,
@@ -706,45 +746,29 @@ class TestTrainEval:
         # top_k = 21 is valid.
         wide = str(tmp_path / "wide")
         assert cli.main(["synth", "--spec", spec_file, "--out", wide, "--candidates", "25"]) == 0
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("top_k = 21\n")
+        cfg = text_file(tmp_path / "run.cfg", "top_k = 21\n")
         run_dir = str(tmp_path / "run")
-        assert run_train(wide, run_dir, ("--config", str(cfg))) == cli.EXIT_OK
+        assert run_train(wide, run_dir, ("--config", cfg)) == cli.EXIT_OK
         report = tmp_path / "rep.txt"
-        capsys.readouterr()
-        code = cli.main(["eval", "--data", data_dir,
-                         "--model", os.path.join(run_dir, "model.npz"), "--out", str(report)])
-        assert code == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user\n"
+        err = fails(capsys, eval_argv(data_dir, run_dir, report), "data error")
+        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user"
         assert not report.exists()
 
     def test_train_top_k_above_the_candidates_trains_nothing(self, tmp_path, data_dir,
                                                              capsys, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("top_k = 21\n")
+        cfg = text_file(tmp_path / "run.cfg", "top_k = 21\n")
         run_dir = tmp_path / "run"
         trained = []
         monkeypatch.setattr(cli, "train_model", lambda *args: trained.append(args))
-        capsys.readouterr()
-        assert run_train(data_dir, str(run_dir), ("--config", str(cfg))) == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user\n"
+        err = fails(capsys, train_argv(data_dir, str(run_dir), ("--config", cfg)), "data error")
+        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user"
         assert trained == [] and not run_dir.exists()
 
-    def test_eval_threads_below_one_is_one_line_usage_error(self, tmp_path, data_dir, capsys):
-        run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+    def test_eval_threads_below_one_is_one_line_usage_error(self, tmp_path, data_dir, trained,
+                                                            capsys):
         report = tmp_path / "rep.txt"
-        capsys.readouterr()
-        code = cli.main(["eval", "--data", data_dir,
-                         "--model", os.path.join(run_dir, "model.npz"),
-                         "--out", str(report), "--threads", "0"])
-        assert code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("config error: ")
-        assert "eval_threads" in err
-        assert not report.exists()
+        argv = eval_argv(data_dir, trained, report, "--threads", "0")
+        assert "eval_threads" in fails(capsys, argv, "config error") and not report.exists()
 
 
 class TestAblateSweep:
@@ -753,32 +777,26 @@ class TestAblateSweep:
         code = cli.main(["ablate", "--data", data_dir, "--out", out,
                          "--k", "4", "--l", "1", "--epochs", "1"])
         assert code == cli.EXIT_OK
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0] == "variant\thr_a\tndcg_a\thr_b\tndcg_b"
         assert len(lines) == 1 + 8
 
     def test_ablate_rejects_variant_flag(self, tmp_path, data_dir, capsys):
         # ablate trains every variant, so a --variant would change nothing
         out = tmp_path / "ablation.tsv"
-        capsys.readouterr()
-        code = cli.main(["ablate", "--data", data_dir, "--out", str(out), "--variant", "base"])
-        assert code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("usage error: ")
+        fails(capsys, ["ablate", "--data", data_dir, "--out", str(out), "--variant", "base"],
+              "usage error")
         assert not out.exists()
 
     def test_ablate_top_k_above_the_candidates_trains_nothing(self, tmp_path, data_dir,
                                                               capsys, monkeypatch):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("top_k = 21\n")
+        cfg = text_file(tmp_path / "run.cfg", "top_k = 21\n")
         out = tmp_path / "ablation.tsv"
         trained = []
         monkeypatch.setattr(experiments, "train_model", lambda *args: trained.append(args))
-        capsys.readouterr()
-        code = cli.main(["ablate", "--data", data_dir, "--out", str(out), "--config", str(cfg)])
-        assert code == cli.EXIT_DATA
-        err = capsys.readouterr().err
-        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user\n"
+        argv = ["ablate", "--data", data_dir, "--out", str(out), "--config", cfg]
+        err = fails(capsys, argv, "data error")
+        assert err == "data error: top_k = 21 exceeds the 20 candidates per test user"
         assert trained == [] and not out.exists()
 
     def test_sweep_grid(self, tmp_path, data_dir):
@@ -787,41 +805,36 @@ class TestAblateSweep:
                          "--grid", "0.01,0.02", "--out", out,
                          "--k", "4", "--l", "1", "--epochs", "1"])
         assert code == cli.EXIT_OK
-        lines = open(out).read().strip().split("\n")
+        lines = Path(out).read_text().strip().split("\n")
         assert lines[0].startswith("lr\t")
         assert len(lines) == 3
 
     @pytest.mark.parametrize("grid", ["abc", "0.01,nan"])
     def test_sweep_bad_grid_value_is_usage_error(self, tmp_path, data_dir, capsys, grid):
         out = tmp_path / "s.tsv"
-        capsys.readouterr()
-        code = cli.main(["sweep", "--data", data_dir, "--param", "lr",
-                         "--grid", grid, "--out", str(out)])
-        assert code == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith("config error: ")
+        fails(capsys, ["sweep", "--data", data_dir, "--param", "lr", "--grid", grid,
+                       "--out", str(out)], "config error")
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["config", "flag", "grid"])
     def test_fractional_l_rejected_everywhere(self, tmp_path, data_dir, capsys, source):
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text("l = 2.0\n")
+        cfg = text_file(tmp_path / "run.cfg", "l = 2.0\n")
         out = tmp_path / "out"
-        argv = {
-            "config": ["train", "--data", data_dir, "--config", str(cfg)],
-            "flag": ["train", "--data", data_dir, "--l", "2.0"],
-            "grid": ["sweep", "--data", data_dir, "--param", "l", "--grid", "2.0"],
+        # argparse reads the flag, so its refusal is a usage error
+        argv, prefix = {
+            "config": (["train", "--data", data_dir, "--config", cfg], "config error"),
+            "flag": (["train", "--data", data_dir, "--l", "2.0"], "usage error"),
+            "grid": (["sweep", "--data", data_dir, "--param", "l", "--grid", "2.0"],
+                     "config error"),
         }[source]
-        capsys.readouterr()
-        code = cli.main(argv + ["--out", str(out), "--k", "4", "--epochs", "1"])
-        assert code == cli.EXIT_USAGE
-        assert capsys.readouterr().err.count("\n") == 1
+        err = fails(capsys, argv + ["--out", str(out), "--k", "4", "--epochs", "1"], prefix)
+        assert "'2.0'" in err
         assert not out.exists()
 
-    def test_sweep_bad_param_is_usage_error(self, tmp_path, data_dir):
-        code = cli.main(["sweep", "--data", data_dir, "--param", "k",
-                         "--grid", "4", "--out", str(tmp_path / "s.tsv")])
-        assert code == cli.EXIT_USAGE
+    def test_sweep_bad_param_is_usage_error(self, tmp_path, data_dir, capsys):
+        argv = ["sweep", "--data", data_dir, "--param", "k", "--grid", "4",
+                "--out", str(tmp_path / "s.tsv")]
+        assert "unknown sweep parameter 'k'" in fails(capsys, argv, "config error")
 
 
 class TestOsAndMemoryErrors:
@@ -831,12 +844,6 @@ class TestOsAndMemoryErrors:
     or ``prepare`` would go, is found before any model trains or any data is
     generated or read."""
 
-    def assert_one_line(self, capsys, argv, prefix):
-        capsys.readouterr()
-        assert cli.main(argv) == cli.EXIT_USAGE
-        err = capsys.readouterr().err
-        assert err.count("\n") == 1 and err.startswith(prefix), err
-
     @pytest.mark.parametrize("command", ["ablate", "sweep"])
     def test_missing_out_directory_trains_nothing(self, tmp_path, data_dir, capsys,
                                                    monkeypatch, command):
@@ -844,17 +851,12 @@ class TestOsAndMemoryErrors:
         monkeypatch.setattr(experiments, "train_model", lambda *args: trained.append(args))
         grid = ["--param", "lr", "--grid", "0.01"] if command == "sweep" else []
         out = tmp_path / "missing" / "table.tsv"
-        self.assert_one_line(capsys, [command, "--data", data_dir, "--out", str(out), *grid],
-                             "os error: ")
+        fails(capsys, [command, "--data", data_dir, "--out", str(out), *grid], "os error")
         assert trained == [] and not out.parent.exists()
 
-    def test_eval_missing_out_directory(self, tmp_path, data_dir, capsys):
-        run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir) == cli.EXIT_OK
-        out = tmp_path / "missing" / "report.txt"
-        self.assert_one_line(capsys, ["eval", "--data", data_dir, "--model",
-                                      os.path.join(run_dir, "model.npz"), "--out", str(out)],
-                             "os error: ")
+    def test_eval_missing_out_directory(self, tmp_path, data_dir, trained, capsys):
+        fails(capsys, eval_argv(data_dir, trained, tmp_path / "missing" / "report.txt"),
+              "os error")
 
     @pytest.mark.parametrize("out", ["file", "file/run/sub"])
     def test_train_out_at_or_below_a_file_trains_nothing(self, tmp_path, data_dir, capsys,
@@ -862,33 +864,29 @@ class TestOsAndMemoryErrors:
         trained = []
         monkeypatch.setattr(cli, "train_model", lambda *args: trained.append(args))
         (tmp_path / "file").write_text("")
-        self.assert_one_line(capsys, ["train", "--data", data_dir, "--out", str(tmp_path / out)],
-                             "os error: ")
+        fails(capsys, ["train", "--data", data_dir, "--out", str(tmp_path / out)], "os error")
         assert trained == [] and (tmp_path / "file").read_text() == ""
 
-    def test_eval_out_at_a_directory_leaves_no_temp_file(self, tmp_path, data_dir, capsys):
-        run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+    def test_eval_out_at_a_directory_leaves_no_temp_file(self, tmp_path, data_dir, trained,
+                                                         capsys):
         out = tmp_path / "rep"
         out.mkdir()
-        self.assert_one_line(capsys, ["eval", "--data", data_dir, "--model",
-                                      os.path.join(run_dir, "model.npz"), "--out", str(out)],
-                             "os error: ")
+        fails(capsys, eval_argv(data_dir, trained, out), "os error")
         assert not (tmp_path / "rep.tmp").exists() and out.is_dir()
 
     def test_synth_out_below_a_file(self, tmp_path, spec_file, capsys):
         blocker = tmp_path / "file"
         blocker.write_text("")
-        self.assert_one_line(capsys, ["synth", "--spec", spec_file, "--out", str(blocker / "x"),
-                                      "--candidates", "20"], "os error: ")
+        fails(capsys, ["synth", "--spec", spec_file, "--out", str(blocker / "x"),
+                       "--candidates", "20"], "os error")
 
     def test_synth_out_below_a_file_generates_nothing(self, tmp_path, spec_file, capsys,
                                                       monkeypatch):
         generated = []
         monkeypatch.setattr(synthetic, "generate_synthetic", lambda *a: generated.append(a))
         (tmp_path / "file").write_text("")
-        self.assert_one_line(capsys, ["synth", "--spec", spec_file, "--out",
-                                      str(tmp_path / "file" / "x")], "os error: ")
+        fails(capsys, ["synth", "--spec", spec_file, "--out", str(tmp_path / "file" / "x")],
+              "os error")
         assert generated == [] and (tmp_path / "file").read_text() == ""
 
     @pytest.mark.parametrize("out", ["file", "file/x"])
@@ -897,16 +895,14 @@ class TestOsAndMemoryErrors:
         read = []
         monkeypatch.setattr(cli, "prepare_datasets", lambda *a, **kw: read.append(a))
         (tmp_path / "file").write_text("")
-        self.assert_one_line(capsys, ["prepare", *rating_files(tmp_path), "--min-count", "2",
-                                      "--out", str(tmp_path / out)], "os error: ")
+        fails(capsys, ["prepare", *rating_files(tmp_path), "--min-count", "2",
+                       "--out", str(tmp_path / out)], "os error")
         assert read == [] and (tmp_path / "file").read_text() == ""
 
     def test_synth_allocation_beyond_any_address_space(self, tmp_path, capsys):
         # 10**16 users x 8 latent floats is 640 PB: no allocator can meet it
-        spec = tmp_path / "spec.txt"
-        spec.write_text("num_users = 10000000000000000\n")
-        self.assert_one_line(capsys, ["synth", "--spec", str(spec), "--out", str(tmp_path / "o")],
-                             "out of memory: ")
+        spec = text_file(tmp_path / "spec.txt", "num_users = 10000000000000000\n")
+        fails(capsys, ["synth", "--spec", spec, "--out", str(tmp_path / "o")], "out of memory")
         assert not (tmp_path / "o").exists()
 
 
@@ -937,13 +933,9 @@ class TestFlagFields:
             record = archive["__config__"].tolist()
         assert f"{dest} = {'True' if value is None else value}" in record
 
-    def test_eval_threads_flag_sets_config(self, tmp_path, data_dir):
-        run_dir = str(tmp_path / "run")
-        assert run_train(data_dir, run_dir) == cli.EXIT_OK
+    def test_eval_threads_flag_sets_config(self, tmp_path, data_dir, trained):
         report = tmp_path / "rep.txt"
-        assert cli.main(["eval", "--data", data_dir,
-                         "--model", os.path.join(run_dir, "model.npz"),
-                         "--out", str(report), "--threads", "3"]) == cli.EXIT_OK
+        assert cli.main(eval_argv(data_dir, trained, report, "--threads", "3")) == cli.EXIT_OK
         assert "config.eval_threads = 3" in report.read_text().splitlines()
 
     def test_synth_seed_flag_sets_spec(self, tmp_path, spec_file):
@@ -958,11 +950,12 @@ class TestUsageAndSelfcheck:
     def test_no_command_is_usage_error(self, capsys):
         assert cli.main([]) == cli.EXIT_USAGE
 
-    def test_unknown_command_is_usage_error(self):
-        assert cli.main(["frobnicate"]) == cli.EXIT_USAGE
+    def test_unknown_command_is_usage_error(self, capsys):
+        assert "invalid choice: 'frobnicate'" in fails(capsys, ["frobnicate"], "usage error")
 
-    def test_missing_required_flag_is_usage_error(self):
-        assert cli.main(["train", "--out", "x"]) == cli.EXIT_USAGE
+    def test_missing_required_flag_is_usage_error(self, capsys):
+        err = fails(capsys, ["train", "--out", "x"], "usage error")
+        assert err == "usage error: the following arguments are required: --data"
 
     def test_selfcheck_passes(self, selfcheck_run):
         code, seconds, lines = selfcheck_run
@@ -981,9 +974,14 @@ class TestUsageAndSelfcheck:
         assert lines[-1] == "selfcheck FAILED"
 
     def test_selfcheck_has_no_fault_flag(self, capsys):
-        assert cli.main(["selfcheck", "--inject-gradient-fault"]) == cli.EXIT_USAGE
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("usage error:")
+        fails(capsys, ["selfcheck", "--inject-gradient-fault"], "usage error")
+
+
+class TestFailureTable:
+    def test_each_prefix_exits_with_its_documented_code(self):
+        # the README's exit-code table, which ``fails`` reads through cli.FAILURES
+        assert CODES == {"usage error": 1, "config error": 1, "os error": 1, "out of memory": 1,
+                         "data error": 2, "artifact error": 3, "numerical abort": 4}
 
 
 class TestImports:

@@ -6,6 +6,7 @@ from scipy.special import betainc
 
 from dualrec import autodiff as ad
 from dualrec.autodiff import Value
+from dualrec.config import RunConfig
 from dualrec.mixup import interpolate, sample_lambda
 
 
@@ -33,6 +34,11 @@ class TestSampleLambda:
 
     def test_deterministic_sequence(self):
         assert self.draws(1.0, 50, seed=9).tolist() == self.draws(1.0, 50, seed=9).tolist()
+
+    def test_draws_that_both_underflow_give_one_half(self):
+        # a valid alpha this small draws 0 from both Gammas, whose ratio is undefined
+        RunConfig(mixup_alpha=1e-300).validate()
+        assert sample_lambda(1e-300, np.random.default_rng(0)) == 0.5
 
     def test_invalid_alpha(self):
         with pytest.raises(ValueError):

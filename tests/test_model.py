@@ -335,6 +335,14 @@ class TestPersistence:
         with pytest.raises(ArtifactError):
             md.load_model(str(path), adj_a, adj_b)
 
+    def test_plain_npy_file_lacks_a_config_record(self, tmp_path):
+        # a .npy file holds one array and no members, even an array naming "__config__"
+        adj_a, adj_b = toy_adjacencies()
+        for name, array in (("zeros.npy", np.zeros(3)), ("names.npy", np.array(["__config__"]))):
+            np.save(tmp_path / name, array)
+            with pytest.raises(ArtifactError, match="lacks a config record"):
+                md.load_model(str(tmp_path / name), adj_a, adj_b)
+
     def test_missing_config_entry_raises(self, tmp_path):
         adj_a, adj_b = toy_adjacencies()
         path = tmp_path / "noconf.npz"
