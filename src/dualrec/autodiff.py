@@ -59,6 +59,8 @@ enter ops as plain constants and never receive gradients.
 from __future__ import annotations
 
 import contextlib
+import math
+import sys
 from collections.abc import Iterator
 
 import numpy as np
@@ -70,12 +72,8 @@ NORM_EPS = 1e-12
 LOG_SIGMA_BOUND = 10.0
 
 
-class ShapeError(ValueError):
-    """Operand dimensions are incompatible."""
-
-
 class ContractError(RuntimeError):
-    """An operation precondition was violated."""
+    """An operation precondition was violated, such as incompatible operand shapes."""
 
 
 # Diagnostics: number of rows whose norm was clamped inside row_cosine.
@@ -111,7 +109,7 @@ def _as_matrix(data) -> np.ndarray:
     if arr.ndim == 1:
         arr = arr.reshape(1, -1)
     if arr.ndim != 2:
-        raise ShapeError(f"expected a 2-D matrix, got shape {arr.shape}")
+        raise ContractError(f"expected a 2-D matrix, got shape {arr.shape}")
     return np.ascontiguousarray(arr)
 
 
@@ -188,6 +186,8 @@ class Params(dict):
     def new(self, name: str, shape: tuple[int, int], mean: float = 0.0) -> Value:
         if name in self:
             raise ContractError(f"parameter {name!r} is already drawn")
+        if math.prod(shape) * 8 > sys.maxsize:  # numpy would raise a ValueError instead
+            raise MemoryError(f"parameter {name!r} of shape {shape} exceeds the address space")
         self[name] = leaf = Value(self.rng.normal(mean, self.std, size=shape))
         return leaf
 
@@ -290,7 +290,7 @@ def _elementwise(x: Value, data, op: str, local):
 
 def add(a: Value, b: Value) -> Value:
     if a.shape != b.shape:
-        raise ShapeError(f"add: {a.shape} vs {b.shape}")
+        raise ContractError(f"add: {a.shape} vs {b.shape}")
     an, bn = a.node, b.node
 
     def bw(g):
@@ -305,7 +305,9 @@ def mul_const(a: Value, c) -> Value:
     c = np.asarray(c, dtype=np.float64)
     out = _elementwise(a, a.data * c, "mul_const", lambda: c)
     if out.shape != a.shape:
-        raise ShapeError(f"mul_const: constant of shape {c.shape} broadcasts {a.shape} to {out.shape}")
+        raise ContractError(
+            f"mul_const: constant of shape {c.shape} broadcasts {a.shape} to {out.shape}"
+        )
     return out
 
 
@@ -320,7 +322,7 @@ def sub(a: Value, b: Value) -> Value:
 
 def matmul(a: Value, b: Value) -> Value:
     if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul: {a.shape} @ {b.shape}")
+        raise ContractError(f"matmul: {a.shape} @ {b.shape}")
     lhs, rhs = a.data, b.data
     an, bn = a.node, b.node
 
@@ -334,9 +336,9 @@ def matmul(a: Value, b: Value) -> Value:
 def affine(x: Value, w: Value, b: Value) -> Value:
     """x @ w + b, with the 1-row bias b broadcast over the rows."""
     if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"affine: {x.shape} @ {w.shape}")
+        raise ContractError(f"affine: {x.shape} @ {w.shape}")
     if b.shape != (1, w.shape[1]):
-        raise ShapeError(f"affine: bias {b.shape} for width {w.shape[1]}")
+        raise ContractError(f"affine: bias {b.shape} for width {w.shape[1]}")
     lhs, rhs = x.data, w.data
     xn, wn, bn = x.node, w.node, b.node
 
@@ -353,7 +355,7 @@ def affine(x: Value, w: Value, b: Value) -> Value:
 def spmm(a: sp.spmatrix | sp.sparray, x: Value) -> Value:
     """Sparse-dense product a @ x; a is constant and receives no gradient."""
     if a.shape[1] != x.shape[0]:
-        raise ShapeError(f"spmm: {a.shape} @ {x.shape}")
+        raise ContractError(f"spmm: {a.shape} @ {x.shape}")
     xn = x.node
 
     def bw(g):
@@ -368,7 +370,7 @@ def gather_rows(x: Value, idx) -> Value:
     strictly increasing and otherwise scatter-adds, bitwise as ``np.add.at``."""
     idx = np.asarray(idx, dtype=np.intp)
     if idx.ndim != 1:
-        raise ShapeError("gather_rows: index must be 1-D")
+        raise ContractError("gather_rows: index must be 1-D")
     xn, shape = x.node, x.shape
 
     def bw(g):
@@ -390,10 +392,10 @@ def gather_rows(x: Value, idx) -> Value:
 
 def concat_cols(parts: list[Value]) -> Value:
     if not parts:
-        raise ShapeError("concat_cols: empty input")
+        raise ContractError("concat_cols: empty input")
     rows = parts[0].shape[0]
     if any(p.shape[0] != rows for p in parts):
-        raise ShapeError("concat_cols: row counts differ")
+        raise ContractError("concat_cols: row counts differ")
     nodes = tuple(p.node for p in parts)
     widths = [p.shape[1] for p in parts]
 
@@ -461,10 +463,10 @@ def softmax_rows(x: Value) -> Value:
 def weighted_sum(parts: list[Value], weights: Value) -> Value:
     """Per-row mix sum_c weights[:, c] * parts[c] of same-shape parts, added in part order."""
     if not parts:
-        raise ShapeError("weighted_sum: empty input")
+        raise ContractError("weighted_sum: empty input")
     shape = parts[0].shape
     if any(p.shape != shape for p in parts) or weights.shape != (shape[0], len(parts)):
-        raise ShapeError(
+        raise ContractError(
             f"weighted_sum: parts {[p.shape for p in parts]}, weights {weights.shape}"
         )
     datas, wd = [p.data for p in parts], weights.data
@@ -488,7 +490,7 @@ def row_cosine(s: Value, t: Value) -> Value:
     """Per-row cosine similarity; zero-norm rows are clamped at NORM_EPS."""
     global _clamp_events
     if s.shape != t.shape:
-        raise ShapeError(f"row_cosine: {s.shape} vs {t.shape}")
+        raise ContractError(f"row_cosine: {s.shape} vs {t.shape}")
     sd, td = s.data, t.data
     sn = np.linalg.norm(sd, axis=1, keepdims=True)
     tn = np.linalg.norm(td, axis=1, keepdims=True)
@@ -519,7 +521,7 @@ def cross_entropy(p: Value, o) -> Value:
     """
     o = np.asarray(o, dtype=np.float64)
     if o.shape != p.shape:
-        raise ShapeError(f"cross_entropy: p {p.shape}, labels {o.shape}")
+        raise ContractError(f"cross_entropy: p {p.shape}, labels {o.shape}")
     pc = np.clip(p.data, PROB_EPS, 1.0 - PROB_EPS)
     inside = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)
     n = p.shape[0]
@@ -536,7 +538,7 @@ def kl_div(o, p: Value) -> Value:
     """Mean over rows of KL(o || p); gradient flows to p only."""
     o = np.asarray(o, dtype=np.float64)
     if o.shape != p.shape:
-        raise ShapeError(f"kl_div: p {p.shape}, target {o.shape}")
+        raise ContractError(f"kl_div: p {p.shape}, target {o.shape}")
     pc = np.clip(p.data, PROB_EPS, 1.0)
     inside = (p.data > PROB_EPS) & (p.data < 1.0)
     n = p.shape[0]

@@ -52,8 +52,8 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# (exception class, stderr prefix, exit code) of each failure, matched in
-# order, so that ArtifactError comes before its base class DatasetError
+# (exception class, stderr prefix, exit code) of each failure; the classes
+# are disjoint, so each failure class matches one row
 FAILURES = (
     (_UsageError, "usage error", EXIT_USAGE),
     (ConfigError, "config error", EXIT_USAGE),

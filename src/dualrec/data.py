@@ -42,26 +42,10 @@ logger = logging.getLogger(__name__)
 
 
 class DatasetError(Exception):
-    """Base class for data pipeline failures."""
+    """Input data that cannot be parsed, filtered, aligned, split or ranked."""
 
 
-class ParseError(DatasetError):
-    pass
-
-
-class EmptyDatasetError(DatasetError):
-    pass
-
-
-class AlignmentError(DatasetError):
-    pass
-
-
-class ProtocolError(DatasetError):
-    """The data cannot support the ranking protocol (candidate pool too small)."""
-
-
-class ArtifactError(DatasetError):
+class ArtifactError(Exception):
     """A prepared-dataset artifact is missing, unreadable or inconsistent."""
 
 
@@ -156,23 +140,23 @@ def load_interactions(
     users: list[int] = []
     items: list[int] = []
     timestamps: list[float | None] = []
-    for line_no, line in enumerate(read_text(path, ParseError).split("\n"), start=1):
+    for line_no, line in enumerate(read_text(path, DatasetError).split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) not in (3, 4):
-            raise ParseError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(parts)}")
+            raise DatasetError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(parts)}")
         user_key, item_key = parts[0], parts[1]
         if not user_key or not item_key:
-            raise ParseError(f"{path}:{line_no}: empty user or item key")
+            raise DatasetError(f"{path}:{line_no}: empty user or item key")
         try:
             float(parts[2])  # checked, then dropped: every record is one interaction
             timestamp = float(parts[3]) if len(parts) == 4 else None
         except ValueError as exc:
-            raise ParseError(f"{path}:{line_no}: {exc}") from exc
+            raise DatasetError(f"{path}:{line_no}: {exc}") from exc
         # NaN has no place in a recency order
         if timestamp is not None and math.isnan(timestamp):
-            raise ParseError(f"{path}:{line_no}: timestamp is NaN")
+            raise DatasetError(f"{path}:{line_no}: timestamp is NaN")
         users.append(user_codes.setdefault(user_key, len(user_codes)))
         items.append(item_codes.setdefault(item_key, len(item_codes)))
         timestamps.append(timestamp)
@@ -228,7 +212,7 @@ def binarize_and_filter(
             break
         active = kept
     if not active.any():
-        raise EmptyDatasetError("no interactions survive the minimum-count filter")
+        raise DatasetError("no interactions survive the minimum-count filter")
 
     survivors = np.flatnonzero(active)
     survivors = survivors[np.argsort(first[survivors])]  # record order
@@ -272,10 +256,10 @@ def align_common_users(
     Returns both sets and the code of each common user, in index order.
     """
     if not a.indices.size or not b.indices.size:
-        raise AlignmentError("cannot align an empty domain")
+        raise DatasetError("cannot align an empty domain")
     rows_a = np.flatnonzero(np.isin(users_a, users_b))
     if not rows_a.size:
-        raise AlignmentError("no common users between the two domains")
+        raise DatasetError("no common users between the two domains")
     common = users_a[rows_a]
     by_code = np.argsort(users_b)
     rows_b = by_code[np.searchsorted(users_b, common, sorter=by_code)]
@@ -435,7 +419,7 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
         unseen[seen] = True
         unseen[held] = True
         if pool.size < n:
-            raise ProtocolError(
+            raise DatasetError(
                 f"user {u}: only {pool.size} unseen items, need {n} candidates"
             )
         row[:] = gen.choice(pool, size=n, replace=False)

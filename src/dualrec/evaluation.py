@@ -10,7 +10,7 @@ the block at once (on rung M, 6,000 items, domain A takes 6 blocks of 699
 users). Ties rank the held-out item last within its tie class, so
 a scorer that scores everything equally earns rank 1000, not rank 1. A
 ``top_k`` above the candidates per test user, which makes every rank a hit,
-raises ``ProtocolError`` (CLI exit 2); a non-finite score raises
+raises ``DatasetError`` (CLI exit 2); a non-finite score raises
 ``ArtifactError`` (exit 3).
 
 The model's scorer, ``evaluate_domain``, is the cosine of the (``s``, ``t``)
@@ -37,7 +37,7 @@ import numpy as np
 
 from .autodiff import NORM_EPS, no_grad
 from .config import RunConfig, config_lines
-from .data import ArtifactError, ProtocolError, SplitDataset
+from .data import ArtifactError, DatasetError, SplitDataset
 from .model import DOMAINS, ModelState, forward
 
 EVAL_LAMBDA = 0.5  # midpoint interpolation for the deterministic eval path
@@ -102,12 +102,12 @@ def _normalize_rows(x: np.ndarray, what: str) -> np.ndarray:
 
 
 def check_top_k(split: SplitDataset, top_k: int) -> None:
-    """``ProtocolError`` unless every test user has at least ``top_k`` candidates."""
+    """``DatasetError`` unless every test user has at least ``top_k`` candidates."""
     if split.eval_candidates is None:
-        raise ProtocolError("evaluation requires frozen candidate lists")
+        raise DatasetError("evaluation requires frozen candidate lists")
     fewest = min(map(len, split.eval_candidates.values()), default=top_k)
     if top_k > fewest:
-        raise ProtocolError(f"top_k = {top_k} exceeds the {fewest} candidates per test user")
+        raise DatasetError(f"top_k = {top_k} exceeds the {fewest} candidates per test user")
 
 
 def rank_domain(

@@ -44,7 +44,9 @@ def attention_weights(codes: list[Value], params: dict[str, Value], name: str) -
     """Per-user softmax weights over the fused components, shape m x C."""
     w_s = params[f"{name}.ws"]
     if len(codes) != w_s.shape[1]:
-        raise ad.ShapeError(f"fusion got {len(codes)} codes for {w_s.shape[1]} component weights")
+        raise ad.ContractError(
+            f"fusion got {len(codes)} codes for {w_s.shape[1]} component weights"
+        )
     mixed = None
     for idx, code in enumerate(codes):
         term = ad.matmul(code, params[f"{name}.c{idx}"])
@@ -91,7 +93,7 @@ def loss_prd(y_hat: Value, labels: np.ndarray, s: Value, t: Value, gamma: float)
     labels = np.asarray(labels, dtype=np.float64).reshape(-1, 1)
     n_pairs = y_hat.shape[0]
     if labels.shape[0] != n_pairs:
-        raise ad.ShapeError(f"{labels.shape[0]} labels for {n_pairs} predictions")
+        raise ad.ContractError(f"{labels.shape[0]} labels for {n_pairs} predictions")
     p = ad.affine_const(y_hat, 0.5, 0.5)
     dist = ad.concat_cols([p, ad.affine_const(p, -1.0, 1.0)])
     onehot = np.concatenate([labels, 1.0 - labels], axis=1)

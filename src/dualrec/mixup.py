@@ -29,5 +29,5 @@ def sample_lambda(alpha: float, rng) -> float:
 def interpolate(e_a: Value, e_b: Value, lam: float) -> Value:
     """lam * E_A + (1 - lam) * E_B, with lam constant w.r.t. gradients."""
     if e_a.shape != e_b.shape:
-        raise ad.ShapeError(f"mixup shapes differ: {e_a.shape} vs {e_b.shape}")
+        raise ad.ContractError(f"mixup shapes differ: {e_a.shape} vs {e_b.shape}")
     return ad.add(ad.mul_const(e_a, lam), ad.mul_const(e_b, 1.0 - lam))

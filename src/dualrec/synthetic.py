@@ -22,24 +22,14 @@ both domains, so the users that alignment keeps are generator rows.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import expit
 
 from .config import ConfigError
-from .data import (
-    AlignmentError,
-    DatasetError,
-    EmptyDatasetError,
-    InteractionSet,
-    align_common_users,
-    binarize_and_filter,
-)
-
-
-class GenerationError(DatasetError):
-    pass
+from .data import DatasetError, InteractionSet, align_common_users, binarize_and_filter
 
 
 @dataclass
@@ -213,11 +203,17 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionSet, Interaction
     """Generate aligned, filtered two-domain interaction sets.
 
     Raises ConfigError when a domain's requested rate lies outside what a
-    bias in [-30, 30] can reach.
+    bias in [-30, 30] can reach, and MemoryError before any draw when an
+    array it draws would have more bytes than an address space holds.
     """
     spec.validate()
     rng = np.random.default_rng([spec.seed, 100])
     d = spec.latent_dim
+    for rows, cols in ((spec.num_users, d), (spec.num_items_a, d), (spec.num_items_b, d),
+                       (d, d), (spec.num_users, spec.num_items_a),
+                       (spec.num_users, spec.num_items_b)):
+        if rows * cols * 8 > sys.maxsize:  # numpy would raise a ValueError instead
+            raise MemoryError(f"a float64 array of shape {(rows, cols)} exceeds the address space")
     shared = _unit_rows(rng.standard_normal((spec.num_users, d)))
     independent = _unit_rows(rng.standard_normal((spec.num_users, d)))
     specific_a = _unit_rows(rng.standard_normal((spec.num_users, d)))
@@ -246,5 +242,5 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[InteractionSet, Interaction
         )
         set_a, set_b, _ = align_common_users(set_a, users_a, set_b, users_b)
         return set_a, set_b
-    except (EmptyDatasetError, AlignmentError) as exc:
-        raise GenerationError(f"synthetic spec produced unusable data: {exc}") from exc
+    except DatasetError as exc:
+        raise DatasetError(f"synthetic spec produced unusable data: {exc}") from exc

@@ -37,7 +37,7 @@ from . import disentangle as dis
 from . import fusion as fu
 from . import graph as gr
 from .autodiff import Value
-from .config import VARIANTS, RunConfig
+from .config import VARIANTS, ConfigError, RunConfig
 from .data import SplitDataset, sample_train_negatives
 from .mixup import sample_lambda
 from .model import BRANCHES, DOMAINS, ModelState, build_model, forward, score_pairs
@@ -107,11 +107,15 @@ class TrainResult:
 
 def _epoch_arrays(train, epoch: int, domain_id: int, config: RunConfig) -> tuple[np.ndarray, int]:
     """One domain's epoch samples: (n, 2) int32 (user, item) rows, the
-    positives first and then freshly drawn negatives, and the positive count."""
+    positives first and then freshly drawn negatives, and the positive count.
+    A ``neg_ratio`` that takes the sample count to 2**31 is a ConfigError."""
     n_pos = train.indices.size
     bound = max(train.num_users, train.num_items, n_pos * (config.neg_ratio + 1))
     if bound >= 1 << 31:
-        raise ValueError(f"int32 epoch samples need counts below 2**31, got {bound}")
+        raise ConfigError(
+            f"int32 epoch samples need counts below 2**31, got {bound} "
+            f"(neg_ratio = {config.neg_ratio})"
+        )
     rng = np.random.default_rng([config.seed, _STREAM_NEGATIVES, epoch, domain_id])
     negatives = sample_train_negatives(train, config.neg_ratio, rng)
     pairs = np.empty((n_pos + len(negatives), 2), dtype=np.int32)

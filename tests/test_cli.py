@@ -9,7 +9,9 @@ traceback.
 
 import argparse
 import hashlib
+import importlib
 import os
+import pkgutil
 import shutil
 import struct
 import subprocess
@@ -503,14 +505,14 @@ class TestBadArtifacts:
 class TestNonUtf8Input:
     """A byte that is not UTF-8 in a text input ends the run with its code and one line."""
 
-    @pytest.mark.parametrize("target, code, prefix", [
-        ("train.tsv", cli.EXIT_ARTIFACT, "artifact error: "),
-        ("meta", cli.EXIT_ARTIFACT, "artifact error: "),
-        ("config", cli.EXIT_USAGE, "config error: "),
-        ("spec", cli.EXIT_USAGE, "config error: "),
-        ("ratings", cli.EXIT_DATA, "data error: "),
+    @pytest.mark.parametrize("target, prefix", [
+        ("train.tsv", "artifact error"),
+        ("meta", "artifact error"),
+        ("config", "config error"),
+        ("spec", "config error"),
+        ("ratings", "data error"),
     ])
-    def test_one_line(self, tmp_path, data_dir, spec_file, capsys, target, code, prefix):
+    def test_one_line(self, tmp_path, data_dir, spec_file, capsys, target, prefix):
         out = str(tmp_path / "out")
         train = ["train", "--data", data_dir, "--out", out, "--k", "4", "--epochs", "1"]
         if target in ("train.tsv", "meta"):
@@ -525,8 +527,6 @@ class TestNonUtf8Input:
             path = str(tmp_path / "r_a.tsv")
         with open(path, "ab") as fh:
             fh.write(b"\xff\n")
-        prefix = prefix.removesuffix(": ")
-        assert code == CODES[prefix]  # the ids name each input's exit code
         assert f"{path}: not UTF-8 text" in fails(capsys, argv, prefix)
 
 
@@ -730,13 +730,15 @@ class TestTrainEval:
             warnings.simplefilter("always")  # a warning would print lines of its own
             fails(capsys, argv, "numerical abort")
         assert [str(w.message) for w in caught] == []
-        assert not os.path.exists(os.path.join(run_dir, "model.npz"))
+        assert not os.path.exists(run_dir)  # nor model.npz: an abort leaves no run directory
 
-    def test_abort_leaves_no_run_directory(self, tmp_path, data_dir, capsys):
-        cfg = text_file(tmp_path / "run.cfg", "init_std = 1e300\n")
-        run_dir = tmp_path / "run_abort"
-        fails(capsys, train_argv(data_dir, str(run_dir), ("--config", cfg, "--epochs", "1")),
-              "numerical abort")
+    def test_neg_ratio_past_int32_samples_is_one_line_config_error(self, tmp_path, data_dir,
+                                                                    capsys):
+        # 250 positives x (10**8 + 1) samples reach 2**31 in the first epoch's prep
+        run_dir = tmp_path / "run"
+        cfg = text_file(tmp_path / "run.cfg", "neg_ratio = 100000000\n")
+        err = fails(capsys, train_argv(data_dir, str(run_dir), ("--config", cfg)), "config error")
+        assert "2**31" in err and "neg_ratio = 100000000" in err
         assert not run_dir.exists()
 
     def test_eval_top_k_above_the_candidates_is_one_line_data_error(self, tmp_path, data_dir,
@@ -874,12 +876,6 @@ class TestOsAndMemoryErrors:
         fails(capsys, eval_argv(data_dir, trained, out), "os error")
         assert not (tmp_path / "rep.tmp").exists() and out.is_dir()
 
-    def test_synth_out_below_a_file(self, tmp_path, spec_file, capsys):
-        blocker = tmp_path / "file"
-        blocker.write_text("")
-        fails(capsys, ["synth", "--spec", spec_file, "--out", str(blocker / "x"),
-                       "--candidates", "20"], "os error")
-
     def test_synth_out_below_a_file_generates_nothing(self, tmp_path, spec_file, capsys,
                                                       monkeypatch):
         generated = []
@@ -904,6 +900,22 @@ class TestOsAndMemoryErrors:
         spec = text_file(tmp_path / "spec.txt", "num_users = 10000000000000000\n")
         fails(capsys, ["synth", "--spec", spec, "--out", str(tmp_path / "o")], "out of memory")
         assert not (tmp_path / "o").exists()
+
+    def test_synth_array_numpy_cannot_size(self, tmp_path, capsys):
+        # 10**18 x 2 floats is past 2**63 bytes, where numpy raises a ValueError, not a MemoryError
+        spec = text_file(tmp_path / "spec.txt", TINY_SPEC.replace("num_users = 40",
+                                                                  f"num_users = {10**18}"))
+        err = fails(capsys, ["synth", "--spec", spec, "--out", str(tmp_path / "o")],
+                    "out of memory")
+        assert f"({10**18}, 2)" in err and not (tmp_path / "o").exists()
+
+    def test_train_weight_numpy_cannot_size(self, tmp_path, data_dir, capsys):
+        # the first weight drawn, 90 x 10**18 floats, is past 2**63 bytes too
+        cfg = text_file(tmp_path / "run.cfg", f"k = {10**18}\n")
+        run_dir = tmp_path / "run"
+        err = fails(capsys, ["train", "--data", data_dir, "--out", str(run_dir), "--config", cfg],
+                    "out of memory")
+        assert f"'gcn_a.e0' of shape (90, {10**18})" in err and not run_dir.exists()
 
 
 # a value for each train option that sets a RunConfig field; None marks a switch
@@ -978,6 +990,21 @@ class TestUsageAndSelfcheck:
 
 
 class TestFailureTable:
+    def test_each_failure_class_is_one_row(self):
+        # every exception class of the package is a row's class, or ContractError,
+        # an internal fault that no input can raise; no row's class matches two rows
+        rows = [cls for cls, _, _ in cli.FAILURES]
+        defined = {
+            obj
+            for info in pkgutil.iter_modules(dualrec.__path__)
+            for obj in vars(importlib.import_module(f"dualrec.{info.name}")).values()
+            if isinstance(obj, type) and issubclass(obj, BaseException)
+            and obj.__module__.startswith("dualrec.")
+        }
+        assert defined <= set(rows) | {ad.ContractError}
+        for cls in rows:
+            assert [issubclass(cls, other) for other in rows].count(True) == 1, cls
+
     def test_each_prefix_exits_with_its_documented_code(self):
         # the README's exit-code table, which ``fails`` reads through cli.FAILURES
         assert CODES == {"usage error": 1, "config error": 1, "os error": 1, "out of memory": 1,

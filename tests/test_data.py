@@ -80,18 +80,18 @@ class TestLoadInteractions:
     def test_malformed_line_reports_number(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("u1\ti1\t3\nu2\ti2\n", encoding="utf-8")
-        with pytest.raises(d.ParseError, match=":2:"):
+        with pytest.raises(d.DatasetError, match=":2: expected 3 or 4 fields, got 2"):
             d.load_interactions(str(p), {})
 
     def test_nan_timestamp_rejected(self, tmp_path):
         p = write_ratings(tmp_path / "r.tsv", [("u1", "i1", 3, 1000), ("u1", "i2", 3, "nan")])
-        with pytest.raises(d.ParseError, match=":2: timestamp is NaN"):
+        with pytest.raises(d.DatasetError, match=":2: timestamp is NaN"):
             d.load_interactions(p, {})
 
     def test_non_numeric_rating(self, tmp_path):
         p = tmp_path / "r.tsv"
         p.write_text("u1\ti1\thigh\n", encoding="utf-8")
-        with pytest.raises(d.ParseError):
+        with pytest.raises(d.DatasetError, match=":1: could not convert string to float: 'high'"):
             d.load_interactions(str(p), {})
 
 
@@ -147,11 +147,11 @@ class TestBinarizeAndFilter:
         assert len(iset.interactions) == 1
 
     def test_everything_filtered_raises(self):
-        with pytest.raises(d.EmptyDatasetError):
+        with pytest.raises(d.DatasetError, match="no interactions survive the minimum-count"):
             binarize([("u", "i")], 2)
 
     def test_no_records_raises(self):
-        with pytest.raises(d.EmptyDatasetError):
+        with pytest.raises(d.DatasetError, match="no interactions survive the minimum-count"):
             d.binarize_and_filter(np.array([], np.int64), np.array([], np.int64), min_count=1)
 
     def test_matches_brute_force_oracle(self):
@@ -267,7 +267,7 @@ class TestAlignCommonUsers:
         assert items_by_user(b2) == {0: {1, 2}, 1: {0, 1}}
 
     def test_no_overlap_raises(self):
-        with pytest.raises(d.AlignmentError):
+        with pytest.raises(d.DatasetError, match="no common users between the two domains"):
             align(crossed(["x"], range(5)), crossed(["z"], range(5)))
 
     def test_items_redensified(self):
@@ -495,7 +495,7 @@ class TestSampleEvalCandidates:
 
     def test_pool_too_small_raises(self):
         split = self.make_split(num_items=8)
-        with pytest.raises(d.ProtocolError):
+        with pytest.raises(d.DatasetError, match="user 0: only 3 unseen items, need 10 candidates"):
             d.sample_eval_candidates(split, n=10, rng=0)
 
     def test_2_to_the_31_items_raises(self):
@@ -1232,22 +1232,22 @@ def keyed(ks):
 def reference_records(path):
     """The keyed reader: one RawRating per rating line."""
     records = []
-    for line_no, line in enumerate(d.read_text(path, d.ParseError).split("\n"), start=1):
+    for line_no, line in enumerate(d.read_text(path, d.DatasetError).split("\n"), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         parts = line.split("\t")
         if len(parts) not in (3, 4):
-            raise d.ParseError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(parts)}")
+            raise d.DatasetError(f"{path}:{line_no}: expected 3 or 4 fields, got {len(parts)}")
         user_key, item_key = parts[0], parts[1]
         if not user_key or not item_key:
-            raise d.ParseError(f"{path}:{line_no}: empty user or item key")
+            raise d.DatasetError(f"{path}:{line_no}: empty user or item key")
         try:
             rating = float(parts[2])
             timestamp = float(parts[3]) if len(parts) == 4 else None
         except ValueError as exc:
-            raise d.ParseError(f"{path}:{line_no}: {exc}") from exc
+            raise d.DatasetError(f"{path}:{line_no}: {exc}") from exc
         if timestamp is not None and math.isnan(timestamp):
-            raise d.ParseError(f"{path}:{line_no}: timestamp is NaN")
+            raise d.DatasetError(f"{path}:{line_no}: timestamp is NaN")
         records.append(RawRating(user_key, item_key, rating, timestamp))
     return records
 
@@ -1288,7 +1288,7 @@ def reference_binarize(users, items, user_keys, item_keys, timestamps=None, min_
             break
         active = kept
     if not active.any():
-        raise d.EmptyDatasetError("no interactions survive the minimum-count filter")
+        raise d.DatasetError("no interactions survive the minimum-count filter")
     survivors = np.flatnonzero(active)
     survivors = survivors[np.argsort(first[survivors])]
     user_codes, new_users = reference_first_appearance(pair_users[survivors])
@@ -1332,10 +1332,10 @@ def reference_restrict(ks, common):
 def reference_align(a, b):
     """The keyed alignment: common user keys, in domain A's index order."""
     if not a.iset.indices.size or not b.iset.indices.size:
-        raise d.AlignmentError("cannot align an empty domain")
+        raise d.DatasetError("cannot align an empty domain")
     common = [k for k in a.user_map if k in b.user_map]
     if not common:
-        raise d.AlignmentError("no common users between the two domains")
+        raise d.DatasetError("no common users between the two domains")
     common.sort(key=lambda k: a.user_map[k])
     return reference_restrict(a, common), reference_restrict(b, common)
 

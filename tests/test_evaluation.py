@@ -20,7 +20,7 @@ from dualrec import evaluation as ev
 from dualrec import model as md
 from dualrec.autodiff import NORM_EPS
 from dualrec.config import RunConfig
-from dualrec.data import ArtifactError, InteractionSet, ProtocolError, SplitDataset, freeze_splits
+from dualrec.data import ArtifactError, DatasetError, InteractionSet, SplitDataset, freeze_splits
 from dualrec.graph import build_bipartite_adjacency
 from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from dualrec.training import train_model
@@ -144,13 +144,13 @@ class TestEvaluateDomain:
     def test_requires_candidates(self):
         split, s, t = self.hand_fixture()
         bare = SplitDataset(train=split.train, test=split.test, eval_candidates=None)
-        with pytest.raises(ProtocolError):
+        with pytest.raises(DatasetError, match="evaluation requires frozen candidate lists"):
             ev.evaluate_domain(s, t, bare, top_k=2)
 
     def test_top_k_above_the_candidates_is_rejected(self):
         # two candidates: ranks run 1..3, so top_k = 3 would make every rank a hit
         split, s, t = self.hand_fixture()
-        with pytest.raises(ProtocolError, match="top_k = 3 exceeds the 2 candidates"):
+        with pytest.raises(DatasetError, match="top_k = 3 exceeds the 2 candidates"):
             ev.evaluate_domain(s, t, split, top_k=3)
 
     @pytest.mark.parametrize("scale_rows", ["s", "t"])

@@ -71,7 +71,7 @@ class TestFuse:
         rng = np.random.default_rng(15)
         weights = ad.Params(rng, 0.1)
         fu.init_fusion_weights(weights, "fus", 3, 3)
-        with pytest.raises(ad.ShapeError, match="2 codes for 3"):
+        with pytest.raises(ad.ContractError, match="2 codes for 3"):
             fu.fuse(rand_codes(rng, count=2), "attention", weights, "fus")
 
     def test_attention_without_fusion_weights(self):
@@ -215,7 +215,7 @@ class TestLossPrd:
     def test_label_count_mismatch(self):
         y_hat = Value(np.zeros((2, 1)))
         s = Value(np.ones((2, 2)))
-        with pytest.raises(ad.ShapeError):
+        with pytest.raises(ad.ContractError, match="1 labels for 2 predictions"):
             fu.loss_prd(y_hat, [1.0], s, s, gamma=0.0)
 
     def test_end_to_end_finite_diff(self):

@@ -86,5 +86,5 @@ class TestInterpolate:
         np.testing.assert_allclose(vb.grad, np.full_like(self.b, 1 - lam), atol=1e-12)
 
     def test_shape_mismatch(self):
-        with pytest.raises(ad.ShapeError):
+        with pytest.raises(ad.ContractError, match=r"mixup shapes differ: \(2, 3\) vs \(3, 2\)"):
             interpolate(Value(np.ones((2, 3))), Value(np.ones((3, 2))), 0.5)

@@ -12,7 +12,8 @@ from scipy.special import expit
 
 from dualrec import synthetic
 from dualrec.config import ConfigError
-from dualrec.synthetic import GenerationError, SyntheticSpec, generate_synthetic
+from dualrec.data import DatasetError
+from dualrec.synthetic import SyntheticSpec, generate_synthetic
 from pairsets import items_by_user, pair_set
 
 
@@ -162,7 +163,7 @@ class TestGenerateSynthetic:
     def test_hopeless_spec_raises_generation_error(self):
         spec = small_spec(num_users=6, num_items_a=6, num_items_b=6,
                           rate_a=0.01, rate_b=0.01, min_count=5)
-        with pytest.raises(GenerationError):
+        with pytest.raises(DatasetError, match="synthetic spec produced unusable data: "):
             generate_synthetic(spec)
 
     def test_unreachable_rate_raises_config_error(self):
