@@ -513,44 +513,38 @@ def row_cosine(s: Value, t: Value) -> Value:
     return _output(cos, "row_cosine", (s_node, t_node), bw)
 
 
-def cross_entropy(p: Value, o) -> Value:
-    """Mean over rows of -sum_c o*log(p), with p clamped to the safe band.
-
-    o is a constant label matrix (one-hot or soft rows); gradient flows to
-    p only.
-    """
+def _banded_loss(op: str, what: str, p: Value, o, hi: float, total):
+    """The ``op`` node ``total(o, pc) / rows`` over p clipped to [PROB_EPS, hi]
+    and a constant ``o``; the gradient flows to p inside the band only."""
     o = np.asarray(o, dtype=np.float64)
     if o.shape != p.shape:
-        raise ContractError(f"cross_entropy: p {p.shape}, labels {o.shape}")
-    pc = np.clip(p.data, PROB_EPS, 1.0 - PROB_EPS)
-    inside = (p.data > PROB_EPS) & (p.data < 1.0 - PROB_EPS)
+        raise ContractError(f"{op}: p {p.shape}, {what} {o.shape}")
+    pc = np.clip(p.data, PROB_EPS, hi)
+    inside = (p.data > PROB_EPS) & (p.data < hi)
     n = p.shape[0]
-    loss = -(o * np.log(pc)).sum() / n
     pn = p.node
 
     def bw(g):
         _accum(pn, g[0, 0] * (-o / pc) * inside / n)
 
-    return _output([[loss]], "cross_entropy", (pn,), bw)
+    return _output([[total(o, pc) / n]], op, (pn,), bw)
+
+
+def cross_entropy(p: Value, o) -> Value:
+    """Mean over rows of -sum_c o*log(p), with p clamped to the safe band; o is
+    a constant label matrix (one-hot or soft rows), and gradient flows to p only."""
+    return _banded_loss("cross_entropy", "labels", p, o, 1.0 - PROB_EPS,
+                        lambda o, pc: -(o * np.log(pc)).sum())
+
+
+@np.errstate(divide="ignore", invalid="ignore")
+def _kl_total(o: np.ndarray, pc: np.ndarray) -> float:
+    return np.where(o > 0.0, o * np.log(np.where(o > 0.0, o, 1.0) / pc), 0.0).sum()
 
 
 def kl_div(o, p: Value) -> Value:
     """Mean over rows of KL(o || p); gradient flows to p only."""
-    o = np.asarray(o, dtype=np.float64)
-    if o.shape != p.shape:
-        raise ContractError(f"kl_div: p {p.shape}, target {o.shape}")
-    pc = np.clip(p.data, PROB_EPS, 1.0)
-    inside = (p.data > PROB_EPS) & (p.data < 1.0)
-    n = p.shape[0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(o > 0.0, o * np.log(np.where(o > 0.0, o, 1.0) / pc), 0.0)
-    loss = terms.sum() / n
-    pn = p.node
-
-    def bw(g):
-        _accum(pn, g[0, 0] * (-o / pc) * inside / n)
-
-    return _output([[loss]], "kl_div", (pn,), bw)
+    return _banded_loss("kl_div", "target", p, o, 1.0, _kl_total)
 
 
 def frobenius_sq(x: Value) -> Value:

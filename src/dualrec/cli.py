@@ -33,7 +33,7 @@ from .experiments import ablate, sweep
 from .graph import build_bipartite_adjacency
 from .model import DOMAINS, load_model, save_model
 from .selfcheck import run_selfcheck
-from .training import NumericalAbortError, keep_freed_heap, train_model
+from .training import NumericalAbortError, train_model
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -155,7 +155,6 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    keep_freed_heap()
     _check_out_dir(args.out, is_dir=True)
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
@@ -190,7 +189,6 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_ablate(args) -> int:
-    keep_freed_heap()
     _check_out_dir(args.out)
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)
@@ -201,7 +199,6 @@ def _cmd_ablate(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    keep_freed_heap()
     _check_out_dir(args.out)
     cfg = _load_run_config(args)
     split_a, split_b = _load_data_dir(args.data)

@@ -36,6 +36,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import ContractError
 from .config import ConfigError, parse_key_values
 
 logger = logging.getLogger(__name__)
@@ -328,10 +329,10 @@ def sample_train_negatives(train: InteractionSet, ratio: int = 7, rng=None) -> n
     over the pool. Like every other draw in the program, this rests on NumPy
     ``Generator`` methods, so a NumPy change to them moves the draws (NEP 19
     keeps only bit-generator streams fixed across versions). ``ratio < 1``
-    raises ``ValueError``.
+    raises ``ContractError``.
     """
     if ratio < 1:
-        raise ValueError(f"negative ratio must be >= 1, got {ratio}")
+        raise ContractError(f"negative ratio must be >= 1, got {ratio}")
     gen = np.random.default_rng(rng)
     indptr, indices = train.indptr, train.indices
     degree = np.diff(indptr)
@@ -398,12 +399,12 @@ def sample_eval_candidates(split: SplitDataset, n: int = 999, rng=None) -> Split
     A user's pool is every item outside their train positives and their
     held-out item, in ascending order. The draws fill one (n_test, n) int32
     array in test order, and each test user maps to their row of it; 2**31
-    items or more raise ``ValueError``.
+    items or more raise ``ContractError``.
     """
     if n < 1:
         raise ConfigError("candidates must be >= 1")
     if split.train.num_items >= 1 << 31:
-        raise ValueError(
+        raise ContractError(
             f"candidates are int32 item indices, below 2**31 items, got {split.train.num_items}"
         )
     gen = np.random.default_rng(rng)
@@ -508,7 +509,7 @@ def write_split_artifact(dir_path: str, split: SplitDataset, meta: dict[str, obj
     the order in which they were drawn.
     """
     if split.eval_candidates is None:
-        raise ValueError("artifact requires a completed split with eval candidates")
+        raise ContractError("artifact requires a completed split with eval candidates")
     os.makedirs(dir_path, exist_ok=True)
     train = split.train
     full_meta = dict(meta)

@@ -111,7 +111,7 @@ def loss_cls1(
     the mixing coefficient and its complement.
     """
     if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must lie in [0, 1], got {lam}")
+        raise ad.ContractError(f"lambda must lie in [0, 1], got {lam}")
     p_a = classify_domain(z_spe_a, params, name)
     p_b = classify_domain(z_spe_b, params, name)
     p_aug = classify_domain(z_spe_aug, params, name)

@@ -16,7 +16,7 @@ from .autodiff import Value
 def sample_lambda(alpha: float, rng) -> float:
     """Draw lambda ~ Beta(alpha, alpha) as g1 / (g1 + g2), g ~ Gamma(alpha, 1)."""
     if alpha <= 0:
-        raise ValueError(f"alpha must be positive, got {alpha}")
+        raise ad.ContractError(f"alpha must be positive, got {alpha}")
     rng = np.random.default_rng(rng)  # a Generator passes through unaltered
     g1 = rng.standard_gamma(alpha)
     g2 = rng.standard_gamma(alpha)

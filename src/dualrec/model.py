@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import io
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -69,6 +70,12 @@ def build_model(
         raise ConfigError("domains must share the user set")
     params = ad.Params(np.random.default_rng([config.seed, 0]), config.init_std)
     k, l = config.k, config.l
+    try:  # every GCN layer passes Params.new's check alone, so their sum is bounded here
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or it cannot say
+        memory = sys.maxsize
+    if 2 * l * (k * k + k) * 8 > memory:
+        raise MemoryError(f"{l} GCN layers of width {k} exceed the {memory} bytes of memory")
     gw = (l + 1) * k
     components = VARIANTS[config.variant]
 

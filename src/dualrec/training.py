@@ -18,8 +18,8 @@ gradient aborts before the optimizer moves.
 
 Between steps ``fit`` keeps nothing of a step: it clears the parameter
 gradients before the next forward, and no name holds a forward pass or a
-loss past its sweep, so each sweep frees most of the heap the step used.
-``keep_freed_heap`` keeps that memory in the process for the next step.
+loss past its sweep, so each sweep frees most of the heap the step used;
+``keep_freed_heap``, which ``fit`` calls first, keeps it for the next step.
 """
 
 from __future__ import annotations
@@ -81,9 +81,7 @@ def keep_freed_heap() -> None:
     by page. Fixed thresholds keep it: arrays below 32 MiB come from the
     heap, and the heap is trimmed only when 1 GiB lies free at its top. Both
     are set, because setting either one turns off the self-tuning of both.
-    The setting lasts for the rest of the process and cannot be undone, so
-    ``fit`` does not make it: a program that trains calls this once (the
-    CLI's ``train``, ``ablate`` and ``sweep`` do).
+    The setting lasts for the rest of the process and cannot be undone.
     """
     if _mallopt is not None:
         _mallopt(_M_MMAP_THRESHOLD, 32 << 20)
@@ -268,7 +266,8 @@ def fit(
     split_b: SplitDataset,
     log_sink=None,
 ) -> TrainResult:
-    """Run the configured number of epochs on an already-built model."""
+    """Set the heap policy (``keep_freed_heap``), then run the configured epochs on a built model."""
+    keep_freed_heap()
     ad.reset_cosine_clamp_events()
     cfg = model.config
     optimizer = Adam(model.params, lr=cfg.lr)

@@ -558,6 +558,14 @@ def test_value_annotated_callables_are_the_tape_ops():
     assert found == TAPE_OPS
 
 
+def test_weight_past_the_address_space_is_a_memory_error():
+    # numpy would raise a ValueError on a shape of more than 2**63 bytes
+    params = ad.Params(np.random.default_rng(0), 0.1)
+    with pytest.raises(MemoryError, match=r"'w' of shape \(90, 10+\) exceeds the address space"):
+        params.new("w", (90, 10**18))
+    assert "w" not in params
+
+
 # a call, and the message, for each shape guard in autodiff that no other
 # test trips; without add's guard, (3, 1) + (3, 4) would broadcast silently
 SHAPE_GUARDS = {

@@ -30,7 +30,7 @@ from dualrec import cli
 from dualrec import experiments
 from dualrec import synthetic
 from dualrec import training as tr
-from dualrec.config import RunConfig
+from dualrec.config import VARIANTS, RunConfig
 from dualrec.training import NumericalAbortError
 from faults import nan_gradient_backward
 
@@ -783,6 +783,15 @@ class TestAblateSweep:
         assert lines[0] == "variant\thr_a\tndcg_a\thr_b\tndcg_b"
         assert len(lines) == 1 + 8
 
+    def test_ablate_sets_both_malloc_thresholds_once_per_variant(self, tmp_path, data_dir,
+                                                                 monkeypatch):
+        calls = []
+        monkeypatch.setattr(tr, "_mallopt", lambda param, value: calls.append((param, value)))
+        code = cli.main(["ablate", "--data", data_dir, "--out", str(tmp_path / "ablation.tsv"),
+                         "--k", "4", "--l", "1", "--epochs", "1"])
+        assert code == cli.EXIT_OK
+        assert calls == [(-3, 32 << 20), (-1, 1 << 30)] * len(VARIANTS)
+
     def test_ablate_rejects_variant_flag(self, tmp_path, data_dir, capsys):
         # ablate trains every variant, so a --variant would change nothing
         out = tmp_path / "ablation.tsv"
@@ -910,12 +919,26 @@ class TestOsAndMemoryErrors:
         assert f"({10**18}, 2)" in err and not (tmp_path / "o").exists()
 
     def test_train_weight_numpy_cannot_size(self, tmp_path, data_dir, capsys):
-        # the first weight drawn, 90 x 10**18 floats, is past 2**63 bytes too
+        # the first weight, 90 x 10**18 floats, is past 2**63 bytes too, but
+        # the GCN layers' bound fires before any weight is drawn
         cfg = text_file(tmp_path / "run.cfg", f"k = {10**18}\n")
         run_dir = tmp_path / "run"
         err = fails(capsys, ["train", "--data", data_dir, "--out", str(run_dir), "--config", cfg],
                     "out of memory")
-        assert f"'gcn_a.e0' of shape (90, {10**18})" in err and not run_dir.exists()
+        assert f"GCN layers of width {10**18} exceed" in err and not run_dir.exists()
+
+    def test_train_huge_l_draws_nothing(self, tmp_path, data_dir, capsys, monkeypatch):
+        # each of the 10**9 layers' k x k weights would pass Params.new's check alone
+        def draw(*args):
+            raise AssertionError("a weight was drawn")
+
+        monkeypatch.setattr(ad.Params, "new", draw)
+        cfg = text_file(tmp_path / "run.cfg", "l = 1000000000\n")
+        run_dir = tmp_path / "run"
+        err = fails(capsys, ["train", "--data", data_dir, "--out", str(run_dir), "--config", cfg],
+                    "out of memory")
+        assert err.startswith("out of memory: 1000000000 GCN layers of width 64 exceed the ")
+        assert not run_dir.exists()
 
 
 # a value for each train option that sets a RunConfig field; None marks a switch

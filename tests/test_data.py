@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dualrec import data as d
+from dualrec.autodiff import ContractError
 from pairsets import items_by_user, pair_set
 
 
@@ -426,7 +427,7 @@ class TestSampleTrainNegatives:
 
     @pytest.mark.parametrize("ratio", [0, -1])
     def test_ratio_below_one_raises(self, ratio):
-        with pytest.raises(ValueError, match="ratio must be >= 1"):
+        with pytest.raises(ContractError, match="negative ratio must be >= 1"):
             d.sample_train_negatives(self.base_train(), ratio=ratio, rng=0)
 
     def test_more_than_2_to_the_32_items_draws_as_choice(self):
@@ -501,7 +502,7 @@ class TestSampleEvalCandidates:
     def test_2_to_the_31_items_raises(self):
         # candidates are int32 item indices; the check comes before any array is made
         split = self.make_split(num_items=1 << 31)
-        with pytest.raises(ValueError, match=r"2\*\*31"):
+        with pytest.raises(ContractError, match=r"below 2\*\*31 items"):
             d.sample_eval_candidates(split, n=10, rng=0)
 
     def test_single_candidate_pool(self):
@@ -791,7 +792,7 @@ class TestArtifacts:
     def test_incomplete_split_rejected(self, tmp_path):
         split = self.complete_split()
         bare = d.SplitDataset(train=split.train, test=split.test)
-        with pytest.raises(ValueError):
+        with pytest.raises(ContractError, match="requires a completed split"):
             d.write_split_artifact(str(tmp_path / "x"), bare, {})
 
 

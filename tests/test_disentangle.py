@@ -143,7 +143,7 @@ class TestLossCls1:
 
     def test_lambda_out_of_range(self):
         z = Value(np.zeros((2, 3)))
-        with pytest.raises(ValueError):
+        with pytest.raises(ad.ContractError, match=r"lambda must lie in \[0, 1\]"):
             dis.loss_cls1(z, z, z, lam=1.5, params=zero_classifier(3), name="clf")
 
 

@@ -41,9 +41,9 @@ class TestSampleLambda:
         assert sample_lambda(1e-300, np.random.default_rng(0)) == 0.5
 
     def test_invalid_alpha(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ad.ContractError, match="alpha must be positive"):
             sample_lambda(0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
+        with pytest.raises(ad.ContractError, match="alpha must be positive"):
             sample_lambda(-1.0, np.random.default_rng(0))
 
 

@@ -5,13 +5,16 @@ The ELBO terms are re-derived in numpy from the same forward pass so the
 graph-built loss has an independent reference.
 """
 
+import ast
 import functools
 import gc
 import hashlib
+import importlib
 import io
 import math
 import tracemalloc
 import weakref
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -39,6 +42,7 @@ from toy import tiny_splits
 
 
 config = functools.partial(toy_config, epochs=3, eval_negatives=5, top_k=5)
+CHILD = Path(__file__).resolve().parent.parent / "perfbench" / "child.py"
 
 
 class TestEpochArrays:
@@ -208,6 +212,36 @@ class TestHookLookup:
             "evaluation.model_representations": 1,
             "evaluation.evaluate_domain": 2,
         }
+
+    def test_every_name_the_benchmark_child_reads_exists(self):
+        # a rename would otherwise surface only as a failed benchmark run
+        tree = ast.parse(CHILD.read_text())
+        modules = {alias.asname or alias.name: f"dualrec.{alias.name}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.module == "dualrec"
+                   for alias in node.names}
+        names = set()
+        for node in ast.walk(tree):
+            base, chain = node, []
+            while isinstance(base, ast.Attribute):  # <module>.<name>[.<name>...]
+                chain.insert(0, base.attr)
+                base = base.value
+            if chain and isinstance(base, ast.Name) and base.id in modules:
+                names.add((modules[base.id], ".".join(chain)))
+            if isinstance(node, ast.Tuple) and len(node.elts) == 3:  # (module, "name", span)
+                module, attr, _ = node.elts
+                if isinstance(module, ast.Name) and module.id in modules:
+                    names.add((modules[module.id], ast.literal_eval(attr)))
+        assert {("dualrec.optim", "Adam.step"), ("dualrec.optim", "Adam.zero_grad"),
+                ("dualrec.evaluation", "evaluate_domain")} <= names
+        assert len(names) > 30
+        missing = []
+        for module, dotted in sorted(names):
+            try:
+                functools.reduce(getattr, dotted.split("."), importlib.import_module(module))
+            except AttributeError:
+                missing.append(f"{module}.{dotted}")
+        assert missing == []
 
 
 def sample_pairs(users, items):
@@ -532,13 +566,13 @@ class TestStepKeepsNothingPastItsSweep:
         assert alive_at_forward == [0] * len(alive_at_forward)
 
 
-def test_fit_leaves_malloc_alone(monkeypatch):
-    # the heap policy outlives its caller, so only a training program sets it
+def test_fit_sets_both_malloc_thresholds(monkeypatch):
+    # fit owns the heap policy, so no program that trains has to set it
     calls = []
     monkeypatch.setattr(tr, "_mallopt", lambda param, value: calls.append((param, value)))
     split_a, split_b = tiny_splits()
     tr.train_model(split_a, split_b, config(epochs=1))
-    assert calls == []
+    assert calls == [(-3, 32 << 20), (-1, 1 << 30)]
 
 
 @pytest.mark.pins
