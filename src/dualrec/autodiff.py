@@ -70,6 +70,7 @@ LEAKY_SLOPE = 0.01
 PROB_EPS = 1e-12
 NORM_EPS = 1e-12
 LOG_SIGMA_BOUND = 10.0
+FD_STEP = 3e-4  # the h of finite_diff_check's stencil, which says how it is chosen
 
 
 class ContractError(RuntimeError):
@@ -569,11 +570,11 @@ def mean_all(x: Value) -> Value:
 # Finite-difference gradient checking
 # ---------------------------------------------------------------------------
 
-def finite_diff_check(fn, leaves: list[Value], eps: float = 3e-4) -> float:
+def finite_diff_check(fn, leaves: list[Value]) -> float:
     """Compare tape gradients of fn(leaves) against finite differences.
 
     The oracle is the five-point central stencil
-    (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h with h = eps. Its
+    (8(f(x+h) - f(x-h)) - (f(x+2h) - f(x-2h))) / 12h with h = ``FD_STEP``. Its
     truncation error is O(h^4), so h can be large enough that the loss's
     float64 roundoff, divided by h, stays well below the 1e-4 tolerance even
     for gradients near 1e-7; h must still be smaller than the distance to
@@ -599,16 +600,17 @@ def finite_diff_check(fn, leaves: list[Value], eps: float = 3e-4) -> float:
         flat[i] = x
         return fn(leaves).item()
 
+    h = FD_STEP
     worst = 0.0
     with no_grad():
         for leaf, tape in zip(leaves, tape_grads):
             flat = leaf.data.reshape(-1)
             for i in range(flat.size):
                 orig = flat[i]
-                d1 = loss_at(flat, i, orig + eps) - loss_at(flat, i, orig - eps)
-                d2 = loss_at(flat, i, orig + 2.0 * eps) - loss_at(flat, i, orig - 2.0 * eps)
+                d1 = loss_at(flat, i, orig + h) - loss_at(flat, i, orig - h)
+                d2 = loss_at(flat, i, orig + 2.0 * h) - loss_at(flat, i, orig - 2.0 * h)
                 flat[i] = orig
-                g_fd = (8.0 * d1 - d2) / (12.0 * eps)
+                g_fd = (8.0 * d1 - d2) / (12.0 * h)
                 g_tape = tape.reshape(-1)[i]
                 rel = abs(g_fd - g_tape) / max(1e-8, abs(g_fd) + abs(g_tape))
                 worst = max(worst, rel)

@@ -163,9 +163,9 @@ def _cmd_train(args) -> int:
     result = train_model(split_a, split_b, cfg)
     os.makedirs(args.out, exist_ok=True)  # after training: an abort leaves no run directory
     save_model(os.path.join(args.out, "model.npz"), result.model)
-    atomic_write(os.path.join(args.out, "train.log"), "\n".join(result.log_lines) + "\n")
-    print(result.log_lines[0])
-    print(result.log_lines[-1])
+    log_lines = result.log_lines  # formatted from the history on each read
+    atomic_write(os.path.join(args.out, "train.log"), "\n".join(log_lines) + "\n")
+    print(log_lines[0], log_lines[-1], sep="\n")
     print(f"model written to {os.path.join(args.out, 'model.npz')}")
     return EXIT_OK
 

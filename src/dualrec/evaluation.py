@@ -71,7 +71,6 @@ class DomainMetrics:
 class EvalReport:
     domain_a: DomainMetrics
     domain_b: DomainMetrics
-    seed: int
     wallclock_s: float
     config: RunConfig
 
@@ -83,7 +82,7 @@ class EvalReport:
             f"ndcg_b = {self.domain_b.ndcg:.6f}",
             f"num_test_a = {self.domain_a.num_test}",
             f"num_test_b = {self.domain_b.num_test}",
-            f"seed = {self.seed}",
+            f"seed = {self.config.seed}",
             f"wallclock_s = {self.wallclock_s:.3f}",
         ]
         lines.extend(f"config.{line}" for line in config_lines(self.config))
@@ -185,10 +184,5 @@ def evaluate_model(
         tag: evaluate_domain(*reps[tag], split, cfg.top_k)
         for tag, split in zip(DOMAINS, (split_a, split_b))
     }
-    return EvalReport(
-        domain_a=metrics["a"],
-        domain_b=metrics["b"],
-        seed=cfg.seed,
-        wallclock_s=time.perf_counter() - start,
-        config=cfg,
-    )
+    return EvalReport(domain_a=metrics["a"], domain_b=metrics["b"],
+                      wallclock_s=time.perf_counter() - start, config=cfg)

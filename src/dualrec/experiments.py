@@ -5,8 +5,8 @@ in the order of ``config.VARIANTS``, and ``sweep`` over the field that a
 ``SWEEPABLE`` parameter names. Every config, and its ``top_k`` against the
 candidates of each split, is checked before the first model trains. Every
 run in a table shares the same frozen splits and candidate lists, so rows
-differ only in the model under test.
-"""
+differ only in the model under test. Both return each row's ``EvalReport``,
+per-user ranks included, and the TSV table that is formatted from them."""
 
 from __future__ import annotations
 
@@ -14,7 +14,7 @@ from dataclasses import replace
 
 from .config import SWEEPABLE, VARIANTS, ConfigError, RunConfig, parse_field
 from .data import SplitDataset
-from .evaluation import check_top_k, evaluate_model
+from .evaluation import EvalReport, check_top_k, evaluate_model
 from .training import train_model
 
 
@@ -25,29 +25,28 @@ def _sweep_field(
     split_a: SplitDataset,
     split_b: SplitDataset,
     config: RunConfig,
-) -> tuple[list[dict], str]:
-    """Train and evaluate one model per value of ``field``; returns rows and
-    a TSV table whose first column, headed ``column``, names the value."""
+) -> tuple[list[EvalReport], str]:
+    """Train and evaluate one model per value of ``field``; returns the reports
+    and a TSV table of them whose first column, headed ``column``, names the value."""
     configs = [replace(config, **{field: value}) for value in values]
     for cfg in configs:
         cfg.validate()
         for split in (split_a, split_b):
             check_top_k(split, cfg.top_k)
-    rows = []
+    reports = [evaluate_model(train_model(split_a, split_b, cfg).model, split_a, split_b)
+               for cfg in configs]
     lines = [f"{column}\thr_a\tndcg_a\thr_b\tndcg_b"]
-    for cfg in configs:
-        report = evaluate_model(train_model(split_a, split_b, cfg).model, split_a, split_b)
+    for report in reports:
         a, b = report.domain_a, report.domain_b
-        tag = str(getattr(cfg, field))
-        rows.append({"tag": tag, "hr_a": a.hr, "ndcg_a": a.ndcg, "hr_b": b.hr, "ndcg_b": b.ndcg})
+        tag = getattr(report.config, field)
         lines.append("%s\t%.6f\t%.6f\t%.6f\t%.6f" % (tag, a.hr, a.ndcg, b.hr, b.ndcg))
-    return rows, "\n".join(lines) + "\n"
+    return reports, "\n".join(lines) + "\n"
 
 
 def ablate(
     split_a: SplitDataset, split_b: SplitDataset, config: RunConfig
-) -> tuple[list[dict], str]:
-    """Train every variant on identical data; returns rows and a TSV table."""
+) -> tuple[list[EvalReport], str]:
+    """Train every variant on identical data; returns one report per variant and a TSV table."""
     return _sweep_field("variant", "variant", VARIANTS, split_a, split_b, config)
 
 
@@ -57,8 +56,8 @@ def sweep(
     split_a: SplitDataset,
     split_b: SplitDataset,
     config: RunConfig,
-) -> tuple[list[dict], str]:
-    """Train one model per grid value of a single hyperparameter.
+) -> tuple[list[EvalReport], str]:
+    """Train one model per grid value of a single hyperparameter; returns reports and a TSV table.
 
     Each value is read as the config file reads the field it sets.
     """

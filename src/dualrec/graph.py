@@ -29,7 +29,6 @@ from .data import InteractionSet
 
 @dataclass
 class NormalizedAdjacency:
-    size: int
     num_users: int
     num_items: int
     matrix: sp.csr_matrix
@@ -51,7 +50,7 @@ def build_bipartite_adjacency(train: InteractionSet) -> NormalizedAdjacency:
     dinv = 1.0 / np.sqrt(degrees)
     scaled = dinv[rows] * dinv[cols]
     matrix = sp.csr_matrix((scaled, (rows, cols)), shape=(size, size))
-    return NormalizedAdjacency(size=size, num_users=m, num_items=n, matrix=matrix)
+    return NormalizedAdjacency(num_users=m, num_items=n, matrix=matrix)
 
 
 def init_gcn_weights(params: ad.Params, name: str, size: int, k: int, num_layers: int) -> None:

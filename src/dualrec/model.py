@@ -13,7 +13,7 @@ weights only for a non-empty row and sizes each user tower by it, and
 towers on the raw graph embeddings. ``elbo`` is the one name read here (its
 decoders and encoder statistics). ``training`` reads the same row to skip
 λ, noise and the auxiliary losses on ``base``, and branches on ``elbo`` (its
-objective) and ``fixed_lambda`` (λ pinned at 0.5).
+objective) and ``fixed_lambda`` (λ at 0.5 unless the field of that name is set).
 
 Both domains run the same steps, so each step is one loop over ``DOMAINS``:
 a domain's weights carry its tag (``gcn_<tag>``, ``tow_<tag>.user``), and a
@@ -80,7 +80,7 @@ def build_model(
     components = VARIANTS[config.variant]
 
     for tag, adjacency in zip(DOMAINS, (adjacency_a, adjacency_b)):
-        gr.init_gcn_weights(params, f"gcn_{tag}", adjacency.size, k, l)
+        gr.init_gcn_weights(params, f"gcn_{tag}", adjacency.num_users + adjacency.num_items, k, l)
         if components and config.fusion == "attention":
             fu.init_fusion_weights(params, f"fus_{tag}", k, len(components))
         user_in = gw if not components else fu.fused_width(config.fusion, k, len(components))

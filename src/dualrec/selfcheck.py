@@ -22,6 +22,9 @@ from .graph import build_bipartite_adjacency
 from .mixup import sample_lambda
 
 GRAD_TOL = 1e-4
+MOMENT_DRAWS = 100_000  # lambda draws per alpha
+METRIC_CASES, METRIC_CANDIDATES = 200, 999  # one ranking block, as eval ranks it
+ADJACENCY_GRAPHS = 50
 
 
 def _rng(tag: str) -> np.random.Generator:
@@ -114,12 +117,12 @@ def check_gradients() -> tuple[bool, str]:
     return ok, f"max relative FD error {worst:.3e} ({worst_name}), tolerance {GRAD_TOL:.0e}"
 
 
-def check_mixing_moments(draws: int = 100_000) -> tuple[bool, str]:
+def check_mixing_moments() -> tuple[bool, str]:
     details = []
     ok = True
     for alpha in (0.5, 1.0, 5.0):
         rng = _rng(f"selfcheck.beta.{alpha}")
-        samples = np.array([sample_lambda(alpha, rng) for _ in range(draws)])
+        samples = np.array([sample_lambda(alpha, rng) for _ in range(MOMENT_DRAWS)])
         mean_err = abs(samples.mean() - 0.5)
         var_err = abs(samples.var() - 1.0 / (4.0 * (2.0 * alpha + 1.0)))
         ok = ok and mean_err < 0.005 and var_err < 0.002
@@ -134,23 +137,23 @@ def rank_by_sorting(neg_scores: np.ndarray, pos_score: float) -> int:
     return 1 + [tag for _, tag in keyed].index(1)
 
 
-def check_metrics(cases: int = 200, candidates: int = 999) -> tuple[bool, str]:
+def check_metrics() -> tuple[bool, str]:
     """Rank every case as one block, as eval does, against the sort oracle."""
     rng = _rng("selfcheck.metrics")
-    scores = np.empty((cases, candidates))
-    pos = np.empty(cases)
-    for case in range(cases):
+    scores = np.empty((METRIC_CASES, METRIC_CANDIDATES))
+    pos = np.empty(METRIC_CASES)
+    for case in range(METRIC_CASES):
         if case % 2 == 0:
-            scores[case] = rng.normal(size=candidates)
+            scores[case] = rng.normal(size=METRIC_CANDIDATES)
             pos[case] = rng.normal()
         else:  # coarse grid forces ties, including at the held-out score
-            scores[case] = rng.integers(0, 40, size=candidates) / 10.0
+            scores[case] = rng.integers(0, 40, size=METRIC_CANDIDATES) / 10.0
             pos[case] = rng.integers(0, 40) / 10.0
     ranks = rank_with_ties(scores, pos)
     hr, ndcg = metrics_at_k(ranks, 10)
     oracle = [rank_by_sorting(row, p) for row, p in zip(scores, pos)]
     mismatches = int(np.count_nonzero((ranks != oracle) | (ndcg > hr)))
-    return mismatches == 0, f"{cases} cases, {mismatches} oracle mismatches"
+    return mismatches == 0, f"{METRIC_CASES} cases, {mismatches} oracle mismatches"
 
 
 def adjacency_oracle(pairs, num_users: int, num_items: int) -> np.ndarray:
@@ -163,12 +166,12 @@ def adjacency_oracle(pairs, num_users: int, num_items: int) -> np.ndarray:
     return a_tilde * d_inv_sqrt[:, None] * d_inv_sqrt[None, :]
 
 
-def check_adjacency(graphs: int = 50) -> tuple[bool, str]:
+def check_adjacency() -> tuple[bool, str]:
     rng = _rng("selfcheck.adjacency")
     worst = 0.0
     worst_sym = 0.0
     worst_rho = 0.0
-    for _ in range(graphs):
+    for _ in range(ADJACENCY_GRAPHS):
         m = int(rng.integers(2, 21))
         n = int(rng.integers(2, 21))
         interactions = {(u, i) for u in range(m) for i in range(n) if rng.random() < 0.3}
@@ -181,7 +184,7 @@ def check_adjacency(graphs: int = 50) -> tuple[bool, str]:
         worst_rho = max(worst_rho, float(np.abs(np.linalg.eigvalsh(dense)).max()))
     ok = worst <= 1e-12 and worst_sym == 0.0 and worst_rho <= 1.0 + 1e-10
     return ok, (
-        f"{graphs} graphs: max|sparse-dense|={worst:.2e}, "
+        f"{ADJACENCY_GRAPHS} graphs: max|sparse-dense|={worst:.2e}, "
         f"max asymmetry={worst_sym:.1e}, max spectral radius={worst_rho:.12f}"
     )
 

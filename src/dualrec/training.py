@@ -45,6 +45,13 @@ from .optim import Adam
 
 LOG_HEADER = "epoch\tloss_total\tloss_prd_A\tloss_prd_B\tloss_cls1\tloss_cls2\tlambda_mean"
 
+
+def log_line(row: dict) -> str:
+    """The ``train.log`` line of one ``fit`` history row, in ``LOG_HEADER``'s column order."""
+    keys = ("epoch", "total", "prd_a", "prd_b", "cls1", "cls2", "lambda_mean")
+    return "%d\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f" % tuple(row[key] for key in keys)
+
+
 # RNG stream tags; each keyed draw is default_rng([seed, tag, ...])
 _STREAM_NEGATIVES = 1
 _STREAM_LAMBDA = 2
@@ -99,8 +106,11 @@ class NumericalAbortError(RuntimeError):
 @dataclass
 class TrainResult:
     model: ModelState
-    log_lines: list[str]
     history: list[dict]
+
+    @property
+    def log_lines(self) -> list[str]:
+        return [LOG_HEADER] + [log_line(row) for row in self.history]
 
 
 def _epoch_arrays(train, epoch: int, domain_id: int, config: RunConfig) -> tuple[np.ndarray, int]:
@@ -150,12 +160,10 @@ def _noise_rngs(config: RunConfig, epoch: int, step: int, offset: int = 0):
 
 
 def _step_lambda(config: RunConfig, epoch: int, step: int) -> float:
-    if config.variant == "fixed_lambda":
-        return 0.5
     if config.fixed_lambda is not None:
         return config.fixed_lambda
-    if not VARIANTS[config.variant]:
-        return 0.5  # base variant never mixes; value is only logged
+    if config.variant == "fixed_lambda" or not VARIANTS[config.variant]:
+        return 0.5  # base never mixes; its value is only logged
     rng = np.random.default_rng([config.seed, _STREAM_LAMBDA, epoch, step])
     return sample_lambda(config.mixup_alpha, rng)
 
@@ -266,12 +274,15 @@ def fit(
     split_b: SplitDataset,
     log_sink=None,
 ) -> TrainResult:
-    """Set the heap policy (``keep_freed_heap``), then run the configured epochs on a built model."""
+    """Set the heap policy (``keep_freed_heap``), then run the configured epochs on a built model.
+
+    Each epoch's ``history`` row, which ``log_sink`` gets as its ``log_line``, holds ``epoch``,
+    ``lambda_mean``, the step means ``total``, ``prd_a``, ``prd_b``, ``cls1`` and ``cls2`` (the
+    last two halved under ``alternating``), and ``cosine_clamp_events`` since ``fit`` began."""
     keep_freed_heap()
     ad.reset_cosine_clamp_events()
     cfg = model.config
     optimizer = Adam(model.params, lr=cfg.lr)
-    log_lines = [LOG_HEADER]
     if log_sink is not None:
         log_sink.write(LOG_HEADER + "\n")
     history: list[dict] = []
@@ -336,20 +347,10 @@ def fit(
         row["lambda_mean"] = lam_sum / steps
         row["cosine_clamp_events"] = ad.cosine_clamp_events()
         history.append(row)
-        line = "%d\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f\t%.6f" % (
-            epoch,
-            row["total"],
-            row["prd_a"],
-            row["prd_b"],
-            row["cls1"],
-            row["cls2"],
-            row["lambda_mean"],
-        )
-        log_lines.append(line)
         if log_sink is not None:
-            log_sink.write(line + "\n")
+            log_sink.write(log_line(row) + "\n")
 
-    return TrainResult(model=model, log_lines=log_lines, history=history)
+    return TrainResult(model=model, history=history)
 
 
 def train_model(

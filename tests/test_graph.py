@@ -81,7 +81,6 @@ class TestBuildAdjacency:
 
 def identity_adjacency(size, num_users):
     return graph.NormalizedAdjacency(
-        size=size,
         num_users=num_users,
         num_items=size - num_users,
         matrix=sp.identity(size, format="csr"),

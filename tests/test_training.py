@@ -305,6 +305,49 @@ class TestStepLambda:
         assert tr._step_lambda(config(), 0, 0) == drawn
         assert tr._step_lambda(config(), 0, 1) != drawn
 
+    def test_fixed_lambda_variant_takes_the_field(self):
+        # the config record says 0.3, so the fixed_lambda variant trains at 0.3
+        cfg = config(variant="fixed_lambda", fixed_lambda=0.3)
+        assert tr._step_lambda(cfg, 0, 0) == 0.3
+        history = tr.train_model(*tiny_splits(), cfg).history
+        assert history[0]["lambda_mean"] == pytest.approx(0.3, abs=1e-12)
+
+
+class TestRandomStreams:
+    """No two seeded draws of a run start the same random stream.
+
+    Each module picks its stream ids (``default_rng([seed, stream, ...])``)
+    on its own, and numpy's SeedSequence pads a key to four words with zeros,
+    so ``[5, 1]`` and ``[5, 1, 0, 0]`` start the same stream: a training id
+    of 10 would repeat domain A's split draw at epoch 0, step 0. Every module
+    looks ``np.random.default_rng`` up at call time, so the patch sees every
+    keyed draw of a ``synth`` -> split -> train -> eval run.
+    """
+
+    @pytest.mark.parametrize("overrides", [
+        {}, {"alternating": True}, {"variant": "elbo"},
+    ], ids=["full", "full-alternating", "elbo"])
+    def test_every_keyed_draw_starts_its_own_stream(self, monkeypatch, overrides):
+        real = np.random.default_rng
+        starts: dict = {}
+
+        def recording(seed=None):
+            rng = real(seed)
+            if isinstance(seed, list):
+                state = rng.bit_generator.state["state"]["state"]
+                starts.setdefault(state, []).append(seed)
+            return rng
+
+        monkeypatch.setattr(np.random, "default_rng", recording)
+        spec = SyntheticSpec(num_users=80, num_items_a=90, num_items_b=70,
+                             rate_a=0.1, rate_b=0.1, min_count=2, seed=5)
+        split_a, split_b = freeze_splits(*generate_synthetic(spec), seed=5, n_candidates=5)
+        cfg = toy_config(seed=5, **overrides)
+        evaluate_model(tr.train_model(split_a, split_b, cfg).model, split_a, split_b)
+        shared = [keys for keys in starts.values() if len(keys) > 1]
+        assert len(starts) > 20
+        assert not shared, f"keys that start the same stream: {shared}"
+
 
 class TestFit:
     def test_loss_drops_on_tiny_data(self):
@@ -336,16 +379,20 @@ class TestFit:
             assert int(fields[0]) == epoch
             for field in fields[1:]:
                 assert math.isfinite(float(field))
+        # both forms are formatted from the history, the one record of the run
+        assert result.log_lines == [tr.LOG_HEADER] + [tr.log_line(r) for r in result.history]
         assert sink.getvalue() == "\n".join(result.log_lines) + "\n"
 
     def test_history_mirrors_log(self):
         split_a, split_b = tiny_splits()
         result = tr.train_model(split_a, split_b, config(epochs=2))
+        # one key per LOG_HEADER column, in its order
+        keys = ("total", "prd_a", "prd_b", "cls1", "cls2", "lambda_mean")
         for epoch, row in enumerate(result.history):
             fields = result.log_lines[1 + epoch].split("\t")
-            assert row["epoch"] == epoch
-            np.testing.assert_allclose(row["total"], float(fields[1]), atol=5e-7)
-            np.testing.assert_allclose(row["lambda_mean"], float(fields[6]), atol=5e-7)
+            assert row["epoch"] == epoch == int(fields[0])
+            np.testing.assert_allclose([float(f) for f in fields[1:]], [row[k] for k in keys],
+                                       rtol=0, atol=5e-7)
 
     def test_base_variant_logs_zero_aux_losses(self):
         split_a, split_b = tiny_splits()
